@@ -29,7 +29,7 @@ ExperimentConfig faultMixConfig(double intensity) {
     cfg.faults.straggler_factor = 0.3;
     cfg.faults.straggler_duration_s = 600.0;
     cfg.faults.acquisition_failure_prob = 0.3 * intensity;
-    cfg.faults.provisioning_delay_s = 120.0 * intensity;
+    cfg.elasticity.provisioning_delay_s = 120.0 * intensity;
     cfg.faults.partition_mtbf_hours = 8.0 / intensity;
     cfg.faults.partition_duration_s = 120.0;
   }

@@ -8,7 +8,9 @@
 // A second section measures raw event throughput (events drained per
 // second of wall clock) of the cached engine against the reference
 // engine over a rate x graph-size sweep. Every row asserts that the two
-// engines' results are bit-identical via fingerprint().
+// engines' results are bit-identical: fixed-deployment rows compare
+// fingerprint() of the stepped simulator, the adaptive row (driven by
+// SimulationEngine, which owns the interval loop) its run outputs.
 // `--throughput-json=PATH` writes that sweep as JSON (committed as
 // BENCH_eventsim_throughput.json at the repo root).
 #include <fstream>
@@ -22,32 +24,20 @@ using namespace dds;
 
 struct LatencyRow {
   std::string label;
-  EventSimResult result;
+  ExperimentResult result;
 };
 
-EventSimResult runPolicy(const Dataflow& df, Strategy strategy,
-                         bool adaptive, double rate,
-                         double queue_sla_s = 0.0) {
-  CloudProvider cloud(awsCatalog2013());
-  TraceReplayer replayer = TraceReplayer::futureGridLike(2013);
-  MonitoringService mon(cloud, replayer);
-  SchedulerEnv env;
-  env.dataflow = &df;
-  env.cloud = &cloud;
-  env.monitor = &mon;
-  HeuristicOptions opts;
-  opts.adaptive = adaptive;
-  opts.max_queue_delay_s = queue_sla_s;
-  HeuristicScheduler sched(env, strategy, opts);
-
-  EventSimConfig cfg;
+ExperimentResult runPolicy(const Dataflow& df, SchedulerKind kind,
+                           double rate, double queue_sla_s = 0.0) {
+  ExperimentConfig cfg;
   cfg.horizon_s = 30.0 * kSecondsPerMinute;
+  cfg.workload.mean_rate = rate;
+  cfg.workload.profile = ProfileKind::PeriodicWave;
+  cfg.workload.infra_variability = true;
   cfg.seed = 7;
-  EventSimulator sim(df, cloud, mon, cfg);
-  PeriodicWaveRate profile(rate, 0.4 * rate, 30.0 * kSecondsPerMinute,
-                           -3.14159265358979 / 2.0);
-  Deployment dep = sched.deploy(profile.rate(0.0));
-  return sim.run(profile, std::move(dep), adaptive ? &sched : nullptr);
+  cfg.max_queue_delay_s = queue_sla_s;
+  cfg.backend = SimBackend::Event;
+  return SimulationEngine(df, cfg).run(kind);
 }
 
 // --- cached-vs-reference throughput sweep ------------------------------
@@ -68,6 +58,19 @@ struct ThroughputRow {
   bool identical = false;
 };
 
+/// What one sweep run produced: drain work, wall time in the event loop,
+/// and a canonical string of every model-determined output.
+struct SweepRun {
+  std::uint64_t events = 0;
+  double wall_s = 0.0;
+  std::uint64_t route_refreshes = 0;
+  std::uint64_t core_index_rebuilds = 0;
+  std::string fingerprint;
+};
+
+constexpr SimTime kSweepHorizonS = 600.0;
+constexpr SimTime kSweepIntervalS = 60.0;
+
 Dataflow graphByName(const std::string& name) {
   if (name == "paper") return makePaperDataflow();
   if (name == "chain8") return makeChainDataflow(8, 2);
@@ -75,10 +78,11 @@ Dataflow graphByName(const std::string& name) {
   return makeLayeredDataflow(6, 4, 2, rng);
 }
 
-/// One full event-sim run on a fresh environment; both engines get the
-/// same seeds, so any result difference is an engine bug.
-EventSimResult runThroughput(const ThroughputCase& c,
-                             EventSimConfig::Engine engine) {
+/// A fixed deployment, stepped interval by interval on a fresh
+/// environment; both engines get the same seeds, so any result difference
+/// is an engine bug.
+SweepRun runStaticSweep(const ThroughputCase& c,
+                        EventSimConfig::Engine engine) {
   const Dataflow df = graphByName(c.graph);
   CloudProvider cloud(awsCatalog2013());
   TraceReplayer replayer = TraceReplayer::futureGridLike(2013);
@@ -88,16 +92,73 @@ EventSimResult runThroughput(const ThroughputCase& c,
   env.cloud = &cloud;
   env.monitor = &mon;
   HeuristicOptions opts;
-  opts.adaptive = c.adaptive;
+  opts.adaptive = false;
   HeuristicScheduler sched(env, Strategy::Global, opts);
 
-  EventSimConfig cfg;  // stock 600 s horizon, 60 s intervals
+  EventSimConfig cfg;
+  cfg.interval_s = kSweepIntervalS;
   cfg.seed = 7;
   cfg.engine = engine;
   EventSimulator sim(df, cloud, mon, cfg);
-  ConstantRate profile(c.rate);
-  Deployment dep = sched.deploy(c.rate);
-  return sim.run(profile, std::move(dep), c.adaptive ? &sched : nullptr);
+  const Deployment dep = sched.deploy(c.rate);
+  const IntervalClock clock(kSweepIntervalS, kSweepHorizonS);
+  for (IntervalIndex i = 0; i < clock.intervalCount(); ++i) {
+    (void)sim.step(i, c.rate, dep);
+  }
+  const EventSimResult& r = sim.result();
+  return {r.counters.drained(), r.wall_seconds, r.counters.route_refreshes,
+          r.counters.core_index_rebuilds, fingerprint(r)};
+}
+
+/// An adaptive run through SimulationEngine, which owns the interval loop.
+SweepRun runAdaptiveSweep(const ThroughputCase& c,
+                          EventSimConfig::Engine engine) {
+  const Dataflow df = graphByName(c.graph);
+  ExperimentConfig cfg;
+  cfg.horizon_s = kSweepHorizonS;
+  cfg.interval_s = kSweepIntervalS;
+  cfg.workload.mean_rate = c.rate;
+  cfg.workload.infra_variability = true;
+  cfg.seed = 7;
+  cfg.backend = SimBackend::Event;
+  cfg.event_reference_engine = engine == EventSimConfig::Engine::Reference;
+  const ExperimentResult r =
+      SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+  SweepRun out;
+  double events_per_s = 0.0;
+  std::ostringstream fp;
+  fp << std::hexfloat << r.messages_delivered << ' ' << r.latency_mean_s
+     << ' ' << r.latency_p95_s << ' ' << r.latency_p99_s << '\n';
+  for (const obs::MetricSample& m : r.metrics) {
+    const auto n = static_cast<std::uint64_t>(m.value);
+    if (m.name == "eventsim.arrivals" || m.name == "eventsim.deliveries" ||
+        m.name == "eventsim.completions") {
+      out.events += n;
+    } else if (m.name == "eventsim.route_refreshes") {
+      out.route_refreshes = n;
+    } else if (m.name == "eventsim.core_index_rebuilds") {
+      out.core_index_rebuilds = n;
+    } else if (m.name == "eventsim.events_per_s") {
+      events_per_s = m.value;
+    }
+  }
+  for (const IntervalMetrics& im : r.run.intervals()) {
+    fp << im.omega << ' ' << im.gamma << ' ' << im.cost_cumulative << '\n';
+    for (const PeIntervalStats& ps : im.pe_stats) {
+      fp << ps.processed_rate << ' ' << ps.output_rate << ' '
+         << ps.backlog_msgs << ' ' << ps.allocated_cores << '\n';
+    }
+  }
+  out.wall_s = events_per_s > 0.0
+                   ? static_cast<double>(out.events) / events_per_s
+                   : 0.0;
+  out.fingerprint = fp.str() + std::to_string(out.events);
+  return out;
+}
+
+SweepRun runThroughput(const ThroughputCase& c,
+                       EventSimConfig::Engine engine) {
+  return c.adaptive ? runAdaptiveSweep(c, engine) : runStaticSweep(c, engine);
 }
 
 std::vector<ThroughputRow> runThroughputSweep() {
@@ -115,23 +176,21 @@ std::vector<ThroughputRow> runThroughputSweep() {
     std::cerr << "throughput " << c.graph << " @ " << c.rate << " msg/s"
               << (c.adaptive ? " adaptive" : "") << ": reference..."
               << std::flush;
-    const EventSimResult ref =
-        runThroughput(c, EventSimConfig::Engine::Reference);
-    std::cerr << " " << ref.wall_seconds << " s, cached..." << std::flush;
-    const EventSimResult cach =
-        runThroughput(c, EventSimConfig::Engine::Cached);
-    std::cerr << " " << cach.wall_seconds << " s\n";
+    const SweepRun ref = runThroughput(c, EventSimConfig::Engine::Reference);
+    std::cerr << " " << ref.wall_s << " s, cached..." << std::flush;
+    const SweepRun cach = runThroughput(c, EventSimConfig::Engine::Cached);
+    std::cerr << " " << cach.wall_s << " s\n";
 
     ThroughputRow row;
     row.c = c;
-    row.events = cach.counters.drained();
-    row.reference_s = ref.wall_seconds;
-    row.cached_s = cach.wall_seconds;
-    row.route_refreshes = cach.counters.route_refreshes;
-    row.core_index_rebuilds = cach.counters.core_index_rebuilds;
+    row.events = cach.events;
+    row.reference_s = ref.wall_s;
+    row.cached_s = cach.wall_s;
+    row.route_refreshes = cach.route_refreshes;
+    row.core_index_rebuilds = cach.core_index_rebuilds;
     // The cached engine is a memoization, not an approximation: every
     // sample, counter and interval metric must match bit-for-bit.
-    row.identical = fingerprint(ref) == fingerprint(cach);
+    row.identical = ref.fingerprint == cach.fingerprint;
     if (!row.identical) {
       std::cerr << "RESULT MISMATCH at " << c.graph << " @ " << c.rate
                 << " msg/s\n";
@@ -173,8 +232,8 @@ int throughputSweepJson(const std::string& path) {
   out << std::setprecision(17);
   out << "{\n"
       << "  \"benchmark\": \"eventsim_cached_vs_reference\",\n"
-      << "  \"horizon_s\": " << EventSimConfig{}.horizon_s << ",\n"
-      << "  \"interval_s\": " << EventSimConfig{}.interval_s << ",\n"
+      << "  \"horizon_s\": " << kSweepHorizonS << ",\n"
+      << "  \"interval_s\": " << kSweepIntervalS << ",\n"
       << "  \"seed\": 7,\n"
       << "  \"catalog\": \"awsCatalog2013\",\n"
       << "  \"rows\": [\n";
@@ -222,30 +281,26 @@ int main(int argc, char** argv) {
   const Dataflow df = makePaperDataflow();
   const double rate = 10.0;
   std::vector<LatencyRow> rows;
-  rows.push_back({"global adaptive",
-                  runPolicy(df, Strategy::Global, true, rate)});
-  rows.push_back({"local adaptive",
-                  runPolicy(df, Strategy::Local, true, rate)});
-  rows.push_back({"global static",
-                  runPolicy(df, Strategy::Global, false, rate)});
+  rows.push_back(
+      {"global adaptive", runPolicy(df, SchedulerKind::GlobalAdaptive, rate)});
+  rows.push_back(
+      {"local adaptive", runPolicy(df, SchedulerKind::LocalAdaptive, rate)});
+  rows.push_back(
+      {"global static", runPolicy(df, SchedulerKind::GlobalStatic, rate)});
   rows.push_back({"global + 60s SLA",
-                  runPolicy(df, Strategy::Global, true, rate, 60.0)});
+                  runPolicy(df, SchedulerKind::GlobalAdaptive, rate, 60.0)});
 
   TextTable table({"policy", "delivered", "omega", "lat-mean(s)",
                    "lat-p50(s)", "lat-p95(s)", "lat-p99(s)"});
   for (const auto& row : rows) {
     const auto& r = row.result;
-    table.addRow(
-        {row.label, std::to_string(r.messages_delivered),
-         TextTable::num(r.intervals.averageOmega()),
-         TextTable::num(r.latency.mean()),
-         r.latency_samples.empty() ? "-"
-                                   : TextTable::num(r.latencyPercentile(50)),
-         r.latency_samples.empty() ? "-"
-                                   : TextTable::num(r.latencyPercentile(95)),
-         r.latency_samples.empty()
-             ? "-"
-             : TextTable::num(r.latencyPercentile(99))});
+    const bool sampled = r.messages_delivered > 0;
+    table.addRow({row.label, std::to_string(r.messages_delivered),
+                  TextTable::num(r.average_omega),
+                  TextTable::num(r.latency_mean_s),
+                  sampled ? TextTable::num(r.latency_p50_s) : "-",
+                  sampled ? TextTable::num(r.latency_p95_s) : "-",
+                  sampled ? TextTable::num(r.latency_p99_s) : "-"});
   }
   std::cout << table.render() << '\n';
 

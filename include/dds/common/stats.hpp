@@ -78,17 +78,23 @@ class RunningStats {
   return s / static_cast<double>(xs.size());
 }
 
-/// Linear-interpolation percentile, p in [0, 100]. Copies and sorts.
-[[nodiscard]] inline double percentile(std::span<const double> xs, double p) {
-  DDS_REQUIRE(!xs.empty(), "percentile of empty sample");
+/// Linear-interpolation percentile of an ascending sample, p in [0, 100].
+[[nodiscard]] inline double sortedPercentile(std::span<const double> sorted,
+                                             double p) {
+  DDS_REQUIRE(!sorted.empty(), "percentile of empty sample");
   DDS_REQUIRE(p >= 0.0 && p <= 100.0, "percentile out of range");
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
   const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
   const auto lo = static_cast<std::size_t>(rank);
   const auto hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+}
+
+/// Linear-interpolation percentile, p in [0, 100]. Copies and sorts.
+[[nodiscard]] inline double percentile(std::span<const double> xs, double p) {
+  std::vector<double> sorted(xs.begin(), xs.end());
+  std::sort(sorted.begin(), sorted.end());
+  return sortedPercentile(sorted, p);
 }
 
 }  // namespace dds

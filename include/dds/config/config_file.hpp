@@ -4,12 +4,12 @@
 // ignored. Keys are free-form strings; typed getters convert on access.
 //
 //   # experiment.conf
-//   graph        = paper           # paper | chain | diamond
-//   scheduler    = global,local    # any comma list of policy names
-//   mean_rate    = 10
-//   profile      = wave            # constant | wave | random-walk
-//   horizon_h    = 2
-//   infra_variability = true
+//   graph              = paper         # paper | chain | diamond
+//   scheduler          = global,local  # any comma list of policy names
+//   workload.mean_rate = 10
+//   workload.profile   = wave          # constant | wave | random-walk
+//   horizon_h          = 2
+//   workload.infra_variability = true
 #pragma once
 
 #include <map>
@@ -77,24 +77,10 @@ struct CliExperiment {
 /// Translate a parsed config into an experiment. Unknown keys, graphs,
 /// profiles or scheduler names throw ConfigError with the offender named.
 ///
-/// Keys come in a nested canonical form ("workload.mean_rate",
+/// Sub-struct knobs use nested keys ("workload.mean_rate",
 /// "fault.vm_mtbf_h", "resilience.quarantine_threshold") mirroring the
-/// ExperimentConfig sub-structs; the historical flat spellings
-/// ("mean_rate", "vm_mtbf_h", "quarantine_threshold") keep working as
-/// deprecated aliases. When `notes` is non-null, one deprecation note per
-/// alias used is appended (the CLI prints them to stderr). Giving both
-/// spellings of one knob is an error.
-///
-/// `config_schema = strict` promotes every deprecated alias to a hard
-/// ConfigError naming the canonical replacement; the default (`warn`)
-/// keeps the note-and-accept behavior. Structured front-ends (the JSON
-/// job-spec API) always parse strictly.
-[[nodiscard]] CliExperiment experimentFromConfig(
-    const KeyValueConfig& kv, std::vector<std::string>* notes = nullptr);
-
-/// The canonical (non-deprecated, non-alias) config keys, sorted — the
-/// vocabulary `config_schema = strict` and the job-spec API accept.
-[[nodiscard]] std::vector<std::string> canonicalConfigKeys();
+/// ExperimentConfig sub-structs; any other key is an unknown-key error.
+[[nodiscard]] CliExperiment experimentFromConfig(const KeyValueConfig& kv);
 
 /// Parse one scheduler name ("global", "local-static", ...). Wraps the
 /// sched-layer parseSchedulerKind, rethrowing as ConfigError.

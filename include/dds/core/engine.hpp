@@ -3,15 +3,17 @@
 //
 //   Dataflow df = makePaperDataflow();
 //   ExperimentConfig cfg;
-//   cfg.mean_rate = 10.0;
-//   cfg.profile = ProfileKind::PeriodicWave;
-//   cfg.infra_variability = true;
+//   cfg.workload.mean_rate = 10.0;
+//   cfg.workload.profile = ProfileKind::PeriodicWave;
+//   cfg.workload.infra_variability = true;
 //   SimulationEngine engine(df, cfg);
 //   ExperimentResult r = engine.run(SchedulerKind::GlobalAdaptive);
 //
 // Every run() constructs a fresh cloud, replayer and simulator, so runs of
 // different schedulers under the same config are independent and see
 // identical workloads and (for a fixed seed) identical trace assignments.
+// One interval loop (monitor, adapt, execute) drives either simulator
+// backend; see DESIGN.md "Engine: one interval loop".
 #pragma once
 
 #include <memory>

@@ -51,11 +51,8 @@ struct FaultConfig {
   double straggler_factor = 0.3;
   double straggler_duration_s = 600.0;
   /// Probability the provider rejects one acquisition attempt; 0 disables.
+  /// (Provisioning lag lives in ElasticityConfig.)
   double acquisition_failure_prob = 0.0;
-  /// Mean provisioning lag between acquire and the VM coming online,
-  /// seconds (exponential per VM); 0 = instant delivery. Billing starts at
-  /// acquisition either way — provisioning time is paid for.
-  double provisioning_delay_s = 0.0;
   /// Transient network partitions: mean time between partition episodes
   /// per VM pair, hours; 0 disables. A partitioned pair sees zero
   /// bandwidth and effectively infinite latency for
@@ -78,6 +75,7 @@ struct ElasticityConfig {
   /// Mean exponential provisioning lag between acquire and the VM coming
   /// online, seconds; the per-core term adds class dependence
   /// (mean = base + per_core * (cores - 1)). 0/0 = instant delivery.
+  /// Billing starts at acquisition either way — provisioning is paid for.
   double provisioning_delay_s = 0.0;
   double provisioning_delay_per_core_s = 0.0;
   /// Spot market: discount in (0, 1) on the on-demand price (0 disables
@@ -124,9 +122,9 @@ struct ResilienceConfig {
   bool operator==(const ResilienceConfig&) const = default;
 };
 
-/// Rate forecasting + predictive scheduling (default off; fluid-only
-/// like the fault families). Off, runs are bit-identical to reactive:
-/// no forecaster is built, schedulers see a null forecast pointer.
+/// Rate forecasting + predictive scheduling (default off; both backends).
+/// Off, runs are bit-identical to reactive: no forecaster is built,
+/// schedulers see a null forecast pointer.
 struct ForecastConfig {
   /// Which model predicts future input rates (see dds/forecast):
   /// Off disables the subsystem entirely.
@@ -239,6 +237,7 @@ struct ExperimentResult {
   /// Filled by the event backend only (zero under the fluid backend):
   std::size_t messages_delivered = 0;
   double latency_mean_s = 0.0;
+  double latency_p50_s = 0.0;
   double latency_p95_s = 0.0;
   double latency_p99_s = 0.0;
   /// Observability counters/gauges/histograms the run accumulated

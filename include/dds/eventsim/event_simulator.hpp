@@ -23,6 +23,11 @@
 // fingerprint() checks byte-for-byte (the throughput benchmark asserts it
 // on every row).
 //
+// The simulator is a stepper: SimulationEngine drives it one interval at
+// a time through the same four calls as the fluid simulator (step,
+// migrateBacklog, pauseService, dropBacklog), and the engine's interval
+// loop owns the clock, the scheduler and every trace record.
+//
 // The two simulators cross-validate each other: under identical
 // deployments their throughput agrees (see tests/eventsim).
 #pragma once
@@ -41,9 +46,7 @@
 #include "dds/metrics/run_metrics.hpp"
 #include "dds/monitor/lookup_cache.hpp"
 #include "dds/monitor/monitoring.hpp"
-#include "dds/sched/scheduler.hpp"
 #include "dds/sim/deployment.hpp"
-#include "dds/workload/rate_profile.hpp"
 
 namespace dds {
 
@@ -55,7 +58,6 @@ struct EventSimConfig {
 
   double msg_size_bytes = 100.0e3;  ///< ~100 KB/msg (§8.1).
   SimTime interval_s = 60.0;        ///< adaptation/metrics interval.
-  SimTime horizon_s = 600.0;        ///< total simulated time.
   std::uint64_t seed = 42;          ///< arrival-process seed.
   bool poisson_arrivals = true;     ///< false = deterministic spacing.
   /// Cap on stored end-to-end latency samples; past the cap the sample
@@ -64,12 +66,6 @@ struct EventSimConfig {
   /// as uncapped ones without perturbing the arrival process.
   std::size_t max_latency_samples = 200'000;
   Engine engine = Engine::Cached;
-  /// Per-PE buffered state, MB; a migration pauses the PE's dispatch for
-  /// the time the moved share takes to transfer at
-  /// `migration_bandwidth_mbps` (in-flight service still completes).
-  /// 0 = instant migration, bit-identical to the pre-elasticity model.
-  double pe_state_mb = 0.0;
-  double migration_bandwidth_mbps = 100.0;
 
   void validate() const;
 };
@@ -91,7 +87,8 @@ struct EventSimCounters {
   }
 };
 
-/// End-to-end latency summary plus the per-interval metric series.
+/// End-to-end latency summary plus the per-interval metric series,
+/// accumulated over every step() so far.
 struct EventSimResult {
   RunResult intervals;              ///< same shape as the fluid simulator.
   std::size_t messages_injected = 0;
@@ -102,7 +99,7 @@ struct EventSimResult {
   /// the per-stage latency breakdown that identifies the bottleneck.
   std::vector<RunningStats> pe_queue_wait;
   EventSimCounters counters;
-  double wall_seconds = 0.0;  ///< engine wall-clock time for run().
+  double wall_seconds = 0.0;  ///< wall-clock time spent inside step().
 
   [[nodiscard]] double latencyPercentile(double p) const;
 
@@ -117,18 +114,35 @@ struct EventSimResult {
 /// and wall_seconds are deliberately excluded.
 [[nodiscard]] std::string fingerprint(const EventSimResult& r);
 
-/// Runs one full experiment at message granularity. The scheduler (and its
-/// adapt() hook) is driven exactly as the SimulationEngine drives it.
+/// Simulates a deployed dataflow at message granularity, one interval per
+/// step(). Intervals must be stepped in order, starting at 0.
 class EventSimulator {
  public:
   EventSimulator(const Dataflow& df, CloudProvider& cloud,
                  const MonitoringService& mon, EventSimConfig cfg);
 
-  /// Simulate the whole horizon. `scheduler` may be null for a fixed
-  /// deployment (no runtime adaptation).
-  [[nodiscard]] EventSimResult run(const RateProfile& profile,
-                                   Deployment deployment,
-                                   Scheduler* scheduler);
+  /// Drain every event of interval `index` with external arrivals at
+  /// `input_rate` under `deployment`, and return the interval's metrics
+  /// (also appended to result().intervals).
+  [[nodiscard]] IntervalMetrics step(IntervalIndex index, double input_rate,
+                                     const Deployment& deployment);
+
+  /// Pull round(fraction x queue length) messages off the back of `pe`'s
+  /// queue; they re-enter it at the start of the interval after the next
+  /// step (network transfer of migrated buffers, §5).
+  void migrateBacklog(PeId pe, double fraction);
+
+  /// Start no new service at `pe` for `seconds` from the start of the next
+  /// step (state migration downtime); in-flight service still completes.
+  /// Overlapping pauses extend to the latest end, they do not stack.
+  void pauseService(PeId pe, SimTime seconds);
+
+  /// Permanently drop round(fraction x queue length) of `pe`'s queued
+  /// messages. Returns the number of messages lost.
+  double dropBacklog(PeId pe, double fraction);
+
+  /// Latency, counters, wall time and the interval series so far.
+  [[nodiscard]] const EventSimResult& result() const { return result_; }
 
  private:
   struct Message {
@@ -209,6 +223,18 @@ class EventSimulator {
   };
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
+  /// Messages pulled out of a queue by migrateBacklog, due back at `due`.
+  struct Transit {
+    SimTime due;
+    PeId pe;
+    std::deque<Message> msgs;
+  };
+
+  /// Start of the interval the next step() simulates.
+  [[nodiscard]] SimTime nextStart() const {
+    return static_cast<SimTime>(next_index_) * cfg_.interval_s;
+  }
+
   // -- shared model logic (identical in both engines) -------------------
   void dispatchIdleCores(PeId pe, SimTime now, const Deployment& dep);
   void deliverDownstream(PeId from, VmId from_vm, const Message& msg,
@@ -240,7 +266,9 @@ class EventSimulator {
   EventSimConfig cfg_;
   bool cached_ = true;
 
+  IntervalIndex next_index_ = 0;
   std::vector<PeState> pe_state_;
+  std::vector<Transit> in_transit_;  ///< migrated messages, insertion order.
   /// Migration downtime: no new dispatch at a PE before this time. Lives
   /// in the shared model logic so both engines stay bit-identical.
   std::vector<SimTime> pe_pause_until_;

@@ -4,9 +4,8 @@
 // graph to run, which scheduler policy, and a set of config deltas in
 // the canonical (nested) key vocabulary. Specs arrive as single JSON
 // lines (`ddsim --serve` reads one per stdin line) and parse strictly:
-// unknown top-level fields, unknown or deprecated config keys, and any
-// version other than v1 are hard ConfigErrors — a service cannot
-// silently ignore a typo the way an interactive CLI can warn about one.
+// unknown top-level fields, unknown config keys, and any version other
+// than v1 are hard ConfigErrors — a service cannot silently ignore a typo.
 //
 // Schema v1 (all fields optional except "v"):
 //
@@ -19,9 +18,8 @@
 //    "config": {"seed": 7, ...}}   // canonical config keys only
 //
 // Config values may be JSON numbers, bools, or strings; they funnel
-// through KeyValueConfig::set into experimentFromConfig with
-// `config_schema = strict`, so a spec and a strict config file accept
-// exactly the same vocabulary. Numbers are rendered with jsonNumber()
+// through KeyValueConfig::set into experimentFromConfig, so a spec and a
+// config file accept exactly the same vocabulary. Numbers are rendered with jsonNumber()
 // (shortest round-trip form), so doubles survive spec -> config exactly.
 #pragma once
 
@@ -69,14 +67,13 @@ struct JobSpec {
 /// Parse one JSON line into a spec. Throws ConfigError on malformed
 /// JSON, an unknown top-level field, a missing or unsupported "v", a
 /// wrongly-typed field, or a reserved key inside "config" (graph /
-/// chain_length / scheduler belong at the top level; output_csv and
-/// config_schema have no meaning in a spec).
+/// chain_length / scheduler belong at the top level; output_csv has no
+/// meaning in a spec).
 [[nodiscard]] JobSpec parseJobSpec(const std::string& json_line);
 
 /// Resolve the spec's scheduler + config deltas into a validated
-/// experiment through the same strict pipeline a `config_schema =
-/// strict` file takes. Unknown or deprecated config keys and invalid
-/// values throw ConfigError. The returned CliExperiment carries exactly
+/// experiment through the same pipeline a config file takes. Unknown
+/// config keys and invalid values throw ConfigError. The returned CliExperiment carries exactly
 /// one scheduler (the spec's).
 [[nodiscard]] CliExperiment experimentFromSpec(const JobSpec& spec);
 

@@ -2,8 +2,10 @@
 // regime of "Toward Reliable and Rapid Elasticity for Streaming Dataflows
 // on Clouds", Shukla & Simmhan — see PAPERS.md).
 //
-// FaultPlan generalizes FailureInjector into four event families:
-//  * VM crash            — the existing exponential-lifetime model;
+// FaultPlan covers five event families:
+//  * VM crash            — exponential per-VM lifetimes; a crash frees the
+//                          VM's cores, loses the hosted PEs' queued share
+//                          and stops billing (the started hour is paid);
 //  * degraded VM         — straggler episodes: observed π drops to a
 //                          fraction of rated for a fixed duration,
 //                          recurring with exponential gaps per VM;
@@ -12,7 +14,10 @@
 //                          after an exponential provisioning lag;
 //  * network partition   — β→0 / λ→ceiling between a VM pair for a
 //                          window, recurring with exponential gaps per
-//                          unordered pair.
+//                          unordered pair;
+//  * spot preemption     — the provider reclaims preemptible VMs after a
+//                          warning notice, billed under the preemption
+//                          rule.
 //
 // Determinism contract: every draw is a pure function of (seed, entity
 // key, episode index) via stateless splitmix64 hashing — independent of
@@ -29,9 +34,21 @@
 #include "dds/cloud/fault_model.hpp"
 #include "dds/common/ids.hpp"
 #include "dds/common/time.hpp"
-#include "dds/faults/failure_injector.hpp"
 
 namespace dds {
+
+/// One queued-message loss caused by a crash or preemption.
+struct BacklogLoss {
+  PeId pe;
+  double fraction = 0.0;  ///< share of the PE's backlog that is gone.
+};
+
+/// What one crash or preemption did.
+struct FailureEvent {
+  VmId vm;
+  SimTime time;
+  std::vector<BacklogLoss> losses;
+};
 
 /// Knobs of all four fault families. A zero rate (or probability)
 /// disables a family; everything disabled reproduces the ideal cloud.
@@ -102,21 +119,19 @@ class FaultPlan final : public PerfFaultModel,
 
   [[nodiscard]] const FaultPlanConfig& config() const { return config_; }
 
-  // -- crash family (delegates to the generalized FailureInjector) --
+  // -- crash family --
 
-  /// Absolute time at which `vm` (started at `t_start`) crashes. Pure
-  /// function of (seed, vm, t_start).
-  [[nodiscard]] SimTime deathTime(VmId vm, SimTime t_start) const {
-    return crashes_.deathTime(vm, t_start);
-  }
+  /// Absolute time at which `vm` (started at `t_start`) crashes; infinity
+  /// when the family is off. Pure function of (seed, vm, t_start).
+  [[nodiscard]] SimTime deathTime(VmId vm, SimTime t_start) const;
 
-  /// Crash every active VM whose death time is at or before `now`.
+  /// Crash every active VM whose death time is at or before `now`: frees
+  /// its cores, terminates it (billing stops at the crash) and reports
+  /// per-PE backlog-loss fractions for the caller's simulator.
   /// Idempotent: crashed VMs are inactive, so a repeated call at the same
   /// time reports nothing new.
   [[nodiscard]] std::vector<FailureEvent> injectUpTo(CloudProvider& cloud,
-                                                     SimTime now) const {
-    return crashes_.injectUpTo(cloud, now);
-  }
+                                                     SimTime now) const;
 
   // -- straggler family --
 
@@ -183,7 +198,6 @@ class FaultPlan final : public PerfFaultModel,
 
  private:
   FaultPlanConfig config_;
-  FailureInjector crashes_;
 };
 
 }  // namespace dds

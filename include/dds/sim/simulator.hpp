@@ -44,7 +44,6 @@
 #include "dds/dataflow/dataflow.hpp"
 #include "dds/metrics/run_metrics.hpp"
 #include "dds/monitor/monitoring.hpp"
-#include "dds/obs/trace_sink.hpp"
 #include "dds/sim/deployment.hpp"
 
 namespace dds {
@@ -78,11 +77,6 @@ class DataflowSimulator {
                     const MonitoringService& mon, SimConfig cfg,
                     std::shared_ptr<const FluidGraphLayout> layout = nullptr);
   ~DataflowSimulator();
-
-  /// Attach the run's tracer; step() then closes each interval with an
-  /// IntervalEnd event (Ω, Γ, μ, ρ utilization, backlog, footprint).
-  /// The null-tracer path adds one predicted branch per interval.
-  void setTracer(obs::Tracer tracer) { tracer_ = tracer; }
 
   /// Simulate interval `index` with the given external input rate applied
   /// to every input PE, under the given deployment. Advances queue state.
@@ -140,10 +134,6 @@ class DataflowSimulator {
   /// Deliverable msgs/s on edge (u -> v) given this interval's snapshot.
   [[nodiscard]] double deliverableRate(double flow_rate, PeId u, PeId v);
 
-  /// Close the interval with an IntervalEnd trace event (both kernels).
-  void emitIntervalEnd(const IntervalMetrics& m, SimTime t_start, SimTime dt,
-                       IntervalIndex index);
-
   const Dataflow* df_;
   const CloudProvider* cloud_;
   const MonitoringService* mon_;
@@ -151,9 +141,6 @@ class DataflowSimulator {
   std::shared_ptr<const FluidGraphLayout> layout_;
   std::unique_ptr<FluidKernel> kernel_;  ///< null on the reference engine.
   std::uint64_t reference_snapshots_ = 0;
-  obs::Tracer tracer_;
-  double traced_omega_sum_ = 0.0;  ///< running Ω̄ for IntervalEnd events.
-  std::uint64_t traced_intervals_ = 0;
   std::vector<double> backlog_;     ///< msgs queued per PE.
   std::vector<double> in_transit_;  ///< msgs arriving next interval per PE.
   std::vector<SimTime> pause_remaining_;  ///< migration downtime per PE.

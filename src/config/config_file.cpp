@@ -162,82 +162,8 @@ SchedulerKind schedulerKindFromName(const std::string& name) {
 
 namespace {
 
-/// The nested canonical key for every deprecated flat spelling. Both
-/// forms parse; the canonical one wins the documentation and the flat one
-/// earns a deprecation note.
-const std::vector<std::pair<std::string, std::string>>& keyAliases() {
-  static const std::vector<std::pair<std::string, std::string>> kAliases = {
-      {"workload.mean_rate", "mean_rate"},
-      {"workload.profile", "profile"},
-      {"workload.msg_size_kb", "msg_size_kb"},
-      {"workload.infra_variability", "infra_variability"},
-      {"fault.vm_mtbf_h", "vm_mtbf_h"},
-      {"fault.straggler_mtbf_h", "straggler_mtbf_h"},
-      {"fault.straggler_factor", "straggler_factor"},
-      {"fault.straggler_duration_s", "straggler_duration_s"},
-      {"fault.acq_failure_prob", "acq_failure_prob"},
-      {"fault.provisioning_delay_s", "provisioning_delay_s"},
-      {"fault.partition_mtbf_h", "partition_mtbf_h"},
-      {"fault.partition_duration_s", "partition_duration_s"},
-      {"resilience.quarantine_threshold", "quarantine_threshold"},
-      {"resilience.quarantine_probes", "quarantine_probes"},
-      {"resilience.acq_max_retries", "acq_max_retries"},
-      {"resilience.acq_backoff_s", "acq_backoff_s"},
-      {"resilience.graceful_degradation", "graceful_degradation"},
-  };
-  return kAliases;
-}
-
-/// Resolves canonical-vs-deprecated key spellings against one config.
-class KeyResolver {
- public:
-  KeyResolver(const KeyValueConfig& kv, std::vector<std::string>* notes,
-              bool strict)
-      : kv_(&kv), notes_(notes), strict_(strict) {}
-
-  /// The spelling of `canonical` present in the config (preferring the
-  /// canonical form), or `canonical` when absent. Notes deprecated use
-  /// (or rejects it outright under `config_schema = strict`); rejects
-  /// configs that set both spellings.
-  [[nodiscard]] std::string resolve(const std::string& canonical) const {
-    std::string deprecated;
-    for (const auto& [canon, flat] : keyAliases()) {
-      if (canon == canonical) {
-        deprecated = flat;
-        break;
-      }
-    }
-    if (deprecated.empty()) return canonical;
-    const bool has_canonical = kv_->has(canonical);
-    const bool has_deprecated = kv_->has(deprecated);
-    if (has_canonical && has_deprecated) {
-      throw ConfigError("config keys '" + canonical + "' and '" +
-                        deprecated + "' are aliases; set only one");
-    }
-    if (has_deprecated) {
-      if (strict_) {
-        throw ConfigError("config key '" + deprecated +
-                          "' is deprecated and rejected by config_schema "
-                          "= strict; use '" +
-                          canonical + "'");
-      }
-      if (notes_ != nullptr) {
-        notes_->push_back("config key '" + deprecated +
-                          "' is deprecated; use '" + canonical + "'");
-      }
-      return deprecated;
-    }
-    return canonical;
-  }
-
- private:
-  const KeyValueConfig* kv_;
-  std::vector<std::string>* notes_;
-  bool strict_ = false;
-};
-
-}  // namespace
-
+/// Every config key experimentFromConfig accepts, sorted — the vocabulary
+/// config files and the job-spec API share.
 std::vector<std::string> canonicalConfigKeys() {
   std::vector<std::string> keys = {
       "graph",        "chain_length",   "scheduler",
@@ -245,7 +171,23 @@ std::vector<std::string> canonicalConfigKeys() {
       "omega_target", "epsilon",        "alternate_period",
       "resource_period", "sigma",       "output_csv",
       "catalog",      "placement_racks", "power_smoothing_alpha",
-      "backend",      "max_queue_delay_s", "config_schema",
+      "backend",      "max_queue_delay_s",
+      "workload.mean_rate",
+      "workload.profile",
+      "workload.msg_size_kb",
+      "workload.infra_variability",
+      "fault.vm_mtbf_h",
+      "fault.straggler_mtbf_h",
+      "fault.straggler_factor",
+      "fault.straggler_duration_s",
+      "fault.acq_failure_prob",
+      "fault.partition_mtbf_h",
+      "fault.partition_duration_s",
+      "resilience.quarantine_threshold",
+      "resilience.quarantine_probes",
+      "resilience.acq_max_retries",
+      "resilience.acq_backoff_s",
+      "resilience.graceful_degradation",
       "elasticity.provisioning_delay_s",
       "elasticity.provisioning_delay_per_core_s",
       "elasticity.spot_discount",
@@ -263,29 +205,19 @@ std::vector<std::string> canonicalConfigKeys() {
       "forecast.hw_season_intervals",
       "forecast.preacquire_margin",
       "forecast.lookahead_alternates"};
-  for (const auto& [canon, flat] : keyAliases()) keys.push_back(canon);
   std::sort(keys.begin(), keys.end());
   return keys;
 }
 
-CliExperiment experimentFromConfig(const KeyValueConfig& kv,
-                                   std::vector<std::string>* notes) {
-  std::vector<std::string> known_keys = canonicalConfigKeys();
-  for (const auto& [canon, flat] : keyAliases()) {
-    known_keys.push_back(flat);
-  }
+}  // namespace
+
+CliExperiment experimentFromConfig(const KeyValueConfig& kv) {
+  const std::vector<std::string> known_keys = canonicalConfigKeys();
   for (const auto& key : kv.keys()) {
-    if (std::find(known_keys.begin(), known_keys.end(), key) ==
-        known_keys.end()) {
+    if (!std::binary_search(known_keys.begin(), known_keys.end(), key)) {
       throw ConfigError("unknown config key: '" + key + "'");
     }
   }
-  const std::string schema = kv.getString("config_schema", "warn");
-  if (schema != "warn" && schema != "strict") {
-    throw ConfigError("unknown config_schema: '" + schema +
-                      "' (expected warn or strict)");
-  }
-  const KeyResolver keys(kv, notes, schema == "strict");
 
   CliExperiment ex;
   ex.graph = kv.getString("graph", "paper");
@@ -313,32 +245,27 @@ CliExperiment experimentFromConfig(const KeyValueConfig& kv,
       kv.getDouble("max_queue_delay_s", cfg.max_queue_delay_s);
 
   WorkloadConfig& wl = cfg.workload;
-  wl.mean_rate =
-      kv.getDouble(keys.resolve("workload.mean_rate"), wl.mean_rate);
-  wl.infra_variability = kv.getBool(
-      keys.resolve("workload.infra_variability"), wl.infra_variability);
-  wl.msg_size_bytes = kv.getDouble(keys.resolve("workload.msg_size_kb"),
-                                   wl.msg_size_bytes / 1000.0) *
-                      1000.0;
+  wl.mean_rate = kv.getDouble("workload.mean_rate", wl.mean_rate);
+  wl.infra_variability =
+      kv.getBool("workload.infra_variability", wl.infra_variability);
+  wl.msg_size_bytes =
+      kv.getDouble("workload.msg_size_kb", wl.msg_size_bytes / 1000.0) *
+      1000.0;
 
   FaultConfig& fl = cfg.faults;
-  fl.vm_mtbf_hours =
-      kv.getDouble(keys.resolve("fault.vm_mtbf_h"), fl.vm_mtbf_hours);
-  fl.straggler_mtbf_hours = kv.getDouble(
-      keys.resolve("fault.straggler_mtbf_h"), fl.straggler_mtbf_hours);
-  fl.straggler_factor = kv.getDouble(keys.resolve("fault.straggler_factor"),
-                                     fl.straggler_factor);
-  fl.straggler_duration_s = kv.getDouble(
-      keys.resolve("fault.straggler_duration_s"), fl.straggler_duration_s);
+  fl.vm_mtbf_hours = kv.getDouble("fault.vm_mtbf_h", fl.vm_mtbf_hours);
+  fl.straggler_mtbf_hours =
+      kv.getDouble("fault.straggler_mtbf_h", fl.straggler_mtbf_hours);
+  fl.straggler_factor =
+      kv.getDouble("fault.straggler_factor", fl.straggler_factor);
+  fl.straggler_duration_s =
+      kv.getDouble("fault.straggler_duration_s", fl.straggler_duration_s);
   fl.acquisition_failure_prob =
-      kv.getDouble(keys.resolve("fault.acq_failure_prob"),
-                   fl.acquisition_failure_prob);
-  fl.provisioning_delay_s = kv.getDouble(
-      keys.resolve("fault.provisioning_delay_s"), fl.provisioning_delay_s);
-  fl.partition_mtbf_hours = kv.getDouble(
-      keys.resolve("fault.partition_mtbf_h"), fl.partition_mtbf_hours);
-  fl.partition_duration_s = kv.getDouble(
-      keys.resolve("fault.partition_duration_s"), fl.partition_duration_s);
+      kv.getDouble("fault.acq_failure_prob", fl.acquisition_failure_prob);
+  fl.partition_mtbf_hours =
+      kv.getDouble("fault.partition_mtbf_h", fl.partition_mtbf_hours);
+  fl.partition_duration_s =
+      kv.getDouble("fault.partition_duration_s", fl.partition_duration_s);
 
   ElasticityConfig& el = cfg.elasticity;
   el.provisioning_delay_s = kv.getDouble("elasticity.provisioning_delay_s",
@@ -360,18 +287,15 @@ CliExperiment experimentFromConfig(const KeyValueConfig& kv,
 
   ResilienceConfig& rl = cfg.resilience;
   rl.quarantine_threshold =
-      kv.getDouble(keys.resolve("resilience.quarantine_threshold"),
-                   rl.quarantine_threshold);
-  rl.quarantine_probes = static_cast<int>(kv.getInt(
-      keys.resolve("resilience.quarantine_probes"), rl.quarantine_probes));
+      kv.getDouble("resilience.quarantine_threshold", rl.quarantine_threshold);
+  rl.quarantine_probes = static_cast<int>(
+      kv.getInt("resilience.quarantine_probes", rl.quarantine_probes));
   rl.acquisition_max_retries = static_cast<int>(
-      kv.getInt(keys.resolve("resilience.acq_max_retries"),
-                rl.acquisition_max_retries));
-  rl.acquisition_backoff_s = kv.getDouble(
-      keys.resolve("resilience.acq_backoff_s"), rl.acquisition_backoff_s);
+      kv.getInt("resilience.acq_max_retries", rl.acquisition_max_retries));
+  rl.acquisition_backoff_s =
+      kv.getDouble("resilience.acq_backoff_s", rl.acquisition_backoff_s);
   rl.graceful_degradation =
-      kv.getBool(keys.resolve("resilience.graceful_degradation"),
-                 rl.graceful_degradation);
+      kv.getBool("resilience.graceful_degradation", rl.graceful_degradation);
 
   ForecastConfig& fo = cfg.forecast;
   const std::string model =
@@ -397,8 +321,7 @@ CliExperiment experimentFromConfig(const KeyValueConfig& kv,
   fo.lookahead_alternates =
       kv.getBool("forecast.lookahead_alternates", fo.lookahead_alternates);
 
-  const std::string profile =
-      kv.getString(keys.resolve("workload.profile"), "constant");
+  const std::string profile = kv.getString("workload.profile", "constant");
   try {
     wl.profile = parseProfileKind(profile);
   } catch (const PreconditionError&) {

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <sstream>
+#include <type_traits>
 
 #include "dds/cloud/cloud_provider.hpp"
+#include "dds/common/stats.hpp"
 #include "dds/eventsim/event_simulator.hpp"
 #include "dds/faults/fault_plan.hpp"
 #include "dds/monitor/monitoring.hpp"
@@ -28,11 +30,7 @@ FaultPlanConfig faultPlanConfigOf(const ExperimentConfig& config) {
   fc.straggler_factor = config.faults.straggler_factor;
   fc.straggler_duration_s = config.faults.straggler_duration_s;
   fc.acquisition_failure_prob = config.faults.acquisition_failure_prob;
-  // Validation rejects configs setting the delay under both fault.* and
-  // elasticity.*; whichever is set feeds the same seed-deterministic draw.
-  fc.provisioning_delay_s = config.faults.provisioning_delay_s > 0.0
-                                ? config.faults.provisioning_delay_s
-                                : config.elasticity.provisioning_delay_s;
+  fc.provisioning_delay_s = config.elasticity.provisioning_delay_s;
   fc.provisioning_delay_per_core_s =
       config.elasticity.provisioning_delay_per_core_s;
   fc.spot_preemption_mtbf_hours = config.elasticity.spot_preemption_mtbf_h;
@@ -75,8 +73,7 @@ void WorkloadConfig::appendErrors(std::vector<std::string>& errors) const {
 
 bool FaultConfig::anyEnabled() const {
   return vm_mtbf_hours > 0.0 || straggler_mtbf_hours > 0.0 ||
-         acquisition_failure_prob > 0.0 || provisioning_delay_s > 0.0 ||
-         partition_mtbf_hours > 0.0;
+         acquisition_failure_prob > 0.0 || partition_mtbf_hours > 0.0;
 }
 
 void FaultConfig::appendErrors(std::vector<std::string>& errors) const {
@@ -90,8 +87,6 @@ void FaultConfig::appendErrors(std::vector<std::string>& errors) const {
   require(errors,
           acquisition_failure_prob >= 0.0 && acquisition_failure_prob < 1.0,
           "acquisition failure probability must be in [0, 1)");
-  require(errors, provisioning_delay_s >= 0.0,
-          "provisioning delay must be non-negative");
   require(errors, partition_mtbf_hours >= 0.0,
           "partition MTBF must be non-negative");
   require(errors, partition_mtbf_hours <= 0.0 || partition_duration_s > 0.0,
@@ -175,17 +170,11 @@ std::vector<std::string> ExperimentConfig::validationErrors() const {
   forecast.appendErrors(errors);
   require(errors, backend == SimBackend::Fluid || !faults.anyEnabled(),
           "fault injection is only supported by the fluid backend");
-  require(errors, backend == SimBackend::Fluid || !forecast.enabled(),
-          "rate forecasting is only supported by the fluid backend");
   require(errors,
           backend == SimBackend::Fluid ||
               (!elasticity.delaysEnabled() && !elasticity.spotEnabled()),
           "elasticity delays and the spot tier are only supported by the "
           "fluid backend");
-  require(errors,
-          !(faults.provisioning_delay_s > 0.0 && elasticity.delaysEnabled()),
-          "set the provisioning delay under fault.* or elasticity.*, not "
-          "both");
   return errors;
 }
 
@@ -323,16 +312,14 @@ ExperimentResult SimulationEngine::run(SchedulerKind kind,
   // forecast peak lands. Zero when delivery is instant — pre-acquisition
   // then fires only one resource period ahead.
   {
-    const double base = config_.faults.provisioning_delay_s > 0.0
-                            ? config_.faults.provisioning_delay_s
-                            : config_.elasticity.provisioning_delay_s;
     int max_cores = 1;
     for (const auto& cls : cloud.catalog().classes()) {
       max_cores = std::max(max_cores, cls.cores);
     }
     tuning.preacquire_lead_s =
-        base + config_.elasticity.provisioning_delay_per_core_s *
-                   static_cast<double>(max_cores - 1);
+        config_.elasticity.provisioning_delay_s +
+        config_.elasticity.provisioning_delay_per_core_s *
+            static_cast<double>(max_cores - 1);
   }
 
   std::unique_ptr<Scheduler> scheduler = makeScheduler(kind, env, tuning);
@@ -358,126 +345,6 @@ ExperimentResult SimulationEngine::run(SchedulerKind kind,
   // Initial deployment sees the estimated rate — the profile's value at t0.
   Deployment deployment = scheduler->deploy(profile->rate(0.0));
 
-  if (config_.backend == SimBackend::Event) {
-    EventSimConfig ev_cfg;
-    ev_cfg.msg_size_bytes = config_.workload.msg_size_bytes;
-    ev_cfg.interval_s = config_.interval_s;
-    ev_cfg.horizon_s = config_.horizon_s;
-    ev_cfg.seed = config_.seed ^ 0xe7e9ull;
-    ev_cfg.engine = config_.event_reference_engine
-                        ? EventSimConfig::Engine::Reference
-                        : EventSimConfig::Engine::Cached;
-    ev_cfg.pe_state_mb = config_.elasticity.pe_state_mb;
-    ev_cfg.migration_bandwidth_mbps =
-        config_.elasticity.migration_bandwidth_mbps;
-    EventSimulator esim(df, cloud, monitor, ev_cfg);
-    const EventSimResult er =
-        esim.run(*profile, std::move(deployment), scheduler.get());
-
-    ExperimentResult result;
-    result.scheduler_name = scheduler->name();
-    result.sigma = sigma_;
-    result.run = er.intervals;
-    for (const auto& m : er.intervals.intervals()) {
-      result.peak_vms = std::max(result.peak_vms, m.active_vms);
-      result.peak_cores = std::max(result.peak_cores, m.allocated_cores);
-    }
-    result.average_omega = result.run.averageOmega();
-    result.average_gamma = result.run.averageGamma();
-    result.total_cost = cloud.accumulatedCost(config_.horizon_s);
-    result.theta = result.average_gamma - sigma_ * result.total_cost;
-    result.constraint_met = result.run.meetsThroughputConstraint(
-        config_.omega_target, config_.epsilon);
-    result.recovery = computeRecoveryStats(
-        result.run, config_.omega_target, config_.interval_s);
-    result.resilience = scheduler->telemetry();
-    result.messages_delivered = er.messages_delivered;
-    result.latency_mean_s = er.latency.mean();
-    if (!er.latency_samples.empty()) {
-      result.latency_p95_s = er.latencyPercentile(95.0);
-      result.latency_p99_s = er.latencyPercentile(99.0);
-    }
-    // The event simulator does not stream interval events; reconstruct
-    // them post-hoc from its interval series. VM lifecycle events were
-    // emitted live by the provider during the run, so in an event-backend
-    // trace all interval records follow the VM records.
-    if (tracer.enabled()) {
-      double omega_sum = 0.0;
-      std::int64_t n = 0;
-      for (const auto& m : er.intervals.intervals()) {
-        tracer.emit(obs::IntervalBeginEvent{.t = m.start,
-                                            .interval = m.index,
-                                            .input_rate = m.input_rate});
-        omega_sum += m.omega;
-        ++n;
-        double processed = 0.0;
-        double capacity = 0.0;
-        double backlog = 0.0;
-        for (const auto& pe : m.pe_stats) {
-          processed += pe.processed_rate;
-          capacity += pe.capacity_rate;
-          backlog += pe.backlog_msgs;
-        }
-        const double rho =
-            capacity > 0.0
-                ? std::clamp(processed / capacity, 0.0, 1.0)
-                : 0.0;
-        tracer.emit(obs::IntervalEndEvent{
-            .t = m.start + config_.interval_s,
-            .interval = m.index,
-            .omega = m.omega,
-            .omega_bar = omega_sum / static_cast<double>(n),
-            .gamma = m.gamma,
-            .cost = m.cost_cumulative,
-            .utilization = rho,
-            .backlog_msgs = backlog,
-            .active_vms = m.active_vms,
-            .allocated_cores = m.allocated_cores});
-        if (m.omega < config_.omega_target) {
-          tracer.emit(obs::OmegaViolationEvent{
-              .t = m.start + config_.interval_s,
-              .interval = m.index,
-              .omega = m.omega,
-              .omega_target = config_.omega_target});
-        }
-      }
-    }
-    {
-      obs::Histogram& h_omega = registry.histogram("interval.omega");
-      obs::Histogram& h_gamma = registry.histogram("interval.gamma");
-      obs::Histogram& h_rate = registry.histogram("interval.input_rate");
-      for (const auto& m : er.intervals.intervals()) {
-        h_omega.observe(m.omega);
-        h_gamma.observe(m.gamma);
-        h_rate.observe(m.input_rate);
-        if (m.omega < config_.omega_target) {
-          registry.counter("run.omega_violations").inc();
-        }
-      }
-    }
-    registry.gauge("run.intervals")
-        .set(static_cast<double>(er.intervals.intervals().size()));
-    registry.gauge("cloud.total_cost").set(result.total_cost);
-    registry.counter("eventsim.arrivals").inc(er.counters.arrivals);
-    registry.counter("eventsim.deliveries").inc(er.counters.deliveries);
-    registry.counter("eventsim.completions").inc(er.counters.completions);
-    registry.counter("eventsim.dispatches").inc(er.counters.dispatches);
-    registry.counter("eventsim.route_refreshes")
-        .inc(er.counters.route_refreshes);
-    registry.counter("eventsim.core_index_rebuilds")
-        .inc(er.counters.core_index_rebuilds);
-    if (er.wall_seconds > 0.0) {
-      registry.gauge("eventsim.events_per_s")
-          .set(static_cast<double>(er.counters.drained()) / er.wall_seconds);
-    }
-    result.metrics = registry.snapshot();
-    return result;
-  }
-
-  DataflowSimulator simulator(df, cloud, monitor, sim_cfg,
-                              arenas_.fluid_layout);
-  simulator.setTracer(tracer);
-
   ExperimentResult result;
   result.scheduler_name = scheduler->name();
   result.sigma = sigma_;
@@ -486,12 +353,11 @@ ExperimentResult SimulationEngine::run(SchedulerKind kind,
   obs::Histogram& h_gamma = registry.histogram("interval.gamma");
   obs::Histogram& h_rate = registry.histogram("interval.input_rate");
 
-  double omega_sum = 0.0;
-  double fluid_wall_s = 0.0;  ///< wall-clock inside simulator.step only.
-  IntervalMetrics last{};
-  // Rate forecasting (fluid-only; validation rejects it on the event
-  // backend). Off, the forecaster stays null and schedulers see a null
-  // forecast pointer — bit-identical to the reactive behaviour.
+  // Wall-clock inside DataflowSimulator::step only, for
+  // fluid.intervals_per_s; the event simulator times its own steps.
+  double step_wall_s = 0.0;
+  // Rate forecasting. Off, the forecaster stays null and schedulers see a
+  // null forecast pointer — bit-identical to the reactive behaviour.
   std::unique_ptr<Forecaster> forecaster;
   if (config_.forecast.enabled()) {
     ForecastOptions fopts;
@@ -504,157 +370,245 @@ ExperimentResult SimulationEngine::run(SchedulerKind kind,
   }
   ForecastErrorTracker forecast_errors;
   std::vector<double> forecast_rates;
-  // Per-VM "already announced" flags for the elasticity trace records;
-  // indexed by VmId, grown lazily as instances appear.
-  std::vector<bool> provisioning_announced;
-  std::vector<bool> notice_announced;
-  for (IntervalIndex i = 0; i < clock.intervalCount(); ++i) {
-    const SimTime now = clock.startOf(i);
-    if (tracer.enabled()) {
-      tracer.emit(obs::IntervalBeginEvent{
-          .t = now, .interval = i, .input_rate = profile->rate(now)});
-    }
-    // Provisioning-complete records: a delayed VM's capacity came online
-    // since the last interval boundary.
-    if (tracer.enabled() && faults.perturbsAcquisition()) {
-      const auto& instances = cloud.instances();
-      provisioning_announced.resize(instances.size(), false);
-      for (const VmInstance& vm : instances) {
-        if (provisioning_announced[vm.id().value()]) continue;
-        if (vm.readyTime() <= vm.startTime()) {
+
+  // The control loop of §7, written once for both backends: inject faults,
+  // monitor, adapt (Alg. 2), then execute the interval. Both simulators
+  // expose the same seam — step, migrateBacklog, pauseService and
+  // dropBacklog — so this generic lambda is instantiated once per backend.
+  const auto runIntervals = [&](auto& simulator) {
+    double omega_sum = 0.0;
+    IntervalMetrics last{};
+    // Per-VM "already announced" flags for the elasticity trace records;
+    // indexed by VmId, grown lazily as instances appear.
+    std::vector<bool> provisioning_announced;
+    std::vector<bool> notice_announced;
+    // Crashes and spot reclamations take the undrained backlog on the
+    // lost VM with them.
+    const auto dropLosses = [&simulator](const FailureEvent& ev) {
+      double lost = 0.0;
+      for (const BacklogLoss& loss : ev.losses) {
+        lost += simulator.dropBacklog(loss.pe, loss.fraction);
+      }
+      return lost;
+    };
+    for (IntervalIndex i = 0; i < clock.intervalCount(); ++i) {
+      const SimTime now = clock.startOf(i);
+      if (tracer.enabled()) {
+        tracer.emit(obs::IntervalBeginEvent{
+            .t = now, .interval = i, .input_rate = profile->rate(now)});
+      }
+      // Provisioning-complete records: a delayed VM's capacity came online
+      // since the last interval boundary.
+      if (tracer.enabled() && faults.perturbsAcquisition()) {
+        const auto& instances = cloud.instances();
+        provisioning_announced.resize(instances.size(), false);
+        for (const VmInstance& vm : instances) {
+          if (provisioning_announced[vm.id().value()]) continue;
+          if (vm.readyTime() <= vm.startTime()) {
+            provisioning_announced[vm.id().value()] = true;
+            continue;
+          }
+          if (vm.readyTime() > now || vm.readyTime() > vm.offTime()) continue;
           provisioning_announced[vm.id().value()] = true;
-          continue;
-        }
-        if (vm.readyTime() > now || vm.readyTime() > vm.offTime()) continue;
-        provisioning_announced[vm.id().value()] = true;
-        tracer.emit(obs::ProvisioningCompleteEvent{
-            .t = vm.readyTime(), .vm = vm.id().value()});
-      }
-    }
-    // Preemption notices precede the reclamation itself: the provider
-    // announces `spot_notice_s` ahead, and the scheduler's next
-    // resource phase (this interval) sees preemptionImminent() flip.
-    if (faults.perturbsSpot()) {
-      const auto& instances = cloud.instances();
-      notice_announced.resize(instances.size(), false);
-      for (const VmInstance& vm : instances) {
-        if (notice_announced[vm.id().value()] || !vm.isActive()) continue;
-        if (!cloud.preemptionImminent(vm.id(), now)) continue;
-        notice_announced[vm.id().value()] = true;
-        if (tracer.enabled()) {
-          tracer.emit(obs::PreemptionNoticeEvent{
-              .t = now,
-              .vm = vm.id().value(),
-              .preempt_at = cloud.preemptionTimeOf(vm.id())});
+          tracer.emit(obs::ProvisioningCompleteEvent{
+              .t = vm.readyTime(), .vm = vm.id().value()});
         }
       }
-    }
-    // Crashes land before the adaptation step observes the world, so the
-    // scheduler reacts to the reduced capacity this very interval.
-    for (const FailureEvent& ev : faults.injectUpTo(cloud, now)) {
-      ++result.vm_failures;
-      registry.counter("run.vm_failures").inc();
-      double lost_here = 0.0;
-      for (const BacklogLoss& loss : ev.losses) {
-        lost_here += simulator.dropBacklog(loss.pe, loss.fraction);
-      }
-      result.messages_lost += lost_here;
-      if (tracer.enabled()) {
-        tracer.emit(obs::FaultInjectionEvent{.t = now,
-                                             .vm = ev.vm.value(),
-                                             .family = "crash",
-                                             .messages_lost = lost_here});
-      }
-    }
-    // Spot reclamations work exactly like crashes (undrained backlog on
-    // the reclaimed VM is lost) but bill under the preemption rule.
-    for (const FailureEvent& ev : faults.injectPreemptionsUpTo(cloud, now)) {
-      ++result.preemptions;
-      registry.counter("run.preemptions").inc();
-      double lost_here = 0.0;
-      for (const BacklogLoss& loss : ev.losses) {
-        lost_here += simulator.dropBacklog(loss.pe, loss.fraction);
-      }
-      result.messages_lost += lost_here;
-      if (tracer.enabled()) {
-        tracer.emit(obs::PreemptionEvent{.t = now,
-                                         .vm = ev.vm.value(),
-                                         .messages_lost = lost_here});
-      }
-    }
-    if (env.probes != nullptr) probes.probe(now);
-    if (i > 0) {
-      ObservedState state;
-      state.interval = i;
-      state.now = now;
-      // What monitoring measured during the previous interval; the
-      // adaptation assumes t_{i+1} looks like t_i (§7.2).
-      state.input_rate = profile->rate(clock.startOf(i - 1));
-      state.average_omega = omega_sum / static_cast<double>(i);
-      state.last_interval = &last;
-      if (forecaster != nullptr) {
-        // The model sees exactly what the scheduler sees: the rate
-        // measured over the interval that just ended. forecast[0] is
-        // then the one-step prediction of the current interval.
-        forecaster->observe(state.input_rate);
-        forecast_rates =
-            forecaster->forecast(config_.forecast.horizon_intervals);
-        forecast_errors.record(forecast_rates.front(), profile->rate(now));
-        state.forecast = &forecast_rates;
-        registry.counter("forecast.predictions").inc();
-        if (tracer.enabled()) {
-          tracer.emit(obs::ForecastEvent{.t = now,
-                                         .interval = i,
-                                         .model = forecaster->name(),
-                                         .rates = forecast_rates});
-        }
-      }
-      for (const MigrationEvent& ev :
-           scheduler->adapt(state, deployment)) {
-        simulator.migrateBacklog(ev.pe, ev.backlog_fraction);
-        // Buffer migration is not free: the moved share's service pauses
-        // while its state transfers (fluid model: lost capacity-seconds).
-        const double downtime =
-            migrationDowntime(config_.elasticity, ev.backlog_fraction);
-        if (downtime > 0.0) {
-          simulator.pauseService(ev.pe, downtime);
+      // Preemption notices precede the reclamation itself: the provider
+      // announces `spot_notice_s` ahead, and the scheduler's next
+      // resource phase (this interval) sees preemptionImminent() flip.
+      if (faults.perturbsSpot()) {
+        const auto& instances = cloud.instances();
+        notice_announced.resize(instances.size(), false);
+        for (const VmInstance& vm : instances) {
+          if (notice_announced[vm.id().value()] || !vm.isActive()) continue;
+          if (!cloud.preemptionImminent(vm.id(), now)) continue;
+          notice_announced[vm.id().value()] = true;
           if (tracer.enabled()) {
-            tracer.emit(obs::MigrationBeginEvent{
+            tracer.emit(obs::PreemptionNoticeEvent{
                 .t = now,
-                .pe = ev.pe.value(),
-                .backlog_fraction = ev.backlog_fraction,
-                .downtime_s = downtime});
-            tracer.emit(obs::MigrationEndEvent{.t = now + downtime,
-                                               .pe = ev.pe.value()});
+                .vm = vm.id().value(),
+                .preempt_at = cloud.preemptionTimeOf(vm.id())});
           }
         }
       }
-    }
-    {
-      const auto wall_begin = std::chrono::steady_clock::now();
-      last = simulator.step(i, profile->rate(now), deployment);
-      fluid_wall_s +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        wall_begin)
-              .count();
-    }
-    omega_sum += last.omega;
-    h_omega.observe(last.omega);
-    h_gamma.observe(last.gamma);
-    h_rate.observe(last.input_rate);
-    if (last.omega < config_.omega_target) {
-      registry.counter("run.omega_violations").inc();
+      // Crashes land before the adaptation step observes the world, so the
+      // scheduler reacts to the reduced capacity this very interval.
+      for (const FailureEvent& ev : faults.injectUpTo(cloud, now)) {
+        ++result.vm_failures;
+        registry.counter("run.vm_failures").inc();
+        const double lost_here = dropLosses(ev);
+        result.messages_lost += lost_here;
+        if (tracer.enabled()) {
+          tracer.emit(obs::FaultInjectionEvent{.t = now,
+                                               .vm = ev.vm.value(),
+                                               .family = "crash",
+                                               .messages_lost = lost_here});
+        }
+      }
+      // Spot reclamations work exactly like crashes but bill under the
+      // preemption rule.
+      for (const FailureEvent& ev :
+           faults.injectPreemptionsUpTo(cloud, now)) {
+        ++result.preemptions;
+        registry.counter("run.preemptions").inc();
+        const double lost_here = dropLosses(ev);
+        result.messages_lost += lost_here;
+        if (tracer.enabled()) {
+          tracer.emit(obs::PreemptionEvent{.t = now,
+                                           .vm = ev.vm.value(),
+                                           .messages_lost = lost_here});
+        }
+      }
+      if (env.probes != nullptr) probes.probe(now);
+      if (i > 0) {
+        ObservedState state;
+        state.interval = i;
+        state.now = now;
+        // What monitoring measured during the previous interval; the
+        // adaptation assumes t_{i+1} looks like t_i (§7.2).
+        state.input_rate = profile->rate(clock.startOf(i - 1));
+        state.average_omega = omega_sum / static_cast<double>(i);
+        state.last_interval = &last;
+        if (forecaster != nullptr) {
+          // The model sees exactly what the scheduler sees: the rate
+          // measured over the interval that just ended. forecast[0] is
+          // then the one-step prediction of the current interval.
+          forecaster->observe(state.input_rate);
+          forecast_rates =
+              forecaster->forecast(config_.forecast.horizon_intervals);
+          forecast_errors.record(forecast_rates.front(), profile->rate(now));
+          state.forecast = &forecast_rates;
+          registry.counter("forecast.predictions").inc();
+          if (tracer.enabled()) {
+            tracer.emit(obs::ForecastEvent{.t = now,
+                                           .interval = i,
+                                           .model = forecaster->name(),
+                                           .rates = forecast_rates});
+          }
+        }
+        for (const MigrationEvent& ev :
+             scheduler->adapt(state, deployment)) {
+          simulator.migrateBacklog(ev.pe, ev.backlog_fraction);
+          // Buffer migration is not free: the moved share's service pauses
+          // while its state transfers.
+          const double downtime =
+              migrationDowntime(config_.elasticity, ev.backlog_fraction);
+          if (downtime > 0.0) {
+            simulator.pauseService(ev.pe, downtime);
+            if (tracer.enabled()) {
+              tracer.emit(obs::MigrationBeginEvent{
+                  .t = now,
+                  .pe = ev.pe.value(),
+                  .backlog_fraction = ev.backlog_fraction,
+                  .downtime_s = downtime});
+              tracer.emit(obs::MigrationEndEvent{.t = now + downtime,
+                                                 .pe = ev.pe.value()});
+            }
+          }
+        }
+      }
+      if constexpr (std::is_same_v<std::remove_cvref_t<decltype(simulator)>,
+                                   DataflowSimulator>) {
+        const auto wall_begin = std::chrono::steady_clock::now();
+        last = simulator.step(i, profile->rate(now), deployment);
+        step_wall_s +=
+            std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          wall_begin)
+                .count();
+      } else {
+        last = simulator.step(i, profile->rate(now), deployment);
+      }
+      omega_sum += last.omega;
+      const SimTime end = now + config_.interval_s;
       if (tracer.enabled()) {
-        tracer.emit(obs::OmegaViolationEvent{
-            .t = now + config_.interval_s,
+        double processed = 0.0;
+        double capacity = 0.0;
+        double backlog = 0.0;
+        for (const PeIntervalStats& st : last.pe_stats) {
+          processed += st.processed_rate;
+          capacity += st.capacity_rate;
+          backlog += st.backlog_msgs;
+        }
+        const double rho =
+            capacity > 0.0 ? std::clamp(processed / capacity, 0.0, 1.0)
+                           : 0.0;
+        tracer.emit(obs::IntervalEndEvent{
+            .t = end,
             .interval = i,
             .omega = last.omega,
-            .omega_target = config_.omega_target});
+            .omega_bar = omega_sum / static_cast<double>(i + 1),
+            .gamma = last.gamma,
+            .cost = last.cost_cumulative,
+            .utilization = rho,
+            .backlog_msgs = backlog,
+            .active_vms = last.active_vms,
+            .allocated_cores = last.allocated_cores});
       }
+      h_omega.observe(last.omega);
+      h_gamma.observe(last.gamma);
+      h_rate.observe(last.input_rate);
+      if (last.omega < config_.omega_target) {
+        registry.counter("run.omega_violations").inc();
+        if (tracer.enabled()) {
+          tracer.emit(obs::OmegaViolationEvent{
+              .t = end,
+              .interval = i,
+              .omega = last.omega,
+              .omega_target = config_.omega_target});
+        }
+      }
+      result.peak_vms = std::max(result.peak_vms, last.active_vms);
+      result.peak_cores = std::max(result.peak_cores, last.allocated_cores);
+      result.run.add(last);
     }
-    result.peak_vms = std::max(result.peak_vms, last.active_vms);
-    result.peak_cores = std::max(result.peak_cores, last.allocated_cores);
-    result.run.add(last);
+  };
+
+  if (config_.backend == SimBackend::Event) {
+    EventSimConfig ev_cfg;
+    ev_cfg.msg_size_bytes = config_.workload.msg_size_bytes;
+    ev_cfg.interval_s = config_.interval_s;
+    ev_cfg.seed = config_.seed ^ 0xe7e9ull;
+    ev_cfg.engine = config_.event_reference_engine
+                        ? EventSimConfig::Engine::Reference
+                        : EventSimConfig::Engine::Cached;
+    EventSimulator simulator(df, cloud, monitor, ev_cfg);
+    runIntervals(simulator);
+    const EventSimResult& er = simulator.result();
+    result.messages_delivered = er.messages_delivered;
+    result.latency_mean_s = er.latency.mean();
+    if (!er.latency_samples.empty()) {
+      std::vector<double> sorted = er.latency_samples;  // one sort, three reads
+      std::sort(sorted.begin(), sorted.end());
+      result.latency_p50_s = sortedPercentile(sorted, 50.0);
+      result.latency_p95_s = sortedPercentile(sorted, 95.0);
+      result.latency_p99_s = sortedPercentile(sorted, 99.0);
+    }
+    registry.counter("eventsim.arrivals").inc(er.counters.arrivals);
+    registry.counter("eventsim.deliveries").inc(er.counters.deliveries);
+    registry.counter("eventsim.completions").inc(er.counters.completions);
+    registry.counter("eventsim.dispatches").inc(er.counters.dispatches);
+    registry.counter("eventsim.route_refreshes")
+        .inc(er.counters.route_refreshes);
+    registry.counter("eventsim.core_index_rebuilds")
+        .inc(er.counters.core_index_rebuilds);
+    if (er.wall_seconds > 0.0) {
+      registry.gauge("eventsim.events_per_s")
+          .set(static_cast<double>(er.counters.drained()) / er.wall_seconds);
+    }
+  } else {
+    DataflowSimulator simulator(df, cloud, monitor, sim_cfg,
+                                arenas_.fluid_layout);
+    runIntervals(simulator);
+    // Fluid-kernel health: ledger-image rebuilds are deterministic (the
+    // cached kernel rebuilds per allocation-ledger generation, the
+    // reference kernel once per interval); intervals/s is wall-clock and —
+    // like every *_per_s gauge — stripped from timing-free campaign JSON.
+    registry.counter("fluid.kernel_rebuilds").inc(simulator.kernelRebuilds());
+    if (step_wall_s > 0.0) {
+      registry.gauge("fluid.intervals_per_s")
+          .set(static_cast<double>(clock.intervalCount()) / step_wall_s);
+    }
   }
 
   result.average_omega = result.run.averageOmega();
@@ -680,15 +634,6 @@ ExperimentResult SimulationEngine::run(SchedulerKind kind,
   if (forecaster != nullptr && forecast_errors.count() > 0) {
     registry.gauge("forecast.mape").set(forecast_errors.mape());
     registry.gauge("forecast.bias").set(forecast_errors.bias());
-  }
-  // Fluid-kernel health: ledger-image rebuilds are deterministic (the
-  // cached kernel rebuilds per allocation-ledger generation, the
-  // reference kernel once per interval); intervals/s is wall-clock and —
-  // like every *_per_s gauge — stripped from timing-free campaign JSON.
-  registry.counter("fluid.kernel_rebuilds").inc(simulator.kernelRebuilds());
-  if (fluid_wall_s > 0.0) {
-    registry.gauge("fluid.intervals_per_s")
-        .set(static_cast<double>(clock.intervalCount()) / fluid_wall_s);
   }
   result.metrics = registry.snapshot();
   return result;

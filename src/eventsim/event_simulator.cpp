@@ -14,11 +14,7 @@ namespace dds {
 void EventSimConfig::validate() const {
   DDS_REQUIRE(msg_size_bytes > 0.0, "message size must be positive");
   DDS_REQUIRE(interval_s > 0.0, "interval must be positive");
-  DDS_REQUIRE(horizon_s >= interval_s, "horizon shorter than one interval");
   DDS_REQUIRE(max_latency_samples > 0, "latency sample cap must be > 0");
-  DDS_REQUIRE(pe_state_mb >= 0.0, "PE state size must be non-negative");
-  DDS_REQUIRE(migration_bandwidth_mbps > 0.0,
-              "migration bandwidth must be positive");
 }
 
 double EventSimResult::latencyPercentile(double p) const {
@@ -71,8 +67,23 @@ std::string fingerprint(const EventSimResult& r) {
 EventSimulator::EventSimulator(const Dataflow& df, CloudProvider& cloud,
                                const MonitoringService& mon,
                                EventSimConfig cfg)
-    : df_(&df), cloud_(&cloud), mon_(&mon), cfg_(cfg), power_(mon) {
+    : df_(&df),
+      cloud_(&cloud),
+      mon_(&mon),
+      cfg_(cfg),
+      cached_(cfg.engine == EventSimConfig::Engine::Cached),
+      power_(mon),
+      rng_(cfg.seed),
+      reservoir_rng_(cfg.seed ^ 0x5ee5a11e5ull) {
   cfg_.validate();
+  const std::size_t n = df.peCount();
+  pe_state_.assign(n, {});
+  pe_pause_until_.assign(n, 0.0);
+  pe_slots_.assign(n, {});
+  pe_vms_.assign(n, {});
+  pe_free_.assign(n, {});
+  routes_.assign(n, {});
+  result_.pe_queue_wait.assign(n, RunningStats{});
 }
 
 // ---------------------------------------------------------------------------
@@ -498,196 +509,153 @@ void EventSimulator::drainCached(SimTime t0, SimTime t1, double rate,
 }
 
 // ---------------------------------------------------------------------------
-// The shared interval loop.
+// The stepper seam.
 // ---------------------------------------------------------------------------
 
-EventSimResult EventSimulator::run(const RateProfile& profile,
-                                   Deployment deployment,
-                                   Scheduler* scheduler) {
-  const std::size_t n = df_->peCount();
-  pe_state_.assign(n, {});
-  pe_pause_until_.assign(n, 0.0);
-  core_busy_.clear();
-  completions_ = {};
-  deliveries_ = {};
-  ref_seq_ = 0;
-  heap_.clear();
-  pending_arrival_ = EventHeap::kInvalidSlot;
-  pe_slots_.assign(n, {});
-  pe_vms_.assign(n, {});
-  pe_free_.assign(n, {});
-  slot_ref_.clear();
-  slots_valid_ = false;
-  slots_gen_ = 0;
-  routes_.assign(n, {});
-  bw_pairs_.clear();
-  power_.clear();
-  result_ = {};
-  result_.pe_queue_wait.assign(n, RunningStats{});
-  rng_ = Rng(cfg_.seed);
-  reservoir_rng_ = Rng(cfg_.seed ^ 0x5ee5a11e5ull);
-  cached_ = cfg_.engine == EventSimConfig::Engine::Cached;
+namespace {
 
-  const IntervalClock clock(cfg_.interval_s, cfg_.horizon_s);
-  SimConfig fluid_cfg;
-  fluid_cfg.msg_size_bytes = cfg_.msg_size_bytes;
-  fluid_cfg.interval_s = cfg_.interval_s;
+/// How many of `queued` messages a `fraction` share is (at most all).
+std::size_t shareOf(std::size_t queued, double fraction) {
+  DDS_REQUIRE(fraction >= 0.0 && fraction <= 1.0, "fraction out of range");
+  return static_cast<std::size_t>(
+      std::llround(static_cast<double>(queued) * fraction));
+}
 
-  double omega_sum = 0.0;
-  IntervalMetrics last{};
-  // Messages pulled out of queues by a migration, due back at a deadline.
-  std::vector<std::pair<SimTime, std::pair<PeId, std::deque<Message>>>>
-      in_transit;
+}  // namespace
 
+void EventSimulator::migrateBacklog(PeId pe, double fraction) {
+  auto& queue = pe_state_.at(pe.value()).queue;
+  const std::size_t take = shareOf(queue.size(), fraction);
+  std::deque<Message> moved;
+  for (std::size_t k = 0; k < take; ++k) {
+    moved.push_back(queue.back());
+    queue.pop_back();
+  }
+  if (!moved.empty()) {
+    in_transit_.push_back(
+        {nextStart() + cfg_.interval_s, pe, std::move(moved)});
+  }
+}
+
+void EventSimulator::pauseService(PeId pe, SimTime seconds) {
+  DDS_REQUIRE(seconds >= 0.0, "pause must be non-negative");
+  SimTime& until = pe_pause_until_.at(pe.value());
+  until = std::max(until, nextStart() + seconds);
+}
+
+double EventSimulator::dropBacklog(PeId pe, double fraction) {
+  auto& queue = pe_state_.at(pe.value()).queue;
+  const std::size_t lost = shareOf(queue.size(), fraction);
+  queue.erase(queue.end() - static_cast<std::ptrdiff_t>(lost), queue.end());
+  return static_cast<double>(lost);
+}
+
+IntervalMetrics EventSimulator::step(IntervalIndex index, double rate,
+                                     const Deployment& deployment) {
+  DDS_REQUIRE(index == next_index_, "intervals must be stepped in order");
   const auto wall_start = std::chrono::steady_clock::now();
+  const std::size_t n = df_->peCount();
+  const SimTime dt = cfg_.interval_s;
+  const SimTime t0 = nextStart();
+  const SimTime t1 = t0 + dt;
+  ++next_index_;
 
-  for (IntervalIndex i = 0; i < clock.intervalCount(); ++i) {
-    const SimTime t0 = clock.startOf(i);
-    const SimTime t1 = clock.endOf(i);
-
-    if (i > 0 && scheduler != nullptr) {
-      ObservedState st;
-      st.interval = i;
-      st.now = t0;
-      st.input_rate = profile.rate(clock.startOf(i - 1));
-      st.average_omega = omega_sum / static_cast<double>(i);
-      st.last_interval = &last;
-      for (const MigrationEvent& ev : scheduler->adapt(st, deployment)) {
-        // Pull the migrated share out of the queue; it lands back at the
-        // start of the next interval (network transfer, §5).
-        auto& queue = pe_state_[ev.pe.value()].queue;
-        const auto take = static_cast<std::size_t>(
-            std::llround(static_cast<double>(queue.size()) *
-                         ev.backlog_fraction));
-        std::deque<Message> moved;
-        for (std::size_t k = 0; k < take && !queue.empty(); ++k) {
-          moved.push_back(queue.back());
-          queue.pop_back();
-        }
-        if (!moved.empty()) {
-          in_transit.push_back({t1, {ev.pe, std::move(moved)}});
-        }
-        // State-size migration cost: moving the PE's buffered state
-        // pauses its dispatch while the share transfers (same formula as
-        // the fluid engine's downtime: MB -> Mb over Mbps). Pauses from
-        // several migrations of the same PE extend, not stack.
-        if (cfg_.pe_state_mb > 0.0 && ev.backlog_fraction > 0.0) {
-          const SimTime downtime = cfg_.pe_state_mb * ev.backlog_fraction *
-                                   8.0 / cfg_.migration_bandwidth_mbps;
-          pe_pause_until_[ev.pe.value()] =
-              std::max(pe_pause_until_[ev.pe.value()], t0 + downtime);
-        }
+  // Resume PEs whose migration pause lapsed before this interval: their
+  // queued messages got no dispatch kick while the gate was closed.
+  for (std::size_t p = 0; p < n; ++p) {
+    if (pe_pause_until_[p] > 0.0 && t0 >= pe_pause_until_[p]) {
+      pe_pause_until_[p] = 0.0;
+      if (!pe_state_[p].queue.empty()) {
+        dispatchIdleCores(PeId(static_cast<PeId::value_type>(p)), t0,
+                          deployment);
       }
     }
-
-    // Resume PEs whose migration pause lapsed before this interval: their
-    // queued messages got no dispatch kick while the gate was closed.
-    // Guarded so disabled runs make exactly the pre-elasticity calls.
-    if (cfg_.pe_state_mb > 0.0) {
-      for (std::size_t p = 0; p < n; ++p) {
-        if (pe_pause_until_[p] > 0.0 && t0 >= pe_pause_until_[p]) {
-          pe_pause_until_[p] = 0.0;
-          if (!pe_state_[p].queue.empty()) {
-            dispatchIdleCores(PeId(static_cast<PeId::value_type>(p)), t0,
-                              deployment);
-          }
-        }
-      }
-    }
-
-    // Deliver any migrated messages whose transfer completed by t0.
-    // Stable swap-free compaction: landed entries are processed in
-    // insertion order and the survivors keep their relative order, like
-    // the old erase() loop but without its O(n^2) shifting.
-    std::size_t keep = 0;
-    for (std::size_t k = 0; k < in_transit.size(); ++k) {
-      if (in_transit[k].first <= t0) {
-        auto& [pe, msgs] = in_transit[k].second;
-        auto& queue = pe_state_[pe.value()].queue;
-        for (Message m : msgs) {
-          m.enqueued = t0;
-          queue.push_back(m);
-        }
-        dispatchIdleCores(pe, t0, deployment);
-      } else {
-        if (keep != k) in_transit[keep] = std::move(in_transit[k]);
-        ++keep;
-      }
-    }
-    in_transit.resize(keep);
-
-    for (auto& st : pe_state_) {
-      st.arrivals_in_interval = 0;
-      st.processed_in_interval = 0;
-      st.emitted_in_interval = 0;
-    }
-
-    const double rate = profile.rate(t0);
-    if (cached_) {
-      drainCached(t0, t1, rate, deployment);
-    } else {
-      drainReference(t0, t1, rate, deployment);
-    }
-
-    // Interval metrics, same shape as the fluid simulator's.
-    IntervalMetrics m;
-    m.index = i;
-    m.start = t0;
-    m.input_rate = rate;
-    m.pe_stats.resize(n);
-    const auto expected = expectedOutputRates(*df_, deployment, rate);
-    double omega_acc = 0.0;
-    for (std::size_t p = 0; p < n; ++p) {
-      const PeId pe(static_cast<PeId::value_type>(p));
-      PeIntervalStats& ps = m.pe_stats[p];
-      const PeState& st = pe_state_[p];
-      const double dt = cfg_.interval_s;
-      ps.arrival_rate = static_cast<double>(st.arrivals_in_interval) / dt;
-      ps.processed_rate =
-          static_cast<double>(st.processed_in_interval) / dt;
-      ps.output_rate = static_cast<double>(st.emitted_in_interval) / dt;
-      ps.offered_rate =
-          ps.arrival_rate + static_cast<double>(st.queue.size()) / dt;
-      ps.backlog_msgs = static_cast<double>(st.queue.size());
-      ps.allocated_cores = totalCores(*cloud_, pe);
-      const auto& alt = df_->pe(pe).alternate(deployment.activeAlternate(pe));
-      ps.capacity_rate =
-          observedPowerOf(*cloud_, *mon_, pe, clock.midOf(i)) /
-          alt.cost_core_sec;
-      const double offered_msgs =
-          static_cast<double>(st.arrivals_in_interval + st.queue.size());
-      ps.relative_throughput =
-          offered_msgs > 0.0
-              ? static_cast<double>(st.processed_in_interval) / offered_msgs
-              : 1.0;
-    }
-    for (const PeId o : df_->outputs()) {
-      const double exp_rate = expected[o.value()];
-      const double ratio =
-          exp_rate > 0.0 ? m.pe_stats[o.value()].output_rate / exp_rate
-                         : 1.0;
-      omega_acc += std::clamp(ratio, 0.0, 1.0);
-    }
-    m.omega = omega_acc / static_cast<double>(df_->outputs().size());
-    double gamma_acc = 0.0;
-    for (const auto& pe : df_->pes()) {
-      gamma_acc += pe.relativeValue(deployment.activeAlternate(pe.id()));
-    }
-    m.gamma = gamma_acc / static_cast<double>(n);
-    m.cost_cumulative = cloud_->accumulatedCost(t1);
-    m.active_vms = static_cast<int>(cloud_->activeVms().size());
-    m.allocated_cores = totalAllocatedCores(*cloud_);
-
-    omega_sum += m.omega;
-    last = m;
-    result_.intervals.add(std::move(m));
   }
 
-  result_.wall_seconds =
+  // Deliver any migrated messages whose transfer completed by t0.
+  // Stable swap-free compaction: landed entries are processed in
+  // insertion order and the survivors keep their relative order.
+  std::size_t keep = 0;
+  for (std::size_t k = 0; k < in_transit_.size(); ++k) {
+    Transit& tr = in_transit_[k];
+    if (tr.due <= t0) {
+      auto& queue = pe_state_[tr.pe.value()].queue;
+      for (Message m : tr.msgs) {
+        m.enqueued = t0;
+        queue.push_back(m);
+      }
+      dispatchIdleCores(tr.pe, t0, deployment);
+    } else {
+      if (keep != k) in_transit_[keep] = std::move(tr);
+      ++keep;
+    }
+  }
+  in_transit_.resize(keep);
+
+  for (auto& st : pe_state_) {
+    st.arrivals_in_interval = 0;
+    st.processed_in_interval = 0;
+    st.emitted_in_interval = 0;
+  }
+
+  if (cached_) {
+    drainCached(t0, t1, rate, deployment);
+  } else {
+    drainReference(t0, t1, rate, deployment);
+  }
+
+  // Interval metrics, same shape as the fluid simulator's.
+  IntervalMetrics m;
+  m.index = index;
+  m.start = t0;
+  m.input_rate = rate;
+  m.pe_stats.resize(n);
+  const auto expected = expectedOutputRates(*df_, deployment, rate);
+  double omega_acc = 0.0;
+  for (std::size_t p = 0; p < n; ++p) {
+    const PeId pe(static_cast<PeId::value_type>(p));
+    PeIntervalStats& ps = m.pe_stats[p];
+    const PeState& st = pe_state_[p];
+    ps.arrival_rate = static_cast<double>(st.arrivals_in_interval) / dt;
+    ps.processed_rate = static_cast<double>(st.processed_in_interval) / dt;
+    ps.output_rate = static_cast<double>(st.emitted_in_interval) / dt;
+    ps.offered_rate =
+        ps.arrival_rate + static_cast<double>(st.queue.size()) / dt;
+    ps.backlog_msgs = static_cast<double>(st.queue.size());
+    ps.allocated_cores = totalCores(*cloud_, pe);
+    const auto& alt = df_->pe(pe).alternate(deployment.activeAlternate(pe));
+    ps.capacity_rate =
+        observedPowerOf(*cloud_, *mon_, pe, t0 + 0.5 * dt) /
+        alt.cost_core_sec;
+    const double offered_msgs =
+        static_cast<double>(st.arrivals_in_interval + st.queue.size());
+    ps.relative_throughput =
+        offered_msgs > 0.0
+            ? static_cast<double>(st.processed_in_interval) / offered_msgs
+            : 1.0;
+  }
+  for (const PeId o : df_->outputs()) {
+    const double exp_rate = expected[o.value()];
+    const double ratio =
+        exp_rate > 0.0 ? m.pe_stats[o.value()].output_rate / exp_rate : 1.0;
+    omega_acc += std::clamp(ratio, 0.0, 1.0);
+  }
+  m.omega = omega_acc / static_cast<double>(df_->outputs().size());
+  double gamma_acc = 0.0;
+  for (const auto& pe : df_->pes()) {
+    gamma_acc += pe.relativeValue(deployment.activeAlternate(pe.id()));
+  }
+  m.gamma = gamma_acc / static_cast<double>(n);
+  m.cost_cumulative = cloud_->accumulatedCost(t1);
+  m.active_vms = static_cast<int>(cloud_->activeVms().size());
+  m.allocated_cores = totalAllocatedCores(*cloud_);
+
+  result_.intervals.add(m);
+  result_.wall_seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
-  return std::move(result_);
+  return m;
 }
 
 }  // namespace dds

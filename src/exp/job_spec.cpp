@@ -9,10 +9,10 @@ namespace dds {
 namespace {
 
 /// Keys a spec may not smuggle inside "config": the first three are
-/// top-level spec fields, the last two are CLI-file-only controls.
+/// top-level spec fields, the last is a CLI-file-only control.
 bool reservedConfigKey(const std::string& key) {
   return key == "graph" || key == "chain_length" || key == "scheduler" ||
-         key == "output_csv" || key == "config_schema";
+         key == "output_csv";
 }
 
 std::string expectString(const JsonValue& v, const std::string& field) {
@@ -143,7 +143,7 @@ JobSpec parseJobSpec(const std::string& json_line) {
         if (reservedConfigKey(key)) {
           throw ConfigError(
               "job-spec config key '" + key + "' is reserved" +
-              (key == "output_csv" || key == "config_schema"
+              (key == "output_csv"
                    ? " (it has no meaning in a job spec)"
                    : " (set it as a top-level spec field)"));
         }
@@ -163,9 +163,6 @@ JobSpec parseJobSpec(const std::string& json_line) {
 
 CliExperiment experimentFromSpec(const JobSpec& spec) {
   KeyValueConfig kv;
-  // Specs always parse strictly: deprecated flat aliases are rejected
-  // with the canonical replacement named, same as a strict config file.
-  kv.set("config_schema", "strict");
   kv.set("graph", spec.graph);
   if (spec.graph == "chain") {
     kv.set("chain_length", std::to_string(spec.chain_length));

@@ -48,6 +48,48 @@ bool inEpisode(std::uint64_t seed, std::uint64_t tag, std::uint64_t key,
   return false;
 }
 
+/// Take down every active VM that `due_at` says is due by `now`: each
+/// hosted PE loses the share of its backlog that lived there (its cores on
+/// the VM over its total cores), the VM's cores vanish, and `end` retires
+/// the instance under its billing rule.
+template <typename DueAt, typename End>
+std::vector<FailureEvent> takeDown(CloudProvider& cloud, SimTime now,
+                                   DueAt due_at, End end) {
+  std::vector<FailureEvent> events;
+  for (const VmId id : cloud.activeVms()) {
+    VmInstance& vm = cloud.instance(id);
+    const SimTime at = due_at(vm);
+    if (at > now) continue;
+
+    FailureEvent ev;
+    ev.vm = id;
+    ev.time = at;
+    for (int c = 0; c < vm.coreCount(); ++c) {
+      const auto owner = vm.coreOwner(c);
+      if (!owner.has_value()) continue;
+      bool seen = false;
+      for (const auto& loss : ev.losses) {
+        if (loss.pe == *owner) {
+          seen = true;
+          break;
+        }
+      }
+      if (seen) continue;
+      const int on_vm = vm.coresOwnedBy(*owner);
+      const int total = totalCores(cloud, *owner);
+      DDS_ENSURE(total >= on_vm, "core ledger inconsistent");
+      ev.losses.push_back(
+          {*owner, static_cast<double>(on_vm) / static_cast<double>(total)});
+    }
+    for (const auto& loss : ev.losses) {
+      vm.releaseAllCoresOf(loss.pe);
+    }
+    end(id, std::max(at, vm.startTime()));
+    events.push_back(std::move(ev));
+  }
+  return events;
+}
+
 /// Order-independent key for an unordered VM pair.
 std::uint64_t pairKey(VmId a, VmId b) {
   const std::uint64_t lo = std::min(a.value(), b.value());
@@ -82,10 +124,33 @@ void FaultPlanConfig::validate() const {
               "partition duration must be positive when partitions are on");
 }
 
-FaultPlan::FaultPlan(FaultPlanConfig config)
-    : config_(config),
-      crashes_(FailureInjectorConfig{config.vm_mtbf_hours, config.seed}) {
+FaultPlan::FaultPlan(FaultPlanConfig config) : config_(config) {
   config_.validate();
+}
+
+SimTime FaultPlan::deathTime(VmId vm, SimTime t_start) const {
+  if (!config_.crashesEnabled()) {
+    return std::numeric_limits<SimTime>::infinity();
+  }
+  const std::uint64_t h =
+      splitmix64(config_.seed ^ (0x51ed2701ull + vm.value()) * 0x2545f491ull);
+  const double u = hashToUnitInterval(h);
+  const double lifetime_s =
+      -std::log(u) * config_.vm_mtbf_hours * kSecondsPerHour;
+  return t_start + lifetime_s;
+}
+
+std::vector<FailureEvent> FaultPlan::injectUpTo(CloudProvider& cloud,
+                                                SimTime now) const {
+  if (!config_.crashesEnabled()) return {};
+  // A crash is a tenant-side fault: billing stops at the failure time, but
+  // the started hour is still paid.
+  return takeDown(
+      cloud, now,
+      [&](const VmInstance& vm) { return deathTime(vm.id(), vm.startTime()); },
+      [&cloud](VmId id, SimTime at) {
+        cloud.terminate(id, at, TerminationReason::Crashed);
+      });
 }
 
 bool FaultPlan::isStraggling(VmId vm, SimTime vm_start, SimTime t) const {
@@ -138,45 +203,15 @@ SimTime FaultPlan::preemptionTime(VmId vm, SimTime vm_start) const {
 
 std::vector<FailureEvent> FaultPlan::injectPreemptionsUpTo(
     CloudProvider& cloud, SimTime now) const {
-  std::vector<FailureEvent> events;
-  if (!config_.preemptionsEnabled()) return events;
-
-  for (const VmId id : cloud.activeVms()) {
-    VmInstance& vm = cloud.instance(id);
-    if (!vm.spec().preemptible) continue;
-    const SimTime at = preemptionTime(id, vm.startTime());
-    if (at > now) continue;
-
-    FailureEvent ev;
-    ev.vm = id;
-    ev.time = at;
-    // Undrained backlog on the reclaimed VM is lost exactly like a crash:
-    // the share of each PE's cores living there approximates its share of
-    // queued messages.
-    for (int c = 0; c < vm.coreCount(); ++c) {
-      const auto owner = vm.coreOwner(c);
-      if (!owner.has_value()) continue;
-      bool seen = false;
-      for (const auto& loss : ev.losses) {
-        if (loss.pe == *owner) {
-          seen = true;
-          break;
-        }
-      }
-      if (seen) continue;
-      const int on_vm = vm.coresOwnedBy(*owner);
-      const int total = totalCores(cloud, *owner);
-      DDS_ENSURE(total >= on_vm, "core ledger inconsistent");
-      ev.losses.push_back(
-          {*owner, static_cast<double>(on_vm) / static_cast<double>(total)});
-    }
-    for (const auto& loss : ev.losses) {
-      vm.releaseAllCoresOf(loss.pe);
-    }
-    cloud.preempt(id, std::max(at, vm.startTime()));
-    events.push_back(std::move(ev));
-  }
-  return events;
+  if (!config_.preemptionsEnabled()) return {};
+  return takeDown(
+      cloud, now,
+      [&](const VmInstance& vm) {
+        return vm.spec().preemptible
+                   ? preemptionTime(vm.id(), vm.startTime())
+                   : std::numeric_limits<SimTime>::infinity();
+      },
+      [&cloud](VmId id, SimTime at) { cloud.preempt(id, at); });
 }
 
 }  // namespace dds

@@ -189,7 +189,6 @@ IntervalMetrics DataflowSimulator::step(IntervalIndex index,
     kernel_->runInterval(t_start, dt, input_rate, deployment, m, backlog_,
                          in_transit_, pause_remaining_, output_rate_,
                          expected_rate_);
-    emitIntervalEnd(m, t_start, dt, index);
     return m;
   }
 
@@ -277,36 +276,7 @@ IntervalMetrics DataflowSimulator::step(IntervalIndex index,
     for (const auto& vc : cores) total_cores += vc.cores;
   }
   m.allocated_cores = total_cores;
-
-  emitIntervalEnd(m, t_start, dt, index);
   return m;
-}
-
-void DataflowSimulator::emitIntervalEnd(const IntervalMetrics& m,
-                                        SimTime t_start, SimTime dt,
-                                        IntervalIndex index) {
-  if (!tracer_.enabled()) return;
-  traced_omega_sum_ += m.omega;
-  ++traced_intervals_;
-  double processed = 0.0;
-  double capacity = 0.0;
-  for (const PeIntervalStats& st : m.pe_stats) {
-    processed += st.processed_rate;
-    capacity += st.capacity_rate;
-  }
-  const double rho =
-      capacity > 0.0 ? std::clamp(processed / capacity, 0.0, 1.0) : 0.0;
-  tracer_.emit(obs::IntervalEndEvent{
-      .t = t_start + dt,
-      .interval = index,
-      .omega = m.omega,
-      .omega_bar = traced_omega_sum_ / static_cast<double>(traced_intervals_),
-      .gamma = m.gamma,
-      .cost = m.cost_cumulative,
-      .utilization = rho,
-      .backlog_msgs = totalBacklog(),
-      .active_vms = m.active_vms,
-      .allocated_cores = m.allocated_cores});
 }
 
 }  // namespace dds

@@ -90,11 +90,11 @@ TEST(ExperimentFromConfig, AppliesValuesAndDefaults) {
       "graph = chain\n"
       "chain_length = 6\n"
       "scheduler = local, global\n"
-      "mean_rate = 25\n"
-      "profile = random-walk\n"
+      "workload.mean_rate = 25\n"
+      "workload.profile = random-walk\n"
       "horizon_h = 3\n"
       "omega_target = 0.8\n"
-      "vm_mtbf_h = 12\n");
+      "fault.vm_mtbf_h = 12\n");
   const auto ex = experimentFromConfig(kv);
   EXPECT_EQ(ex.graph, "chain");
   ASSERT_EQ(ex.schedulers.size(), 2u);
@@ -123,7 +123,7 @@ TEST(ExperimentFromConfig, RejectsUnknownKeysGraphsProfiles) {
       (void)experimentFromConfig(KeyValueConfig::parse("graph = torus\n")),
       PreconditionError);
   EXPECT_THROW((void)experimentFromConfig(
-                   KeyValueConfig::parse("profile = bursty\n")),
+                   KeyValueConfig::parse("workload.profile = bursty\n")),
                PreconditionError);
   EXPECT_THROW((void)experimentFromConfig(
                    KeyValueConfig::parse("scheduler = alien\n")),
@@ -132,7 +132,7 @@ TEST(ExperimentFromConfig, RejectsUnknownKeysGraphsProfiles) {
 
 TEST(ExperimentFromConfig, ValidatesResultingConfig) {
   EXPECT_THROW((void)experimentFromConfig(
-                   KeyValueConfig::parse("mean_rate = -3\n")),
+                   KeyValueConfig::parse("workload.mean_rate = -3\n")),
                PreconditionError);
 }
 
@@ -143,13 +143,13 @@ TEST(ExperimentFromConfig, UserMistakesThrowConfigError) {
       (void)experimentFromConfig(KeyValueConfig::parse("no_such_key = 1\n")),
       ConfigError);
   EXPECT_THROW((void)experimentFromConfig(
-                   KeyValueConfig::parse("mean_rate = fast\n")),
+                   KeyValueConfig::parse("workload.mean_rate = fast\n")),
                ConfigError);
   EXPECT_THROW(
       (void)experimentFromConfig(KeyValueConfig::parse("seed = 4.5\n")),
       ConfigError);
   EXPECT_THROW((void)experimentFromConfig(KeyValueConfig::parse(
-                   "graceful_degradation = maybe\n")),
+                   "resilience.graceful_degradation = maybe\n")),
                ConfigError);
   try {
     (void)experimentFromConfig(KeyValueConfig::parse("no_such_key = 1\n"));
@@ -166,26 +166,24 @@ TEST(ExperimentFromConfig, UserMistakesThrowConfigError) {
 
 TEST(ExperimentFromConfig, ParsesFaultAndResilienceKeys) {
   const auto ex = experimentFromConfig(KeyValueConfig::parse(
-      "vm_mtbf_h = 2.5\n"
-      "straggler_mtbf_h = 1.5\n"
-      "straggler_factor = 0.25\n"
-      "straggler_duration_s = 450\n"
-      "acq_failure_prob = 0.1\n"
-      "provisioning_delay_s = 75\n"
-      "partition_mtbf_h = 3\n"
-      "partition_duration_s = 90\n"
-      "quarantine_threshold = 0.55\n"
-      "quarantine_probes = 4\n"
-      "acq_max_retries = 2\n"
-      "acq_backoff_s = 45\n"
-      "graceful_degradation = true\n"));
+      "fault.vm_mtbf_h = 2.5\n"
+      "fault.straggler_mtbf_h = 1.5\n"
+      "fault.straggler_factor = 0.25\n"
+      "fault.straggler_duration_s = 450\n"
+      "fault.acq_failure_prob = 0.1\n"
+      "fault.partition_mtbf_h = 3\n"
+      "fault.partition_duration_s = 90\n"
+      "resilience.quarantine_threshold = 0.55\n"
+      "resilience.quarantine_probes = 4\n"
+      "resilience.acq_max_retries = 2\n"
+      "resilience.acq_backoff_s = 45\n"
+      "resilience.graceful_degradation = true\n"));
   const auto& cfg = ex.config;
   EXPECT_DOUBLE_EQ(cfg.faults.vm_mtbf_hours, 2.5);
   EXPECT_DOUBLE_EQ(cfg.faults.straggler_mtbf_hours, 1.5);
   EXPECT_DOUBLE_EQ(cfg.faults.straggler_factor, 0.25);
   EXPECT_DOUBLE_EQ(cfg.faults.straggler_duration_s, 450.0);
   EXPECT_DOUBLE_EQ(cfg.faults.acquisition_failure_prob, 0.1);
-  EXPECT_DOUBLE_EQ(cfg.faults.provisioning_delay_s, 75.0);
   EXPECT_DOUBLE_EQ(cfg.faults.partition_mtbf_hours, 3.0);
   EXPECT_DOUBLE_EQ(cfg.faults.partition_duration_s, 90.0);
   EXPECT_DOUBLE_EQ(cfg.resilience.quarantine_threshold, 0.55);
@@ -197,96 +195,54 @@ TEST(ExperimentFromConfig, ParsesFaultAndResilienceKeys) {
 
 TEST(ExperimentFromConfig, RejectsInvalidFaultKnobValues) {
   EXPECT_THROW((void)experimentFromConfig(
-                   KeyValueConfig::parse("straggler_mtbf_h = 1\n"
-                                         "straggler_factor = 1.5\n")),
+                   KeyValueConfig::parse("fault.straggler_mtbf_h = 1\n"
+                                         "fault.straggler_factor = 1.5\n")),
                PreconditionError);
   EXPECT_THROW((void)experimentFromConfig(
-                   KeyValueConfig::parse("acq_failure_prob = 1.0\n")),
+                   KeyValueConfig::parse("fault.acq_failure_prob = 1.0\n")),
                PreconditionError);
 }
 
 TEST(ExperimentFromConfig, NestedKeysAreCanonical) {
-  std::vector<std::string> notes;
   const auto ex = experimentFromConfig(
       KeyValueConfig::parse("workload.mean_rate = 12\n"
                             "workload.profile = wave\n"
                             "workload.infra_variability = true\n"
                             "fault.vm_mtbf_h = 2\n"
-                            "resilience.quarantine_threshold = 0.5\n"),
-      &notes);
+                            "resilience.quarantine_threshold = 0.5\n"));
   EXPECT_DOUBLE_EQ(ex.config.workload.mean_rate, 12.0);
   EXPECT_EQ(ex.config.workload.profile, ProfileKind::PeriodicWave);
   EXPECT_TRUE(ex.config.workload.infra_variability);
   EXPECT_DOUBLE_EQ(ex.config.faults.vm_mtbf_hours, 2.0);
   EXPECT_DOUBLE_EQ(ex.config.resilience.quarantine_threshold, 0.5);
-  // Canonical spellings produce no deprecation chatter.
-  EXPECT_TRUE(notes.empty());
 }
 
-TEST(ExperimentFromConfig, FlatAliasesStillWorkAndAreNoted) {
-  std::vector<std::string> notes;
-  const auto ex = experimentFromConfig(
-      KeyValueConfig::parse("mean_rate = 9\n"
-                            "vm_mtbf_h = 4\n"),
-      &notes);
-  EXPECT_DOUBLE_EQ(ex.config.workload.mean_rate, 9.0);
-  EXPECT_DOUBLE_EQ(ex.config.faults.vm_mtbf_hours, 4.0);
-  ASSERT_EQ(notes.size(), 2u);
-  EXPECT_NE(notes[0].find("'mean_rate' is deprecated"), std::string::npos)
-      << notes[0];
-  EXPECT_NE(notes[0].find("workload.mean_rate"), std::string::npos);
-  EXPECT_NE(notes[1].find("'vm_mtbf_h' is deprecated"), std::string::npos);
-}
-
-TEST(ExperimentFromConfig, StrictSchemaRejectsFlatAliases) {
-  // `config_schema = strict` turns the deprecation note into a hard
-  // error that names the canonical replacement. Canonical spellings are
-  // unaffected.
-  try {
-    (void)experimentFromConfig(
-        KeyValueConfig::parse("config_schema = strict\n"
-                              "mean_rate = 9\n"));
-    FAIL() << "expected ConfigError";
-  } catch (const ConfigError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("'mean_rate' is deprecated"), std::string::npos)
-        << what;
-    EXPECT_NE(what.find("config_schema = strict"), std::string::npos) << what;
-    EXPECT_NE(what.find("workload.mean_rate"), std::string::npos) << what;
+TEST(ExperimentFromConfig, FormerFlatKeysAreUnknown) {
+  // The flat spellings of the nested keys are gone: they fail like any
+  // other typo, with one clean line naming the key — also next to the
+  // nested spelling they used to alias.
+  for (const char* text :
+       {"mean_rate = 9\n", "mean_rate = 9\nworkload.mean_rate = 10\n"}) {
+    try {
+      (void)experimentFromConfig(KeyValueConfig::parse(text));
+      FAIL() << "expected ConfigError for " << text;
+    } catch (const ConfigError& e) {
+      EXPECT_STREQ(e.what(), "unknown config key: 'mean_rate'");
+    }
   }
-  std::vector<std::string> notes;
-  const auto ex = experimentFromConfig(
-      KeyValueConfig::parse("config_schema = strict\n"
-                            "workload.mean_rate = 9\n"
-                            "fault.vm_mtbf_h = 4\n"),
-      &notes);
-  EXPECT_DOUBLE_EQ(ex.config.workload.mean_rate, 9.0);
-  EXPECT_DOUBLE_EQ(ex.config.faults.vm_mtbf_hours, 4.0);
-  EXPECT_TRUE(notes.empty());
 }
 
 TEST(ExperimentFromConfig, UnknownSchemaValueIsRejected) {
-  try {
-    (void)experimentFromConfig(
-        KeyValueConfig::parse("config_schema = pedantic\n"));
-    FAIL() << "expected ConfigError";
-  } catch (const ConfigError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("pedantic"), std::string::npos) << what;
-    EXPECT_NE(what.find("warn or strict"), std::string::npos) << what;
-  }
-}
-
-TEST(ExperimentFromConfig, BothSpellingsOfOneKnobIsAnError) {
-  try {
-    (void)experimentFromConfig(
-        KeyValueConfig::parse("mean_rate = 9\n"
-                              "workload.mean_rate = 10\n"));
-    FAIL() << "expected ConfigError";
-  } catch (const ConfigError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("mean_rate"), std::string::npos) << what;
-    EXPECT_NE(what.find("aliases"), std::string::npos) << what;
+  // config_schema (warn | strict) is gone with the flat aliases it
+  // governed: parsing is always strict, and the key itself is unknown.
+  for (const char* value : {"warn", "strict", "pedantic"}) {
+    try {
+      (void)experimentFromConfig(KeyValueConfig::parse(
+          std::string("config_schema = ") + value + "\n"));
+      FAIL() << "expected ConfigError for " << value;
+    } catch (const ConfigError& e) {
+      EXPECT_STREQ(e.what(), "unknown config key: 'config_schema'");
+    }
   }
 }
 
@@ -324,14 +280,18 @@ TEST(ExperimentFromConfig, SpotPreemptionWithoutATierIsAnError) {
 }
 
 TEST(ExperimentFromConfig, ProvisioningDelayUnderBothPrefixesIsAnError) {
-  try {
-    (void)experimentFromConfig(KeyValueConfig::parse(
-        "fault.provisioning_delay_s = 60\n"
-        "elasticity.provisioning_delay_s = 60\n"));
-    FAIL() << "expected PreconditionError";
-  } catch (const PreconditionError& e) {
-    EXPECT_NE(std::string(e.what()).find("not both"), std::string::npos)
-        << e.what();
+  // The lag has one spelling, elasticity.provisioning_delay_s; the old
+  // fault.* one is an unknown key, alone or beside the canonical one.
+  for (const char* text : {"fault.provisioning_delay_s = 60\n",
+                           "fault.provisioning_delay_s = 60\n"
+                           "elasticity.provisioning_delay_s = 60\n"}) {
+    try {
+      (void)experimentFromConfig(KeyValueConfig::parse(text));
+      FAIL() << "expected ConfigError";
+    } catch (const ConfigError& e) {
+      EXPECT_STREQ(e.what(),
+                   "unknown config key: 'fault.provisioning_delay_s'");
+    }
   }
 }
 
@@ -467,11 +427,14 @@ TEST(ExperimentFromConfig, PredictiveSchedulerNeedsForecastOn) {
                             "forecast.model = naive\n")));
 }
 
-TEST(ExperimentFromConfig, ForecastOnTheEventBackendIsAnError) {
-  EXPECT_THROW((void)experimentFromConfig(
-                   KeyValueConfig::parse("backend = event\n"
-                                         "forecast.model = ewma\n")),
-               ConfigError);
+TEST(ExperimentFromConfig, ForecastOnTheEventBackendParses) {
+  // The interval loop forecasts for both backends.
+  const auto ex = experimentFromConfig(
+      KeyValueConfig::parse("backend = event\n"
+                            "scheduler = global-predictive\n"
+                            "forecast.model = holt-winters\n"));
+  EXPECT_EQ(ex.config.backend, SimBackend::Event);
+  EXPECT_TRUE(ex.config.forecast.enabled());
 }
 
 TEST(ExperimentFromConfig, ShippedExampleConfParses) {

@@ -1,6 +1,8 @@
 // Engine runs through the discrete-event backend.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "dds/config/config_file.hpp"
 #include "dds/core/engine.hpp"
 #include "dds/dataflow/standard_graphs.hpp"
@@ -27,6 +29,8 @@ TEST(EventBackend, FillsLatencyFields) {
       SimulationEngine(df, eventConfig()).run(SchedulerKind::GlobalAdaptive);
   EXPECT_GT(r.messages_delivered, 0u);
   EXPECT_GT(r.latency_mean_s, 0.0);
+  EXPECT_GT(r.latency_p50_s, 0.0);
+  EXPECT_GE(r.latency_p95_s, r.latency_p50_s);
   EXPECT_GE(r.latency_p95_s, r.latency_mean_s * 0.5);
   EXPECT_GE(r.latency_p99_s, r.latency_p95_s);
   EXPECT_EQ(r.run.intervals().size(), 20u);
@@ -70,9 +74,34 @@ TEST(EventBackend, RejectsFaultInjection) {
   EXPECT_THROW(SimulationEngine(df, cfg), PreconditionError);
 }
 
+TEST(EventBackend, PowerSmoothingReachesTheScheduler) {
+  // Smoothed probes are taken in the interval loop both backends share:
+  // under trace variability, alpha < 1 must change what the event-backend
+  // scheduler plans against, and with it the run.
+  const Dataflow df = makePaperDataflow();
+  ExperimentConfig cfg = eventConfig();
+  cfg.workload.infra_variability = true;
+  cfg.workload.mean_rate = 10.0;
+  const auto raw =
+      SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+  cfg.power_smoothing_alpha = 0.3;
+  const auto smoothed =
+      SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+  const auto fingerprint = [](const ExperimentResult& r) {
+    std::ostringstream os;
+    os << std::hexfloat << r.theta << ' ' << r.total_cost << ' '
+       << r.latency_mean_s;
+    for (const auto& m : r.run.intervals()) {
+      os << ' ' << m.omega << ' ' << m.allocated_cores;
+    }
+    return os.str();
+  };
+  EXPECT_NE(fingerprint(raw), fingerprint(smoothed));
+}
+
 TEST(EventBackend, ConfigFileSelectsBackend) {
   const auto ex = experimentFromConfig(
-      KeyValueConfig::parse("backend = event\nmean_rate = 4\n"));
+      KeyValueConfig::parse("backend = event\nworkload.mean_rate = 4\n"));
   EXPECT_EQ(ex.config.backend, SimBackend::Event);
   EXPECT_THROW((void)experimentFromConfig(
                    KeyValueConfig::parse("backend = quantum\n")),

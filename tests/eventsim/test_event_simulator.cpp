@@ -2,9 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "dds/core/engine.hpp"
 #include "dds/dataflow/standard_graphs.hpp"
-#include "dds/sched/heuristic_scheduler.hpp"
 #include "dds/sim/simulator.hpp"
+#include "stepping.hpp"
 
 namespace dds {
 namespace {
@@ -31,12 +32,6 @@ struct Fixture {
       cloud.instance(vm).allocateCore(pe);
     }
   }
-
-  EventSimConfig cfg(SimTime horizon = 600.0) {
-    EventSimConfig c;
-    c.horizon_s = horizon;
-    return c;
-  }
 };
 
 TEST(EventSim, ConfigValidation) {
@@ -44,8 +39,7 @@ TEST(EventSim, ConfigValidation) {
   c.msg_size_bytes = 0.0;
   EXPECT_THROW(c.validate(), PreconditionError);
   c = {};
-  c.horizon_s = 10.0;
-  c.interval_s = 60.0;
+  c.interval_s = 0.0;
   EXPECT_THROW(c.validate(), PreconditionError);
   c = {};
   c.max_latency_samples = 0;
@@ -56,10 +50,10 @@ TEST(EventSim, DeliversEveryMessageWhenUnderloaded) {
   Fixture f(makePipeline());
   f.giveSmallCores(PeId(0), 1);  // 10 msg/s capacity each
   f.giveSmallCores(PeId(1), 1);
-  EventSimulator sim(f.df, f.cloud, f.mon, f.cfg());
+  EventSimulator sim(f.df, f.cloud, f.mon, EventSimConfig{});
   ConstantRate profile(2.0);  // well under capacity
   Deployment dep(f.df);
-  const auto r = sim.run(profile, dep, nullptr);
+  const auto r = runFixed(sim, profile, dep);
   EXPECT_GT(r.messages_injected, 1000u);  // ~1200 over 600 s
   // Everything injected early enough gets delivered (tail may be in
   // flight at the horizon).
@@ -74,12 +68,12 @@ TEST(EventSim, LatencyNearServiceTimeWhenIdle) {
   Fixture f(makePipeline());
   f.giveSmallCores(PeId(0), 2);
   f.giveSmallCores(PeId(1), 2);
-  EventSimConfig cfg = f.cfg();
+  EventSimConfig cfg;
   cfg.poisson_arrivals = false;  // deterministic, no queueing noise
   EventSimulator sim(f.df, f.cloud, f.mon, cfg);
   ConstantRate profile(1.0);
   Deployment dep(f.df);
-  const auto r = sim.run(profile, dep, nullptr);
+  const auto r = runFixed(sim, profile, dep);
   ASSERT_GT(r.messages_delivered, 0u);
   // Two stages of 0.1 s service on speed-1 cores: ~0.2 s end to end.
   EXPECT_NEAR(r.latency.mean(), 0.2, 0.05);
@@ -90,10 +84,10 @@ TEST(EventSim, OverloadQueuesAndLowersOmega) {
   Fixture f(makePipeline());
   f.giveSmallCores(PeId(0), 1);  // capacity 10 msg/s
   f.giveSmallCores(PeId(1), 1);
-  EventSimulator sim(f.df, f.cloud, f.mon, f.cfg());
+  EventSimulator sim(f.df, f.cloud, f.mon, EventSimConfig{});
   ConstantRate profile(20.0);  // 2x overload
   Deployment dep(f.df);
-  const auto r = sim.run(profile, dep, nullptr);
+  const auto r = runFixed(sim, profile, dep);
   EXPECT_NEAR(r.intervals.averageOmega(), 0.5, 0.1);
   // The source's queue holds roughly the excess.
   const auto& final_stats = r.intervals.intervals().back().pe_stats[0];
@@ -104,19 +98,19 @@ TEST(EventSim, LatencyGrowsUnderLoad) {
   Fixture light(makePipeline());
   light.giveSmallCores(PeId(0), 2);
   light.giveSmallCores(PeId(1), 2);
-  EventSimulator sim_light(light.df, light.cloud, light.mon, light.cfg());
+  EventSimulator sim_light(light.df, light.cloud, light.mon, EventSimConfig{});
   Deployment dep_light(light.df);
   const auto idle =
-      sim_light.run(ConstantRate(2.0), dep_light, nullptr);
+      runFixed(sim_light, ConstantRate(2.0), dep_light);
 
   Fixture heavy(makePipeline());
   heavy.giveSmallCores(PeId(0), 2);
   heavy.giveSmallCores(PeId(1), 2);
-  EventSimulator sim_heavy(heavy.df, heavy.cloud, heavy.mon, heavy.cfg());
+  EventSimulator sim_heavy(heavy.df, heavy.cloud, heavy.mon, EventSimConfig{});
   Deployment dep_heavy(heavy.df);
   // 95% utilization: queueing delay dominates.
   const auto busy =
-      sim_heavy.run(ConstantRate(19.0), dep_heavy, nullptr);
+      runFixed(sim_heavy, ConstantRate(19.0), dep_heavy);
 
   EXPECT_GT(busy.latency.mean(), 2.0 * idle.latency.mean());
 }
@@ -124,11 +118,11 @@ TEST(EventSim, LatencyGrowsUnderLoad) {
 TEST(EventSim, SelectivityAmplifiesDownstreamArrivals) {
   Fixture f(makeDiamondDataflow());  // branch "b" has selectivity 2
   for (std::uint32_t i = 0; i < 4; ++i) f.giveSmallCores(PeId(i), 4);
-  EventSimConfig cfg = f.cfg();
+  EventSimConfig cfg;
   cfg.poisson_arrivals = false;
   EventSimulator sim(f.df, f.cloud, f.mon, cfg);
   Deployment dep(f.df);
-  const auto r = sim.run(ConstantRate(4.0), dep, nullptr);
+  const auto r = runFixed(sim, ConstantRate(4.0), dep);
   // Sink sees src copies via a (4/s) and doubled via b (8/s) = 12/s.
   const auto& last = r.intervals.intervals().back();
   EXPECT_NEAR(last.pe_stats[3].arrival_rate, 12.0, 1.0);
@@ -142,11 +136,11 @@ TEST(EventSim, FractionalSelectivityAveragesOut) {
   Fixture f(std::move(b).build());
   f.giveSmallCores(PeId(0), 1);
   f.giveSmallCores(PeId(1), 1);
-  EventSimConfig cfg = f.cfg();
+  EventSimConfig cfg;
   cfg.poisson_arrivals = false;
   EventSimulator sim(f.df, f.cloud, f.mon, cfg);
   Deployment dep(f.df);
-  const auto r = sim.run(ConstantRate(8.0), dep, nullptr);
+  const auto r = runFixed(sim, ConstantRate(8.0), dep);
   const auto& last = r.intervals.intervals().back();
   EXPECT_NEAR(last.pe_stats[1].arrival_rate, 4.0, 0.5);
 }
@@ -158,11 +152,11 @@ TEST(EventSim, DeterministicForSeed) {
   Fixture f2(makePipeline());
   f2.giveSmallCores(PeId(0), 1);
   f2.giveSmallCores(PeId(1), 1);
-  EventSimulator a(f1.df, f1.cloud, f1.mon, f1.cfg());
-  EventSimulator b(f2.df, f2.cloud, f2.mon, f2.cfg());
+  EventSimulator a(f1.df, f1.cloud, f1.mon, EventSimConfig{});
+  EventSimulator b(f2.df, f2.cloud, f2.mon, EventSimConfig{});
   Deployment d1(f1.df), d2(f2.df);
-  const auto ra = a.run(ConstantRate(5.0), d1, nullptr);
-  const auto rb = b.run(ConstantRate(5.0), d2, nullptr);
+  const auto ra = runFixed(a, ConstantRate(5.0), d1);
+  const auto rb = runFixed(b, ConstantRate(5.0), d2);
   EXPECT_EQ(ra.messages_injected, rb.messages_injected);
   EXPECT_EQ(ra.messages_delivered, rb.messages_delivered);
   EXPECT_DOUBLE_EQ(ra.latency.mean(), rb.latency.mean());
@@ -170,9 +164,9 @@ TEST(EventSim, DeterministicForSeed) {
 
 TEST(EventSim, NoCoresMeansNothingDelivered) {
   Fixture f(makePipeline());
-  EventSimulator sim(f.df, f.cloud, f.mon, f.cfg());
+  EventSimulator sim(f.df, f.cloud, f.mon, EventSimConfig{});
   Deployment dep(f.df);
-  const auto r = sim.run(ConstantRate(5.0), dep, nullptr);
+  const auto r = runFixed(sim, ConstantRate(5.0), dep);
   EXPECT_EQ(r.messages_delivered, 0u);
   EXPECT_GT(r.messages_injected, 0u);
   EXPECT_NEAR(r.intervals.averageOmega(), 0.0, 1e-9);
@@ -185,11 +179,11 @@ TEST(EventSim, CrossValidatesWithFluidSimulator) {
     Fixture fe(makePipeline());
     fe.giveSmallCores(PeId(0), 1);
     fe.giveSmallCores(PeId(1), 1);
-    EventSimConfig cfg = fe.cfg(1200.0);
+    EventSimConfig cfg;
     cfg.poisson_arrivals = false;
     EventSimulator esim(fe.df, fe.cloud, fe.mon, cfg);
     Deployment edep(fe.df);
-    const auto er = esim.run(ConstantRate(rate), edep, nullptr);
+    const auto er = runFixed(esim, ConstantRate(rate), edep, 1200.0);
 
     Fixture ff(makePipeline());
     ff.giveSmallCores(PeId(0), 1);
@@ -207,21 +201,78 @@ TEST(EventSim, CrossValidatesWithFluidSimulator) {
 }
 
 TEST(EventSim, AdaptiveSchedulerScalesOutUnderSurge) {
-  Fixture f(makePaperDataflow());
-  SchedulerEnv env;
-  env.dataflow = &f.df;
-  env.cloud = &f.cloud;
-  env.monitor = &f.mon;
-  HeuristicScheduler sched(env, Strategy::Global);
-  Deployment dep = sched.deploy(2.0);
-  const int cores_at_deploy = totalAllocatedCores(f.cloud);
+  // Deployed for 2 msg/s, then 6 msg/s for minutes 40-50: adaptation
+  // must add cores and restore Omega before the surge ends, which the
+  // same deployment held static does not.
+  const Dataflow df = makePaperDataflow();
+  ExperimentConfig cfg;
+  cfg.horizon_s = 100.0 * kSecondsPerMinute;
+  cfg.workload.mean_rate = 2.0;
+  cfg.workload.profile = ProfileKind::Spike;
+  cfg.backend = SimBackend::Event;
+  const SimulationEngine engine(df, cfg);
+  const auto adaptive = engine.run(SchedulerKind::GlobalAdaptive);
+  const auto fixed = engine.run(SchedulerKind::GlobalStatic);
+  const IntervalMetrics& surge_end = adaptive.run.intervals().at(49);
+  ASSERT_EQ(surge_end.input_rate, 6.0);
+  EXPECT_GT(adaptive.peak_cores,
+            adaptive.run.intervals().front().allocated_cores);
+  EXPECT_GT(surge_end.omega, 0.6);
+  EXPECT_LT(fixed.run.intervals().at(49).omega, 0.6);
+}
 
-  EventSimConfig cfg = f.cfg(1200.0);
+// --- the stepper seam SimulationEngine drives ---
+// Deterministic 1 msg/s arrivals land at t0 + 1, ..., t0 + 59: 59 per
+// 60 s interval.
+
+TEST(EventSim, MigratedMessagesReturnOneStepLater) {
+  Fixture f(makePipeline());  // no cores: every arrival stays queued
+  EventSimConfig cfg;
+  cfg.poisson_arrivals = false;
   EventSimulator sim(f.df, f.cloud, f.mon, cfg);
-  // 4x the estimated rate: adaptation must add cores.
-  const auto r = sim.run(ConstantRate(8.0), std::move(dep), &sched);
-  EXPECT_GT(totalAllocatedCores(f.cloud), cores_at_deploy);
-  EXPECT_GT(r.intervals.intervals().back().omega, 0.6);
+  const Deployment dep(f.df);
+  const double first = sim.step(0, 1.0, dep).pe_stats[0].backlog_msgs;
+  ASSERT_EQ(first, 59.0);
+  sim.migrateBacklog(PeId(0), 1.0);
+  // In transit for the whole next interval, back at the start of the one
+  // after it.
+  EXPECT_EQ(sim.step(1, 1.0, dep).pe_stats[0].backlog_msgs, 59.0);
+  EXPECT_EQ(sim.step(2, 1.0, dep).pe_stats[0].backlog_msgs, 3.0 * 59.0);
+}
+
+TEST(EventSim, DropBacklogLosesQueuedMessages) {
+  Fixture f(makePipeline());
+  EventSimConfig cfg;
+  cfg.poisson_arrivals = false;
+  EventSimulator sim(f.df, f.cloud, f.mon, cfg);
+  const Deployment dep(f.df);
+  (void)sim.step(0, 1.0, dep);
+  EXPECT_EQ(sim.dropBacklog(PeId(0), 0.5), 30.0);  // round(59 / 2)
+  EXPECT_EQ(sim.dropBacklog(PeId(0), 1.0), 29.0);
+  EXPECT_EQ(sim.dropBacklog(PeId(1), 1.0), 0.0);
+  EXPECT_EQ(sim.step(1, 1.0, dep).pe_stats[0].backlog_msgs, 59.0);
+}
+
+TEST(EventSim, PauseServiceHoldsDispatchUntilItEnds) {
+  Fixture f(makePipeline());
+  f.giveSmallCores(PeId(0), 2);  // 20 msg/s: never the bottleneck
+  f.giveSmallCores(PeId(1), 2);
+  EventSimConfig cfg;
+  cfg.poisson_arrivals = false;
+  EventSimulator sim(f.df, f.cloud, f.mon, cfg);
+  const Deployment dep(f.df);
+  EXPECT_EQ(sim.step(0, 1.0, dep).pe_stats[0].backlog_msgs, 0.0);
+  sim.pauseService(PeId(0), 120.0);  // [60 s, 180 s)
+  sim.pauseService(PeId(0), 30.0);   // overlaps: extends nothing
+  for (const IntervalIndex i : {1, 2}) {
+    const PeIntervalStats ps = sim.step(i, 1.0, dep).pe_stats[0];
+    EXPECT_EQ(ps.processed_rate, 0.0) << "interval " << i;
+    EXPECT_EQ(ps.backlog_msgs, 59.0 * static_cast<double>(i));
+  }
+  // The pause lapsed at the interval start: the held queue drains.
+  const PeIntervalStats ps = sim.step(3, 1.0, dep).pe_stats[0];
+  EXPECT_NEAR(ps.processed_rate * cfg.interval_s, 3.0 * 59.0, 1e-9);
+  EXPECT_EQ(ps.backlog_msgs, 0.0);
 }
 
 TEST(EventSim, LatencyPercentileRequiresSamples) {
@@ -248,11 +299,10 @@ TEST(EventSim, RemoteEdgesAddTransferDelay) {
       cloud.instance(b).allocateCore(PeId(1));
     }
     EventSimConfig cfg;
-    cfg.horizon_s = 600.0;
     cfg.poisson_arrivals = false;
     EventSimulator sim(df, cloud, mon, cfg);
     Deployment dep(df);
-    return sim.run(ConstantRate(2.0), dep, nullptr).latency.mean();
+    return runFixed(sim, ConstantRate(2.0), dep).latency.mean();
   };
   const double colocated = meanLatency(true);
   const double split = meanLatency(false);
@@ -266,9 +316,9 @@ TEST(EventSim, QueueWaitBreakdownFindsBottleneck) {
   Fixture f(makePipeline());
   f.giveSmallCores(PeId(0), 4);  // ample
   f.giveSmallCores(PeId(1), 1);  // the bottleneck: 10 msg/s capacity
-  EventSimulator sim(f.df, f.cloud, f.mon, f.cfg());
+  EventSimulator sim(f.df, f.cloud, f.mon, EventSimConfig{});
   Deployment dep(f.df);
-  const auto r = sim.run(ConstantRate(15.0), dep, nullptr);
+  const auto r = runFixed(sim, ConstantRate(15.0), dep);
   ASSERT_EQ(r.pe_queue_wait.size(), 2u);
   EXPECT_EQ(r.worstQueueingPe(), PeId(1));
   EXPECT_GT(r.pe_queue_wait[1].mean(), r.pe_queue_wait[0].mean());
@@ -278,11 +328,11 @@ TEST(EventSim, QueueWaitNearZeroWhenIdle) {
   Fixture f(makePipeline());
   f.giveSmallCores(PeId(0), 2);
   f.giveSmallCores(PeId(1), 2);
-  EventSimConfig cfg = f.cfg();
+  EventSimConfig cfg;
   cfg.poisson_arrivals = false;
   EventSimulator sim(f.df, f.cloud, f.mon, cfg);
   Deployment dep(f.df);
-  const auto r = sim.run(ConstantRate(1.0), dep, nullptr);
+  const auto r = runFixed(sim, ConstantRate(1.0), dep);
   EXPECT_LT(r.pe_queue_wait[0].mean(), 0.01);
 }
 
@@ -292,12 +342,12 @@ TEST_P(EventSimRateSweep, OmegaMatchesCapacityRatio) {
   Fixture f(makePipeline());
   f.giveSmallCores(PeId(0), 1);  // 10 msg/s
   f.giveSmallCores(PeId(1), 1);
-  EventSimConfig cfg = f.cfg(1200.0);
+  EventSimConfig cfg;
   cfg.poisson_arrivals = false;
   EventSimulator sim(f.df, f.cloud, f.mon, cfg);
   Deployment dep(f.df);
   const double rate = GetParam();
-  const auto r = sim.run(ConstantRate(rate), dep, nullptr);
+  const auto r = runFixed(sim, ConstantRate(rate), dep, 1200.0);
   const double expected_omega = std::min(1.0, 10.0 / rate);
   EXPECT_NEAR(r.intervals.averageOmega(), expected_omega, 0.08)
       << "rate " << rate;

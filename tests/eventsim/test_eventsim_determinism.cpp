@@ -6,15 +6,20 @@
 // must match byte-for-byte.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
+#include "dds/common/hash.hpp"
 #include "dds/core/engine.hpp"
 #include "dds/dataflow/standard_graphs.hpp"
 #include "dds/eventsim/event_heap.hpp"
 #include "dds/eventsim/event_simulator.hpp"
 #include "dds/obs/jsonl_sink.hpp"
 #include "dds/sched/heuristic_scheduler.hpp"
+#include "stepping.hpp"
 
 namespace dds {
 namespace {
@@ -78,8 +83,11 @@ TEST(EventHeap, RecyclesPooledRecords) {
 
 // --- cached engine == reference engine -------------------------------------
 
-EventSimResult runEngine(const Dataflow& df, double rate, bool adaptive,
-                         EventSimConfig::Engine engine) {
+/// The global heuristic deployed for `rate` on a 5-minute wave, stepped
+/// directly — under its adaptation or on the fixed initial deployment —
+/// so the whole EventSimResult can be fingerprinted.
+EventSimResult runHeuristic(const Dataflow& df, double rate, bool adaptive,
+                            EventSimConfig::Engine engine) {
   CloudProvider cloud(awsCatalog2013());
   TraceReplayer replayer = TraceReplayer::futureGridLike(2013);
   MonitoringService mon(cloud, replayer);
@@ -92,55 +100,134 @@ EventSimResult runEngine(const Dataflow& df, double rate, bool adaptive,
   HeuristicScheduler sched(env, Strategy::Global, opts);
 
   EventSimConfig cfg;
-  cfg.horizon_s = 300.0;
   cfg.seed = 7;
   cfg.engine = engine;
   EventSimulator sim(df, cloud, mon, cfg);
   PeriodicWaveRate profile(rate, 0.4 * rate, 300.0, 0.0);
   Deployment dep = sched.deploy(profile.rate(0.0));
-  return sim.run(profile, std::move(dep), adaptive ? &sched : nullptr);
+  return adaptive ? runAdaptive(sim, sched, profile, std::move(dep), 300.0)
+                  : runFixed(sim, profile, dep, 300.0);
+}
+
+/// An adaptive engine run on the event backend, as one canonical string
+/// of every model-determined output: the JSONL trace, the latency summary,
+/// the drain counters and each interval's per-PE stats (hexfloat).
+std::string adaptiveRun(const Dataflow& df, double rate, bool reference,
+                        std::uint64_t* core_index_rebuilds = nullptr) {
+  ExperimentConfig cfg;
+  cfg.horizon_s = 10.0 * kSecondsPerMinute;
+  cfg.workload.mean_rate = rate;
+  cfg.workload.profile = ProfileKind::PeriodicWave;
+  cfg.workload.infra_variability = true;
+  cfg.seed = 7;
+  cfg.backend = SimBackend::Event;
+  cfg.event_reference_engine = reference;
+  std::ostringstream out;
+  obs::JsonlTraceSink sink(out);
+  const ExperimentResult r =
+      SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive, &sink);
+  out << std::hexfloat << r.messages_delivered << ' ' << r.latency_mean_s
+      << ' ' << r.latency_p95_s << ' ' << r.latency_p99_s << '\n';
+  for (const obs::MetricSample& m : r.metrics) {
+    if (m.name == "eventsim.core_index_rebuilds" &&
+        core_index_rebuilds != nullptr) {
+      *core_index_rebuilds = static_cast<std::uint64_t>(m.value);
+    }
+    if (m.name == "eventsim.arrivals" || m.name == "eventsim.deliveries" ||
+        m.name == "eventsim.completions" || m.name == "eventsim.dispatches") {
+      out << m.name << ' ' << m.value << '\n';
+    }
+  }
+  for (const IntervalMetrics& im : r.run.intervals()) {
+    for (const PeIntervalStats& ps : im.pe_stats) {
+      out << ps.arrival_rate << ' ' << ps.offered_rate << ' '
+          << ps.processed_rate << ' ' << ps.output_rate << ' '
+          << ps.capacity_rate << ' ' << ps.relative_throughput << ' '
+          << ps.backlog_msgs << ' ' << ps.allocated_cores << '\n';
+    }
+  }
+  return out.str();
 }
 
 TEST(EventSimIdentity, CachedMatchesReferenceStatic) {
   const Dataflow df = makePaperDataflow();
   const EventSimResult ref =
-      runEngine(df, 20.0, false, EventSimConfig::Engine::Reference);
+      runHeuristic(df, 20.0, false, EventSimConfig::Engine::Reference);
   const EventSimResult cached =
-      runEngine(df, 20.0, false, EventSimConfig::Engine::Cached);
+      runHeuristic(df, 20.0, false, EventSimConfig::Engine::Cached);
   EXPECT_EQ(fingerprint(ref), fingerprint(cached));
   EXPECT_GT(cached.counters.drained(), 0u);
 }
 
 TEST(EventSimIdentity, CachedMatchesReferenceAdaptive) {
   // Adaptation reallocates cores mid-run: the ledger generation moves and
-  // every cache layer must invalidate at exactly the right events.
+  // every cache layer must invalidate at exactly the right events. The
+  // stepped run compares every field of the result; the engine run adds
+  // migration, probes and the trace.
   const Dataflow df = makePaperDataflow();
   const EventSimResult ref =
-      runEngine(df, 25.0, true, EventSimConfig::Engine::Reference);
+      runHeuristic(df, 25.0, true, EventSimConfig::Engine::Reference);
   const EventSimResult cached =
-      runEngine(df, 25.0, true, EventSimConfig::Engine::Cached);
+      runHeuristic(df, 25.0, true, EventSimConfig::Engine::Cached);
   EXPECT_EQ(fingerprint(ref), fingerprint(cached));
   EXPECT_GT(cached.counters.core_index_rebuilds, 1u);
+
+  std::uint64_t rebuilds = 0;
+  EXPECT_EQ(adaptiveRun(df, 25.0, true),
+            adaptiveRun(df, 25.0, false, &rebuilds));
+  EXPECT_GT(rebuilds, 1u);
 }
 
 TEST(EventSimIdentity, SameSeedSameEngineIsDeterministic) {
   const Dataflow df = makeChainDataflow(4, 2);
-  const EventSimResult a =
-      runEngine(df, 15.0, true, EventSimConfig::Engine::Cached);
-  const EventSimResult b =
-      runEngine(df, 15.0, true, EventSimConfig::Engine::Cached);
-  EXPECT_EQ(fingerprint(a), fingerprint(b));
+  EXPECT_EQ(
+      fingerprint(runHeuristic(df, 15.0, true, EventSimConfig::Engine::Cached)),
+      fingerprint(
+          runHeuristic(df, 15.0, true, EventSimConfig::Engine::Cached)));
+  EXPECT_EQ(adaptiveRun(df, 15.0, false), adaptiveRun(df, 15.0, false));
 }
 
 // --- golden engine trace ---------------------------------------------------
 
+std::string fixturePath(const std::string& name) {
+  return std::string(DDS_EVENTSIM_TESTDATA) + "/" + name;
+}
+
 std::string readFixture(const std::string& name) {
-  const std::string path = std::string(DDS_EVENTSIM_TESTDATA) + "/" + name;
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "missing fixture " << path;
+  std::ifstream in(fixturePath(name), std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing fixture " << fixturePath(name);
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
+}
+
+/// Compare against the committed fixture, or rewrite it when the regen
+/// env var is set (then fail, so a regen run is never mistaken for green).
+void expectMatchesFixture(const std::string& actual,
+                          const std::string& name) {
+  if (std::getenv("DDS_REGEN_EVENTSIM_FIXTURE") != nullptr) {
+    std::ofstream out(fixturePath(name), std::ios::binary);
+    out << actual;
+    FAIL() << "regenerated " << name << " — rerun without "
+           << "DDS_REGEN_EVENTSIM_FIXTURE";
+  }
+  EXPECT_EQ(actual, readFixture(name));
+}
+
+/// FNV-1a over the lines of `text` in sorted order: a digest of the
+/// trace's line multiset that is blind to how the lines interleave.
+std::uint64_t sortedLinesDigest(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  std::sort(lines.begin(), lines.end());
+  std::uint64_t h = kFnv1aOffsetBasis;
+  for (const std::string& line : lines) {
+    for (const char c : line + '\n') {
+      h = fnv1aByte(h, static_cast<std::uint8_t>(c));
+    }
+  }
+  return h;
 }
 
 std::string runTracedEventBackend(bool reference_engine) {
@@ -160,14 +247,23 @@ std::string runTracedEventBackend(bool reference_engine) {
 }
 
 TEST(EventSimGolden, CachedEngineTraceByteIdentical) {
-  EXPECT_EQ(runTracedEventBackend(false),
-            readFixture("golden_eventsim_trace.jsonl"));
+  expectMatchesFixture(runTracedEventBackend(false),
+                       "golden_eventsim_trace.jsonl");
 }
 
 TEST(EventSimGolden, ReferenceEngineTraceByteIdentical) {
   // Same fixture on purpose: the two engines must emit the same bytes.
   EXPECT_EQ(runTracedEventBackend(true),
             readFixture("golden_eventsim_trace.jsonl"));
+}
+
+TEST(EventSimGolden, FixtureKeepsThePostHocLineMultiset) {
+  // The event backend used to rebuild its interval records after the
+  // run, so they trailed every VM record; the shared interval loop emits
+  // them live. The fixture was regenerated for that reordering alone: its
+  // sorted lines still hash to the post-hoc fixture's digest.
+  EXPECT_EQ(sortedLinesDigest(readFixture("golden_eventsim_trace.jsonl")),
+            0xbcae4d2f6227557dull);
 }
 
 // --- latency-sample reservoir ----------------------------------------------
@@ -184,13 +280,11 @@ TEST(EventSimReservoir, CappedRunKeepsPercentilesAndArrivals) {
     env.monitor = &mon;
     HeuristicScheduler sched(env, Strategy::Global, HeuristicOptions{});
     EventSimConfig cfg;
-    cfg.horizon_s = 300.0;
     cfg.seed = 11;
     cfg.max_latency_samples = cap;
     EventSimulator sim(df, cloud, mon, cfg);
-    ConstantRate profile(20.0);
-    Deployment dep = sched.deploy(20.0);
-    return sim.run(profile, std::move(dep), nullptr);
+    const Deployment dep = sched.deploy(20.0);
+    return runFixed(sim, ConstantRate(20.0), dep, 300.0);
   };
   const EventSimResult uncapped = run(1u << 30);
   const EventSimResult capped = run(500);

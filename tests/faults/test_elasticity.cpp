@@ -121,26 +121,6 @@ TEST(ElasticityEndToEnd, EveryRegisteredSchedulerCompletes) {
   }
 }
 
-TEST(ElasticityDelays, MatchTheFaultFamilyBitForBit) {
-  // elasticity.provisioning_delay_s and fault.provisioning_delay_s feed
-  // the same per-VM oracle: configuring the lag under either prefix must
-  // produce the same run, bit for bit.
-  const Dataflow df = makePaperDataflow();
-  ExperimentConfig via_faults;
-  via_faults.horizon_s = 0.5 * kSecondsPerHour;
-  via_faults.workload.mean_rate = 10.0;
-  via_faults.workload.profile = ProfileKind::PeriodicWave;
-  via_faults.seed = 91;
-  via_faults.faults.provisioning_delay_s = 120.0;
-  ExperimentConfig via_elasticity = via_faults;
-  via_elasticity.faults.provisioning_delay_s = 0.0;
-  via_elasticity.elasticity.provisioning_delay_s = 120.0;
-  expectBitIdentical(
-      SimulationEngine(df, via_faults).run(SchedulerKind::GlobalAdaptive),
-      SimulationEngine(df, via_elasticity)
-          .run(SchedulerKind::GlobalAdaptive));
-}
-
 TEST(ElasticityDelays, PerCoreTermSlowsLargeClassesOnly) {
   const Dataflow df = makePaperDataflow();
   ExperimentConfig base;

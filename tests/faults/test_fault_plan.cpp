@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <vector>
 
+#include "dds/common/rng.hpp"
 #include "dds/common/stats.hpp"
 #include "dds/core/engine.hpp"
 #include "dds/dataflow/standard_graphs.hpp"
@@ -61,12 +63,16 @@ TEST(FaultPlanConfig, ValidateRejectsBadKnobs) {
 }
 
 TEST(FaultPlan, DeathTimeMatchesGeneralizedInjector) {
+  // FaultPlan absorbed the stand-alone crash injector; its lifetime draw
+  // must stay that injector's exact formula, or every crash golden moves.
   const auto cfg = allFamiliesConfig();
   const FaultPlan plan(cfg);
-  const FailureInjector injector(FailureInjectorConfig{cfg.vm_mtbf_hours, cfg.seed});
   for (std::uint32_t v = 0; v < 16; ++v) {
-    EXPECT_DOUBLE_EQ(plan.deathTime(VmId(v), 50.0),
-                     injector.deathTime(VmId(v), 50.0));
+    const std::uint64_t h =
+        splitmix64(cfg.seed ^ (0x51ed2701ull + v) * 0x2545f491ull);
+    const double lifetime_s =
+        -std::log(hashToUnitInterval(h)) * cfg.vm_mtbf_hours * kSecondsPerHour;
+    EXPECT_EQ(plan.deathTime(VmId(v), 50.0), 50.0 + lifetime_s);
   }
 }
 
@@ -318,7 +324,7 @@ ExperimentConfig turbulentExperiment() {
   cfg.faults.straggler_factor = 0.3;
   cfg.faults.straggler_duration_s = 600.0;
   cfg.faults.acquisition_failure_prob = 0.2;
-  cfg.faults.provisioning_delay_s = 90.0;
+  cfg.elasticity.provisioning_delay_s = 90.0;
   cfg.resilience.quarantine_threshold = 0.5;
   cfg.resilience.graceful_degradation = true;
   return cfg;

@@ -9,6 +9,7 @@
 #include "dds/dataflow/standard_graphs.hpp"
 #include "dds/eventsim/event_simulator.hpp"
 #include "dds/sim/simulator.hpp"
+#include "../eventsim/stepping.hpp"
 
 namespace dds {
 namespace {
@@ -56,11 +57,10 @@ TEST_P(CrossSimTest, FixedDeploymentThroughputAgrees) {
   MonitoringService ev_mon(ev_cloud, ev_replayer);
   allocate(ev_cloud);
   EventSimConfig cfg;
-  cfg.horizon_s = 1200.0;
   cfg.poisson_arrivals = false;
   EventSimulator esim(df, ev_cloud, ev_mon, cfg);
   Deployment edep(df);
-  const auto er = esim.run(ConstantRate(rate), edep, nullptr);
+  const auto er = runFixed(esim, ConstantRate(rate), edep, 1200.0);
 
   EXPECT_NEAR(er.intervals.averageOmega(), fluid_omega, 0.12)
       << "graph " << df.name() << " rate " << rate;

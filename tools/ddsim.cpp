@@ -86,10 +86,9 @@ void printUsage(std::ostream& out) {
   for (const ForecastModel model : allForecastModels()) {
     out << ' ' << forecastModelName(model);
   }
-  out << "\nconfig families: workload.* fault.* elasticity.* resilience.*\n"
-         "forecast.* (canonical nested keys; `config_schema = strict`\n"
-         "rejects the deprecated flat spellings, job specs always parse\n"
-         "strictly)\n"
+  out << "\nbackends (config `backend = ...`): fluid event\n"
+         "config families: workload.* fault.* elasticity.* resilience.*\n"
+         "forecast.* (nested keys only; an unknown key is an error)\n"
          "see tools/example.conf for the config format\n";
 }
 
@@ -267,9 +266,7 @@ int main(int argc, char** argv) {
     }
 
     const auto kv = dds::KeyValueConfig::load(opts.config_path);
-    std::vector<std::string> notes;
-    const auto ex = dds::experimentFromConfig(kv, &notes);
-    for (const auto& note : notes) std::cerr << "ddsim: " << note << '\n';
+    const auto ex = dds::experimentFromConfig(kv);
     const dds::Dataflow df = buildGraph(ex, kv);
 
     std::cout << "dataflow '" << df.name() << "': " << df.peCount()
