@@ -115,22 +115,34 @@ class CloudProvider {
     return instances_[id.value()];
   }
 
-  /// Mutable instance access. Callers use this to edit the per-core
-  /// allocation ledger (allocateCore / releaseCoreOf), so every grant is
-  /// treated as a potential ledger change and bumps ledgerGeneration() —
-  /// pessimistic, but exact: the generation never stays put across a
-  /// mutation.
-  [[nodiscard]] VmInstance& instance(VmId id) {
-    DDS_REQUIRE(id.value() < instances_.size(), "unknown VM id");
+  /// Grant one free core of `vm` to `pe`.
+  /// Throws PreconditionError when the VM is full or stopped.
+  void allocateCore(VmId vm, PeId pe) {
+    mutableInstance(vm).allocateCore(pe);
     ++ledger_generation_;
-    return instances_[id.value()];
   }
 
-  /// Monotonic counter that advances whenever the core-allocation ledger
-  /// *may* have changed: VM acquisition, release, or any mutable
-  /// instance() access. Simulator hot paths snapshot per-PE core indexes
-  /// and rebuild them only when this moves (paper §5's allocation state
-  /// changes at adaptation granularity, so rebuilds are rare).
+  /// Free one core of `vm` owned by `pe`.
+  /// Throws PreconditionError when `pe` owns no core there.
+  void releaseCoreOf(VmId vm, PeId pe) {
+    mutableInstance(vm).releaseCoreOf(pe);
+    ++ledger_generation_;
+  }
+
+  /// Free every core of `vm` owned by `pe`; returns how many were freed.
+  int releaseAllCoresOf(VmId vm, PeId pe) {
+    const int freed = mutableInstance(vm).releaseAllCoresOf(pe);
+    if (freed > 0) ++ledger_generation_;
+    return freed;
+  }
+
+  /// Monotonic counter that advances exactly when the core-allocation
+  /// ledger changes: a core changes owner (allocateCore, releaseCoreOf,
+  /// releaseAllCoresOf when it frees a core) or the active set changes
+  /// (acquisition, release, preemption, crash). Reads never move it.
+  /// Simulator hot paths snapshot per-PE core indexes and rebuild them
+  /// only when this moves (paper §5's allocation state changes at
+  /// adaptation granularity, so rebuilds are rare).
   [[nodiscard]] std::uint64_t ledgerGeneration() const {
     return ledger_generation_;
   }
@@ -170,6 +182,11 @@ class CloudProvider {
 
  private:
   VmId acquireInternal(ResourceClassId cls, SimTime t);
+
+  VmInstance& mutableInstance(VmId id) {
+    DDS_REQUIRE(id.value() < instances_.size(), "unknown VM id");
+    return instances_[id.value()];
+  }
 
   std::shared_ptr<const ResourceCatalog> catalog_;
   std::vector<VmInstance> instances_;

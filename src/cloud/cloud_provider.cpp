@@ -64,8 +64,9 @@ void CloudProvider::release(VmId id, SimTime t) {
 }
 
 void CloudProvider::terminate(VmId id, SimTime t, TerminationReason reason) {
-  VmInstance& vm = instance(id);
+  VmInstance& vm = mutableInstance(id);
   vm.shutdown(t, reason);
+  ++ledger_generation_;
   if (tracer_.enabled()) {
     tracer_.emit(obs::VmReleaseEvent{.t = t,
                                      .vm = id.value(),

@@ -313,7 +313,7 @@ void EventSimulator::drainReference(SimTime t0, SimTime t1, double rate,
 // ---------------------------------------------------------------------------
 
 void EventSimulator::refreshLedgerViews() {
-  const CloudProvider& cloud = *cloud_;  // const: never bump the ledger.
+  const CloudProvider& cloud = *cloud_;
   const std::uint64_t gen = cloud.ledgerGeneration();
   if (slots_valid_ && gen == slots_gen_) return;
   for (auto& v : pe_slots_) v.clear();

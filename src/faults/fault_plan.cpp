@@ -57,7 +57,7 @@ std::vector<FailureEvent> takeDown(CloudProvider& cloud, SimTime now,
                                    DueAt due_at, End end) {
   std::vector<FailureEvent> events;
   for (const VmId id : cloud.activeVms()) {
-    VmInstance& vm = cloud.instance(id);
+    const VmInstance& vm = cloud.instance(id);
     const SimTime at = due_at(vm);
     if (at > now) continue;
 
@@ -82,7 +82,7 @@ std::vector<FailureEvent> takeDown(CloudProvider& cloud, SimTime now,
           {*owner, static_cast<double>(on_vm) / static_cast<double>(total)});
     }
     for (const auto& loss : ev.losses) {
-      vm.releaseAllCoresOf(loss.pe);
+      cloud.releaseAllCoresOf(id, loss.pe);
     }
     end(id, std::max(at, vm.startTime()));
     events.push_back(std::move(ev));

@@ -11,11 +11,12 @@ void ProbeHistory::probe(SimTime t) {
   DDS_REQUIRE(t >= last_probe_, "probe times must be non-decreasing");
   last_probe_ = t;
   ++probes_;
-  for (const VmId vm : monitor_->cloud().activeVms()) {
+  for (const VmInstance& inst : monitor_->cloud().instances()) {
     // A provisioning VM observes zero power by definition, not because it
     // is slow; folding that into the EWMA would poison the estimate the
     // schedulers (and the straggler guard) plan against.
-    if (!monitor_->cloud().instance(vm).isReady(t)) continue;
+    if (!inst.isActive() || !inst.isReady(t)) continue;
+    const VmId vm = inst.id();
     const double observed = monitor_->observedCorePower(vm, t);
     const auto it = smoothed_.find(vm);
     if (it == smoothed_.end()) {

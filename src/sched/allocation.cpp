@@ -297,7 +297,7 @@ bool ResourceAllocator::allocateCoreForPe(PeId pe, SimTime now,
     best = acquireNew(now);
     if (!best.has_value()) return false;  // rejected or backing off
   }
-  cloud_->instance(*best).allocateCore(pe);
+  cloud_->allocateCore(*best, pe);
   traceCoreAlloc(*best, pe, +1, now);
   return true;
 }
@@ -323,7 +323,7 @@ void ResourceAllocator::ensureMinimumCores(SimTime now) {
       // PEs unplaced for now; the next adaptation retries after backoff.
       if (!last_vm.has_value()) return;
     }
-    cloud_->instance(*last_vm).allocateCore(pe);
+    cloud_->allocateCore(*last_vm, pe);
     traceCoreAlloc(*last_vm, pe, +1, now);
   }
 }
@@ -500,10 +500,10 @@ std::vector<MigrationEvent> ResourceAllocator::scaleIn(
     }
     if (!best.has_value()) break;
 
-    VmInstance& vm = cloud_->instance(best->vm);
+    const VmInstance& vm = cloud_->instance(best->vm);
     const int before_on_vm = vm.coresOwnedBy(best->pe);
     const int before_total = totalCores(*cloud_, best->pe);
-    vm.releaseCoreOf(best->pe);
+    cloud_->releaseCoreOf(best->vm, best->pe);
     traceCoreAlloc(best->vm, best->pe, -1, now);
     if (before_on_vm == 1 && before_total > 1) {
       // The PE lost its last core on this VM: its share of buffered
@@ -523,7 +523,7 @@ void ResourceAllocator::repackPes(const Deployment& deployment,
     const PeId pe = element.id();
     const auto cores = peCores(*cloud_, pe);
     for (const auto& vc : cores) {
-      VmInstance& vm = cloud_->instance(vc.vm);
+      const VmInstance& vm = cloud_->instance(vc.vm);
       if (vm.allocatedCoreCount() != vc.cores) continue;  // not sole tenant
 
       double other_power = 0.0;
@@ -538,7 +538,7 @@ void ResourceAllocator::repackPes(const Deployment& deployment,
           std::max(required[pe.value()] - other_power, 0.0);
       if (residual <= kEps && !needs_core_elsewhere) {
         // Fully covered elsewhere: just vacate this VM.
-        vm.releaseAllCoresOf(pe);
+        cloud_->releaseAllCoresOf(vc.vm, pe);
         continue;
       }
       // Repacking is a cost move, not a reliability bet: a spot twin is
@@ -559,9 +559,9 @@ void ResourceAllocator::repackPes(const Deployment& deployment,
       const AcquisitionResult fresh = cloud_->tryAcquire(target_cls, now);
       if (!fresh.ok()) continue;
       for (int c = 0; c < needed_cores; ++c) {
-        cloud_->instance(fresh.vm).allocateCore(pe);
+        cloud_->allocateCore(fresh.vm, pe);
       }
-      cloud_->instance(vc.vm).releaseAllCoresOf(pe);
+      cloud_->releaseAllCoresOf(vc.vm, pe);
       break;  // this PE's layout changed; re-visit others first
     }
   }
@@ -579,7 +579,7 @@ void ResourceAllocator::repackFreeVms(const CorePowerFn& power) {
              cloud_->instance(b).allocatedCoreCount();
     });
     for (const VmId source_id : ids) {
-      VmInstance& source = cloud_->instance(source_id);
+      const VmInstance& source = cloud_->instance(source_id);
       const int used = source.allocatedCoreCount();
       if (used == 0) continue;
 
@@ -628,8 +628,8 @@ void ResourceAllocator::repackFreeVms(const CorePowerFn& power) {
       auto plan_it = plan.begin();
       int taken_here = 0;
       for (const PeId owner : owners) {
-        source.releaseCoreOf(owner);
-        cloud_->instance(plan_it->first).allocateCore(owner);
+        cloud_->releaseCoreOf(source_id, owner);
+        cloud_->allocateCore(plan_it->first, owner);
         if (++taken_here == plan_it->second) {
           ++plan_it;
           taken_here = 0;

@@ -413,7 +413,7 @@ void HeuristicScheduler::quarantineStragglers(
   if (quarantined.empty()) return;
 
   for (const VmId id : quarantined) {
-    VmInstance& vm = env_.cloud->instance(id);
+    const VmInstance& vm = env_.cloud->instance(id);
     // Evacuate. Unlike a crash, quarantine is graceful: each hosted PE's
     // share of buffered messages migrates over the network rather than
     // being lost.
@@ -429,7 +429,7 @@ void HeuristicScheduler::quarantineStragglers(
     for (const PeId pe : owners) {
       const int on_vm = vm.coresOwnedBy(pe);
       const int total = totalCores(*env_.cloud, pe);
-      vm.releaseAllCoresOf(pe);
+      env_.cloud->releaseAllCoresOf(id, pe);
       evacuated += on_vm;
       migrations.push_back(
           {pe, static_cast<double>(on_vm) / static_cast<double>(total)});
@@ -475,7 +475,7 @@ void HeuristicScheduler::drainPreemptionNotices(
   if (doomed.empty()) return;
 
   for (const VmId id : doomed) {
-    VmInstance& vm = cloud.instance(id);
+    const VmInstance& vm = cloud.instance(id);
     // Graceful drain: each hosted PE's share of buffered messages
     // migrates over the network instead of dying with the reclaim. The
     // voluntary release forfeits the partial-hour billing break a
@@ -492,7 +492,7 @@ void HeuristicScheduler::drainPreemptionNotices(
     for (const PeId pe : owners) {
       const int on_vm = vm.coresOwnedBy(pe);
       const int total = totalCores(*env_.cloud, pe);
-      vm.releaseAllCoresOf(pe);
+      cloud.releaseAllCoresOf(id, pe);
       migrations.push_back(
           {pe, static_cast<double>(on_vm) / static_cast<double>(total)});
     }

@@ -54,9 +54,9 @@ std::vector<MigrationEvent> ReactiveAutoscaler::adapt(
       // Pressure: one more core, wherever it fits (acquire when needed).
       idle_streak_[pe.value()] = 0;
       for (const VmId id : env_.cloud->activeVms()) {
-        VmInstance& vm = env_.cloud->instance(id);
+        const VmInstance& vm = env_.cloud->instance(id);
         if (vm.freeCoreCount() > 0) {
-          vm.allocateCore(pe);
+          env_.cloud->allocateCore(id, pe);
           ++cores_grown;
           if (env_.tracer.enabled()) {
             env_.tracer.emit(obs::CoreAllocEvent{
@@ -71,7 +71,7 @@ std::vector<MigrationEvent> ReactiveAutoscaler::adapt(
       if (const auto got = env_.cloud->tryAcquire(
               env_.cloud->catalog().largest(), state.now);
           got.ok()) {
-        env_.cloud->instance(got.vm).allocateCore(pe);
+        env_.cloud->allocateCore(got.vm, pe);
         ++cores_grown;
         if (env_.tracer.enabled()) {
           env_.tracer.emit(obs::CoreAllocEvent{
@@ -93,7 +93,7 @@ std::vector<MigrationEvent> ReactiveAutoscaler::adapt(
             victim = &vc;
           }
         }
-        env_.cloud->instance(victim->vm).releaseCoreOf(pe);
+        env_.cloud->releaseCoreOf(victim->vm, pe);
         ++cores_shrunk;
         if (env_.tracer.enabled()) {
           env_.tracer.emit(obs::CoreAllocEvent{

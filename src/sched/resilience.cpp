@@ -13,9 +13,11 @@ std::vector<VmId> StragglerGuard::probe(SimTime t) {
   std::vector<VmId> newly_quarantined;
   if (!options_.quarantineEnabled()) return newly_quarantined;
 
-  for (const VmId vm : cloud_->activeVms()) {
+  for (const VmInstance& inst : cloud_->instances()) {
+    if (!inst.isActive()) continue;
+    const VmId vm = inst.id();
     if (blacklist_.contains(vm)) continue;
-    if (!cloud_->instance(vm).isReady(t)) continue;
+    if (!inst.isReady(t)) continue;
     const double rated = monitor_->ratedCorePower(vm);
     if (rated <= 0.0) continue;
     const double ratio = monitor_->observedCorePower(vm, t) / rated;

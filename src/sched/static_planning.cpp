@@ -240,9 +240,9 @@ void materialize(CloudProvider& cloud, const std::vector<int>& vm_counts,
     for (std::size_t c = 0; c < n_classes; ++c) {
       int remaining = assignment[pe][c];
       for (const VmId vm_id : vms_by_class[c]) {
-        VmInstance& vm = cloud.instance(vm_id);
+        const VmInstance& vm = cloud.instance(vm_id);
         while (remaining > 0 && vm.freeCoreCount() > 0) {
-          vm.allocateCore(PeId(static_cast<PeId::value_type>(pe)));
+          cloud.allocateCore(vm_id, PeId(static_cast<PeId::value_type>(pe)));
           --remaining;
         }
         if (remaining == 0) break;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "dds/faults/fault_plan.hpp"
+
 namespace dds {
 namespace {
 
@@ -42,9 +44,9 @@ TEST(CloudProvider, ActiveVmsExcludesReleased) {
 TEST(CloudProvider, ReleaseWithAllocatedCoresThrows) {
   auto cloud = makeCloud();
   const VmId id = cloud.acquire(ResourceClassId(0), 0.0);
-  cloud.instance(id).allocateCore(PeId(1));
+  cloud.allocateCore(id, PeId(1));
   EXPECT_THROW(cloud.release(id, 10.0), PreconditionError);
-  cloud.instance(id).releaseAllCoresOf(PeId(1));
+  cloud.releaseAllCoresOf(id, PeId(1));
   EXPECT_NO_THROW(cloud.release(id, 10.0));
 }
 
@@ -262,7 +264,7 @@ TEST(SpotBilling, CrashStillBillsTheStartedHour) {
 TEST(SpotBilling, PreemptionKillsTheVmUnderItsTenants) {
   auto cloud = makeSpotCloud();
   const VmId id = cloud.acquire(cloud.catalog().byName("m1.large-spot"), 0.0);
-  cloud.instance(id).allocateCore(PeId(3));
+  cloud.allocateCore(id, PeId(3));
   // Provider-initiated reclamation does not wait for core releases.
   EXPECT_NO_THROW(cloud.preempt(id, 100.0));
   EXPECT_FALSE(cloud.instance(id).isActive());
@@ -326,6 +328,89 @@ TEST(TryAcquire, PlainAcquireIsUnaffectedByTheFaultModel) {
   const VmId id = cloud.acquire(ResourceClassId(0), 50.0);
   EXPECT_TRUE(cloud.instance(id).isReady(50.0));
   EXPECT_EQ(cloud.rejectedAcquisitions(), 0u);
+}
+
+// --- the allocation-ledger generation moves exactly on ledger changes ---
+
+TEST(CloudLedger, ReadsDoNotMoveTheGeneration) {
+  auto cloud = makeSpotCloud();  // non-const: reads must still not bump
+  const ScriptedPreemptions model(1000.0, 120.0);
+  cloud.setPreemptionModel(&model);
+  const VmId a = cloud.acquire(cloud.catalog().byName("m1.large"), 0.0);
+  const VmId b = cloud.acquire(cloud.catalog().byName("m1.small-spot"), 0.0);
+  cloud.allocateCore(a, PeId(0));
+  cloud.allocateCore(b, PeId(1));
+  const std::uint64_t gen = cloud.ledgerGeneration();
+
+  const VmInstance& vm = cloud.instance(a);
+  (void)vm.coreOwner(0);
+  (void)vm.coresOwnedBy(PeId(0));
+  (void)vm.freeCoreCount();
+  (void)vm.allocatedCoreCount();
+  (void)vm.isActive();
+  (void)vm.isReady(10.0);
+  (void)cloud.instance(b).spec();
+  (void)cloud.catalog();
+  (void)cloud.instanceCount();
+  (void)cloud.activeVms();
+  (void)cloud.instances();
+  (void)cloud.instanceCost(a, 10.0);
+  (void)cloud.accumulatedCost(10.0);
+  (void)cloud.billedHours(b, 10.0);
+  (void)cloud.timeToNextHourBoundary(a, 10.0);
+  (void)cloud.preemptionTimeOf(b);
+  (void)cloud.preemptionImminent(b, 900.0);
+  (void)cloud.noticeWindow();
+  (void)cloud.rejectedAcquisitions();
+  EXPECT_EQ(cloud.ledgerGeneration(), gen);
+}
+
+TEST(CloudLedger, EveryMutationMovesTheGeneration) {
+  auto cloud = makeCloud();
+  std::uint64_t gen = cloud.ledgerGeneration();
+  const auto moved = [&cloud, &gen] {
+    const bool changed = cloud.ledgerGeneration() != gen;
+    gen = cloud.ledgerGeneration();
+    return changed;
+  };
+
+  const VmId vm = cloud.acquire(ResourceClassId(2), 0.0);  // 2 cores
+  EXPECT_TRUE(moved());
+  cloud.allocateCore(vm, PeId(0));
+  EXPECT_TRUE(moved());
+  cloud.allocateCore(vm, PeId(0));
+  EXPECT_TRUE(moved());
+  cloud.releaseCoreOf(vm, PeId(0));
+  EXPECT_TRUE(moved());
+  EXPECT_EQ(cloud.releaseAllCoresOf(vm, PeId(1)), 0);  // frees nothing
+  EXPECT_FALSE(moved());
+  EXPECT_EQ(cloud.releaseAllCoresOf(vm, PeId(0)), 1);
+  EXPECT_TRUE(moved());
+  cloud.release(vm, 10.0);
+  EXPECT_TRUE(moved());
+
+  const ScriptedAcquisitionFaults faults(/*reject_below=*/1, 0.0);
+  cloud.setAcquisitionFaults(&faults);
+  EXPECT_FALSE(cloud.tryAcquire(ResourceClassId(0), 20.0).ok());
+  EXPECT_FALSE(moved());
+  const auto got = cloud.tryAcquire(ResourceClassId(0), 20.0);
+  ASSERT_TRUE(got.ok());
+  EXPECT_TRUE(moved());
+  cloud.preempt(got.vm, 30.0);
+  EXPECT_TRUE(moved());
+
+  FaultPlanConfig cfg;
+  cfg.vm_mtbf_hours = 1.0;
+  const FaultPlan plan(cfg);
+  const VmId doomed = cloud.acquire(ResourceClassId(0), 40.0);
+  cloud.allocateCore(doomed, PeId(2));
+  (void)moved();
+  const SimTime death = plan.deathTime(doomed, 40.0);
+  EXPECT_TRUE(plan.injectUpTo(cloud, death - 1.0).empty());
+  EXPECT_FALSE(moved());
+  ASSERT_EQ(plan.injectUpTo(cloud, death).size(), 1u);
+  EXPECT_TRUE(moved());
+  EXPECT_FALSE(cloud.instance(doomed).isActive());
 }
 
 }  // namespace

@@ -29,7 +29,7 @@ struct Fixture {
   void giveSmallCores(PeId pe, int n) {
     for (int i = 0; i < n; ++i) {
       const VmId vm = cloud.acquire(ResourceClassId(0), 0.0);
-      cloud.instance(vm).allocateCore(pe);
+      cloud.allocateCore(vm, pe);
     }
   }
 };
@@ -290,13 +290,13 @@ TEST(EventSim, RemoteEdgesAddTransferDelay) {
     MonitoringService mon(cloud, replayer);
     if (colocate) {
       const VmId vm = cloud.acquire(ResourceClassId(3), 0.0);
-      cloud.instance(vm).allocateCore(PeId(0));
-      cloud.instance(vm).allocateCore(PeId(1));
+      cloud.allocateCore(vm, PeId(0));
+      cloud.allocateCore(vm, PeId(1));
     } else {
       const VmId a = cloud.acquire(ResourceClassId(1), 0.0);
       const VmId b = cloud.acquire(ResourceClassId(1), 0.0);
-      cloud.instance(a).allocateCore(PeId(0));
-      cloud.instance(b).allocateCore(PeId(1));
+      cloud.allocateCore(a, PeId(0));
+      cloud.allocateCore(b, PeId(1));
     }
     EventSimConfig cfg;
     cfg.poisson_arrivals = false;

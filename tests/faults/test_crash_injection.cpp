@@ -87,12 +87,12 @@ TEST(FailureInjector, InjectCrashesDueVmsAndReportsLosses) {
   const FaultPlan inj(cfg);
   CloudProvider cloud(awsCatalog2013());
   const VmId vm = cloud.acquire(ResourceClassId(3), 0.0);  // 4 cores
-  cloud.instance(vm).allocateCore(PeId(0));
-  cloud.instance(vm).allocateCore(PeId(0));
-  cloud.instance(vm).allocateCore(PeId(1));
+  cloud.allocateCore(vm, PeId(0));
+  cloud.allocateCore(vm, PeId(0));
+  cloud.allocateCore(vm, PeId(1));
   // Give PE 0 a survivor core elsewhere.
   const VmId other = cloud.acquire(ResourceClassId(0), 0.0);
-  cloud.instance(other).allocateCore(PeId(0));
+  cloud.allocateCore(other, PeId(0));
 
   const SimTime death = inj.deathTime(vm, 0.0);
   const auto events = inj.injectUpTo(cloud, death + 1.0);

@@ -278,8 +278,8 @@ TEST(FaultPlanPreemption, InjectReportsBacklogLossAndFreesCores) {
   CloudProvider cloud(withSpotTier(awsCatalog2013(), 0.7));
   const VmId spot =
       cloud.acquire(cloud.catalog().byName("m1.large-spot"), 0.0);
-  cloud.instance(spot).allocateCore(PeId(2));
-  cloud.instance(spot).allocateCore(PeId(2));
+  cloud.allocateCore(spot, PeId(2));
+  cloud.allocateCore(spot, PeId(2));
   const auto events =
       plan.injectPreemptionsUpTo(cloud, 1000.0 * kSecondsPerHour);
   ASSERT_EQ(events.size(), 1u);

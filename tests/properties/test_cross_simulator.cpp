@@ -32,8 +32,7 @@ TEST_P(CrossSimTest, FixedDeploymentThroughputAgrees) {
     for (std::size_t i = 0; i < df.peCount(); ++i) {
       for (int k = 0; k < cores[i]; ++k) {
         const VmId vm = cloud.acquire(ResourceClassId(0), 0.0);
-        cloud.instance(vm).allocateCore(
-            PeId(static_cast<PeId::value_type>(i)));
+        cloud.allocateCore(vm, PeId(static_cast<PeId::value_type>(i)));
       }
     }
   };

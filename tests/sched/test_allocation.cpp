@@ -118,8 +118,8 @@ TEST(Allocator, EnsureMinimumCoresIsIdempotent) {
 TEST(Allocator, AllocatedPowerByPe) {
   Fixture f(makePaperDataflow());
   const VmId xl = f.cloud.acquire(ResourceClassId(3), 0.0);
-  f.cloud.instance(xl).allocateCore(PeId(1));
-  f.cloud.instance(xl).allocateCore(PeId(1));
+  f.cloud.allocateCore(xl, PeId(1));
+  f.cloud.allocateCore(xl, PeId(1));
   ResourceAllocator alloc(f.df, f.cloud, 0.7);
   const auto pw = alloc.allocatedPower(f.rated());
   EXPECT_DOUBLE_EQ(pw[1], 4.0);
@@ -262,8 +262,8 @@ TEST(Allocator, RepackFreeVmsConsolidatesSparseVms) {
   // Two xlarges each one core used: repacking should empty one of them.
   const VmId a = f.cloud.acquire(ResourceClassId(3), 0.0);
   const VmId b = f.cloud.acquire(ResourceClassId(3), 0.0);
-  f.cloud.instance(a).allocateCore(PeId(0));
-  f.cloud.instance(b).allocateCore(PeId(1));
+  f.cloud.allocateCore(a, PeId(0));
+  f.cloud.allocateCore(b, PeId(1));
   ResourceAllocator alloc(f.df, f.cloud, 0.7);
   alloc.repackFreeVms(f.rated());
   const int empties =
@@ -286,8 +286,8 @@ TEST(Allocator, RepackFreeVmsNeverMovesToSlowerCores) {
   // One core used on the fast VM, plenty free on the slow VM.
   const VmId fast = cloud.acquire(ResourceClassId(1), 0.0);
   const VmId slow = cloud.acquire(ResourceClassId(0), 0.0);
-  cloud.instance(fast).allocateCore(PeId(0));
-  cloud.instance(slow).allocateCore(PeId(1));
+  cloud.allocateCore(fast, PeId(0));
+  cloud.allocateCore(slow, PeId(1));
   ResourceAllocator alloc(df, cloud, 0.7);
   alloc.repackFreeVms(ratedCorePowerFn(cloud));
   // The fast VM's core must not migrate onto slower cores (capacity drop);
@@ -301,7 +301,7 @@ TEST(Allocator, RepackPesMovesSoleTenantToCheaperClass) {
   Fixture f(makePaperDataflow());
   // PE 0 needs 0.8 power at 0.4 msg/s but sits alone on an xlarge.
   const VmId xl = f.cloud.acquire(ResourceClassId(3), 0.0);
-  f.cloud.instance(xl).allocateCore(PeId(0));
+  f.cloud.allocateCore(xl, PeId(0));
   Deployment dep(f.df);
   ResourceAllocator alloc(f.df, f.cloud, 0.7);
   alloc.repackPes(dep, 0.4, f.rated(), 0.0);
@@ -316,8 +316,8 @@ TEST(Allocator, RepackPesMovesSoleTenantToCheaperClass) {
 TEST(Allocator, RepackPesLeavesSharedVmsAlone) {
   Fixture f(makePaperDataflow());
   const VmId xl = f.cloud.acquire(ResourceClassId(3), 0.0);
-  f.cloud.instance(xl).allocateCore(PeId(0));
-  f.cloud.instance(xl).allocateCore(PeId(1));
+  f.cloud.allocateCore(xl, PeId(0));
+  f.cloud.allocateCore(xl, PeId(1));
   Deployment dep(f.df);
   ResourceAllocator alloc(f.df, f.cloud, 0.7);
   alloc.repackPes(dep, 5.0, f.rated(), 0.0);
@@ -331,7 +331,7 @@ TEST(Allocator, ReleaseEmptyVmsImmediate) {
   Fixture f(makePaperDataflow());
   const VmId a = f.cloud.acquire(ResourceClassId(0), 0.0);
   const VmId b = f.cloud.acquire(ResourceClassId(0), 0.0);
-  f.cloud.instance(b).allocateCore(PeId(0));
+  f.cloud.allocateCore(b, PeId(0));
   ResourceAllocator alloc(f.df, f.cloud, 0.7);
   const int released = alloc.releaseEmptyVms(
       ResourceAllocator::ReleasePolicy::Immediate, 120.0, 60.0);

@@ -74,7 +74,7 @@ TEST(ReactiveAutoscaler, ShrinksOnlyAfterCooldown) {
   Deployment dep = sched.deploy(5.0);
   // Give E2 an extra core to shed.
   const VmId vm = f.cloud.acquire(ResourceClassId(0), 0.0);
-  f.cloud.instance(vm).allocateCore(PeId(1));
+  f.cloud.allocateCore(vm, PeId(1));
   const int before = totalAllocatedCores(f.cloud);
 
   IntervalMetrics idle;

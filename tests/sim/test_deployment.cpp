@@ -46,10 +46,10 @@ TEST(DeploymentViews, PeCoresGroupsByVm) {
   Fixture f;
   const VmId a = f.cloud.acquire(ResourceClassId(3), 0.0);  // 4 cores
   const VmId b = f.cloud.acquire(ResourceClassId(0), 0.0);  // 1 core
-  f.cloud.instance(a).allocateCore(PeId(1));
-  f.cloud.instance(a).allocateCore(PeId(1));
-  f.cloud.instance(b).allocateCore(PeId(1));
-  f.cloud.instance(a).allocateCore(PeId(2));
+  f.cloud.allocateCore(a, PeId(1));
+  f.cloud.allocateCore(a, PeId(1));
+  f.cloud.allocateCore(b, PeId(1));
+  f.cloud.allocateCore(a, PeId(2));
 
   const auto cores = peCores(f.cloud, PeId(1));
   ASSERT_EQ(cores.size(), 2u);
@@ -64,9 +64,9 @@ TEST(DeploymentViews, PeCoresGroupsByVm) {
 TEST(DeploymentViews, ReleasedVmsAreInvisible) {
   Fixture f;
   const VmId a = f.cloud.acquire(ResourceClassId(0), 0.0);
-  f.cloud.instance(a).allocateCore(PeId(0));
+  f.cloud.allocateCore(a, PeId(0));
   EXPECT_EQ(totalCores(f.cloud, PeId(0)), 1);
-  f.cloud.instance(a).releaseAllCoresOf(PeId(0));
+  f.cloud.releaseAllCoresOf(a, PeId(0));
   f.cloud.release(a, 10.0);
   EXPECT_EQ(totalCores(f.cloud, PeId(0)), 0);
   EXPECT_TRUE(peCores(f.cloud, PeId(0)).empty());
@@ -76,9 +76,9 @@ TEST(DeploymentViews, RatedPowerSumsCoreSpeeds) {
   Fixture f;
   const VmId xl = f.cloud.acquire(ResourceClassId(3), 0.0);  // speed 2
   const VmId sm = f.cloud.acquire(ResourceClassId(0), 0.0);  // speed 1
-  f.cloud.instance(xl).allocateCore(PeId(0));
-  f.cloud.instance(xl).allocateCore(PeId(0));
-  f.cloud.instance(sm).allocateCore(PeId(0));
+  f.cloud.allocateCore(xl, PeId(0));
+  f.cloud.allocateCore(xl, PeId(0));
+  f.cloud.allocateCore(sm, PeId(0));
   EXPECT_DOUBLE_EQ(ratedPowerOf(f.cloud, PeId(0)), 5.0);
 }
 
@@ -89,7 +89,7 @@ TEST(DeploymentViews, ObservedPowerUsesMonitoring) {
                          {PerfTrace::constant(1.0)}, 0);
   MonitoringService mon(cloud, degraded);
   const VmId xl = cloud.acquire(ResourceClassId(3), 0.0);
-  cloud.instance(xl).allocateCore(PeId(0));
+  cloud.allocateCore(xl, PeId(0));
   EXPECT_DOUBLE_EQ(ratedPowerOf(cloud, PeId(0)), 2.0);
   EXPECT_DOUBLE_EQ(observedPowerOf(cloud, mon, PeId(0), 0.0), 1.0);
 }
@@ -98,9 +98,9 @@ TEST(DeploymentViews, Colocation) {
   Fixture f;
   const VmId a = f.cloud.acquire(ResourceClassId(3), 0.0);
   const VmId b = f.cloud.acquire(ResourceClassId(3), 0.0);
-  f.cloud.instance(a).allocateCore(PeId(0));
-  f.cloud.instance(a).allocateCore(PeId(1));
-  f.cloud.instance(b).allocateCore(PeId(2));
+  f.cloud.allocateCore(a, PeId(0));
+  f.cloud.allocateCore(a, PeId(1));
+  f.cloud.allocateCore(b, PeId(2));
   EXPECT_TRUE(areColocated(f.cloud, PeId(0), PeId(1)));
   EXPECT_FALSE(areColocated(f.cloud, PeId(0), PeId(2)));
 }
@@ -109,11 +109,11 @@ TEST(DeploymentViews, TotalAllocatedCoresCountsActiveVmsOnly) {
   Fixture f;
   const VmId a = f.cloud.acquire(ResourceClassId(3), 0.0);
   const VmId b = f.cloud.acquire(ResourceClassId(0), 0.0);
-  f.cloud.instance(a).allocateCore(PeId(0));
-  f.cloud.instance(a).allocateCore(PeId(1));
-  f.cloud.instance(b).allocateCore(PeId(2));
+  f.cloud.allocateCore(a, PeId(0));
+  f.cloud.allocateCore(a, PeId(1));
+  f.cloud.allocateCore(b, PeId(2));
   EXPECT_EQ(totalAllocatedCores(f.cloud), 3);
-  f.cloud.instance(b).releaseAllCoresOf(PeId(2));
+  f.cloud.releaseAllCoresOf(b, PeId(2));
   f.cloud.release(b, 0.0);
   EXPECT_EQ(totalAllocatedCores(f.cloud), 2);
 }

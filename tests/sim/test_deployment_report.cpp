@@ -21,8 +21,8 @@ TEST(DeploymentReport, EmptyCloudSaysSo) {
 TEST(DeploymentReport, VmLayoutShowsOwnersAndFreeSlots) {
   Fixture f;
   const VmId vm = f.cloud.acquire(ResourceClassId(3), 0.0);  // 4 cores
-  f.cloud.instance(vm).allocateCore(PeId(0));
-  f.cloud.instance(vm).allocateCore(PeId(1));
+  f.cloud.allocateCore(vm, PeId(0));
+  f.cloud.allocateCore(vm, PeId(1));
   const std::string out = renderVmLayout(f.df, f.cloud);
   EXPECT_NE(out.find("m1.xlarge"), std::string::npos);
   EXPECT_NE(out.find("E1"), std::string::npos);
@@ -40,8 +40,8 @@ TEST(DeploymentReport, ReleasedVmsDisappear) {
 TEST(DeploymentReport, PeAllocationsNameActiveAlternate) {
   Fixture f;
   const VmId vm = f.cloud.acquire(ResourceClassId(3), 0.0);
-  f.cloud.instance(vm).allocateCore(PeId(1));
-  f.cloud.instance(vm).allocateCore(PeId(1));
+  f.cloud.allocateCore(vm, PeId(1));
+  f.cloud.allocateCore(vm, PeId(1));
   Deployment dep(f.df);
   dep.setActiveAlternate(PeId(1), AlternateId(1));
   const std::string out = renderPeAllocations(f.df, f.cloud, dep);

@@ -10,9 +10,12 @@
 // into tests/sim/testdata); they pin today's bytes against both kernels.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
+#include <variant>
 
 #include "dds/common/rng.hpp"
 #include "dds/core/engine.hpp"
@@ -200,7 +203,7 @@ struct Fixture {
   void giveSmallCores(PeId pe, int n) {
     for (int i = 0; i < n; ++i) {
       const VmId vm = cloud.acquire(ResourceClassId(0), 0.0);
-      cloud.instance(vm).allocateCore(pe);
+      cloud.allocateCore(vm, pe);
     }
   }
 };
@@ -220,6 +223,70 @@ TEST(FluidKernelRebuilds, CachedRebuildsOnlyOnLedgerChange) {
   (void)sim.step(3, 5.0, dep);
   (void)sim.step(4, 5.0, dep);
   EXPECT_EQ(sim.kernelRebuilds(), 2u);
+}
+
+/// Replays a run's trace into the ledger image the fluid kernel indexes
+/// (the active VMs and each one's cores per PE) and counts the intervals
+/// whose image at the step differs from the previous interval's. Every
+/// runtime ledger mutation is traced: core grants and releases as
+/// CoreAlloc, evacuations as the VmRelease that retires the VM, crashes
+/// and preemptions as VmRelease too. Deploy-time repacks are not, but
+/// they all land before the first step, which always rebuilds; a constant
+/// offset in the image does not change which intervals differ.
+class LedgerImageSink final : public obs::TraceSink {
+ public:
+  void emit(const obs::TraceEvent& event) override {
+    std::visit([this](const auto& e) { on(e); }, event);
+  }
+  [[nodiscard]] int changedIntervals() const { return changed_; }
+
+ private:
+  using Image = std::map<std::uint32_t, std::map<std::uint32_t, std::int64_t>>;
+
+  void on(const obs::VmAcquireEvent& e) { image_[e.vm]; }
+  void on(const obs::VmReleaseEvent& e) { image_.erase(e.vm); }
+  void on(const obs::CoreAllocEvent& e) {
+    auto& cores = image_[e.vm];
+    if ((cores[e.pe] += e.delta) == 0) cores.erase(e.pe);
+  }
+  void on(const obs::IntervalEndEvent& e) {
+    if (e.interval > 0 && image_ != previous_) ++changed_;
+    previous_ = image_;
+  }
+  template <typename Event>
+  void on(const Event&) {}
+
+  Image image_;
+  Image previous_;
+  int changed_ = 0;
+};
+
+TEST(FluidKernelRebuilds, EngineRunRebuildsOnlyOnRealLedgerChanges) {
+  // The kernel rebuilds on the first step and then exactly when the
+  // ledger changed since the last one: read-only lookups by schedulers,
+  // probes and the fault plan must not move the ledger generation.
+  const Dataflow df = makePaperDataflow();
+  ExperimentConfig cfg;
+  cfg.horizon_s = 2.0 * kSecondsPerHour;
+  cfg.workload.mean_rate = 10.0;
+  cfg.workload.profile = ProfileKind::PeriodicWave;
+  cfg.workload.infra_variability = true;
+  cfg.faults.vm_mtbf_hours = 3.0;
+  cfg.seed = 11;
+  for (const SchedulerKind kind :
+       {SchedulerKind::GlobalAdaptive, SchedulerKind::ReactiveBaseline}) {
+    LedgerImageSink sink;
+    const ExperimentResult r = SimulationEngine(df, cfg).run(kind, &sink);
+    const auto rebuilds = std::find_if(
+        r.metrics.begin(), r.metrics.end(), [](const obs::MetricSample& m) {
+          return m.name == "fluid.kernel_rebuilds";
+        });
+    ASSERT_NE(rebuilds, r.metrics.end());
+    EXPECT_GT(r.vm_failures, 0) << schedulerName(kind);
+    EXPECT_GT(sink.changedIntervals(), 0) << schedulerName(kind);
+    EXPECT_EQ(rebuilds->value, 1.0 + sink.changedIntervals())
+        << schedulerName(kind);
+  }
 }
 
 TEST(FluidKernelRebuilds, ReferenceSnapshotsEveryInterval) {

@@ -27,7 +27,7 @@ struct Fixture {
   void giveSmallCores(PeId pe, int n) {
     for (int i = 0; i < n; ++i) {
       const VmId vm = cloud.acquire(ResourceClassId(0), 0.0);
-      cloud.instance(vm).allocateCore(pe);
+      cloud.allocateCore(vm, pe);
     }
   }
 };
@@ -130,8 +130,8 @@ TEST(Simulator, ColocatedEdgeIgnoresBandwidth) {
   MonitoringService mon(cloud, replayer);
   const Dataflow df = makePipeline();
   const VmId vm = cloud.acquire(ResourceClassId(0), 0.0);
-  cloud.instance(vm).allocateCore(PeId(0));
-  cloud.instance(vm).allocateCore(PeId(1));
+  cloud.allocateCore(vm, PeId(0));
+  cloud.allocateCore(vm, PeId(1));
   Deployment dep(df);
   DataflowSimulator sim(df, cloud, mon, {});
   const auto m = sim.step(0, 5.0, dep);
@@ -145,8 +145,8 @@ TEST(Simulator, RemoteEdgeIsBandwidthCapped) {
   const Dataflow df = makePipeline();
   const VmId a = cloud.acquire(ResourceClassId(0), 0.0);
   const VmId b = cloud.acquire(ResourceClassId(0), 0.0);
-  cloud.instance(a).allocateCore(PeId(0));
-  cloud.instance(b).allocateCore(PeId(1));
+  cloud.allocateCore(a, PeId(0));
+  cloud.allocateCore(b, PeId(1));
   Deployment dep(df);
   DataflowSimulator sim(df, cloud, mon, {});
   const auto m = sim.step(0, 5.0, dep);
@@ -264,7 +264,7 @@ TEST(Simulator, FasterCoresProcessProportionallyMore) {
   Fixture f(makePipeline());
   // m1.medium: one speed-2 core -> capacity 20 msg/s at cost 0.1.
   const VmId vm = f.cloud.acquire(ResourceClassId(1), 0.0);
-  f.cloud.instance(vm).allocateCore(PeId(0));
+  f.cloud.allocateCore(vm, PeId(0));
   f.giveSmallCores(PeId(1), 2);
   Deployment dep(f.df);
   DataflowSimulator sim(f.df, f.cloud, f.mon, {});
@@ -282,7 +282,7 @@ TEST(Simulator, DegradedCpuReducesCapacity) {
   const Dataflow df = makePipeline();
   for (std::uint32_t pe = 0; pe < 2; ++pe) {
     const VmId vm = cloud.acquire(ResourceClassId(0), 0.0);
-    cloud.instance(vm).allocateCore(PeId(pe));
+    cloud.allocateCore(vm, PeId(pe));
   }
   Deployment dep(df);
   DataflowSimulator sim(df, cloud, mon, {});
