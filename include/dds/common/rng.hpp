@@ -1,8 +1,10 @@
 // Deterministic random number generation.
 //
-// Every stochastic component (trace generator, random-walk rate profile,
-// replay-window assignment) draws from an Rng seeded from the experiment
-// config, so whole simulation runs are reproducible bit-for-bit.
+// Every stochastic component either draws from an Rng seeded from the
+// experiment config (trace generator, random-walk rate profile) or hashes
+// (seed, entity) keys with splitmix64 (fault plan, rack placement,
+// replay-window assignment), so whole simulation runs are reproducible
+// bit-for-bit.
 #pragma once
 
 #include <cstdint>
@@ -60,9 +62,10 @@ class Rng {
   std::mt19937_64 engine_;
 };
 
-/// SplitMix64 finalizer — a well-mixed stateless hash. Fault models use it
-/// to derive independent uniform draws from (seed, entity, index) keys so
-/// results are pure functions of their inputs, independent of query order.
+/// SplitMix64 finalizer — a well-mixed stateless hash. Fault models, rack
+/// placement and trace replay use it to derive independent uniform draws
+/// from (seed, entity, index) keys so results are pure functions of their
+/// inputs.
 [[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;

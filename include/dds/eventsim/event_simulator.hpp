@@ -208,8 +208,7 @@ class EventSimulator {
   /// Memoized observedBandwidthSample for one (producer VM, candidate VM)
   /// pair. Route refreshes fold hundreds of pair coefficients; caching
   /// each pair inside its own zero-order-hold window turns those folds
-  /// into array reads. A pair's first-ever touch is always a miss, so the
-  /// replayer sees first queries in the reference engine's exact order.
+  /// into array reads.
   struct PairSample {
     double value = 0.0;
     SimTime valid_until = -1.0;

@@ -36,7 +36,8 @@ class MonitoringService {
   /// finite so downstream arithmetic (differences, sums) stays NaN-free.
   static constexpr double kPartitionLatencyMs = 1.0e9;
 
-  MonitoringService(const CloudProvider& cloud, TraceReplayer& replayer,
+  MonitoringService(const CloudProvider& cloud,
+                    const TraceReplayer& replayer,
                     const PlacementModel* placement = nullptr,
                     const PerfFaultModel* faults = nullptr)
       : cloud_(&cloud),
@@ -58,7 +59,7 @@ class MonitoringService {
     const double fault = faults_ != nullptr
                              ? faults_->cpuFactor(vm, inst.startTime(), t)
                              : 1.0;
-    return ratedCorePower(vm) * replayer_->cpuCoeff(vm, t) * fault;
+    return ratedCorePower(vm) * replayer_->cpuCoeffSample(vm, t).value * fault;
   }
 
   /// Whether the link between `a` and `b` is currently partitioned
@@ -84,8 +85,8 @@ class MonitoringService {
     if (linkPartitioned(a, b, t)) return 0.0;
     const double spatial =
         placement_ != nullptr ? placement_->bandwidthFactor(a, b) : 1.0;
-    return ratedBandwidthMbps(a, b) * replayer_->bandwidthCoeff(a, b, t) *
-           spatial;
+    return ratedBandwidthMbps(a, b) *
+           replayer_->bandwidthCoeffSample(a, b, t).value * spatial;
   }
 
   /// Observed one-way latency in milliseconds (lambda_ij(t)); zero when
@@ -95,13 +96,14 @@ class MonitoringService {
     if (linkPartitioned(a, b, t)) return kPartitionLatencyMs;
     const double spatial =
         placement_ != nullptr ? placement_->latencyFactor(a, b) : 1.0;
-    return kBaseLatencyMs * replayer_->latencyCoeff(a, b, t) * spatial;
+    return kBaseLatencyMs * replayer_->latencyCoeffSample(a, b, t).value *
+           spatial;
   }
 
-  /// Sample variants of the observed* queries: same value (and same lazy
-  /// trace-assignment RNG consumption) plus the time until which the
-  /// value is guaranteed not to change — callers may cache it for any
-  /// t' in [t, valid_until) and stay bit-identical to per-query replay.
+  /// Sample variants of the observed* queries: same value plus the time
+  /// until which the value is guaranteed not to change — callers may
+  /// cache it for any t' in [t, valid_until) and stay bit-identical to
+  /// per-query replay.
   /// With a fault model installed the windows collapse to the query time
   /// (valid_until == t): fault episodes have no boundary query, so the
   /// only exact window is the empty one and callers recompute per query.
@@ -142,7 +144,7 @@ class MonitoringService {
 
  private:
   const CloudProvider* cloud_;
-  TraceReplayer* replayer_;
+  const TraceReplayer* replayer_;
   const PlacementModel* placement_ = nullptr;
   const PerfFaultModel* faults_ = nullptr;
 };

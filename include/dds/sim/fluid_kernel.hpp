@@ -9,21 +9,13 @@
 // bandwidth) persist across rebuilds, each value tagged with the validity
 // window its Sample query reported.
 //
-// Bit-identity with the reference kernel rests on two invariants:
-//  1. Window exactness — a cached sample equals a fresh query for any
-//     time inside its validity window (MonitoringService contract), so
-//     skipping the re-query cannot change a value.
-//  2. First-touch order — the trace replayer draws a VM's (pair's) trace
-//     assignment on its first-ever query, so the kernel must issue
-//     first-ever queries in exactly the reference walk order. It does:
-//     stale slots are refreshed at the same walk positions the reference
-//     kernel queries them (capacity phase for core power, the
-//     flow-gated edge walk for bandwidth — including the prefix pairs
-//     the reference queries and then discards on colocation), and a
-//     cached aggregate is only ever skipped after a previous full walk
-//     already touched every constituent slot, making later re-queries
-//     pure. Every reduction accumulates in the reference kernel's
-//     canonical sequence, so sums are bit-identical, not just close.
+// Bit-identity with the reference kernel rests on window exactness: a
+// cached sample equals a fresh query for any time inside its validity
+// window (MonitoringService contract), so skipping the re-query cannot
+// change a value. Trace assignment is a pure function of the VM (pair),
+// so neither the order of queries nor the reference walk's discarded
+// queries matter. Every reduction accumulates in the reference kernel's
+// canonical sequence, so sums are bit-identical, not just close.
 #pragma once
 
 #include <cstdint>
@@ -65,8 +57,8 @@ class FluidKernel {
   [[nodiscard]] std::uint64_t rebuilds() const { return rebuilds_; }
 
  private:
-  /// One cached monitoring sample; the sentinel window makes the first
-  /// touch always stale.
+  /// One cached monitoring sample; the sentinel window makes a fresh slot
+  /// stale.
   struct Slot {
     double value = 0.0;
     SimTime valid_until = -std::numeric_limits<SimTime>::infinity();
@@ -105,20 +97,17 @@ class FluidKernel {
   int total_cores_ = 0;
 
   // Per-edge bandwidth-cap entries (one per u-side VmCores of a runnable
-  // edge), in the exact reference walk order. An entry's pair range holds
-  // the v-side pairs the reference kernel queries for it: every v VM for
-  // a remote entry, the prefix before the colocation break otherwise.
+  // edge), in the reference walk order. A remote entry's pair range holds
+  // one slot per v-side VM; a colocated entry's range is empty.
   std::vector<std::uint32_t> entry_offset_;  ///< edge -> entries, E+1.
   std::vector<std::uint32_t> entry_vm_;
   std::vector<double> entry_cores_;
-  std::vector<std::uint8_t> entry_colocated_;
   std::vector<std::uint32_t> pair_offset_;  ///< entry -> pair slots.
   std::vector<std::uint32_t> pair_slots_;
   std::vector<std::uint8_t> edge_runnable_;  ///< both endpoints placed.
 
   // Aggregates, each tagged with the min validity window of the slots it
-  // was reduced from (colocated-prefix pairs excluded: their values are
-  // discarded, they only pin RNG order).
+  // was reduced from.
   std::vector<double> pe_power_;
   std::vector<SimTime> pe_power_valid_;
   std::vector<double> edge_coloc_power_;

@@ -27,10 +27,10 @@
 //    snapshotted every interval and pi/beta lookups are memoized per
 //    interval. It is the bit-identity oracle for the cached kernel
 //    (golden fixtures + fuzzing gate the pair).
-// Both kernels accumulate every reduction in the same canonical sequence
-// and issue first-ever monitoring queries in the same global order — the
-// trace replayer draws per-VM trace assignments on first query, so query
-// order is part of the observable result.
+// Both kernels accumulate every reduction in the same canonical sequence.
+// Monitoring queries are pure (trace assignment is a function of the VM or
+// pair, not of query history), so the kernels may query in any order and
+// as often as they like.
 #pragma once
 
 #include <cstdint>

@@ -6,18 +6,18 @@
 // instantaneous runtime performance."
 //
 // The replayer owns pools of CPU / latency / bandwidth coefficient traces
-// and deterministically assigns each VM (or VM pair) a trace plus a random
-// replay offset the first time it is queried. Multiplying by rated specs
-// is the MonitoringService's job.
+// and assigns each VM (or unordered VM pair) a trace plus a replay offset
+// as a pure function of (seed, coefficient family, VM | pair) — stateless
+// splitmix64 hashing, as FaultPlan derives its events — so a coefficient
+// never depends on which other VMs or pairs were queried before it.
+// Multiplying by rated specs is the MonitoringService's job.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "dds/common/ids.hpp"
-#include "dds/common/rng.hpp"
 #include "dds/common/time.hpp"
 #include "dds/trace/perf_trace.hpp"
 #include "dds/trace/trace_gen.hpp"
@@ -34,15 +34,14 @@ struct CoeffSample {
 /// The immutable trace arena a replayer reads from. Generating these
 /// pools dominates replayer construction cost, so a campaign substrate
 /// builds one arena per generation seed and shares it read-only across
-/// every job with that seed; per-job mutability (the assignment RNG and
-/// cursor maps) lives in TraceReplayer itself.
+/// every job with that seed.
 struct TracePools {
   std::vector<PerfTrace> cpu;
   std::vector<PerfTrace> latency;
   std::vector<PerfTrace> bandwidth;
 };
 
-/// Deterministic per-VM and per-VM-pair coefficient source.
+/// Deterministic, immutable per-VM and per-VM-pair coefficient source.
 class TraceReplayer {
  public:
   TraceReplayer(std::vector<PerfTrace> cpu_pool,
@@ -62,55 +61,46 @@ class TraceReplayer {
 
   /// The pool set futureGridLike(seed, ...) would generate, as a shared
   /// immutable arena. overPools(makeFutureGridPools(seed), seed) is
-  /// bit-identical to futureGridLike(seed) — same traces, same assignment
-  /// RNG stream — without regenerating the pools per job.
+  /// bit-identical to futureGridLike(seed) without regenerating the pools
+  /// per job.
   static std::shared_ptr<const TracePools> makeFutureGridPools(
       std::uint64_t seed,
       SimTime duration_s = 4.0 * 24.0 * kSecondsPerHour,
       SimTime sample_period_s = 300.0, std::size_t pool_size = 8);
 
-  /// A replayer reading a shared arena with fresh per-job cursor state.
-  /// `run_seed` is the experiment seed; the assignment-stream derivation
-  /// matches futureGridLike so replay is bit-identical either way.
+  /// A replayer reading a shared arena. `run_seed` is the experiment
+  /// seed; the assignment-seed derivation matches futureGridLike.
   static TraceReplayer overPools(std::shared_ptr<const TracePools> pools,
                                  std::uint64_t run_seed);
 
-  /// Observed-to-rated CPU speed coefficient for one VM at time `t`.
-  [[nodiscard]] double cpuCoeff(VmId vm, SimTime t);
+  /// Observed-to-rated CPU speed coefficient for one VM at time `t`, plus
+  /// its zero-order-hold validity window: callers may cache the value for
+  /// any t' in [t, valid_until).
+  [[nodiscard]] CoeffSample cpuCoeffSample(VmId vm, SimTime t) const;
 
-  /// Observed-to-nominal latency coefficient between two distinct VMs.
-  [[nodiscard]] double latencyCoeff(VmId a, VmId b, SimTime t);
+  /// Observed-to-nominal latency coefficient between two distinct VMs
+  /// (symmetric in a, b).
+  [[nodiscard]] CoeffSample latencyCoeffSample(VmId a, VmId b,
+                                               SimTime t) const;
 
-  /// Observed-to-rated bandwidth coefficient between two distinct VMs.
-  [[nodiscard]] double bandwidthCoeff(VmId a, VmId b, SimTime t);
-
-  /// Sample variants: same value and same (lazy, RNG-consuming) trace
-  /// assignment as the plain queries, plus the zero-order-hold validity
-  /// window — callers may cache the value for any t' in [t, valid_until)
-  /// without drifting from a per-query replay.
-  [[nodiscard]] CoeffSample cpuCoeffSample(VmId vm, SimTime t);
-  [[nodiscard]] CoeffSample latencyCoeffSample(VmId a, VmId b, SimTime t);
-  [[nodiscard]] CoeffSample bandwidthCoeffSample(VmId a, VmId b, SimTime t);
+  /// Observed-to-rated bandwidth coefficient between two distinct VMs
+  /// (symmetric in a, b).
+  [[nodiscard]] CoeffSample bandwidthCoeffSample(VmId a, VmId b,
+                                                 SimTime t) const;
 
  private:
-  struct Assignment {
-    std::size_t trace_index;
-    SimTime offset;
-  };
-
   TraceReplayer(std::shared_ptr<const TracePools> pools,
                 std::uint64_t assignment_seed);
 
-  Assignment assign(const std::vector<PerfTrace>& pool);
+  /// The sample of `key`'s assigned trace in `pool` at time `t`.
+  [[nodiscard]] CoeffSample sample(const std::vector<PerfTrace>& pool,
+                                   std::uint64_t family, std::uint64_t key,
+                                   SimTime t) const;
   static std::uint64_t pairKey(VmId a, VmId b);
 
-  // Shared immutable arena; may be referenced by sibling jobs. All
-  // mutable state below is per-instance.
+  // Shared immutable arena; may be referenced by sibling jobs.
   std::shared_ptr<const TracePools> pools_;
-  Rng rng_;
-  std::unordered_map<VmId, Assignment> cpu_assignments_;
-  std::unordered_map<std::uint64_t, Assignment> latency_assignments_;
-  std::unordered_map<std::uint64_t, Assignment> bandwidth_assignments_;
+  std::uint64_t seed_;
 };
 
 }  // namespace dds

@@ -1,16 +1,8 @@
 #include "dds/cloud/placement_model.hpp"
 
+#include "dds/common/rng.hpp"
+
 namespace dds {
-namespace {
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 PlacementModel::PlacementModel(PlacementConfig config, std::uint64_t seed)
     : config_(config), seed_(seed) {

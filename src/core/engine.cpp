@@ -246,10 +246,9 @@ ExperimentResult SimulationEngine::run(SchedulerKind kind,
                                              config_.elasticity.spot_discount)
                               : catalogByName(config_.catalog)));
   cloud.setTracer(tracer);
-  // Shared trace-pool arenas skip regeneration but keep the per-run
-  // assignment RNG stream: overPools(pools(seed), seed) replays exactly
-  // what futureGridLike(seed) would.
-  TraceReplayer replayer =
+  // Shared trace-pool arenas skip regeneration: overPools(pools(seed),
+  // seed) replays exactly what futureGridLike(seed) would.
+  const TraceReplayer replayer =
       config_.workload.infra_variability
           ? (arenas_.trace_pools != nullptr
                  ? TraceReplayer::overPools(arenas_.trace_pools,

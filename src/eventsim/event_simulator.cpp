@@ -404,11 +404,10 @@ double EventSimulator::cachedRouteDelay(VmId from_vm, PeId succ,
   const std::uint64_t gen = cloud_->ledgerGeneration();
   if (e.ledger_gen == gen && now < e.valid_until) return e.delay;
 
-  // Recompute with the reference's exact scan order and queries (the
-  // first query of a VM pair assigns its replay window, consuming the
-  // replayer RNG — order must match). Fold the zero-order-hold window of
-  // every coefficient consulted; a colocated or network-free route
-  // depends only on core placement, which the generation guard covers.
+  // Recompute with the reference's scan order. Fold the zero-order-hold
+  // window of every coefficient consulted; a colocated or network-free
+  // route depends only on core placement, which the generation guard
+  // covers.
   refreshLedgerViews();  // pe_vms_ may predate the current generation.
   ++result_.counters.route_refreshes;
   const auto inf = std::numeric_limits<SimTime>::infinity();
@@ -426,10 +425,8 @@ double EventSimulator::cachedRouteDelay(VmId from_vm, PeId succ,
       colocated = true;
       break;
     }
-    // Per-pair memo: query the replayer only when the pair's own
-    // zero-order-hold window has lapsed. A pair's first-ever touch is
-    // always a miss, so replay-window assignment order (which consumes
-    // the replayer RNG) matches the reference scan exactly.
+    // Per-pair memo: query the monitor only when the pair's own
+    // zero-order-hold window has lapsed.
     if (vm.value() >= pair_row.size()) pair_row.resize(vm.value() + 1);
     PairSample& p = pair_row[vm.value()];
     if (!(now < p.valid_until)) {

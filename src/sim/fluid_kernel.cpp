@@ -94,7 +94,6 @@ void FluidKernel::rebuild() {
   entry_offset_.assign(1, 0);
   entry_vm_.clear();
   entry_cores_.clear();
-  entry_colocated_.clear();
   pair_offset_.assign(1, 0);
   pair_slots_.clear();
   edge_runnable_.assign(ecount, 0);
@@ -110,15 +109,14 @@ void FluidKernel::rebuild() {
         for (const VmCores& uc : u_cores) {
           entry_vm_.push_back(uc.vm.value());
           entry_cores_.push_back(static_cast<double>(uc.cores));
-          bool colocated = false;
-          for (const VmCores& vc : v_cores) {
-            if (vc.vm == uc.vm) {
-              colocated = true;
-              break;
+          const bool colocated =
+              std::any_of(v_cores.begin(), v_cores.end(),
+                          [&](const VmCores& vc) { return vc.vm == uc.vm; });
+          if (!colocated) {
+            for (const VmCores& vc : v_cores) {
+              pair_slots_.push_back(pairSlot(uc.vm.value(), vc.vm.value()));
             }
-            pair_slots_.push_back(pairSlot(uc.vm.value(), vc.vm.value()));
           }
-          entry_colocated_.push_back(colocated ? 1 : 0);
           pair_offset_.push_back(
               static_cast<std::uint32_t>(pair_slots_.size()));
         }
@@ -166,23 +164,13 @@ void FluidKernel::refreshEdge(std::uint32_t e, std::uint32_t u,
   SimTime valid = pe_power_valid_[u];
   const std::uint32_t k_end = entry_offset_[e + 1];
   for (std::uint32_t k = entry_offset_[e]; k < k_end; ++k) {
+    const std::uint32_t q_begin = pair_offset_[k];
     const std::uint32_t q_end = pair_offset_[k + 1];
-    if (entry_colocated_[k]) {
+    if (q_begin == q_end) {  // colocated: no pairs, in-memory transfer
       coloc += entry_cores_[k] * cpu_coeff_[entry_vm_[k]].value;
-      // The reference kernel queries the pairs before the colocation
-      // break and discards them. A first-ever pair query assigns its
-      // trace (RNG draw), so keep stale ones alive at the same walk
-      // position — but leave them out of the aggregate's window: their
-      // values never enter it.
-      for (std::uint32_t q = pair_offset_[k]; q < q_end; ++q) {
-        const std::uint32_t slot = pair_slots_[q];
-        if (!(t_mid < pair_coeff_[slot].valid_until)) {
-          refreshPair(slot, t_mid);
-        }
-      }
     } else {
       double best_mbps = 0.0;
-      for (std::uint32_t q = pair_offset_[k]; q < q_end; ++q) {
+      for (std::uint32_t q = q_begin; q < q_end; ++q) {
         const std::uint32_t slot = pair_slots_[q];
         if (!(t_mid < pair_coeff_[slot].valid_until)) {
           refreshPair(slot, t_mid);

@@ -2,7 +2,18 @@
 
 #include <algorithm>
 
+#include "dds/common/rng.hpp"
+
 namespace dds {
+namespace {
+
+// Per-family hash tags: a VM's CPU window and a pair's latency and
+// bandwidth windows are independent draws even when the keys coincide.
+constexpr std::uint64_t kCpuTag = 0x63707574726163ull;
+constexpr std::uint64_t kLatencyTag = 0x6c6174656e6379ull;
+constexpr std::uint64_t kBandwidthTag = 0x62616e64776964ull;
+
+}  // namespace
 
 TraceReplayer::TraceReplayer(std::vector<PerfTrace> cpu_pool,
                              std::vector<PerfTrace> latency_pool,
@@ -16,7 +27,7 @@ TraceReplayer::TraceReplayer(std::vector<PerfTrace> cpu_pool,
 
 TraceReplayer::TraceReplayer(std::shared_ptr<const TracePools> pools,
                              std::uint64_t assignment_seed)
-    : pools_(std::move(pools)), rng_(assignment_seed) {
+    : pools_(std::move(pools)), seed_(assignment_seed) {
   DDS_REQUIRE(pools_ != nullptr, "trace pool arena is null");
   DDS_REQUIRE(!pools_->cpu.empty(), "CPU trace pool is empty");
   DDS_REQUIRE(!pools_->latency.empty(), "latency trace pool is empty");
@@ -54,17 +65,9 @@ std::shared_ptr<const TracePools> TraceReplayer::makeFutureGridPools(
 
 TraceReplayer TraceReplayer::overPools(
     std::shared_ptr<const TracePools> pools, std::uint64_t run_seed) {
-  // Same assignment-stream derivation as futureGridLike historically
-  // used, so shared-arena replay stays bit-identical to pool-per-job.
+  // Decorrelate the assignment hashes from the pool-generation stream,
+  // which is seeded with the same run seed.
   return TraceReplayer(std::move(pools), run_seed ^ 0xabcdef1234567890ull);
-}
-
-TraceReplayer::Assignment TraceReplayer::assign(
-    const std::vector<PerfTrace>& pool) {
-  const auto idx = static_cast<std::size_t>(
-      rng_.uniformInt(0, static_cast<std::int64_t>(pool.size()) - 1));
-  const SimTime offset = rng_.uniform(0.0, pool[idx].duration());
-  return {idx, offset};
 }
 
 std::uint64_t TraceReplayer::pairKey(VmId a, VmId b) {
@@ -73,56 +76,32 @@ std::uint64_t TraceReplayer::pairKey(VmId a, VmId b) {
   return (hi << 32) | lo;
 }
 
-double TraceReplayer::cpuCoeff(VmId vm, SimTime t) {
-  auto [it, inserted] = cpu_assignments_.try_emplace(vm);
-  if (inserted) it->second = assign(pools_->cpu);
-  return pools_->cpu[it->second.trace_index].atOffset(it->second.offset, t);
-}
-
-double TraceReplayer::latencyCoeff(VmId a, VmId b, SimTime t) {
-  DDS_REQUIRE(a != b, "latency between a VM and itself is zero by model");
-  auto [it, inserted] = latency_assignments_.try_emplace(pairKey(a, b));
-  if (inserted) it->second = assign(pools_->latency);
-  return pools_->latency[it->second.trace_index].atOffset(it->second.offset, t);
-}
-
-double TraceReplayer::bandwidthCoeff(VmId a, VmId b, SimTime t) {
-  DDS_REQUIRE(a != b, "bandwidth between a VM and itself is infinite");
-  auto [it, inserted] = bandwidth_assignments_.try_emplace(pairKey(a, b));
-  if (inserted) it->second = assign(pools_->bandwidth);
-  return pools_->bandwidth[it->second.trace_index].atOffset(it->second.offset,
-                                                          t);
-}
-
-namespace {
-
-CoeffSample sampleOf(const PerfTrace& trace,
-                     const SimTime offset, const SimTime t) {
+CoeffSample TraceReplayer::sample(const std::vector<PerfTrace>& pool,
+                                  std::uint64_t family, std::uint64_t key,
+                                  SimTime t) const {
+  const std::uint64_t h = splitmix64(seed_ ^ family ^ splitmix64(key));
+  const PerfTrace& trace = pool[h % pool.size()];
+  // hashToUnitInterval is in (0, 1]; an offset of one full duration
+  // wraps to the trace start, like an offset of zero.
+  const SimTime offset =
+      hashToUnitInterval(splitmix64(h)) * trace.duration();
   return {trace.atOffset(offset, t), trace.validUntilAtOffset(offset, t)};
 }
 
-}  // namespace
-
-CoeffSample TraceReplayer::cpuCoeffSample(VmId vm, SimTime t) {
-  auto [it, inserted] = cpu_assignments_.try_emplace(vm);
-  if (inserted) it->second = assign(pools_->cpu);
-  return sampleOf(pools_->cpu[it->second.trace_index], it->second.offset, t);
+CoeffSample TraceReplayer::cpuCoeffSample(VmId vm, SimTime t) const {
+  return sample(pools_->cpu, kCpuTag, vm.value(), t);
 }
 
-CoeffSample TraceReplayer::latencyCoeffSample(VmId a, VmId b, SimTime t) {
+CoeffSample TraceReplayer::latencyCoeffSample(VmId a, VmId b,
+                                              SimTime t) const {
   DDS_REQUIRE(a != b, "latency between a VM and itself is zero by model");
-  auto [it, inserted] = latency_assignments_.try_emplace(pairKey(a, b));
-  if (inserted) it->second = assign(pools_->latency);
-  return sampleOf(pools_->latency[it->second.trace_index], it->second.offset,
-                  t);
+  return sample(pools_->latency, kLatencyTag, pairKey(a, b), t);
 }
 
-CoeffSample TraceReplayer::bandwidthCoeffSample(VmId a, VmId b, SimTime t) {
+CoeffSample TraceReplayer::bandwidthCoeffSample(VmId a, VmId b,
+                                                SimTime t) const {
   DDS_REQUIRE(a != b, "bandwidth between a VM and itself is infinite");
-  auto [it, inserted] = bandwidth_assignments_.try_emplace(pairKey(a, b));
-  if (inserted) it->second = assign(pools_->bandwidth);
-  return sampleOf(pools_->bandwidth[it->second.trace_index],
-                  it->second.offset, t);
+  return sample(pools_->bandwidth, kBandwidthTag, pairKey(a, b), t);
 }
 
 }  // namespace dds

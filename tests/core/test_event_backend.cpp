@@ -1,7 +1,8 @@
 // Engine runs through the discrete-event backend.
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <tuple>
+#include <vector>
 
 #include "dds/config/config_file.hpp"
 #include "dds/core/engine.hpp"
@@ -75,28 +76,28 @@ TEST(EventBackend, RejectsFaultInjection) {
 }
 
 TEST(EventBackend, PowerSmoothingReachesTheScheduler) {
-  // Smoothed probes are taken in the interval loop both backends share:
-  // under trace variability, alpha < 1 must change what the event-backend
-  // scheduler plans against, and with it the run.
+  // Smoothed probes are taken in the interval loop both backends share.
+  // Trace replay does not depend on which monitoring queries ran, so the
+  // smoothed power the scheduler plans against is the only difference
+  // between these runs: alpha < 1 must change its decisions — the active
+  // alternates (Gamma), cores and VMs of some interval.
   const Dataflow df = makePaperDataflow();
   ExperimentConfig cfg = eventConfig();
+  cfg.horizon_s = 30.0 * kSecondsPerMinute;
   cfg.workload.infra_variability = true;
   cfg.workload.mean_rate = 10.0;
-  const auto raw =
-      SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
-  cfg.power_smoothing_alpha = 0.3;
-  const auto smoothed =
-      SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
-  const auto fingerprint = [](const ExperimentResult& r) {
-    std::ostringstream os;
-    os << std::hexfloat << r.theta << ' ' << r.total_cost << ' '
-       << r.latency_mean_s;
+  cfg.seed = 2;
+  const auto decisions = [&](double alpha) {
+    cfg.power_smoothing_alpha = alpha;
+    const auto r = SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+    std::vector<std::tuple<double, int, int>> out;
     for (const auto& m : r.run.intervals()) {
-      os << ' ' << m.omega << ' ' << m.allocated_cores;
+      out.emplace_back(m.gamma, m.allocated_cores, m.active_vms);
     }
-    return os.str();
+    return out;
   };
-  EXPECT_NE(fingerprint(raw), fingerprint(smoothed));
+  EXPECT_EQ(decisions(1.0), decisions(1.0));
+  EXPECT_NE(decisions(1.0), decisions(0.3));
 }
 
 TEST(EventBackend, ConfigFileSelectsBackend) {

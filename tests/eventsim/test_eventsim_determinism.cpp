@@ -6,19 +6,15 @@
 // must match byte-for-byte.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
-#include <vector>
 
-#include "dds/common/hash.hpp"
 #include "dds/core/engine.hpp"
 #include "dds/dataflow/standard_graphs.hpp"
 #include "dds/eventsim/event_heap.hpp"
 #include "dds/eventsim/event_simulator.hpp"
 #include "dds/obs/jsonl_sink.hpp"
 #include "dds/sched/heuristic_scheduler.hpp"
+#include "golden.hpp"
 #include "stepping.hpp"
 
 namespace dds {
@@ -189,47 +185,6 @@ TEST(EventSimIdentity, SameSeedSameEngineIsDeterministic) {
 
 // --- golden engine trace ---------------------------------------------------
 
-std::string fixturePath(const std::string& name) {
-  return std::string(DDS_EVENTSIM_TESTDATA) + "/" + name;
-}
-
-std::string readFixture(const std::string& name) {
-  std::ifstream in(fixturePath(name), std::ios::binary);
-  EXPECT_TRUE(in.good()) << "missing fixture " << fixturePath(name);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-/// Compare against the committed fixture, or rewrite it when the regen
-/// env var is set (then fail, so a regen run is never mistaken for green).
-void expectMatchesFixture(const std::string& actual,
-                          const std::string& name) {
-  if (std::getenv("DDS_REGEN_EVENTSIM_FIXTURE") != nullptr) {
-    std::ofstream out(fixturePath(name), std::ios::binary);
-    out << actual;
-    FAIL() << "regenerated " << name << " — rerun without "
-           << "DDS_REGEN_EVENTSIM_FIXTURE";
-  }
-  EXPECT_EQ(actual, readFixture(name));
-}
-
-/// FNV-1a over the lines of `text` in sorted order: a digest of the
-/// trace's line multiset that is blind to how the lines interleave.
-std::uint64_t sortedLinesDigest(const std::string& text) {
-  std::vector<std::string> lines;
-  std::istringstream in(text);
-  for (std::string line; std::getline(in, line);) lines.push_back(line);
-  std::sort(lines.begin(), lines.end());
-  std::uint64_t h = kFnv1aOffsetBasis;
-  for (const std::string& line : lines) {
-    for (const char c : line + '\n') {
-      h = fnv1aByte(h, static_cast<std::uint8_t>(c));
-    }
-  }
-  return h;
-}
-
 std::string runTracedEventBackend(bool reference_engine) {
   ExperimentConfig cfg;
   cfg.horizon_s = 10.0 * kSecondsPerMinute;
@@ -246,24 +201,16 @@ std::string runTracedEventBackend(bool reference_engine) {
   return out.str();
 }
 
+constexpr const char* kEventSimFixture =
+    "eventsim/testdata/golden_eventsim_trace.jsonl";
+
 TEST(EventSimGolden, CachedEngineTraceByteIdentical) {
-  expectMatchesFixture(runTracedEventBackend(false),
-                       "golden_eventsim_trace.jsonl");
+  expectMatchesGolden(runTracedEventBackend(false), kEventSimFixture);
 }
 
 TEST(EventSimGolden, ReferenceEngineTraceByteIdentical) {
   // Same fixture on purpose: the two engines must emit the same bytes.
-  EXPECT_EQ(runTracedEventBackend(true),
-            readFixture("golden_eventsim_trace.jsonl"));
-}
-
-TEST(EventSimGolden, FixtureKeepsThePostHocLineMultiset) {
-  // The event backend used to rebuild its interval records after the
-  // run, so they trailed every VM record; the shared interval loop emits
-  // them live. The fixture was regenerated for that reordering alone: its
-  // sorted lines still hash to the post-hoc fixture's digest.
-  EXPECT_EQ(sortedLinesDigest(readFixture("golden_eventsim_trace.jsonl")),
-            0xbcae4d2f6227557dull);
+  EXPECT_EQ(runTracedEventBackend(true), readGolden(kEventSimFixture));
 }
 
 // --- latency-sample reservoir ----------------------------------------------

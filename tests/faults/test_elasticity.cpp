@@ -5,13 +5,13 @@
 // trace, and byte-level inertness when every knob is off).
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <sstream>
 
 #include "dds/core/engine.hpp"
 #include "dds/dataflow/standard_graphs.hpp"
 #include "dds/exp/campaign.hpp"
 #include "dds/obs/jsonl_sink.hpp"
+#include "golden.hpp"
 
 namespace dds {
 namespace {
@@ -228,15 +228,6 @@ TEST(ElasticityCampaign, JobsKnobDoesNotPerturbResults) {
 
 // --- golden preemption-heavy trace ---
 
-std::string readFixture(const std::string& name) {
-  const std::string path = std::string(DDS_FAULTS_TESTDATA) + "/" + name;
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "missing fixture " << path;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
 TEST(ElasticityGolden, PreemptionHeavyTraceByteIdentical) {
   const Dataflow df = makePaperDataflow();
   ExperimentConfig cfg = preemptionHeavyConfig();
@@ -252,7 +243,7 @@ TEST(ElasticityGolden, PreemptionHeavyTraceByteIdentical) {
         "migration_begin", "migration_end"}) {
     EXPECT_NE(trace.find(needle), std::string::npos) << needle;
   }
-  EXPECT_EQ(trace, readFixture("golden_preemption_trace.jsonl"));
+  expectMatchesGolden(trace, "faults/testdata/golden_preemption_trace.jsonl");
 }
 
 }  // namespace

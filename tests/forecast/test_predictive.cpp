@@ -5,7 +5,6 @@
 // observability surface.
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <sstream>
 
 #include "dds/core/engine.hpp"
@@ -13,6 +12,7 @@
 #include "dds/obs/jsonl_sink.hpp"
 #include "dds/obs/timeline.hpp"
 #include "dds/obs/trace_reader.hpp"
+#include "golden.hpp"
 
 namespace dds {
 namespace {
@@ -65,15 +65,6 @@ TEST(ForecastOff, TraceBytesUnchangedByTheSubsystem) {
             traceOf(decorated, SchedulerKind::GlobalAdaptive));
 }
 
-std::string readFixture(const std::string& name) {
-  const std::string path = std::string(DDS_FORECAST_TESTDATA) + "/" + name;
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "missing fixture " << path;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
 TEST(ForecastGolden, ForecastOffTraceByteIdentical) {
   // Golden forecast-off fixture: the same elasticity-heavy scenario with
   // the forecast block defaulted must keep producing exactly the bytes
@@ -82,8 +73,8 @@ TEST(ForecastGolden, ForecastOffTraceByteIdentical) {
   ExperimentConfig cfg = predictiveConfig();
   cfg.forecast = ForecastConfig{};
   cfg.horizon_s = 20.0 * kSecondsPerMinute;
-  EXPECT_EQ(traceOf(cfg, SchedulerKind::GlobalAdaptive),
-            readFixture("golden_forecast_off_trace.jsonl"));
+  expectMatchesGolden(traceOf(cfg, SchedulerKind::GlobalAdaptive),
+                      "forecast/testdata/golden_forecast_off_trace.jsonl");
 }
 
 TEST(ForecastGolden, PredictiveTraceByteIdentical) {
@@ -91,8 +82,8 @@ TEST(ForecastGolden, PredictiveTraceByteIdentical) {
   // stream (forecast + preacquire records included) for one seed.
   ExperimentConfig cfg = predictiveConfig();
   cfg.horizon_s = 20.0 * kSecondsPerMinute;
-  EXPECT_EQ(traceOf(cfg, SchedulerKind::GlobalPredictive),
-            readFixture("golden_predictive_trace.jsonl"));
+  expectMatchesGolden(traceOf(cfg, SchedulerKind::GlobalPredictive),
+                      "forecast/testdata/golden_predictive_trace.jsonl");
 }
 
 TEST(ForecastOn, SeedDeterministic) {

@@ -8,7 +8,6 @@
 // for byte against committed fixtures.
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -18,6 +17,7 @@
 #include "dds/obs/jsonl_sink.hpp"
 #include "dds/sched/annealing_planner.hpp"
 #include "dds/sched/brute_force.hpp"
+#include "golden.hpp"
 
 namespace dds {
 namespace {
@@ -138,22 +138,14 @@ TEST(PlannerDeterminism, ReferencePathMatchesIncrementalPath) {
   EXPECT_EQ(cores_inc, cores_ref);
 }
 
-std::string readFixture(const std::string& name) {
-  const std::string path = std::string(DDS_SCHED_TESTDATA) + "/" + name;
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "missing fixture " << path;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-std::string runTraced(SchedulerKind kind) {
+std::string runTraced(SchedulerKind kind, bool reference_engine) {
   ExperimentConfig cfg;
   cfg.horizon_s = 0.5 * kSecondsPerHour;
   cfg.workload.mean_rate = 10.0;
   cfg.workload.profile = ProfileKind::PeriodicWave;
   cfg.workload.infra_variability = true;
   cfg.seed = 77;
+  cfg.fluid_reference_engine = reference_engine;
   const Dataflow df = makePaperDataflow();
   std::ostringstream out;
   obs::JsonlTraceSink sink(out);
@@ -161,14 +153,22 @@ std::string runTraced(SchedulerKind kind) {
   return out.str();
 }
 
+// Each fixture is written by the cached fluid kernel; the reference
+// kernel must emit the same bytes.
 TEST(PlannerDeterminism, GoldenTraceAnnealingByteIdentical) {
-  EXPECT_EQ(runTraced(SchedulerKind::AnnealingStatic),
-            readFixture("golden_trace_annealing.jsonl"));
+  const std::string fixture = "sched/testdata/golden_trace_annealing.jsonl";
+  expectMatchesGolden(runTraced(SchedulerKind::AnnealingStatic, false),
+                      fixture);
+  EXPECT_EQ(runTraced(SchedulerKind::AnnealingStatic, true),
+            readGolden(fixture));
 }
 
 TEST(PlannerDeterminism, GoldenTraceGlobalAdaptiveByteIdentical) {
-  EXPECT_EQ(runTraced(SchedulerKind::GlobalAdaptive),
-            readFixture("golden_trace_global.jsonl"));
+  const std::string fixture = "sched/testdata/golden_trace_global.jsonl";
+  expectMatchesGolden(runTraced(SchedulerKind::GlobalAdaptive, false),
+                      fixture);
+  EXPECT_EQ(runTraced(SchedulerKind::GlobalAdaptive, true),
+            readGolden(fixture));
 }
 
 }  // namespace

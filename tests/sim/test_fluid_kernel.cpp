@@ -1,18 +1,15 @@
 // Bit-identity, golden-trace, and rebuild-accounting coverage for the
 // cached SoA fluid kernel. The cached kernel is a memoization of the
-// reference kernel, not an approximation: per-PE stats, Omega/Gamma/cost,
-// the monitoring-query RNG stream — and the trace bytes of an engine run —
-// must match byte-for-byte, with every PR 6-8 feature layered on top
-// (provisioning delays, spot preemption, migration pauses, forecasting,
-// pre-acquisition).
+// reference kernel, not an approximation: per-PE stats, Omega/Gamma/cost
+// and the trace bytes of an engine run must match byte-for-byte, with
+// provisioning delays, spot preemption, migration pauses, forecasting and
+// pre-acquisition layered on top.
 //
-// Regenerate the golden fixtures with DDS_REGEN_FLUID_FIXTURES=1 (writes
-// into tests/sim/testdata); they pin today's bytes against both kernels.
+// The golden fixtures are written by the cached kernel (see golden.hpp
+// for regeneration) and pin its bytes against both kernels.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <variant>
@@ -22,6 +19,7 @@
 #include "dds/dataflow/standard_graphs.hpp"
 #include "dds/obs/jsonl_sink.hpp"
 #include "dds/sim/simulator.hpp"
+#include "golden.hpp"
 
 namespace dds {
 namespace {
@@ -70,8 +68,7 @@ TEST(FluidIdentity, RandomGraphsMatchReferenceAcrossSeeds) {
     cfg.workload.infra_variability = true;
     if (s % 2 == 1) {
       // A fault model collapses monitoring validity windows to the query
-      // instant: the cached kernel must re-walk everything per interval
-      // in the reference order.
+      // instant: the cached kernel must re-query everything per interval.
       cfg.faults.straggler_mtbf_hours = 0.2;
       cfg.faults.partition_mtbf_hours = 0.3;
     }
@@ -101,30 +98,10 @@ TEST(FluidIdentity, PaperGraphStaticAndAdaptive) {
 
 // --- golden engine traces --------------------------------------------------
 
-std::string fixturePath(const std::string& name) {
-  return std::string(DDS_SIM_TESTDATA) + "/" + name;
-}
-
-std::string readFixture(const std::string& name) {
-  std::ifstream in(fixturePath(name), std::ios::binary);
-  EXPECT_TRUE(in.good()) << "missing fixture " << fixturePath(name);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-/// Compare against the committed fixture, or rewrite it when the regen
-/// env var is set (then fail, so a regen run is never mistaken for green).
-void expectMatchesFixture(const std::string& actual,
-                          const std::string& name) {
-  if (std::getenv("DDS_REGEN_FLUID_FIXTURES") != nullptr) {
-    std::ofstream out(fixturePath(name), std::ios::binary);
-    out << actual;
-    FAIL() << "regenerated " << name << " — rerun without "
-           << "DDS_REGEN_FLUID_FIXTURES";
-  }
-  EXPECT_EQ(actual, readFixture(name));
-}
+constexpr const char* kForecastFixture =
+    "sim/testdata/golden_fluid_forecast_trace.jsonl";
+constexpr const char* kElasticityFixture =
+    "sim/testdata/golden_fluid_elasticity_trace.jsonl";
 
 ExperimentConfig forecastOnConfig() {
   ExperimentConfig cfg;
@@ -157,7 +134,7 @@ TEST(FluidGolden, ForecastOnCachedTraceByteIdentical) {
   const TracedRun run =
       runTracedFluid(makePaperDataflow(), forecastOnConfig(),
                      SchedulerKind::GlobalPredictive, false);
-  expectMatchesFixture(run.trace, "golden_fluid_forecast_trace.jsonl");
+  expectMatchesGolden(run.trace, kForecastFixture);
 }
 
 TEST(FluidGolden, ForecastOnReferenceTraceByteIdentical) {
@@ -165,21 +142,21 @@ TEST(FluidGolden, ForecastOnReferenceTraceByteIdentical) {
   const TracedRun run =
       runTracedFluid(makePaperDataflow(), forecastOnConfig(),
                      SchedulerKind::GlobalPredictive, true);
-  expectMatchesFixture(run.trace, "golden_fluid_forecast_trace.jsonl");
+  EXPECT_EQ(run.trace, readGolden(kForecastFixture));
 }
 
 TEST(FluidGolden, ElasticityOnCachedTraceByteIdentical) {
   const TracedRun run =
       runTracedFluid(makePaperDataflow(), elasticityOnConfig(),
                      SchedulerKind::GlobalAdaptive, false);
-  expectMatchesFixture(run.trace, "golden_fluid_elasticity_trace.jsonl");
+  expectMatchesGolden(run.trace, kElasticityFixture);
 }
 
 TEST(FluidGolden, ElasticityOnReferenceTraceByteIdentical) {
   const TracedRun run =
       runTracedFluid(makePaperDataflow(), elasticityOnConfig(),
                      SchedulerKind::GlobalAdaptive, true);
-  expectMatchesFixture(run.trace, "golden_fluid_elasticity_trace.jsonl");
+  EXPECT_EQ(run.trace, readGolden(kElasticityFixture));
 }
 
 // --- rebuild accounting ----------------------------------------------------
