@@ -63,7 +63,9 @@ ExperimentResult runWith(const Dataflow& df, HeuristicOptions opts,
   DataflowSimulator simulator(df, cloud, monitor, sim_cfg);
 
   ExperimentResult result;
-  result.scheduler_name = scheduler.name();
+  result.scheduler_name =
+      schedulerName({SchedulerSpec::Family::Heuristic, Strategy::Global,
+                     opts.mode});
   result.sigma = deriveSigma(df, cfg.workload.mean_rate, cfg.horizon_s);
   double omega_sum = 0.0;
   IntervalMetrics last{};

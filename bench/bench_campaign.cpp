@@ -65,9 +65,9 @@ int main(int argc, char** argv) {
   cfg.seed = 2013;
 
   Campaign campaign;
-  const std::vector<SchedulerKind> kinds = {
-      SchedulerKind::GlobalAdaptive, SchedulerKind::LocalAdaptive,
-      SchedulerKind::GlobalAdaptiveNoDyn, SchedulerKind::GlobalStatic};
+  const std::vector<SchedulerSpec> kinds = {
+      parseScheduler("global"), parseScheduler("local"),
+      parseScheduler("global-nodyn"), parseScheduler("global-static")};
   for (const auto kind : kinds) {
     campaign.addSeedSweep(df, cfg, kind, 4);
   }
@@ -314,7 +314,7 @@ int main(int argc, char** argv) {
                               std::size_t{10000}}) {
     Campaign scale;
     scale.setSubstrate(scale_substrate);
-    scale.addSeedSweep(df, scale_cfg, SchedulerKind::GlobalAdaptive, n);
+    scale.addSeedSweep(df, scale_cfg, parseScheduler("global"), n);
     const auto s0 = clock::now();
     const CampaignResult res = runCampaign(scale, {.jobs = 0});
     const double wall =

@@ -35,7 +35,7 @@ int main() {
       cfg.catalog = variant == 0 ? "m1" : variant == 1 ? "m3" : "mixed";
       cfg.cheapest_class_acquisition = (variant == 3);
       const auto r =
-          SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+          SimulationEngine(df, cfg).run(parseScheduler("global"));
       costs.push_back(r.total_cost);
       omegas.push_back(r.average_omega);
     }

@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   const Dataflow df = makePaperDataflow();
   const std::vector<double> delays = {0.0, 60.0, 300.0};
   const std::vector<double> spot_fractions = {0.0, 0.5, 1.0};
-  const std::vector<SchedulerKind>& kinds = allSchedulerKinds();
+  const std::vector<SchedulerSpec>& kinds = allSchedulers();
 
   std::vector<ExperimentConfig> rows;
   std::vector<std::pair<double, double>> knobs;  // (delay, spot fraction)

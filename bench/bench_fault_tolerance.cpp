@@ -54,8 +54,8 @@ int main() {
 
   const Dataflow df = makePaperDataflow();
   const std::vector<double> mtbfs = {0.0, 8.0, 4.0, 2.0, 1.0};
-  const std::vector<SchedulerKind> crash_kinds = {
-      SchedulerKind::GlobalAdaptive, SchedulerKind::GlobalStatic};
+  const std::vector<SchedulerSpec> crash_kinds = {
+      parseScheduler("global"), parseScheduler("global-static")};
   std::vector<ExperimentConfig> crash_rows;
   for (const double mtbf : mtbfs) {
     ExperimentConfig cfg;
@@ -101,9 +101,9 @@ int main() {
               "failures + partitions, resilience layer on");
 
   const std::vector<double> intensities = {0.0, 0.25, 0.5, 1.0};
-  const std::vector<SchedulerKind> mix_kinds = {
-      SchedulerKind::GlobalAdaptive, SchedulerKind::LocalAdaptive,
-      SchedulerKind::GlobalStatic};
+  const std::vector<SchedulerSpec> mix_kinds = {
+      parseScheduler("global"), parseScheduler("local"),
+      parseScheduler("global-static")};
   std::vector<ExperimentConfig> mix_rows;
   for (const double intensity : intensities) {
     mix_rows.push_back(faultMixConfig(intensity));
@@ -130,9 +130,9 @@ int main() {
            TextTable::num(r.total_cost, 2)});
       csv2.push_back(
           {intensity,
-           kind == SchedulerKind::GlobalStatic
+           kind == parseScheduler("global-static")
                ? 0.0
-               : (kind == SchedulerKind::GlobalAdaptive ? 1.0 : 2.0),
+               : (kind == parseScheduler("global") ? 1.0 : 2.0),
            r.average_omega, r.recovery.availability,
            static_cast<double>(r.recovery.violation_episodes),
            r.recovery.mttr_s,

@@ -29,10 +29,10 @@ int main() {
       {"infra-only", false, true},
       {"both", true, true},
   };
-  const std::vector<SchedulerKind> kinds = {
-      SchedulerKind::BruteForceStatic,
-      SchedulerKind::LocalStatic,
-      SchedulerKind::GlobalStatic,
+  const std::vector<SchedulerSpec> kinds = {
+      parseScheduler("brute-force-static"),
+      parseScheduler("local-static"),
+      parseScheduler("global-static"),
   };
 
   TextTable table({"scenario", "policy", "omega", "met(0.7)", "theta"});
@@ -51,7 +51,7 @@ int main() {
                     TextTable::num(r.average_omega),
                     constraintMark(r), TextTable::num(r.theta)});
       csv.push_back({static_cast<double>(&sc - scenarios.data()),
-                     static_cast<double>(static_cast<int>(kind)),
+                     policyId(kind),
                      r.average_omega, r.constraint_met ? 1.0 : 0.0,
                      r.theta});
     }

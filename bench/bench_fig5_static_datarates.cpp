@@ -26,9 +26,9 @@ int main() {
     cfg.seed = 2013;
     rows.push_back(cfg);
   }
-  const std::vector<SchedulerKind> kinds = {
-      SchedulerKind::LocalStatic, SchedulerKind::GlobalStatic,
-      SchedulerKind::BruteForceStatic, SchedulerKind::AnnealingStatic};
+  const std::vector<SchedulerSpec> kinds = {
+      parseScheduler("local-static"), parseScheduler("global-static"),
+      parseScheduler("brute-force-static"), parseScheduler("annealing-static")};
   const auto outcomes = runGrid(df, rows, kinds);
 
   TextTable table({"rate", "local-static", "global-static", "brute-force",

@@ -17,11 +17,11 @@ int main() {
               "dollar cost of application dynamism over a 10-hour run");
 
   const Dataflow df = makePaperDataflow();
-  const std::vector<SchedulerKind> kinds = {
-      SchedulerKind::GlobalAdaptive,
-      SchedulerKind::GlobalAdaptiveNoDyn,
-      SchedulerKind::LocalAdaptive,
-      SchedulerKind::LocalAdaptiveNoDyn,
+  const std::vector<SchedulerSpec> kinds = {
+      parseScheduler("global"),
+      parseScheduler("global-nodyn"),
+      parseScheduler("local"),
+      parseScheduler("local-nodyn"),
   };
 
   const std::vector<double> rates = paperRates();

@@ -70,8 +70,8 @@ int main(int argc, char** argv) {
                                              ForecastModel::Ewma,
                                              ForecastModel::HoltWinters};
   const std::vector<int> horizons = {3, 5, 10};
-  const std::vector<SchedulerKind> kinds = {SchedulerKind::GlobalAdaptive,
-                                            SchedulerKind::GlobalPredictive};
+  const std::vector<SchedulerSpec> kinds = {
+      parseScheduler("global"), parseScheduler("global-predictive")};
 
   std::vector<ExperimentConfig> rows;
   std::vector<Knob> knobs;

@@ -44,6 +44,10 @@ struct Env {
     e.monitor = &mon;
     e.omega_target = 0.7;
     e.epsilon = 0.05;
+    // The planners score with sigma 0.01 over one hour (the default T);
+    // seed 1 is the annealer's stock seed.
+    e.sigma = 0.01;
+    e.seed = 1;
     return e;
   }
 };
@@ -110,7 +114,7 @@ void BM_AnnealingDeploy(benchmark::State& state) {
     opts.iterations = 2'000;  // fast smoke-sized search; the full 20k
                               // sweep runs under --planner-latency-json
     opts.incremental_evaluation = incremental;
-    AnnealingScheduler sched(env.schedEnv(), 0.01, kSecondsPerHour, opts);
+    AnnealingScheduler sched(env.schedEnv(), opts);
     benchmark::DoNotOptimize(sched.deploy(10.0));
   }
   state.SetLabel(std::string(incremental ? "incremental" : "full") + ", " +
@@ -131,7 +135,7 @@ void BM_BruteForceSmallGraph(benchmark::State& state) {
   const double rate = static_cast<double>(state.range(0));
   for (auto _ : state) {
     Env env{makePaperDataflow()};
-    BruteForceScheduler sched(env.schedEnv(), 0.01, kSecondsPerHour);
+    BruteForceScheduler sched(env.schedEnv());
     benchmark::DoNotOptimize(sched.deploy(rate));
   }
 }
@@ -179,7 +183,7 @@ SweepRun runAnnealingDeploy(int layers, int width, bool incremental) {
   se.metrics = &metrics;
   AnnealingOptions opts;  // stock 20k iterations, stock seed
   opts.incremental_evaluation = incremental;
-  AnnealingScheduler sched(se, 0.01, kSecondsPerHour, opts);
+  AnnealingScheduler sched(se, opts);
 
   const auto t0 = std::chrono::steady_clock::now();
   const Deployment dep = sched.deploy(10.0);

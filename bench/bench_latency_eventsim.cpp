@@ -27,7 +27,7 @@ struct LatencyRow {
   ExperimentResult result;
 };
 
-ExperimentResult runPolicy(const Dataflow& df, SchedulerKind kind,
+ExperimentResult runPolicy(const Dataflow& df, const SchedulerSpec& kind,
                            double rate, double queue_sla_s = 0.0) {
   ExperimentConfig cfg;
   cfg.horizon_s = 30.0 * kSecondsPerMinute;
@@ -92,7 +92,7 @@ SweepRun runStaticSweep(const ThroughputCase& c,
   env.cloud = &cloud;
   env.monitor = &mon;
   HeuristicOptions opts;
-  opts.adaptive = false;
+  opts.mode = SchedulerSpec::Mode::Static;
   HeuristicScheduler sched(env, Strategy::Global, opts);
 
   EventSimConfig cfg;
@@ -123,7 +123,7 @@ SweepRun runAdaptiveSweep(const ThroughputCase& c,
   cfg.backend = SimBackend::Event;
   cfg.event_reference_engine = engine == EventSimConfig::Engine::Reference;
   const ExperimentResult r =
-      SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+      SimulationEngine(df, cfg).run(parseScheduler("global"));
   SweepRun out;
   double events_per_s = 0.0;
   std::ostringstream fp;
@@ -282,13 +282,13 @@ int main(int argc, char** argv) {
   const double rate = 10.0;
   std::vector<LatencyRow> rows;
   rows.push_back(
-      {"global adaptive", runPolicy(df, SchedulerKind::GlobalAdaptive, rate)});
+      {"global adaptive", runPolicy(df, parseScheduler("global"), rate)});
   rows.push_back(
-      {"local adaptive", runPolicy(df, SchedulerKind::LocalAdaptive, rate)});
+      {"local adaptive", runPolicy(df, parseScheduler("local"), rate)});
   rows.push_back(
-      {"global static", runPolicy(df, SchedulerKind::GlobalStatic, rate)});
+      {"global static", runPolicy(df, parseScheduler("global-static"), rate)});
   rows.push_back({"global + 60s SLA",
-                  runPolicy(df, SchedulerKind::GlobalAdaptive, rate, 60.0)});
+                  runPolicy(df, parseScheduler("global"), rate, 60.0)});
 
   TextTable table({"policy", "delivered", "omega", "lat-mean(s)",
                    "lat-p50(s)", "lat-p95(s)", "lat-p99(s)"});

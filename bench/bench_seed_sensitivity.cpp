@@ -25,8 +25,8 @@ int main() {
                    "met%"});
   std::vector<std::vector<double>> csv;
   for (const auto kind :
-       {SchedulerKind::GlobalAdaptive, SchedulerKind::LocalAdaptive,
-        SchedulerKind::GlobalAdaptiveNoDyn, SchedulerKind::GlobalStatic}) {
+       {parseScheduler("global"), parseScheduler("local"),
+        parseScheduler("global-nodyn"), parseScheduler("global-static")}) {
     const auto r = runReplicated(df, cfg, kind, 10);
     table.addRow({r.scheduler_name, TextTable::num(r.omega.mean()),
                   TextTable::num(r.omega.stddev()),
@@ -35,7 +35,7 @@ int main() {
                   TextTable::num(r.theta.mean()),
                   TextTable::num(r.theta.stddev()),
                   TextTable::num(r.successRate() * 100.0, 0)});
-    csv.push_back({static_cast<double>(static_cast<int>(kind)),
+    csv.push_back({policyId(kind),
                    r.omega.mean(), r.omega.stddev(), r.cost.mean(),
                    r.cost.stddev(), r.theta.mean(), r.theta.stddev(),
                    r.successRate()});

@@ -14,7 +14,7 @@ struct Response {
   double recovery_minutes = -1.0;  ///< spike start -> omega back over 0.65.
 };
 
-Response measure(const Dataflow& df, SchedulerKind kind) {
+Response measure(const Dataflow& df, const SchedulerSpec& kind) {
   ExperimentConfig cfg;
   cfg.horizon_s = 2.0 * kSecondsPerHour;
   cfg.workload.mean_rate = 10.0;
@@ -49,8 +49,9 @@ int main() {
   TextTable table({"policy", "omega", "min-omega", "recovery(min)",
                    "cost$", "theta"});
   for (const auto kind :
-       {SchedulerKind::GlobalAdaptive, SchedulerKind::LocalAdaptive,
-        SchedulerKind::ReactiveBaseline, SchedulerKind::GlobalStatic}) {
+       {parseScheduler("global"), parseScheduler("local"),
+        parseScheduler("reactive-autoscaler"),
+        parseScheduler("global-static")}) {
     const auto resp = measure(df, kind);
     table.addRow({resp.result.scheduler_name,
                   TextTable::num(resp.result.average_omega),

@@ -4,6 +4,7 @@
 // rows as `CSV:`-prefixed lines so plotting scripts can scrape the output.
 #pragma once
 
+#include <algorithm>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -18,6 +19,13 @@ inline void printHeader(const std::string& figure,
   std::cout << "==================================================\n"
             << figure << ": " << caption << '\n'
             << "==================================================\n";
+}
+
+/// A policy's CSV id: its position in allSchedulers().
+inline double policyId(const SchedulerSpec& spec) {
+  const auto& all = allSchedulers();
+  return static_cast<double>(std::find(all.begin(), all.end(), spec) -
+                             all.begin());
 }
 
 inline void printTableAndCsv(const TextTable& table,
@@ -52,7 +60,7 @@ inline std::vector<double> paperRates() {
 /// the tables the benches print do not depend on the host's core count.
 inline std::vector<JobOutcome> runGrid(
     const Dataflow& df, const std::vector<ExperimentConfig>& rows,
-    const std::vector<SchedulerKind>& kinds) {
+    const std::vector<SchedulerSpec>& kinds) {
   Campaign campaign;
   for (const auto& cfg : rows) {
     for (const auto kind : kinds) {
@@ -83,8 +91,8 @@ inline void runLocalVsGlobalSweep(const Dataflow& df, ProfileKind profile,
     cfg.seed = 2013;
     rows.push_back(cfg);
   }
-  const std::vector<SchedulerKind> kinds = {SchedulerKind::LocalAdaptive,
-                                            SchedulerKind::GlobalAdaptive};
+  const std::vector<SchedulerSpec> kinds = {parseScheduler("local"),
+                                            parseScheduler("global")};
   const auto outcomes = runGrid(df, rows, kinds);
 
   TextTable table({"rate", "policy", "omega", "met", "gamma", "cost$",

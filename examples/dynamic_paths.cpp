@@ -39,7 +39,7 @@ int main() {
   for (std::size_t i = 0; i < app.variantCount(); ++i) {
     const Dataflow df = app.materialize(i);
     const auto r =
-        SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+        SimulationEngine(df, cfg).run(parseScheduler("global"));
     table.addRow({app.variant(i).name, TextTable::num(r.average_omega),
                   r.constraint_met ? "yes" : "NO",
                   TextTable::num(r.average_gamma),

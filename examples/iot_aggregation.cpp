@@ -31,15 +31,15 @@ int main() {
                    "lat-p95(s)", "lat-p99(s)", "cost$"});
   struct Variant {
     std::string label;
-    SchedulerKind kind;
+    SchedulerSpec kind;
     double sla_s;
   };
   for (const auto& v : {Variant{"global (throughput only)",
-                                SchedulerKind::GlobalAdaptive, 0.0},
+                                parseScheduler("global"), 0.0},
                         Variant{"global + 30s queue SLA",
-                                SchedulerKind::GlobalAdaptive, 30.0},
+                                parseScheduler("global"), 30.0},
                         Variant{"global-static",
-                                SchedulerKind::GlobalStatic, 0.0}}) {
+                                parseScheduler("global-static"), 0.0}}) {
     cfg.max_queue_delay_s = v.sla_s;
     const auto r = SimulationEngine(df, cfg).run(v.kind);
     table.addRow({v.label, TextTable::num(r.average_omega),

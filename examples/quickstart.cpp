@@ -37,8 +37,8 @@ int main() {
   // 3. Run the global adaptive heuristic (alternate switching + elastic
   //    VM scaling) and a static baseline for contrast.
   SimulationEngine engine(df, cfg);
-  const ExperimentResult adaptive = engine.run(SchedulerKind::GlobalAdaptive);
-  const ExperimentResult fixed = engine.run(SchedulerKind::GlobalStatic);
+  const ExperimentResult adaptive = engine.run(parseScheduler("global"));
+  const ExperimentResult fixed = engine.run(parseScheduler("global-static"));
 
   // 4. Inspect the results.
   auto report = [](const ExperimentResult& r) {

@@ -43,7 +43,7 @@ int main() {
   cfg.workload.infra_variability = true;
   cfg.seed = 90089;
   const SimulationEngine engine(df, cfg);
-  const ExperimentResult r = engine.run(SchedulerKind::GlobalAdaptive);
+  const ExperimentResult r = engine.run(parseScheduler("global"));
 
   std::cout << "Smart-grid analytics, 6 h, periodic meter wave around "
             << cfg.workload.mean_rate << " msg/s (global adaptive)\n\n";

@@ -36,7 +36,7 @@ int main() {
     ExperimentConfig cfg = base;
     cfg.sigma_override = sigma0 * mult;
     const auto r =
-        SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+        SimulationEngine(df, cfg).run(parseScheduler("global"));
     sig_table.addRow({TextTable::num(mult, 2),
                       TextTable::num(r.average_omega),
                       TextTable::num(r.average_gamma),
@@ -54,7 +54,7 @@ int main() {
     ExperimentConfig cfg = base;
     cfg.omega_target = target;
     const auto r =
-        SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+        SimulationEngine(df, cfg).run(parseScheduler("global"));
     om_table.addRow({TextTable::num(target, 2),
                      TextTable::num(r.average_omega),
                      r.constraint_met ? "yes" : "NO",

@@ -44,10 +44,10 @@ int main() {
   cfg.omega_target = 0.7;
   const SimulationEngine engine(df, cfg);
 
-  const std::vector<SchedulerKind> kinds = {
-      SchedulerKind::GlobalAdaptive,      SchedulerKind::LocalAdaptive,
-      SchedulerKind::GlobalAdaptiveNoDyn, SchedulerKind::LocalAdaptiveNoDyn,
-      SchedulerKind::GlobalStatic,        SchedulerKind::LocalStatic,
+  const std::vector<SchedulerSpec> kinds = {
+      parseScheduler("global"),      parseScheduler("local"),
+      parseScheduler("global-nodyn"), parseScheduler("local-nodyn"),
+      parseScheduler("global-static"),        parseScheduler("local-static"),
   };
   std::vector<ExperimentResult> results;
   results.reserve(kinds.size());

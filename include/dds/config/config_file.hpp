@@ -12,6 +12,7 @@
 //   workload.infra_variability = true
 #pragma once
 
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -53,6 +54,12 @@ class KeyValueConfig {
                                  double fallback) const;
   [[nodiscard]] std::int64_t getInt(const std::string& key,
                                     std::int64_t fallback) const;
+  /// getInt() narrowed to `int` within [lo, hi]; a value outside throws
+  /// ConfigError naming the key instead of wrapping.
+  [[nodiscard]] int getIntInRange(
+      const std::string& key, int fallback,
+      int lo = std::numeric_limits<int>::min(),
+      int hi = std::numeric_limits<int>::max()) const;
   [[nodiscard]] bool getBool(const std::string& key, bool fallback) const;
 
   /// Comma-separated list (whitespace trimmed); empty when absent.
@@ -66,11 +73,17 @@ class KeyValueConfig {
   std::map<std::string, std::string> values_;
 };
 
+/// Longest `chain` graph a config or job spec may ask for. Chains are
+/// built eagerly, one PE per link, so the bound keeps a stray value from
+/// exhausting memory; the longest chain any bench or test runs is 8.
+inline constexpr int kMaxChainLength = 1024;
+
 /// The experiment an ddsim config describes.
 struct CliExperiment {
   ExperimentConfig config;
   std::string graph = "paper";  ///< paper | chain | diamond
-  std::vector<SchedulerKind> schedulers;
+  std::size_t chain_length = 4;  ///< chain only; [1, kMaxChainLength].
+  std::vector<SchedulerSpec> schedulers;
   std::string output_csv;  ///< empty = no CSV dump
 };
 
@@ -81,9 +94,5 @@ struct CliExperiment {
 /// "fault.vm_mtbf_h", "resilience.quarantine_threshold") mirroring the
 /// ExperimentConfig sub-structs; any other key is an unknown-key error.
 [[nodiscard]] CliExperiment experimentFromConfig(const KeyValueConfig& kv);
-
-/// Parse one scheduler name ("global", "local-static", ...). Wraps the
-/// sched-layer parseSchedulerKind, rethrowing as ConfigError.
-[[nodiscard]] SchedulerKind schedulerKindFromName(const std::string& name);
 
 }  // namespace dds

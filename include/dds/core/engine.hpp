@@ -7,7 +7,7 @@
 //   cfg.workload.profile = ProfileKind::PeriodicWave;
 //   cfg.workload.infra_variability = true;
 //   SimulationEngine engine(df, cfg);
-//   ExperimentResult r = engine.run(SchedulerKind::GlobalAdaptive);
+//   ExperimentResult r = engine.run(parseScheduler("global"));
 //
 // Every run() constructs a fresh cloud, replayer and simulator, so runs of
 // different schedulers under the same config are independent and see
@@ -43,7 +43,7 @@ struct EngineArenas {
   std::shared_ptr<const FluidGraphLayout> fluid_layout;
 };
 
-/// Orchestrates one experiment configuration over any scheduler kind.
+/// Orchestrates one experiment configuration over any scheduler policy.
 class SimulationEngine {
  public:
   SimulationEngine(const Dataflow& dataflow, ExperimentConfig config);
@@ -54,14 +54,14 @@ class SimulationEngine {
                    EngineArenas arenas);
 
   /// Run the full optimization period under the given policy.
-  [[nodiscard]] ExperimentResult run(SchedulerKind kind) const {
-    return run(kind, nullptr);
+  [[nodiscard]] ExperimentResult run(const SchedulerSpec& spec) const {
+    return run(spec, nullptr);
   }
 
   /// Same, streaming every trace event of the run into `sink` (may be
   /// null for no tracing). Event order is deterministic for a fixed seed
   /// and config: two runs write byte-identical JSONL traces.
-  [[nodiscard]] ExperimentResult run(SchedulerKind kind,
+  [[nodiscard]] ExperimentResult run(const SchedulerSpec& spec,
                                      obs::TraceSink* sink) const;
 
   /// The sigma this config resolves to (override or §8.2 derivation).

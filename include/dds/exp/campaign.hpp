@@ -19,7 +19,7 @@
 //
 //   Campaign c;
 //   for (double rate : rates)
-//     for (SchedulerKind kind : kinds)
+//     for (const SchedulerSpec& kind : kinds)
 //       c.add({&df, configAt(rate), kind});
 //   CampaignResult r = runCampaign(c, {.jobs = 8});
 //   saveCampaignJson("BENCH_campaign.json", r);
@@ -50,7 +50,7 @@ class Substrate;
 struct ExperimentJob {
   const Dataflow* dataflow = nullptr;
   ExperimentConfig config;
-  SchedulerKind kind = SchedulerKind::GlobalAdaptive;
+  SchedulerSpec kind;  ///< the policy; defaults to "global".
   /// Display label; empty means schedulerName(kind).
   std::string label;
   /// When non-empty, the job streams its trace as JSONL to this path
@@ -65,7 +65,7 @@ struct JobOutcome {
   std::size_t index = 0;  ///< submission index within the campaign.
   std::string label;
   std::string tenant;
-  SchedulerKind kind = SchedulerKind::GlobalAdaptive;
+  SchedulerSpec kind;
   std::uint64_t seed = 0;
   bool ok = false;
   std::string error;  ///< exception message when !ok.
@@ -87,14 +87,14 @@ class Campaign {
   /// Returns the submission index; throws ConfigError on a bad spec.
   std::size_t addSpec(const JobSpec& spec);
 
-  /// One job per scheduler kind under a fixed (dataflow, config).
+  /// One job per scheduler policy under a fixed (dataflow, config).
   void addPolicySweep(const Dataflow& dataflow, const ExperimentConfig& base,
-                      const std::vector<SchedulerKind>& kinds);
+                      const std::vector<SchedulerSpec>& kinds);
 
   /// `runs` replicates of one (config, policy) pair with per-job derived
   /// seeds base.seed, base.seed + 1, ... (the runReplicated convention).
   void addSeedSweep(const Dataflow& dataflow, const ExperimentConfig& base,
-                    SchedulerKind kind, std::size_t runs);
+                    const SchedulerSpec& kind, std::size_t runs);
 
   /// Give every job a distinct trace path derived from `base`: the only
   /// job gets `base` itself; with several jobs each gets `base.<label>`,
@@ -131,7 +131,7 @@ class Campaign {
     const Dataflow* dataflow = nullptr;
     std::shared_ptr<const ExperimentConfig> base;
     std::uint64_t seed = 0;
-    SchedulerKind kind = SchedulerKind::GlobalAdaptive;
+    SchedulerSpec kind;
     std::string label;
     std::string trace_path;
     std::string tenant;

@@ -13,7 +13,7 @@
 //    "tenant": "team-a",           // display/billing tag, default ""
 //    "label": "baseline",          // display label, default scheduler name
 //    "graph": "paper",             // paper | diamond | chain
-//    "chain_length": 4,            // chain only; integral >= 1
+//    "chain_length": 4,            // chain only; integral in [1, 1024]
 //    "scheduler": "global",        // one policy name (see schedulers.hpp)
 //    "config": {"seed": 7, ...}}   // canonical config keys only
 //

@@ -41,7 +41,7 @@ struct ReplicatedResult {
 /// The aggregates are identical for every `jobs` value.
 [[nodiscard]] ReplicatedResult runReplicated(const Dataflow& dataflow,
                                              ExperimentConfig base,
-                                             SchedulerKind kind,
+                                             const SchedulerSpec& kind,
                                              std::size_t runs,
                                              std::size_t jobs = 0);
 

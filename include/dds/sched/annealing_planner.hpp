@@ -23,7 +23,6 @@ struct AnnealingOptions {
   std::size_t iterations = 20'000;
   double initial_temperature = 0.05;  ///< in Theta units.
   double cooling = 0.9995;            ///< per-iteration multiplier.
-  std::uint64_t seed = 1;
   /// Score candidates through the incremental PlanEvaluator (delta
   /// demand propagation + feasibility memo). The reference full
   /// re-evaluation path is kept selectable for tests and benchmarks;
@@ -45,12 +44,9 @@ struct AnnealingOptions {
 /// Near-optimal static planner via simulated annealing.
 class AnnealingScheduler final : public Scheduler {
  public:
-  AnnealingScheduler(SchedulerEnv env, double sigma, SimTime horizon_s,
-                     AnnealingOptions options = {});
-
-  [[nodiscard]] std::string name() const override {
-    return "annealing-static";
-  }
+  /// Scores plans with the env's sigma over its horizon T; the env's
+  /// seed drives the search.
+  explicit AnnealingScheduler(SchedulerEnv env, AnnealingOptions options = {});
 
   [[nodiscard]] Deployment deploy(double estimated_input_rate) override;
 
@@ -59,8 +55,6 @@ class AnnealingScheduler final : public Scheduler {
 
  private:
   SchedulerEnv env_;
-  double sigma_;
-  SimTime horizon_s_;
   AnnealingOptions options_;
   double best_theta_ = 0.0;
 };

@@ -25,14 +25,11 @@ class SearchSpaceTooLarge : public std::runtime_error {
 /// Exhaustive static optimizer for small dynamic dataflows.
 class BruteForceScheduler final : public Scheduler {
  public:
-  /// @param sigma     the user's value/cost equivalence factor (§6)
-  /// @param horizon_s the optimization period the static plan is billed for
-  BruteForceScheduler(SchedulerEnv env, double sigma, SimTime horizon_s,
-                      std::size_t max_combinations = 60'000'000);
-
-  [[nodiscard]] std::string name() const override {
-    return "brute-force-static";
-  }
+  /// Scores plans with the env's sigma (the user's value/cost
+  /// equivalence factor, §6) over its horizon T, the optimization period
+  /// the static plan is billed for.
+  explicit BruteForceScheduler(SchedulerEnv env,
+                               std::size_t max_combinations = 60'000'000);
 
   [[nodiscard]] Deployment deploy(double estimated_input_rate) override;
 
@@ -42,8 +39,6 @@ class BruteForceScheduler final : public Scheduler {
 
  private:
   SchedulerEnv env_;
-  double sigma_;
-  SimTime horizon_s_;
   std::size_t max_combinations_;
   std::size_t plans_examined_ = 0;
 };

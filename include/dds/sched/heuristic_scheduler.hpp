@@ -2,10 +2,10 @@
 //
 // One class covers the whole §8 evaluation matrix:
 //  * Strategy::Local / Strategy::Global — the Table 1 function variants;
-//  * adaptive on/off — continuous re-deployment vs the static baselines;
-//  * use_dynamism on/off — whether alternate selection participates as an
-//    optimization decision (§8.2's "without application dynamism" runs the
-//    best-value alternate, fixed).
+//  * the SchedulerSpec mode — continuous re-deployment (Adaptive), the
+//    static baselines (Static), alternates fixed at the best-value one
+//    (NoDyn, §8.2's "without application dynamism"), or adaptive plus
+//    forecast-driven pre-acquisition (Predictive).
 #pragma once
 
 #include <memory>
@@ -20,8 +20,8 @@ namespace dds {
 
 /// Tuning knobs for HeuristicScheduler.
 struct HeuristicOptions {
-  bool adaptive = true;      ///< run Alg. 2 at runtime (vs static deploy).
-  bool use_dynamism = true;  ///< alternate selection as a control knob.
+  /// Which §8 variant runs; makeScheduler() copies the spec's mode here.
+  SchedulerSpec::Mode mode = SchedulerSpec::Mode::Adaptive;
   /// Alternate-selection stage period, in intervals (§7.2 runs the two
   /// stages at different cadences to balance value against cost).
   IntervalIndex alternate_period = 2;
@@ -46,13 +46,10 @@ struct HeuristicOptions {
   /// graceful degradation (see dds/sched/resilience.hpp).
   ResilienceOptions resilience;
   /// Fraction of fresh acquisitions steered to the catalog's spot tier
-  /// when one exists; the choice hashes (spot_seed, acquisition ordinal)
-  /// so it is pure in the run seed. 0 keeps acquisitions on-demand.
+  /// when one exists; the choice hashes (SchedulerEnv::seed, acquisition
+  /// ordinal) so it is pure in the run seed. 0 keeps acquisitions
+  /// on-demand.
   double spot_fraction = 0.0;
-  std::uint64_t spot_seed = 42;
-  /// Predictive scheduling: act on ObservedState::forecast. Off (the
-  /// default) keeps every adaptation path bit-identical to reactive.
-  bool predictive = false;
   /// A predicted peak must exceed the current rate by this fraction to
   /// trigger pre-acquisition (and to hold off scale-in meanwhile).
   double preacquire_margin = 0.1;
@@ -62,12 +59,9 @@ struct HeuristicOptions {
   double preacquire_lead_s = 0.0;
   /// Score alternates against the whole forecast vector via the
   /// incremental PlanEvaluator (mean Theta over the horizon) instead of
-  /// the last interval only.
+  /// the last interval only (Predictive mode; scored with the env's sigma
+  /// and horizon).
   bool lookahead_alternates = true;
-  /// Theta parameters for the lookahead scoring (the factory copies the
-  /// run's sigma and billing horizon here).
-  double lookahead_sigma = 0.0;
-  SimTime lookahead_horizon_s = 3600.0;
 };
 
 /// Local/global deployment + adaptation heuristic (Alg. 1 + Alg. 2).
@@ -75,8 +69,6 @@ class HeuristicScheduler final : public Scheduler {
  public:
   HeuristicScheduler(SchedulerEnv env, Strategy strategy,
                      HeuristicOptions options = {});
-
-  [[nodiscard]] std::string name() const override;
 
   [[nodiscard]] Deployment deploy(double estimated_input_rate) override;
 

@@ -36,10 +36,6 @@ class ReactiveAutoscaler final : public Scheduler {
  public:
   ReactiveAutoscaler(SchedulerEnv env, ReactiveOptions options = {});
 
-  [[nodiscard]] std::string name() const override {
-    return "reactive-autoscaler";
-  }
-
   [[nodiscard]] Deployment deploy(double estimated_input_rate) override;
 
   std::vector<MigrationEvent> adapt(const ObservedState& state,

@@ -26,30 +26,33 @@
 #include "dds/monitor/probe_history.hpp"
 #include "dds/obs/metrics_registry.hpp"
 #include "dds/obs/trace_sink.hpp"
+#include "dds/sched/alternate_selection.hpp"
 #include "dds/sched/resilience.hpp"
 #include "dds/sim/deployment.hpp"
 #include "dds/sim/simulator.hpp"
 
 namespace dds {
 
+struct HeuristicOptions;
 struct PlanStructure;
 
-/// Which §8 policy an experiment runs. The scheduler registry at the
-/// bottom of this header is the single place that maps kinds to names and
-/// instances — adding a policy means extending the enum, schedulerName()
-/// and makeScheduler(), all in the sched layer.
-enum class SchedulerKind {
-  LocalAdaptive,        ///< local heuristic with continuous re-deployment.
-  GlobalAdaptive,       ///< global heuristic with continuous re-deployment.
-  LocalStatic,          ///< local heuristic, deploy once.
-  GlobalStatic,         ///< global heuristic, deploy once.
-  LocalAdaptiveNoDyn,   ///< local, adaptive, alternates fixed (no dynamism).
-  GlobalAdaptiveNoDyn,  ///< global, adaptive, alternates fixed.
-  BruteForceStatic,     ///< exhaustive static optimal (small graphs only).
-  ReactiveBaseline,     ///< queue-threshold autoscaler (related work).
-  AnnealingStatic,      ///< simulated-annealing static planner.
-  LocalPredictive,      ///< local adaptive + forecast-driven pre-acquisition.
-  GlobalPredictive,     ///< global adaptive + forecast-driven pre-acquisition.
+/// Which §8 policy an experiment runs, composed the way the paper builds
+/// its policies (Table 1, §7): either the local/global heuristic in one
+/// mode, or one of the standalone planners. parseScheduler() and
+/// schedulerName() map specs to and from their CLI/config names.
+struct SchedulerSpec {
+  enum class Family { Heuristic, BruteForce, Annealing, Reactive };
+  enum class Mode {
+    Adaptive,    ///< continuous re-deployment (Alg. 2).
+    Static,      ///< deploy once.
+    NoDyn,       ///< adaptive, alternates fixed (no application dynamism).
+    Predictive,  ///< adaptive + forecast-driven pre-acquisition.
+  };
+  Family family = Family::Heuristic;
+  Strategy strategy = Strategy::Global;  ///< heuristic family only.
+  Mode mode = Mode::Adaptive;            ///< heuristic family only.
+
+  bool operator==(const SchedulerSpec&) const = default;
 };
 
 /// Everything a scheduler needs to see and touch, wired once per run.
@@ -61,8 +64,11 @@ struct SchedulerEnv {
   /// smoothed core-power estimates instead of raw instantaneous probes.
   const ProbeHistory* probes = nullptr;
   SimConfig sim_config;
-  double omega_target = 0.7;  ///< Omega-hat, the §8.2 default.
-  double epsilon = 0.05;      ///< throughput tolerance (§8.2).
+  double omega_target = 0.7;   ///< Omega-hat, the §8.2 default.
+  double epsilon = 0.05;       ///< throughput tolerance (§8.2).
+  double sigma = 0.0;          ///< value/cost equivalence factor (§6).
+  SimTime horizon_s = 3600.0;  ///< optimization period T plans bill.
+  std::uint64_t seed = 42;     ///< run seed (spot choices, annealing).
   /// Run tracer (null by default); schedulers emit decision, alternate-
   /// switch and straggler events through it.
   obs::Tracer tracer;
@@ -80,6 +86,8 @@ struct SchedulerEnv {
     DDS_REQUIRE(omega_target > 0.0 && omega_target <= 1.0,
                 "omega target out of range");
     DDS_REQUIRE(epsilon >= 0.0 && epsilon < 1.0, "epsilon out of range");
+    DDS_REQUIRE(sigma >= 0.0, "sigma must be non-negative");
+    DDS_REQUIRE(horizon_s > 0.0, "horizon must be positive");
   }
 };
 
@@ -118,8 +126,6 @@ class Scheduler {
  public:
   virtual ~Scheduler() = default;
 
-  [[nodiscard]] virtual std::string name() const = 0;
-
   /// Initial deployment before t0 (paper Alg. 1). Returns the alternate
   /// assignment; VM/core state is left in the CloudProvider.
   [[nodiscard]] virtual Deployment deploy(double estimated_input_rate) = 0;
@@ -141,57 +147,24 @@ class Scheduler {
 // Scheduler registry: the one place that knows every concrete policy.
 // ---------------------------------------------------------------------------
 
-/// Canonical CLI/config name of a policy ("global", "local-static", ...).
-[[nodiscard]] std::string schedulerName(SchedulerKind kind);
+/// Canonical CLI/config name of a policy: a heuristic is its strategy
+/// plus its mode suffix ("global", "local-static", "global-nodyn",
+/// "local-predictive"); a planner is its family name
+/// ("brute-force-static", "annealing-static", "reactive-autoscaler").
+[[nodiscard]] std::string schedulerName(const SchedulerSpec& spec);
 
-/// Inverse of schedulerName(); throws PreconditionError on unknown names.
-[[nodiscard]] SchedulerKind parseSchedulerKind(const std::string& name);
+/// Inverse of schedulerName(); throws PreconditionError on any other
+/// name.
+[[nodiscard]] SchedulerSpec parseScheduler(const std::string& name);
 
-/// Every SchedulerKind, in enum order — for sweeps and round-trip tests.
-[[nodiscard]] const std::vector<SchedulerKind>& allSchedulerKinds();
+/// Every valid spec, in a fixed order — for sweeps and --help.
+[[nodiscard]] const std::vector<SchedulerSpec>& allSchedulers();
 
-/// Compat alias; prefer schedulerName().
-[[nodiscard]] inline std::string toString(SchedulerKind kind) {
-  return schedulerName(kind);
-}
-
-/// Policy-independent tuning a caller hands the factory. Deliberately
-/// plain-field (no HeuristicOptions) so this header stays below the
-/// concrete schedulers in the include graph.
-struct SchedulerTuning {
-  double sigma = 0.0;        ///< equivalence factor for the planners.
-  SimTime horizon_s = 3600;  ///< optimization period (planners need T).
-  std::uint64_t seed = 42;   ///< randomized planners (annealing).
-  IntervalIndex alternate_period = 2;  ///< n_a for Alg. 2.
-  IntervalIndex resource_period = 1;   ///< n_r for Alg. 2.
-  /// Buy cheapest-per-power instead of Alg. 1's largest-first.
-  bool cheapest_class_acquisition = false;
-  double max_queue_delay_s = 0.0;  ///< queue-delay SLA; 0 disables.
-  /// Fraction of fresh acquisitions steered to the catalog's spot tier
-  /// when one exists (seed-deterministic per acquisition); 0 disables.
-  double spot_fraction = 0.0;
-  ResilienceOptions resilience;
-  /// Predictive scheduling (the *Predictive kinds): act on the forecast
-  /// vector in ObservedState instead of reacting to the last interval
-  /// only. All off by default — reactive runs stay bit-identical.
-  bool predictive = false;
-  /// A predicted peak must exceed the current rate by this fraction to
-  /// trigger pre-acquisition (and to hold off scale-in).
-  double preacquire_margin = 0.1;
-  /// How far ahead pre-acquisition looks, seconds — the engine sets it to
-  /// the worst-case mean provisioning delay so VMs ordered at the edge of
-  /// the window are ready when their forecast peak lands.
-  double preacquire_lead_s = 0.0;
-  /// Score alternate choices against the whole forecast vector (mean
-  /// Theta over the horizon via PlanEvaluator) on the alternate cadence.
-  bool lookahead_alternates = true;
-};
-
-/// Build a scheduler for `kind` against `env`. The factory owns the
-/// kind-specific wiring (strategy, adaptive/no-dynamism flags, planner
-/// parameters) so engine/tools/bench code never switches on the enum.
+/// Build the scheduler `spec` names against `env`. `heuristic` tunes the
+/// heuristic family (its mode comes from the spec); the planners read
+/// sigma, T and the seed from `env`.
 [[nodiscard]] std::unique_ptr<Scheduler> makeScheduler(
-    SchedulerKind kind, const SchedulerEnv& env,
-    const SchedulerTuning& tuning = {});
+    const SchedulerSpec& spec, const SchedulerEnv& env,
+    const HeuristicOptions& heuristic);
 
 }  // namespace dds

@@ -119,6 +119,17 @@ std::int64_t KeyValueConfig::getInt(const std::string& key,
   return out;
 }
 
+int KeyValueConfig::getIntInRange(const std::string& key, int fallback,
+                                  int lo, int hi) const {
+  const std::int64_t v = getInt(key, fallback);
+  if (v < lo || v > hi) {
+    throw ConfigError("config key '" + key + "' is out of range [" +
+                      std::to_string(lo) + ", " + std::to_string(hi) +
+                      "]: '" + getString(key, "") + "'");
+  }
+  return static_cast<int>(v);
+}
+
 bool KeyValueConfig::getBool(const std::string& key, bool fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
@@ -150,14 +161,6 @@ std::vector<std::string> KeyValueConfig::keys() const {
   out.reserve(values_.size());
   for (const auto& [k, v] : values_) out.push_back(k);
   return out;
-}
-
-SchedulerKind schedulerKindFromName(const std::string& name) {
-  try {
-    return parseSchedulerKind(name);
-  } catch (const PreconditionError& e) {
-    throw ConfigError(e.what());
-  }
 }
 
 namespace {
@@ -225,6 +228,8 @@ CliExperiment experimentFromConfig(const KeyValueConfig& kv) {
     throw ConfigError("unknown graph: '" + ex.graph +
                       "' (expected paper, chain or diamond)");
   }
+  ex.chain_length = static_cast<std::size_t>(
+      kv.getIntInRange("chain_length", 4, 1, kMaxChainLength));
 
   ExperimentConfig& cfg = ex.config;
   cfg.horizon_s = kv.getDouble("horizon_h", 1.0) * kSecondsPerHour;
@@ -238,7 +243,7 @@ CliExperiment experimentFromConfig(const KeyValueConfig& kv) {
   cfg.sigma_override = kv.getDouble("sigma", cfg.sigma_override);
   cfg.catalog = kv.getString("catalog", cfg.catalog);
   cfg.placement_racks =
-      static_cast<int>(kv.getInt("placement_racks", cfg.placement_racks));
+      kv.getIntInRange("placement_racks", cfg.placement_racks);
   cfg.power_smoothing_alpha =
       kv.getDouble("power_smoothing_alpha", cfg.power_smoothing_alpha);
   cfg.max_queue_delay_s =
@@ -288,10 +293,10 @@ CliExperiment experimentFromConfig(const KeyValueConfig& kv) {
   ResilienceConfig& rl = cfg.resilience;
   rl.quarantine_threshold =
       kv.getDouble("resilience.quarantine_threshold", rl.quarantine_threshold);
-  rl.quarantine_probes = static_cast<int>(
-      kv.getInt("resilience.quarantine_probes", rl.quarantine_probes));
-  rl.acquisition_max_retries = static_cast<int>(
-      kv.getInt("resilience.acq_max_retries", rl.acquisition_max_retries));
+  rl.quarantine_probes =
+      kv.getIntInRange("resilience.quarantine_probes", rl.quarantine_probes);
+  rl.acquisition_max_retries = kv.getIntInRange(
+      "resilience.acq_max_retries", rl.acquisition_max_retries);
   rl.acquisition_backoff_s =
       kv.getDouble("resilience.acq_backoff_s", rl.acquisition_backoff_s);
   rl.graceful_degradation =
@@ -308,14 +313,14 @@ CliExperiment experimentFromConfig(const KeyValueConfig& kv) {
                       joinNames(allForecastModels(), forecastModelName) +
                       ")");
   }
-  fo.horizon_intervals = static_cast<int>(
-      kv.getInt("forecast.horizon_intervals", fo.horizon_intervals));
+  fo.horizon_intervals =
+      kv.getIntInRange("forecast.horizon_intervals", fo.horizon_intervals);
   fo.ewma_alpha = kv.getDouble("forecast.ewma_alpha", fo.ewma_alpha);
   fo.hw_alpha = kv.getDouble("forecast.hw_alpha", fo.hw_alpha);
   fo.hw_beta = kv.getDouble("forecast.hw_beta", fo.hw_beta);
   fo.hw_gamma = kv.getDouble("forecast.hw_gamma", fo.hw_gamma);
-  fo.hw_season_intervals = static_cast<int>(
-      kv.getInt("forecast.hw_season_intervals", fo.hw_season_intervals));
+  fo.hw_season_intervals = kv.getIntInRange("forecast.hw_season_intervals",
+                                            fo.hw_season_intervals);
   fo.preacquire_margin =
       kv.getDouble("forecast.preacquire_margin", fo.preacquire_margin);
   fo.lookahead_alternates =
@@ -342,14 +347,18 @@ CliExperiment experimentFromConfig(const KeyValueConfig& kv) {
   auto names = kv.getList("scheduler");
   if (names.empty()) names = {"global"};
   for (const auto& name : names) {
-    ex.schedulers.push_back(schedulerKindFromName(name));
+    try {
+      ex.schedulers.push_back(parseScheduler(name));
+    } catch (const PreconditionError&) {
+      throw ConfigError("unknown scheduler name: '" + name + "' (expected " +
+                        joinNames(allSchedulers(), schedulerName) + ")");
+    }
   }
-  for (const SchedulerKind kind : ex.schedulers) {
-    if ((kind == SchedulerKind::LocalPredictive ||
-         kind == SchedulerKind::GlobalPredictive) &&
+  for (const SchedulerSpec& spec : ex.schedulers) {
+    if (spec.mode == SchedulerSpec::Mode::Predictive &&
         !cfg.forecast.enabled()) {
       throw ConfigError(
-          "scheduler '" + schedulerName(kind) +
+          "scheduler '" + schedulerName(spec) +
           "' needs forecasting on; set forecast.model to one of " +
           joinNames(allForecastModels(), forecastModelName) +
           " (other than off)");

@@ -10,6 +10,7 @@
 #include "dds/eventsim/event_simulator.hpp"
 #include "dds/faults/fault_plan.hpp"
 #include "dds/monitor/monitoring.hpp"
+#include "dds/sched/heuristic_scheduler.hpp"
 #include "dds/sim/simulator.hpp"
 #include "dds/trace/trace_replayer.hpp"
 
@@ -229,7 +230,7 @@ SimulationEngine::SimulationEngine(const Dataflow& dataflow,
                              config_.horizon_s);
 }
 
-ExperimentResult SimulationEngine::run(SchedulerKind kind,
+ExperimentResult SimulationEngine::run(const SchedulerSpec& spec,
                                        obs::TraceSink* sink) const {
   const Dataflow& df = *dataflow_;
   const obs::Tracer tracer(sink);
@@ -288,24 +289,26 @@ ExperimentResult SimulationEngine::run(SchedulerKind kind,
   env.sim_config = sim_cfg;
   env.omega_target = config_.omega_target;
   env.epsilon = config_.epsilon;
+  env.sigma = sigma_;
+  env.horizon_s = config_.horizon_s;
+  env.seed = config_.seed;
   env.tracer = tracer;
   env.metrics = &registry;
   env.plan_structure = arenas_.plan_structure;
 
-  SchedulerTuning tuning;
-  tuning.sigma = sigma_;
-  tuning.horizon_s = config_.horizon_s;
-  tuning.seed = config_.seed;
-  tuning.alternate_period = config_.alternate_period;
-  tuning.resource_period = config_.resource_period;
-  tuning.cheapest_class_acquisition = config_.cheapest_class_acquisition;
-  tuning.max_queue_delay_s = config_.max_queue_delay_s;
-  tuning.spot_fraction = config_.elasticity.spotEnabled()
-                             ? config_.elasticity.spot_fraction
-                             : 0.0;
-  tuning.resilience = resilienceOptionsOf(config_);
-  tuning.preacquire_margin = config_.forecast.preacquire_margin;
-  tuning.lookahead_alternates = config_.forecast.lookahead_alternates;
+  HeuristicOptions heuristic;
+  heuristic.alternate_period = config_.alternate_period;
+  heuristic.resource_period = config_.resource_period;
+  if (config_.cheapest_class_acquisition) {
+    heuristic.acquisition = ResourceAllocator::AcquisitionPolicy::CheapestPower;
+  }
+  heuristic.max_queue_delay_s = config_.max_queue_delay_s;
+  heuristic.spot_fraction = config_.elasticity.spotEnabled()
+                                ? config_.elasticity.spot_fraction
+                                : 0.0;
+  heuristic.resilience = resilienceOptionsOf(config_);
+  heuristic.preacquire_margin = config_.forecast.preacquire_margin;
+  heuristic.lookahead_alternates = config_.forecast.lookahead_alternates;
   // Pre-acquisition lead: the worst-case *mean* provisioning delay over
   // the catalog, so VMs ordered now are (in expectation) ready when the
   // forecast peak lands. Zero when delivery is instant — pre-acquisition
@@ -315,18 +318,19 @@ ExperimentResult SimulationEngine::run(SchedulerKind kind,
     for (const auto& cls : cloud.catalog().classes()) {
       max_cores = std::max(max_cores, cls.cores);
     }
-    tuning.preacquire_lead_s =
+    heuristic.preacquire_lead_s =
         config_.elasticity.provisioning_delay_s +
         config_.elasticity.provisioning_delay_per_core_s *
             static_cast<double>(max_cores - 1);
   }
 
-  std::unique_ptr<Scheduler> scheduler = makeScheduler(kind, env, tuning);
+  std::unique_ptr<Scheduler> scheduler = makeScheduler(spec, env, heuristic);
+  const std::string scheduler_name = schedulerName(spec);
 
   // The header is the first line of every trace: it carries everything the
   // analyzer needs to recompute Theta and attribute events to intervals.
   if (tracer.enabled()) {
-    tracer.emit(obs::RunHeaderEvent{.scheduler = scheduler->name(),
+    tracer.emit(obs::RunHeaderEvent{.scheduler = scheduler_name,
                                     .seed = config_.seed,
                                     .sigma = sigma_,
                                     .omega_target = config_.omega_target,
@@ -345,7 +349,7 @@ ExperimentResult SimulationEngine::run(SchedulerKind kind,
   Deployment deployment = scheduler->deploy(profile->rate(0.0));
 
   ExperimentResult result;
-  result.scheduler_name = scheduler->name();
+  result.scheduler_name = scheduler_name;
   result.sigma = sigma_;
 
   obs::Histogram& h_omega = registry.histogram("interval.omega");

@@ -60,7 +60,7 @@ ExperimentJob jobFromSpec(const JobSpec& spec, Substrate& substrate) {
   // The substrate cache owns the graph; it outlives any job built here
   // as long as the substrate itself is kept alive by the caller.
   const std::shared_ptr<const Dataflow> df =
-      substrate.graphFor(spec.graph, spec.chain_length);
+      substrate.graphFor(ex.graph, ex.chain_length);
   ExperimentJob job;
   job.dataflow = df.get();
   job.config = ex.config;
@@ -109,15 +109,15 @@ std::size_t Campaign::addSpec(const JobSpec& spec) {
 
 void Campaign::addPolicySweep(const Dataflow& dataflow,
                               const ExperimentConfig& base,
-                              const std::vector<SchedulerKind>& kinds) {
-  for (const SchedulerKind kind : kinds) {
+                              const std::vector<SchedulerSpec>& kinds) {
+  for (const SchedulerSpec& kind : kinds) {
     add({&dataflow, base, kind, "", ""});
   }
 }
 
 void Campaign::addSeedSweep(const Dataflow& dataflow,
-                            const ExperimentConfig& base, SchedulerKind kind,
-                            std::size_t runs) {
+                            const ExperimentConfig& base,
+                            const SchedulerSpec& kind, std::size_t runs) {
   DDS_REQUIRE(runs >= 1, "need at least one run");
   for (std::size_t i = 0; i < runs; ++i) {
     ExperimentConfig cfg = base;

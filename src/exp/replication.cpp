@@ -5,8 +5,9 @@
 namespace dds {
 
 ReplicatedResult runReplicated(const Dataflow& dataflow,
-                               ExperimentConfig base, SchedulerKind kind,
-                               std::size_t runs, std::size_t jobs) {
+                               ExperimentConfig base,
+                               const SchedulerSpec& kind, std::size_t runs,
+                               std::size_t jobs) {
   DDS_REQUIRE(runs >= 1, "need at least one run");
   Campaign campaign;
   campaign.addSeedSweep(dataflow, base, kind, runs);

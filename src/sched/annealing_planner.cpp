@@ -38,13 +38,10 @@ std::string planLabel(const Plan& plan) {
 
 }  // namespace
 
-AnnealingScheduler::AnnealingScheduler(SchedulerEnv env, double sigma,
-                                       SimTime horizon_s,
+AnnealingScheduler::AnnealingScheduler(SchedulerEnv env,
                                        AnnealingOptions options)
-    : env_(env), sigma_(sigma), horizon_s_(horizon_s), options_(options) {
+    : env_(env), options_(options) {
   env_.validate();
-  DDS_REQUIRE(sigma >= 0.0, "sigma must be non-negative");
-  DDS_REQUIRE(horizon_s > 0.0, "horizon must be positive");
   options_.validate();
 }
 
@@ -55,14 +52,14 @@ Deployment AnnealingScheduler::deploy(double estimated_input_rate) {
   const ResourceCatalog& catalog = env_.cloud->catalog();
   const std::size_t n_pes = df.peCount();
   const std::size_t n_classes = catalog.size();
-  const double horizon_hours = std::ceil(horizon_s_ / kSecondsPerHour);
-  Rng rng(options_.seed);
+  const double horizon_hours = std::ceil(env_.horizon_s / kSecondsPerHour);
+  Rng rng(env_.seed);
 
   const bool incremental = options_.incremental_evaluation;
   PlanEvaluatorOptions eval_options;
   eval_options.input_rate = estimated_input_rate;
   eval_options.omega_target = env_.omega_target;
-  eval_options.sigma = sigma_;
+  eval_options.sigma = env_.sigma;
   eval_options.horizon_hours = horizon_hours;
   eval_options.memo_capacity = incremental ? options_.memo_capacity : 0;
   PlanEvaluator eval(env_.plan_structure != nullptr
@@ -77,7 +74,7 @@ Deployment AnnealingScheduler::deploy(double estimated_input_rate) {
   auto evaluateFull = [&](const Plan& plan) {
     return referencePlanTheta(df, catalog, plan.alternates, plan.vm_counts,
                               estimated_input_rate, env_.omega_target,
-                              sigma_, horizon_hours, scratch, nullptr);
+                              env_.sigma, horizon_hours, scratch, nullptr);
   };
 
   // Seed plan: cheapest-per-value alternates are unknown yet, so start
@@ -234,8 +231,8 @@ Deployment AnnealingScheduler::deploy(double estimated_input_rate) {
   static_planning::Assignment assignment;
   best_theta_ = referencePlanTheta(df, catalog, best.alternates,
                                    best.vm_counts, estimated_input_rate,
-                                   env_.omega_target, sigma_, horizon_hours,
-                                   deployment, &assignment);
+                                   env_.omega_target, env_.sigma,
+                                   horizon_hours, deployment, &assignment);
   DDS_ENSURE(std::isfinite(best_theta_), "best plan must stay feasible");
   if (env_.tracer.enabled()) {
     // Keep the last few superseded incumbents (best theta first).

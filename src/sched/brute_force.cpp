@@ -33,16 +33,10 @@ std::string planLabel(const std::vector<std::size_t>& combo,
 
 }  // namespace
 
-BruteForceScheduler::BruteForceScheduler(SchedulerEnv env, double sigma,
-                                         SimTime horizon_s,
+BruteForceScheduler::BruteForceScheduler(SchedulerEnv env,
                                          std::size_t max_combinations)
-    : env_(env),
-      sigma_(sigma),
-      horizon_s_(horizon_s),
-      max_combinations_(max_combinations) {
+    : env_(env), max_combinations_(max_combinations) {
   env_.validate();
-  DDS_REQUIRE(sigma >= 0.0, "sigma must be non-negative");
-  DDS_REQUIRE(horizon_s > 0.0, "horizon must be positive");
   DDS_REQUIRE(max_combinations >= 1, "combination cap must be positive");
 }
 
@@ -53,7 +47,7 @@ Deployment BruteForceScheduler::deploy(double estimated_input_rate) {
   const ResourceCatalog& catalog = env_.cloud->catalog();
   const std::size_t n_pes = df.peCount();
   const std::size_t n_classes = catalog.size();
-  const double horizon_hours = std::ceil(horizon_s_ / kSecondsPerHour);
+  const double horizon_hours = std::ceil(env_.horizon_s / kSecondsPerHour);
   plans_examined_ = 0;
 
   // Incremental evaluator: advancing the alternate odometer changes a
@@ -62,7 +56,7 @@ Deployment BruteForceScheduler::deploy(double estimated_input_rate) {
   PlanEvaluatorOptions eval_options;
   eval_options.input_rate = estimated_input_rate;
   eval_options.omega_target = env_.omega_target;
-  eval_options.sigma = sigma_;
+  eval_options.sigma = env_.sigma;
   eval_options.horizon_hours = horizon_hours;
   PlanEvaluator eval(env_.plan_structure != nullptr
                          ? env_.plan_structure
@@ -148,7 +142,7 @@ Deployment BruteForceScheduler::deploy(double estimated_input_rate) {
       for (std::size_t c = 0; c < n_classes; ++c) {
         cost += counts[c] * class_price[c] * horizon_hours;
       }
-      const double theta = gamma - sigma_ * cost;
+      const double theta = gamma - env_.sigma * cost;
       const bool worth_checking =
           total_power + 1e-9 >= total_demand &&
           total_cores >= static_cast<int>(n_pes) &&

@@ -10,6 +10,7 @@ namespace dds {
 namespace {
 
 constexpr double kEps = 1e-9;
+using Mode = SchedulerSpec::Mode;
 
 /// Heuristic decisions are not plan-scored; their decision events carry
 /// Θ = NaN (serialized as the "NaN" sentinel) rather than a fake zero.
@@ -25,36 +26,34 @@ double freeCorePower(const CloudProvider& cloud, const CorePowerFn& power) {
   return total;
 }
 
+/// `env` once it passed validation: the allocator member binds
+/// *env.dataflow, so a null pointer must throw before that happens.
+SchedulerEnv validated(SchedulerEnv env) {
+  env.validate();
+  return env;
+}
+
 }  // namespace
 
 HeuristicScheduler::HeuristicScheduler(SchedulerEnv env, Strategy strategy,
                                        HeuristicOptions options)
-    : env_(env),
+    : env_(validated(env)),
       strategy_(strategy),
       options_(options),
-      allocator_(*env.dataflow, *env.cloud, env.omega_target,
+      allocator_(*env_.dataflow, *env_.cloud, env_.omega_target,
                  options.acquisition) {
-  env_.validate();
   DDS_REQUIRE(options_.alternate_period >= 1,
               "alternate period must be at least one interval");
   DDS_REQUIRE(options_.resource_period >= 1,
               "resource period must be at least one interval");
   allocator_.setResilience(options_.resilience);
-  allocator_.setSpotPreference(options_.spot_fraction, options_.spot_seed);
+  allocator_.setSpotPreference(options_.spot_fraction, env_.seed);
   allocator_.setObservability(env_.tracer, env_.metrics);
   if (options_.resilience.quarantineEnabled()) {
     guard_ = std::make_unique<StragglerGuard>(*env_.cloud, *env_.monitor,
                                               options_.resilience);
     guard_->setTracer(env_.tracer);
   }
-}
-
-std::string HeuristicScheduler::name() const {
-  std::string n = toString(strategy_);
-  if (!options_.adaptive) n += "-static";
-  if (!options_.use_dynamism) n += "-nodyn";
-  if (options_.predictive) n += "-predictive";
-  return n;
 }
 
 Deployment HeuristicScheduler::deploy(double estimated_input_rate) {
@@ -64,7 +63,7 @@ Deployment HeuristicScheduler::deploy(double estimated_input_rate) {
   Deployment deployment(df);
 
   // Alternate-selection stage (Alg. 1 lines 2-11).
-  if (options_.use_dynamism) {
+  if (options_.mode != Mode::NoDyn) {
     selectInitialAlternates(strategy_, df, deployment);
   } else {
     selectBestValueAlternates(df, deployment);
@@ -92,15 +91,15 @@ Deployment HeuristicScheduler::deploy(double estimated_input_rate) {
 
 std::vector<MigrationEvent> HeuristicScheduler::adapt(
     const ObservedState& state, Deployment& deployment) {
-  if (!options_.adaptive || state.interval == 0) return {};
+  if (options_.mode == Mode::Static || state.interval == 0) return {};
   const bool alternate_ran =
-      options_.use_dynamism &&
+      options_.mode != Mode::NoDyn &&
       state.interval % options_.alternate_period == 0;
   if (alternate_ran) {
     // Predictive runs score alternates against the whole forecast vector
     // when one is available; without a forecast (or with lookahead
     // disabled) they fall back to the reactive Alg. 2 phase.
-    if (options_.predictive && options_.lookahead_alternates &&
+    if (options_.mode == Mode::Predictive && options_.lookahead_alternates &&
         state.forecast != nullptr && !state.forecast->empty()) {
       lookaheadPhase(state, deployment);
     } else {
@@ -116,7 +115,7 @@ std::vector<MigrationEvent> HeuristicScheduler::adapt(
   const double omega_t =
       state.last_interval != nullptr ? state.last_interval->omega : 1.0;
   if (!alternate_ran && options_.resilience.graceful_degradation &&
-      options_.use_dynamism && omega_t < env_.omega_target &&
+      options_.mode != Mode::NoDyn && omega_t < env_.omega_target &&
       capacityPending(state.now)) {
     alternatePhase(state, deployment);
     ++graceful_degradations_;
@@ -304,7 +303,7 @@ void HeuristicScheduler::lookaheadPhase(const ObservedState& state,
   if (lookahead_ == nullptr) {
     lookahead_ = std::make_unique<LookaheadPlanner>(
         *env_.dataflow, *env_.cloud, env_.plan_structure, env_.omega_target,
-        options_.lookahead_sigma, options_.lookahead_horizon_s);
+        env_.sigma, env_.horizon_s);
   }
   const LookaheadPlanner::Result result =
       lookahead_->plan(deployment, *state.forecast);
@@ -546,7 +545,7 @@ std::vector<MigrationEvent> HeuristicScheduler::resourcePhase(
   // forecast says will be needed again would pay the delay twice.
   bool forecast_peak_pending = false;
   int preacquired = 0;
-  if (options_.predictive) {
+  if (options_.mode == Mode::Predictive) {
     preacquired = preacquireForForecast(state, deployment, power,
                                         forecast_peak_pending);
   }

@@ -1,7 +1,9 @@
 // The scheduler registry: names, parsing and construction for every
-// concrete policy. Adding a SchedulerKind is a change to this file (plus
-// the enum) — engine, tools and bench code go through the factory.
-#include <sstream>
+// concrete policy. A name is a heuristic strategy plus a mode suffix, or a
+// standalone planner's family name; both directions derive from the two
+// suffix/family tables below.
+#include <array>
+#include <string_view>
 
 #include "dds/sched/annealing_planner.hpp"
 #include "dds/sched/brute_force.hpp"
@@ -10,123 +12,90 @@
 #include "dds/sched/scheduler.hpp"
 
 namespace dds {
+namespace {
 
-std::string schedulerName(SchedulerKind kind) {
-  switch (kind) {
-    case SchedulerKind::LocalAdaptive:
-      return "local";
-    case SchedulerKind::GlobalAdaptive:
-      return "global";
-    case SchedulerKind::LocalStatic:
-      return "local-static";
-    case SchedulerKind::GlobalStatic:
-      return "global-static";
-    case SchedulerKind::LocalAdaptiveNoDyn:
-      return "local-nodyn";
-    case SchedulerKind::GlobalAdaptiveNoDyn:
-      return "global-nodyn";
-    case SchedulerKind::BruteForceStatic:
-      return "brute-force-static";
-    case SchedulerKind::ReactiveBaseline:
-      return "reactive-autoscaler";
-    case SchedulerKind::AnnealingStatic:
-      return "annealing-static";
-    case SchedulerKind::LocalPredictive:
-      return "local-predictive";
-    case SchedulerKind::GlobalPredictive:
-      return "global-predictive";
+using Family = SchedulerSpec::Family;
+using Mode = SchedulerSpec::Mode;
+
+/// Heuristic name suffix per Mode, in enum order.
+constexpr std::array<std::string_view, 4> kModeSuffix = {
+    "", "-static", "-nodyn", "-predictive"};
+
+/// Standalone planner name per Family, in enum order (no heuristic entry).
+constexpr std::array<std::string_view, 4> kPlannerName = {
+    "", "brute-force-static", "annealing-static", "reactive-autoscaler"};
+
+constexpr std::array<Strategy, 2> kStrategies = {Strategy::Local,
+                                                 Strategy::Global};
+
+}  // namespace
+
+std::string schedulerName(const SchedulerSpec& spec) {
+  if (spec.family != Family::Heuristic) {
+    return std::string(kPlannerName[static_cast<std::size_t>(spec.family)]);
   }
-  return "unknown";
+  return toString(spec.strategy) +
+         std::string(kModeSuffix[static_cast<std::size_t>(spec.mode)]);
 }
 
-const std::vector<SchedulerKind>& allSchedulerKinds() {
-  static const std::vector<SchedulerKind> kKinds = {
-      SchedulerKind::LocalAdaptive,      SchedulerKind::GlobalAdaptive,
-      SchedulerKind::LocalStatic,        SchedulerKind::GlobalStatic,
-      SchedulerKind::LocalAdaptiveNoDyn, SchedulerKind::GlobalAdaptiveNoDyn,
-      SchedulerKind::BruteForceStatic,   SchedulerKind::ReactiveBaseline,
-      SchedulerKind::AnnealingStatic,    SchedulerKind::LocalPredictive,
-      SchedulerKind::GlobalPredictive};
-  return kKinds;
+const std::vector<SchedulerSpec>& allSchedulers() {
+  // Mode-major heuristics, the planners, then the predictive pair: the
+  // order --help and the sweeps have always listed.
+  static const std::vector<SchedulerSpec> kAll = [] {
+    std::vector<SchedulerSpec> all;
+    const auto heuristics = [&all](Mode mode) {
+      for (const Strategy s : kStrategies) {
+        all.push_back({Family::Heuristic, s, mode});
+      }
+    };
+    heuristics(Mode::Adaptive);
+    heuristics(Mode::Static);
+    heuristics(Mode::NoDyn);
+    for (const Family f :
+         {Family::BruteForce, Family::Reactive, Family::Annealing}) {
+      all.push_back({.family = f});
+    }
+    heuristics(Mode::Predictive);
+    return all;
+  }();
+  return kAll;
 }
 
-SchedulerKind parseSchedulerKind(const std::string& name) {
-  for (const SchedulerKind kind : allSchedulerKinds()) {
-    if (schedulerName(kind) == name) return kind;
+SchedulerSpec parseScheduler(const std::string& name) {
+  for (std::size_t f = 1; f < kPlannerName.size(); ++f) {
+    if (name == kPlannerName[f]) return {.family = static_cast<Family>(f)};
+  }
+  for (const Strategy s : kStrategies) {
+    const std::string strategy = toString(s);
+    if (!name.starts_with(strategy)) continue;
+    const std::string_view suffix = std::string_view(name).substr(
+        strategy.size());
+    for (std::size_t m = 0; m < kModeSuffix.size(); ++m) {
+      if (suffix == kModeSuffix[m]) {
+        return {Family::Heuristic, s, static_cast<Mode>(m)};
+      }
+    }
   }
   throw PreconditionError("unknown scheduler name: '" + name + "'");
 }
 
-namespace {
-
-HeuristicOptions heuristicOptionsOf(const SchedulerTuning& tuning) {
-  HeuristicOptions opts;
-  opts.alternate_period = tuning.alternate_period;
-  opts.resource_period = tuning.resource_period;
-  if (tuning.cheapest_class_acquisition) {
-    opts.acquisition = ResourceAllocator::AcquisitionPolicy::CheapestPower;
-  }
-  opts.max_queue_delay_s = tuning.max_queue_delay_s;
-  opts.resilience = tuning.resilience;
-  opts.spot_fraction = tuning.spot_fraction;
-  opts.spot_seed = tuning.seed;
-  opts.predictive = tuning.predictive;
-  opts.preacquire_margin = tuning.preacquire_margin;
-  opts.preacquire_lead_s = tuning.preacquire_lead_s;
-  opts.lookahead_alternates = tuning.lookahead_alternates;
-  opts.lookahead_sigma = tuning.sigma;
-  opts.lookahead_horizon_s = tuning.horizon_s;
-  return opts;
-}
-
-}  // namespace
-
-std::unique_ptr<Scheduler> makeScheduler(SchedulerKind kind,
+std::unique_ptr<Scheduler> makeScheduler(const SchedulerSpec& spec,
                                          const SchedulerEnv& env,
-                                         const SchedulerTuning& tuning) {
-  HeuristicOptions opts = heuristicOptionsOf(tuning);
-  switch (kind) {
-    case SchedulerKind::LocalAdaptive:
-      return std::make_unique<HeuristicScheduler>(env, Strategy::Local, opts);
-    case SchedulerKind::GlobalAdaptive:
-      return std::make_unique<HeuristicScheduler>(env, Strategy::Global,
-                                                  opts);
-    case SchedulerKind::LocalStatic:
-      opts.adaptive = false;
-      return std::make_unique<HeuristicScheduler>(env, Strategy::Local, opts);
-    case SchedulerKind::GlobalStatic:
-      opts.adaptive = false;
-      return std::make_unique<HeuristicScheduler>(env, Strategy::Global,
-                                                  opts);
-    case SchedulerKind::LocalAdaptiveNoDyn:
-      opts.use_dynamism = false;
-      return std::make_unique<HeuristicScheduler>(env, Strategy::Local, opts);
-    case SchedulerKind::GlobalAdaptiveNoDyn:
-      opts.use_dynamism = false;
-      return std::make_unique<HeuristicScheduler>(env, Strategy::Global,
-                                                  opts);
-    case SchedulerKind::BruteForceStatic:
-      return std::make_unique<BruteForceScheduler>(env, tuning.sigma,
-                                                   tuning.horizon_s);
-    case SchedulerKind::ReactiveBaseline:
-      return std::make_unique<ReactiveAutoscaler>(env);
-    case SchedulerKind::AnnealingStatic: {
-      AnnealingOptions ann;
-      ann.seed = tuning.seed;
-      return std::make_unique<AnnealingScheduler>(env, tuning.sigma,
-                                                  tuning.horizon_s, ann);
+                                         const HeuristicOptions& heuristic) {
+  switch (spec.family) {
+    case Family::Heuristic: {
+      HeuristicOptions opts = heuristic;
+      opts.mode = spec.mode;
+      return std::make_unique<HeuristicScheduler>(env, spec.strategy, opts);
     }
-    case SchedulerKind::LocalPredictive:
-      opts.predictive = true;
-      return std::make_unique<HeuristicScheduler>(env, Strategy::Local, opts);
-    case SchedulerKind::GlobalPredictive:
-      opts.predictive = true;
-      return std::make_unique<HeuristicScheduler>(env, Strategy::Global,
-                                                  opts);
+    case Family::BruteForce:
+      return std::make_unique<BruteForceScheduler>(env);
+    case Family::Annealing:
+      return std::make_unique<AnnealingScheduler>(env);
+    case Family::Reactive:
+      return std::make_unique<ReactiveAutoscaler>(env);
   }
-  std::ostringstream os;
-  os << "makeScheduler: unhandled SchedulerKind " << static_cast<int>(kind);
-  throw PreconditionError(os.str());
+  throw PreconditionError("makeScheduler: unhandled scheduler family");
 }
 
 }  // namespace dds

@@ -53,7 +53,7 @@ TEST(Catalogs, EngineRunsOnEveryCatalog) {
     cfg.workload.mean_rate = 10.0;
     cfg.catalog = name;
     const auto r =
-        SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+        SimulationEngine(df, cfg).run(parseScheduler("global"));
     EXPECT_TRUE(r.constraint_met) << name << " " << r.average_omega;
   }
   ExperimentConfig bad;
@@ -68,10 +68,10 @@ TEST(Catalogs, CoarseCatalogCostsMoreAtTinyRates) {
   cfg.workload.mean_rate = 2.0;
   cfg.catalog = "m1";
   const auto fine =
-      SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+      SimulationEngine(df, cfg).run(parseScheduler("global"));
   cfg.catalog = "m3";
   const auto coarse =
-      SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+      SimulationEngine(df, cfg).run(parseScheduler("global"));
   EXPECT_LT(fine.total_cost, coarse.total_cost);
 }
 
@@ -82,10 +82,10 @@ TEST(Catalogs, CheapestPowerAcquisitionFixesMixedMenu) {
   cfg.workload.mean_rate = 20.0;
   cfg.catalog = "mixed";
   const auto largest_first =
-      SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+      SimulationEngine(df, cfg).run(parseScheduler("global"));
   cfg.cheapest_class_acquisition = true;
   const auto cheapest =
-      SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+      SimulationEngine(df, cfg).run(parseScheduler("global"));
   // The paper's largest-first rule buys the pricier m3 classes on the
   // mixed menu; cost-aware acquisition recovers the m1 price line.
   EXPECT_LT(cheapest.total_cost, largest_first.total_cost);
@@ -99,9 +99,9 @@ TEST(Catalogs, CheapestPowerIsNoOpOnUniformPricing) {
   ExperimentConfig cfg;
   cfg.horizon_s = kSecondsPerHour;
   cfg.workload.mean_rate = 10.0;
-  const auto a = SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+  const auto a = SimulationEngine(df, cfg).run(parseScheduler("global"));
   cfg.cheapest_class_acquisition = true;
-  const auto b = SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+  const auto b = SimulationEngine(df, cfg).run(parseScheduler("global"));
   EXPECT_DOUBLE_EQ(a.total_cost, b.total_cost);
   EXPECT_DOUBLE_EQ(a.average_omega, b.average_omega);
 }

@@ -116,7 +116,7 @@ TEST(PlacementModel, EngineRunsWithPlacementEnabled) {
   cfg.horizon_s = 30.0 * kSecondsPerMinute;
   cfg.workload.mean_rate = 10.0;
   cfg.placement_racks = 4;
-  const auto r = SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+  const auto r = SimulationEngine(df, cfg).run(parseScheduler("global"));
   EXPECT_TRUE(r.constraint_met) << r.average_omega;
   cfg.placement_racks = -1;
   EXPECT_THROW(SimulationEngine(df, cfg), PreconditionError);

@@ -72,17 +72,35 @@ TEST(KeyValueConfig, LoadMissingFileThrows) {
   EXPECT_THROW((void)KeyValueConfig::load("/no/such/file.conf"), IoError);
 }
 
-TEST(SchedulerKindFromName, RoundTripsEveryKind) {
-  for (const auto kind :
-       {SchedulerKind::LocalAdaptive, SchedulerKind::GlobalAdaptive,
-        SchedulerKind::LocalStatic, SchedulerKind::GlobalStatic,
-        SchedulerKind::LocalAdaptiveNoDyn,
-        SchedulerKind::GlobalAdaptiveNoDyn,
-        SchedulerKind::BruteForceStatic,
-        SchedulerKind::ReactiveBaseline}) {
-    EXPECT_EQ(schedulerKindFromName(toString(kind)), kind);
+TEST(ExperimentFromConfig, AcceptsEverySchedulerName) {
+  std::string list;
+  for (const SchedulerSpec& spec : allSchedulers()) {
+    list += (list.empty() ? "" : ", ") + schedulerName(spec);
   }
-  EXPECT_THROW((void)schedulerKindFromName("quantum"), PreconditionError);
+  const auto ex = experimentFromConfig(KeyValueConfig::parse(
+      "scheduler = " + list + "\nforecast.model = naive\n"));
+  EXPECT_EQ(ex.schedulers, allSchedulers());
+}
+
+TEST(ExperimentFromConfig, UnknownSchedulerListsTheValidNames) {
+  for (const char* bad : {"quantum", "global-static-nodyn",
+                          "brute-force-predictive", "Global"}) {
+    try {
+      (void)experimentFromConfig(
+          KeyValueConfig::parse(std::string("scheduler = ") + bad + "\n"));
+      FAIL() << "expected ConfigError for " << bad;
+    } catch (const ConfigError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("unknown scheduler name: '" + std::string(bad) +
+                               "' (expected local, global, ",
+                           0),
+                0u)
+          << what;
+      for (const SchedulerSpec& spec : allSchedulers()) {
+        EXPECT_NE(what.find(schedulerName(spec)), std::string::npos) << what;
+      }
+    }
+  }
 }
 
 TEST(ExperimentFromConfig, AppliesValuesAndDefaults) {
@@ -97,9 +115,10 @@ TEST(ExperimentFromConfig, AppliesValuesAndDefaults) {
       "fault.vm_mtbf_h = 12\n");
   const auto ex = experimentFromConfig(kv);
   EXPECT_EQ(ex.graph, "chain");
+  EXPECT_EQ(ex.chain_length, 6u);
   ASSERT_EQ(ex.schedulers.size(), 2u);
-  EXPECT_EQ(ex.schedulers[0], SchedulerKind::LocalAdaptive);
-  EXPECT_EQ(ex.schedulers[1], SchedulerKind::GlobalAdaptive);
+  EXPECT_EQ(ex.schedulers[0], parseScheduler("local"));
+  EXPECT_EQ(ex.schedulers[1], parseScheduler("global"));
   EXPECT_DOUBLE_EQ(ex.config.workload.mean_rate, 25.0);
   EXPECT_EQ(ex.config.workload.profile, ProfileKind::RandomWalk);
   EXPECT_DOUBLE_EQ(ex.config.horizon_s, 3.0 * kSecondsPerHour);
@@ -112,7 +131,7 @@ TEST(ExperimentFromConfig, AppliesValuesAndDefaults) {
 TEST(ExperimentFromConfig, DefaultsToGlobalScheduler) {
   const auto ex = experimentFromConfig(KeyValueConfig::parse("graph=paper\n"));
   ASSERT_EQ(ex.schedulers.size(), 1u);
-  EXPECT_EQ(ex.schedulers[0], SchedulerKind::GlobalAdaptive);
+  EXPECT_EQ(ex.schedulers[0], parseScheduler("global"));
 }
 
 TEST(ExperimentFromConfig, RejectsUnknownKeysGraphsProfiles) {
@@ -413,14 +432,16 @@ TEST(ExperimentFromConfig, UnknownProfileListsTheRegistry) {
 }
 
 TEST(ExperimentFromConfig, PredictiveSchedulerNeedsForecastOn) {
-  try {
-    (void)experimentFromConfig(
-        KeyValueConfig::parse("scheduler = local-predictive\n"));
-    FAIL() << "expected ConfigError";
-  } catch (const ConfigError& e) {
-    EXPECT_NE(std::string(e.what()).find("forecast.model"),
-              std::string::npos)
-        << e.what();
+  for (const std::string name : {"local-predictive", "global-predictive"}) {
+    try {
+      (void)experimentFromConfig(
+          KeyValueConfig::parse("scheduler = global, " + name + "\n"));
+      FAIL() << "expected ConfigError for " << name;
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + name + "' needs forecasting"),
+                std::string::npos)
+          << e.what();
+    }
   }
   EXPECT_NO_THROW((void)experimentFromConfig(
       KeyValueConfig::parse("scheduler = local-predictive\n"
@@ -448,6 +469,54 @@ TEST(ExperimentFromConfig, ShippedExampleConfParses) {
   EXPECT_EQ(ex.graph, "paper");
   EXPECT_EQ(ex.schedulers.size(), 4u);
 }
+
+TEST(ExperimentFromConfig, ChainLengthIsRangeChecked) {
+  const auto parse = [](const std::string& length) {
+    return experimentFromConfig(KeyValueConfig::parse(
+        "graph = chain\nchain_length = " + length + "\n"));
+  };
+  EXPECT_EQ(parse("1").chain_length, 1u);
+  EXPECT_EQ(parse(std::to_string(kMaxChainLength)).chain_length,
+            static_cast<std::size_t>(kMaxChainLength));
+  for (const std::string bad : {"0", "-1", "1025", "1000000000000"}) {
+    try {
+      (void)parse(bad);
+      FAIL() << "expected ConfigError for chain_length " << bad;
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("'chain_length'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+/// Integer keys narrowed to `int`: a value outside int's range must fail
+/// naming the key, not wrap to a small valid-looking number.
+class IntegerConfigKey : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(IntegerConfigKey, OutOfIntRangeIsAConfigError) {
+  const std::string key = GetParam();
+  // 2^32 + 1 wraps to 1 and -(2^32 + 1) to -1 under a plain int cast.
+  for (const char* value : {"4294967297", "-4294967297", "2147483648"}) {
+    try {
+      (void)experimentFromConfig(KeyValueConfig::parse(
+          key + " = " + value + "\n"
+                "resilience.quarantine_threshold = 0.5\n"));
+      FAIL() << "expected ConfigError for " << key << " = " << value;
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(NarrowedKeys, IntegerConfigKey,
+                         ::testing::Values("placement_racks",
+                                           "resilience.quarantine_probes",
+                                           "resilience.acq_max_retries",
+                                           "forecast.horizon_intervals",
+                                           "forecast.hw_season_intervals"));
 
 }  // namespace
 }  // namespace dds

@@ -15,18 +15,6 @@ ExperimentConfig quickConfig() {
   return cfg;
 }
 
-TEST(SchedulerKindToString, AllNamed) {
-  EXPECT_EQ(toString(SchedulerKind::LocalAdaptive), "local");
-  EXPECT_EQ(toString(SchedulerKind::GlobalAdaptive), "global");
-  EXPECT_EQ(toString(SchedulerKind::LocalStatic), "local-static");
-  EXPECT_EQ(toString(SchedulerKind::GlobalStatic), "global-static");
-  EXPECT_EQ(toString(SchedulerKind::LocalAdaptiveNoDyn), "local-nodyn");
-  EXPECT_EQ(toString(SchedulerKind::GlobalAdaptiveNoDyn), "global-nodyn");
-  EXPECT_EQ(toString(SchedulerKind::BruteForceStatic), "brute-force-static");
-  EXPECT_EQ(toString(SchedulerKind::ReactiveBaseline), "reactive-autoscaler");
-  EXPECT_EQ(toString(SchedulerKind::AnnealingStatic), "annealing-static");
-}
-
 TEST(ExperimentConfig, ValidatesFields) {
   ExperimentConfig cfg = quickConfig();
   EXPECT_NO_THROW(cfg.validate());
@@ -62,7 +50,7 @@ TEST(DeriveSigma, HandlesNoDynamismGraphs) {
 TEST(Engine, RunProducesOneMetricPerInterval) {
   const Dataflow df = makePaperDataflow();
   const SimulationEngine engine(df, quickConfig());
-  const auto r = engine.run(SchedulerKind::GlobalAdaptive);
+  const auto r = engine.run(parseScheduler("global"));
   EXPECT_EQ(r.run.intervals().size(), 10u);
   EXPECT_EQ(r.scheduler_name, "global");
   EXPECT_GT(r.total_cost, 0.0);
@@ -80,7 +68,7 @@ TEST(Engine, SigmaOverrideWins) {
   cfg.sigma_override = 0.123;
   const SimulationEngine engine(df, cfg);
   EXPECT_DOUBLE_EQ(engine.sigma(), 0.123);
-  const auto r = engine.run(SchedulerKind::LocalStatic);
+  const auto r = engine.run(parseScheduler("local-static"));
   EXPECT_DOUBLE_EQ(r.sigma, 0.123);
   EXPECT_NEAR(r.theta, r.average_gamma - 0.123 * r.total_cost, 1e-12);
 }
@@ -91,8 +79,8 @@ TEST(Engine, DeterministicForSameSeed) {
   cfg.workload.infra_variability = true;
   cfg.workload.profile = ProfileKind::RandomWalk;
   const SimulationEngine engine(df, cfg);
-  const auto a = engine.run(SchedulerKind::GlobalAdaptive);
-  const auto b = engine.run(SchedulerKind::GlobalAdaptive);
+  const auto a = engine.run(parseScheduler("global"));
+  const auto b = engine.run(parseScheduler("global"));
   EXPECT_DOUBLE_EQ(a.average_omega, b.average_omega);
   EXPECT_DOUBLE_EQ(a.total_cost, b.total_cost);
   EXPECT_DOUBLE_EQ(a.theta, b.theta);
@@ -104,9 +92,9 @@ TEST(Engine, SeedChangesVariableRuns) {
   cfg.workload.infra_variability = true;
   cfg.workload.profile = ProfileKind::RandomWalk;
   cfg.horizon_s = 30.0 * kSecondsPerMinute;
-  const auto a = SimulationEngine(df, cfg).run(SchedulerKind::LocalAdaptive);
+  const auto a = SimulationEngine(df, cfg).run(parseScheduler("local"));
   cfg.seed = 777;
-  const auto b = SimulationEngine(df, cfg).run(SchedulerKind::LocalAdaptive);
+  const auto b = SimulationEngine(df, cfg).run(parseScheduler("local"));
   // Different seeds -> different traces and walks -> different outcomes.
   EXPECT_NE(a.average_omega, b.average_omega);
 }
@@ -116,9 +104,9 @@ TEST(Engine, AdaptiveMeetsConstraintUnderStableConditions) {
   ExperimentConfig cfg = quickConfig();
   cfg.horizon_s = kSecondsPerHour;
   for (const auto kind :
-       {SchedulerKind::LocalAdaptive, SchedulerKind::GlobalAdaptive}) {
+       {parseScheduler("local"), parseScheduler("global")}) {
     const auto r = SimulationEngine(df, cfg).run(kind);
-    EXPECT_TRUE(r.constraint_met) << toString(kind) << " omega "
+    EXPECT_TRUE(r.constraint_met) << schedulerName(kind) << " omega "
                                   << r.average_omega;
   }
 }
@@ -128,7 +116,7 @@ TEST(Engine, CostCumulativeIsNonDecreasing) {
   ExperimentConfig cfg = quickConfig();
   cfg.horizon_s = kSecondsPerHour;
   cfg.workload.profile = ProfileKind::PeriodicWave;
-  const auto r = SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+  const auto r = SimulationEngine(df, cfg).run(parseScheduler("global"));
   double prev = 0.0;
   for (const auto& m : r.run.intervals()) {
     EXPECT_GE(m.cost_cumulative, prev);
@@ -139,21 +127,30 @@ TEST(Engine, CostCumulativeIsNonDecreasing) {
 
 TEST(Engine, BruteForceRunsOnSmallConfig) {
   const Dataflow df = makePaperDataflow();
-  const auto r =
-      SimulationEngine(df, quickConfig()).run(SchedulerKind::BruteForceStatic);
+  const auto r = SimulationEngine(df, quickConfig())
+                     .run(parseScheduler("brute-force-static"));
   EXPECT_EQ(r.scheduler_name, "brute-force-static");
   EXPECT_TRUE(r.constraint_met);
 }
 
-class EngineAllKindsTest : public ::testing::TestWithParam<SchedulerKind> {};
+/// A policy's position in allSchedulers(). Wrapped rather than a bare int
+/// so the test IDs keep the byte-dump spelling ("4-byte object <00-00
+/// 00-00>") they had when the parameter was an enum of the same order.
+struct PolicyIndex {
+  std::int32_t value;
+};
+
+class EngineAllKindsTest : public ::testing::TestWithParam<PolicyIndex> {};
 
 TEST_P(EngineAllKindsTest, EveryKindCompletesAndReportsSaneMetrics) {
+  const SchedulerSpec spec =
+      allSchedulers()[static_cast<std::size_t>(GetParam().value)];
   const Dataflow df = makePaperDataflow();
   ExperimentConfig cfg = quickConfig();
   cfg.workload.infra_variability = true;
   cfg.workload.profile = ProfileKind::PeriodicWave;
-  const auto r = SimulationEngine(df, cfg).run(GetParam());
-  EXPECT_EQ(r.scheduler_name, toString(GetParam()));
+  const auto r = SimulationEngine(df, cfg).run(spec);
+  EXPECT_EQ(r.scheduler_name, schedulerName(spec));
   EXPECT_GE(r.average_omega, 0.0);
   EXPECT_LE(r.average_omega, 1.0);
   EXPECT_GT(r.average_gamma, 0.0);
@@ -161,17 +158,12 @@ TEST_P(EngineAllKindsTest, EveryKindCompletesAndReportsSaneMetrics) {
   EXPECT_GT(r.total_cost, 0.0);
 }
 
+// Every policy that runs without forecasting: all but the predictive pair.
 INSTANTIATE_TEST_SUITE_P(
     Kinds, EngineAllKindsTest,
-    ::testing::Values(SchedulerKind::LocalAdaptive,
-                      SchedulerKind::GlobalAdaptive,
-                      SchedulerKind::LocalStatic,
-                      SchedulerKind::GlobalStatic,
-                      SchedulerKind::LocalAdaptiveNoDyn,
-                      SchedulerKind::GlobalAdaptiveNoDyn,
-                      SchedulerKind::BruteForceStatic,
-                      SchedulerKind::ReactiveBaseline,
-                      SchedulerKind::AnnealingStatic));
+    ::testing::Values(PolicyIndex{0}, PolicyIndex{1}, PolicyIndex{2},
+                      PolicyIndex{3}, PolicyIndex{4}, PolicyIndex{5},
+                      PolicyIndex{6}, PolicyIndex{7}, PolicyIndex{8}));
 
 }  // namespace
 }  // namespace dds

@@ -27,7 +27,7 @@ TEST(EventBackend, ToStringNames) {
 TEST(EventBackend, FillsLatencyFields) {
   const Dataflow df = makePaperDataflow();
   const auto r =
-      SimulationEngine(df, eventConfig()).run(SchedulerKind::GlobalAdaptive);
+      SimulationEngine(df, eventConfig()).run(parseScheduler("global"));
   EXPECT_GT(r.messages_delivered, 0u);
   EXPECT_GT(r.latency_mean_s, 0.0);
   EXPECT_GT(r.latency_p50_s, 0.0);
@@ -42,7 +42,7 @@ TEST(EventBackend, FluidBackendLeavesLatencyZero) {
   ExperimentConfig cfg = eventConfig();
   cfg.backend = SimBackend::Fluid;
   const auto r =
-      SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+      SimulationEngine(df, cfg).run(parseScheduler("global"));
   EXPECT_EQ(r.messages_delivered, 0u);
   EXPECT_DOUBLE_EQ(r.latency_mean_s, 0.0);
 }
@@ -52,10 +52,10 @@ TEST(EventBackend, BackendsAgreeOnThroughputShape) {
   ExperimentConfig cfg = eventConfig();
   cfg.horizon_s = kSecondsPerHour;
   const auto event =
-      SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+      SimulationEngine(df, cfg).run(parseScheduler("global"));
   cfg.backend = SimBackend::Fluid;
   const auto fluid =
-      SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+      SimulationEngine(df, cfg).run(parseScheduler("global"));
   EXPECT_NEAR(event.average_omega, fluid.average_omega, 0.12);
   EXPECT_TRUE(event.constraint_met);
 }
@@ -63,7 +63,7 @@ TEST(EventBackend, BackendsAgreeOnThroughputShape) {
 TEST(EventBackend, StaticPolicyRunsWithoutAdaptation) {
   const Dataflow df = makePaperDataflow();
   const auto r =
-      SimulationEngine(df, eventConfig()).run(SchedulerKind::GlobalStatic);
+      SimulationEngine(df, eventConfig()).run(parseScheduler("global-static"));
   EXPECT_EQ(r.scheduler_name, "global-static");
   EXPECT_GT(r.messages_delivered, 0u);
 }
@@ -89,7 +89,7 @@ TEST(EventBackend, PowerSmoothingReachesTheScheduler) {
   cfg.seed = 2;
   const auto decisions = [&](double alpha) {
     cfg.power_smoothing_alpha = alpha;
-    const auto r = SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+    const auto r = SimulationEngine(df, cfg).run(parseScheduler("global"));
     std::vector<std::tuple<double, int, int>> out;
     for (const auto& m : r.run.intervals()) {
       out.emplace_back(m.gamma, m.allocated_cores, m.active_vms);

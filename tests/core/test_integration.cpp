@@ -25,12 +25,12 @@ ExperimentConfig baseConfig(double rate) {
 TEST(Integration, StaticHandlesNoVariability) {
   const Dataflow df = makePaperDataflow();
   const auto cfg = baseConfig(5.0);
-  for (const auto kind : {SchedulerKind::LocalStatic,
-                          SchedulerKind::GlobalStatic,
-                          SchedulerKind::BruteForceStatic}) {
+  for (const auto kind : {parseScheduler("local-static"),
+                          parseScheduler("global-static"),
+                          parseScheduler("brute-force-static")}) {
     const auto r = SimulationEngine(df, cfg).run(kind);
     EXPECT_TRUE(r.constraint_met)
-        << toString(kind) << " omega " << r.average_omega;
+        << schedulerName(kind) << " omega " << r.average_omega;
   }
 }
 
@@ -40,10 +40,10 @@ TEST(Integration, DataVariabilityHurtsStaticDeployments) {
   const Dataflow df = makePaperDataflow();
   auto cfg = baseConfig(5.0);
   const auto calm =
-      SimulationEngine(df, cfg).run(SchedulerKind::GlobalStatic);
+      SimulationEngine(df, cfg).run(parseScheduler("global-static"));
   cfg.workload.profile = ProfileKind::PeriodicWave;
   const auto wavy =
-      SimulationEngine(df, cfg).run(SchedulerKind::GlobalStatic);
+      SimulationEngine(df, cfg).run(parseScheduler("global-static"));
   EXPECT_LT(wavy.average_omega, calm.average_omega);
 }
 
@@ -51,10 +51,10 @@ TEST(Integration, InfraVariabilityHurtsStaticDeployments) {
   const Dataflow df = makePaperDataflow();
   auto cfg = baseConfig(5.0);
   const auto ideal =
-      SimulationEngine(df, cfg).run(SchedulerKind::LocalStatic);
+      SimulationEngine(df, cfg).run(parseScheduler("local-static"));
   cfg.workload.infra_variability = true;
   const auto noisy =
-      SimulationEngine(df, cfg).run(SchedulerKind::LocalStatic);
+      SimulationEngine(df, cfg).run(parseScheduler("local-static"));
   EXPECT_LE(noisy.average_omega, ideal.average_omega + 1e-9);
 }
 
@@ -64,7 +64,7 @@ TEST(Integration, AdaptiveHoldsConstraintUnderBothVariabilities) {
   cfg.workload.profile = ProfileKind::PeriodicWave;
   cfg.workload.infra_variability = true;
   const auto adaptive =
-      SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+      SimulationEngine(df, cfg).run(parseScheduler("global"));
   EXPECT_TRUE(adaptive.constraint_met) << adaptive.average_omega;
 }
 
@@ -88,7 +88,8 @@ TEST(Integration, ElasticityHarvestsOverestimatedRates) {
     env.cloud = &cloud;
     env.monitor = &mon;
     HeuristicOptions opts;
-    opts.adaptive = adaptive;
+    opts.mode = adaptive ? SchedulerSpec::Mode::Adaptive
+                         : SchedulerSpec::Mode::Static;
     HeuristicScheduler sched(env, Strategy::Global, opts);
     Deployment dep = sched.deploy(estimated_rate);
     DataflowSimulator sim(df, cloud, mon, {});
@@ -128,10 +129,10 @@ TEST(Integration, AdaptiveMeetsConstraintAcrossProfiles) {
     cfg.workload.profile = profile;
     cfg.workload.infra_variability = true;
     for (const auto kind :
-         {SchedulerKind::LocalAdaptive, SchedulerKind::GlobalAdaptive}) {
+         {parseScheduler("local"), parseScheduler("global")}) {
       const auto r = SimulationEngine(df, cfg).run(kind);
       EXPECT_TRUE(r.constraint_met)
-          << toString(kind) << " on " << toString(profile) << ": "
+          << schedulerName(kind) << " on " << toString(profile) << ": "
           << r.average_omega;
     }
   }
@@ -145,9 +146,9 @@ TEST(Integration, DynamismReducesCost) {
   cfg.workload.profile = ProfileKind::PeriodicWave;
   cfg.workload.infra_variability = true;
   const auto with_dyn =
-      SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+      SimulationEngine(df, cfg).run(parseScheduler("global"));
   const auto without_dyn =
-      SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptiveNoDyn);
+      SimulationEngine(df, cfg).run(parseScheduler("global-nodyn"));
   EXPECT_LE(with_dyn.total_cost, without_dyn.total_cost + 1e-9);
 }
 
@@ -156,9 +157,9 @@ TEST(Integration, DynamismImprovesTheta) {
   auto cfg = baseConfig(20.0);
   cfg.workload.profile = ProfileKind::PeriodicWave;
   const auto with_dyn =
-      SimulationEngine(df, cfg).run(SchedulerKind::LocalAdaptive);
+      SimulationEngine(df, cfg).run(parseScheduler("local"));
   const auto without_dyn =
-      SimulationEngine(df, cfg).run(SchedulerKind::LocalAdaptiveNoDyn);
+      SimulationEngine(df, cfg).run(parseScheduler("local-nodyn"));
   EXPECT_GE(with_dyn.theta, without_dyn.theta - 1e-9);
 }
 
@@ -167,7 +168,7 @@ TEST(Integration, HigherRatesCostMore) {
   double prev_cost = 0.0;
   for (const double rate : {5.0, 20.0, 50.0}) {
     const auto r = SimulationEngine(df, baseConfig(rate))
-                       .run(SchedulerKind::GlobalAdaptive);
+                       .run(parseScheduler("global"));
     EXPECT_GE(r.total_cost, prev_cost);
     prev_cost = r.total_cost;
   }
@@ -181,9 +182,9 @@ TEST(Integration, WorksOnLargerGraphs) {
   cfg.workload.profile = ProfileKind::RandomWalk;
   cfg.workload.infra_variability = true;
   for (const auto kind :
-       {SchedulerKind::LocalAdaptive, SchedulerKind::GlobalAdaptive}) {
+       {parseScheduler("local"), parseScheduler("global")}) {
     const auto r = SimulationEngine(df, cfg).run(kind);
-    EXPECT_GT(r.average_omega, 0.0) << toString(kind);
+    EXPECT_GT(r.average_omega, 0.0) << schedulerName(kind);
     EXPECT_GT(r.total_cost, 0.0);
     EXPECT_EQ(r.run.intervals().size(), 30u);
   }
@@ -196,7 +197,7 @@ TEST(Integration, ScalesToHundredsOfCores) {
   auto cfg = baseConfig(50.0);
   cfg.horizon_s = 30.0 * kSecondsPerMinute;
   const auto r =
-      SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptiveNoDyn);
+      SimulationEngine(df, cfg).run(parseScheduler("global-nodyn"));
   EXPECT_GE(r.peak_cores, 60);
   EXPECT_TRUE(r.constraint_met) << r.average_omega;
 }

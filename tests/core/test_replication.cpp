@@ -21,7 +21,7 @@ ExperimentConfig quickConfig() {
 TEST(Replication, AggregatesAcrossSeeds) {
   const Dataflow df = makePaperDataflow();
   const auto r = runReplicated(df, quickConfig(),
-                               SchedulerKind::GlobalAdaptive, 5);
+                               parseScheduler("global"), 5);
   EXPECT_EQ(r.runs, 5u);
   EXPECT_EQ(r.scheduler_name, "global");
   EXPECT_EQ(r.omega.count(), 5u);
@@ -33,7 +33,7 @@ TEST(Replication, AggregatesAcrossSeeds) {
 TEST(Replication, SeedsActuallyVaryOutcomes) {
   const Dataflow df = makePaperDataflow();
   const auto r = runReplicated(df, quickConfig(),
-                               SchedulerKind::GlobalAdaptive, 5);
+                               parseScheduler("global"), 5);
   // Different trace draws must produce at least slightly different costs
   // or omegas — a zero spread would mean the seed is being ignored.
   EXPECT_GT(r.omega.stddev() + r.cost.stddev(), 0.0);
@@ -47,9 +47,9 @@ TEST(Replication, SuccessRateCountsViolations) {
   cfg.workload.profile = ProfileKind::PeriodicWave;
   cfg.horizon_s = kSecondsPerHour;
   const auto fixed =
-      runReplicated(df, cfg, SchedulerKind::GlobalStatic, 4);
+      runReplicated(df, cfg, parseScheduler("global-static"), 4);
   const auto adaptive =
-      runReplicated(df, cfg, SchedulerKind::GlobalAdaptive, 4);
+      runReplicated(df, cfg, parseScheduler("global"), 4);
   EXPECT_GE(adaptive.successRate(), fixed.successRate());
   EXPECT_LE(fixed.successRate(), 1.0);
   EXPECT_GE(fixed.successRate(), 0.0);
@@ -58,7 +58,7 @@ TEST(Replication, SuccessRateCountsViolations) {
 TEST(Replication, RejectsZeroRuns) {
   const Dataflow df = makePaperDataflow();
   EXPECT_THROW(
-      (void)runReplicated(df, quickConfig(), SchedulerKind::LocalStatic, 0),
+      (void)runReplicated(df, quickConfig(), parseScheduler("local-static"), 0),
       PreconditionError);
 }
 

@@ -13,7 +13,7 @@ ExperimentResult sampleResult() {
   ExperimentConfig cfg;
   cfg.horizon_s = 10.0 * kSecondsPerMinute;
   cfg.workload.mean_rate = 5.0;
-  return SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+  return SimulationEngine(df, cfg).run(parseScheduler("global"));
 }
 
 TEST(Report, IntervalSeriesHasOneRowPerInterval) {

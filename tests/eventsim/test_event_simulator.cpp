@@ -211,8 +211,8 @@ TEST(EventSim, AdaptiveSchedulerScalesOutUnderSurge) {
   cfg.workload.profile = ProfileKind::Spike;
   cfg.backend = SimBackend::Event;
   const SimulationEngine engine(df, cfg);
-  const auto adaptive = engine.run(SchedulerKind::GlobalAdaptive);
-  const auto fixed = engine.run(SchedulerKind::GlobalStatic);
+  const auto adaptive = engine.run(parseScheduler("global"));
+  const auto fixed = engine.run(parseScheduler("global-static"));
   const IntervalMetrics& surge_end = adaptive.run.intervals().at(49);
   ASSERT_EQ(surge_end.input_rate, 6.0);
   EXPECT_GT(adaptive.peak_cores,

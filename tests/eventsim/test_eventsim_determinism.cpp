@@ -92,7 +92,8 @@ EventSimResult runHeuristic(const Dataflow& df, double rate, bool adaptive,
   env.cloud = &cloud;
   env.monitor = &mon;
   HeuristicOptions opts;
-  opts.adaptive = adaptive;
+  opts.mode = adaptive ? SchedulerSpec::Mode::Adaptive
+                       : SchedulerSpec::Mode::Static;
   HeuristicScheduler sched(env, Strategy::Global, opts);
 
   EventSimConfig cfg;
@@ -121,7 +122,7 @@ std::string adaptiveRun(const Dataflow& df, double rate, bool reference,
   std::ostringstream out;
   obs::JsonlTraceSink sink(out);
   const ExperimentResult r =
-      SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive, &sink);
+      SimulationEngine(df, cfg).run(parseScheduler("global"), &sink);
   out << std::hexfloat << r.messages_delivered << ' ' << r.latency_mean_s
       << ' ' << r.latency_p95_s << ' ' << r.latency_p99_s << '\n';
   for (const obs::MetricSample& m : r.metrics) {
@@ -197,7 +198,7 @@ std::string runTracedEventBackend(bool reference_engine) {
   const Dataflow df = makePaperDataflow();
   std::ostringstream out;
   obs::JsonlTraceSink sink(out);
-  (void)SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive, &sink);
+  (void)SimulationEngine(df, cfg).run(parseScheduler("global"), &sink);
   return out.str();
 }
 

@@ -55,13 +55,13 @@ void expectIdentical(const JobOutcome& a, const JobOutcome& b) {
 TEST(Campaign, AddValidatesJobs) {
   Campaign campaign;
   EXPECT_THROW(campaign.add({nullptr, shortConfig(),
-                             SchedulerKind::GlobalAdaptive, "", ""}),
+                             parseScheduler("global"), "", ""}),
                PreconditionError);
   ExperimentConfig bad = shortConfig();
   bad.horizon_s = -1.0;
   const Dataflow df = makePaperDataflow();
   EXPECT_THROW(
-      campaign.add({&df, bad, SchedulerKind::GlobalAdaptive, "", ""}),
+      campaign.add({&df, bad, parseScheduler("global"), "", ""}),
       PreconditionError);
   EXPECT_TRUE(campaign.empty());
 }
@@ -69,7 +69,7 @@ TEST(Campaign, AddValidatesJobs) {
 TEST(Campaign, SeedSweepDerivesSequentialSeeds) {
   const Dataflow df = makePaperDataflow();
   Campaign campaign;
-  campaign.addSeedSweep(df, shortConfig(), SchedulerKind::LocalAdaptive, 4);
+  campaign.addSeedSweep(df, shortConfig(), parseScheduler("local"), 4);
   ASSERT_EQ(campaign.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(campaign.jobs()[i].config.seed, 77u + i);
@@ -81,7 +81,7 @@ TEST(Campaign, ParallelIsBitIdenticalToSerial) {
   // >= 2 policies x >= 4 seeds, as one grid.
   Campaign campaign;
   for (const auto kind :
-       {SchedulerKind::GlobalAdaptive, SchedulerKind::LocalAdaptive}) {
+       {parseScheduler("global"), parseScheduler("local")}) {
     campaign.addSeedSweep(df, shortConfig(), kind, 4);
   }
   ASSERT_EQ(campaign.size(), 8u);
@@ -100,14 +100,14 @@ TEST(Campaign, OutcomesStayInSubmissionOrder) {
   const Dataflow df = makePaperDataflow();
   Campaign campaign;
   campaign.addPolicySweep(df, shortConfig(),
-                          {SchedulerKind::GlobalAdaptive,
-                           SchedulerKind::LocalAdaptive,
-                           SchedulerKind::GlobalStatic});
+                          {parseScheduler("global"),
+                           parseScheduler("local"),
+                           parseScheduler("global-static")});
   const CampaignResult res = runCampaign(campaign, {.jobs = 3});
   ASSERT_EQ(res.outcomes.size(), 3u);
-  EXPECT_EQ(res.outcomes[0].kind, SchedulerKind::GlobalAdaptive);
-  EXPECT_EQ(res.outcomes[1].kind, SchedulerKind::LocalAdaptive);
-  EXPECT_EQ(res.outcomes[2].kind, SchedulerKind::GlobalStatic);
+  EXPECT_EQ(res.outcomes[0].kind, parseScheduler("global"));
+  EXPECT_EQ(res.outcomes[1].kind, parseScheduler("local"));
+  EXPECT_EQ(res.outcomes[2].kind, parseScheduler("global-static"));
   for (std::size_t i = 0; i < res.outcomes.size(); ++i) {
     EXPECT_EQ(res.outcomes[i].index, i);
     EXPECT_TRUE(res.outcomes[i].ok) << res.outcomes[i].error;
@@ -121,7 +121,7 @@ TEST(Campaign, JobFailureIsCapturedNotFatal) {
   Campaign campaign;
   campaign.addPolicySweep(
       df, cfg,
-      {SchedulerKind::BruteForceStatic, SchedulerKind::LocalAdaptive});
+      {parseScheduler("brute-force-static"), parseScheduler("local")});
   const CampaignResult res = runCampaign(campaign, {.jobs = 2});
   ASSERT_EQ(res.outcomes.size(), 2u);
   EXPECT_FALSE(res.outcomes[0].ok);
@@ -134,8 +134,8 @@ TEST(Campaign, JobFailureIsCapturedNotFatal) {
 TEST(Campaign, ConfigInterningCollapsesSeedSweeps) {
   const Dataflow df = makePaperDataflow();
   Campaign campaign;
-  campaign.addSeedSweep(df, shortConfig(), SchedulerKind::GlobalAdaptive, 50);
-  campaign.addSeedSweep(df, shortConfig(), SchedulerKind::LocalAdaptive, 50);
+  campaign.addSeedSweep(df, shortConfig(), parseScheduler("global"), 50);
+  campaign.addSeedSweep(df, shortConfig(), parseScheduler("local"), 50);
   // 100 jobs, one distinct config: seeds are deltas, policies are
   // per-entry fields, the base is interned once.
   EXPECT_EQ(campaign.size(), 100u);
@@ -144,7 +144,7 @@ TEST(Campaign, ConfigInterningCollapsesSeedSweeps) {
   // A genuinely different config gets its own base...
   ExperimentConfig other = shortConfig();
   other.workload.mean_rate = 20.0;
-  campaign.addSeedSweep(df, other, SchedulerKind::GlobalAdaptive, 10);
+  campaign.addSeedSweep(df, other, parseScheduler("global"), 10);
   EXPECT_EQ(campaign.distinctConfigCount(), 2u);
   // ...and materialized jobs still carry their own seeds.
   EXPECT_EQ(campaign.job(0).config.seed, 77u);
@@ -162,12 +162,12 @@ TEST(Campaign, InterningDoesNotChangeCampaignJson) {
   for (std::size_t i = 0; i < 4; ++i) {
     ExperimentConfig cfg = shortConfig();
     cfg.seed = 101 + i;
-    copies.add({&df, cfg, SchedulerKind::GlobalAdaptive, "", ""});
+    copies.add({&df, cfg, parseScheduler("global"), "", ""});
   }
   Campaign deltas;
   ExperimentConfig base = shortConfig();
   base.seed = 101;
-  deltas.addSeedSweep(df, base, SchedulerKind::GlobalAdaptive, 4);
+  deltas.addSeedSweep(df, base, parseScheduler("global"), 4);
   EXPECT_EQ(deltas.distinctConfigCount(), 1u);
 
   // Same worker count on both sides: jobs_used is a header field, and
@@ -187,7 +187,7 @@ TEST(Campaign, TimingFreeJsonStripsThroughputGauges) {
   const Dataflow df = makePaperDataflow();
   Campaign campaign;
   ExperimentConfig cfg = shortConfig();
-  campaign.add({&df, cfg, SchedulerKind::GlobalAdaptive, "", ""});
+  campaign.add({&df, cfg, parseScheduler("global"), "", ""});
   const CampaignResult result = runCampaign(campaign, {.jobs = 1});
   result.throwIfAnyFailed();
 
@@ -208,7 +208,7 @@ TEST(Campaign, AddSpecResolvesAgainstSubstrate) {
   const std::size_t index = campaign.addSpec(spec);
   EXPECT_EQ(index, 0u);
   const ExperimentJob job = campaign.job(0);
-  EXPECT_EQ(job.kind, SchedulerKind::LocalAdaptive);
+  EXPECT_EQ(job.kind, parseScheduler("local"));
   EXPECT_EQ(job.tenant, "team-a");
   EXPECT_EQ(job.config.seed, 9u);
   EXPECT_EQ(job.config.horizon_s, 0.5 * kSecondsPerHour);
@@ -225,7 +225,7 @@ TEST(Campaign, JsonExportIsWellFormedAndDeterministic) {
   const Dataflow df = makePaperDataflow();
   Campaign campaign;
   campaign.addPolicySweep(df, shortConfig(),
-                          {SchedulerKind::GlobalAdaptive});
+                          {parseScheduler("global")});
   const CampaignResult res = runCampaign(campaign, {.jobs = 1});
   const std::string a = campaignJson(res, "unit");
   EXPECT_NE(a.find("\"name\": \"unit\""), std::string::npos);
@@ -248,9 +248,9 @@ TEST(Campaign, TracePathsDeriveFromLabels) {
   const Dataflow df = makePaperDataflow();
   Campaign campaign;
   campaign.addPolicySweep(df, shortConfig(),
-                          {SchedulerKind::GlobalAdaptive,
-                           SchedulerKind::LocalAdaptive});
-  campaign.addSeedSweep(df, shortConfig(), SchedulerKind::GlobalAdaptive, 2);
+                          {parseScheduler("global"),
+                           parseScheduler("local")});
+  campaign.addSeedSweep(df, shortConfig(), parseScheduler("global"), 2);
   campaign.setTracePaths("base.jsonl");
   // Unique labels get `base.<label>`; the duplicated `global` label is
   // disambiguated with the submission index.
@@ -260,7 +260,7 @@ TEST(Campaign, TracePathsDeriveFromLabels) {
   EXPECT_EQ(campaign.jobs()[3].trace_path, "base.jsonl.global.3");
 
   Campaign single;
-  single.addPolicySweep(df, shortConfig(), {SchedulerKind::GlobalAdaptive});
+  single.addPolicySweep(df, shortConfig(), {parseScheduler("global")});
   single.setTracePaths("only.jsonl");
   EXPECT_EQ(single.jobs()[0].trace_path, "only.jsonl");
 }
@@ -268,9 +268,9 @@ TEST(Campaign, TracePathsDeriveFromLabels) {
 TEST(Campaign, TraceFilesAreByteIdenticalAtAnyJobCount) {
   const Dataflow df = makePaperDataflow();
   const std::string dir = ::testing::TempDir();
-  const std::vector<SchedulerKind> kinds = {SchedulerKind::GlobalAdaptive,
-                                            SchedulerKind::LocalAdaptive,
-                                            SchedulerKind::GlobalStatic};
+  const std::vector<SchedulerSpec> kinds = {parseScheduler("global"),
+                                            parseScheduler("local"),
+                                            parseScheduler("global-static")};
 
   const auto runWith = [&](const std::string& base, std::size_t jobs) {
     Campaign campaign;
@@ -297,9 +297,9 @@ TEST(Replication, ParallelMatchesSerial) {
   const Dataflow df = makePaperDataflow();
   const ExperimentConfig cfg = shortConfig();
   const auto serial =
-      runReplicated(df, cfg, SchedulerKind::GlobalAdaptive, 5, /*jobs=*/1);
+      runReplicated(df, cfg, parseScheduler("global"), 5, /*jobs=*/1);
   const auto parallel =
-      runReplicated(df, cfg, SchedulerKind::GlobalAdaptive, 5, /*jobs=*/4);
+      runReplicated(df, cfg, parseScheduler("global"), 5, /*jobs=*/4);
   EXPECT_EQ(serial.scheduler_name, parallel.scheduler_name);
   EXPECT_EQ(serial.omega.mean(), parallel.omega.mean());
   EXPECT_EQ(serial.omega.stddev(), parallel.omega.stddev());

@@ -124,7 +124,7 @@ TEST(JobSpec, ConfigValuesSurviveResolutionExactly) {
   EXPECT_EQ(ex.config.horizon_s, 0.25 * kSecondsPerHour);
   EXPECT_TRUE(ex.config.workload.infra_variability);
   ASSERT_EQ(ex.schedulers.size(), 1u);
-  EXPECT_EQ(ex.schedulers[0], SchedulerKind::LocalAdaptive);
+  EXPECT_EQ(ex.schedulers[0], parseScheduler("local"));
 }
 
 TEST(JobSpec, BadSchedulerOrGraphFailResolution) {

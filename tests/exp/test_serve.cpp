@@ -94,6 +94,29 @@ TEST(Serve, RejectedLinesGetErrorRecordsAtTheirIndex) {
   EXPECT_NE(lines[2].find("\"ok\":true"), std::string::npos);
 }
 
+TEST(Serve, OversizedChainLengthIsRejectedAndTheStreamContinues) {
+  // A chain is built eagerly, one PE per link: an unchecked length would
+  // take the whole server down instead of rejecting one spec.
+  const std::string input =
+      R"({"v":1,"graph":"chain","chain_length":1000000000000})"
+      "\n" +
+      specLine(1, "global") + "\n";
+  for (const std::size_t jobs : {1u, 2u}) {
+    ServeStats stats;
+    const std::string out = serveAll(input, {.jobs = jobs}, &stats);
+    EXPECT_EQ(stats.rejected, 1u);
+    EXPECT_EQ(stats.ok, 1u);
+    std::vector<std::string> lines;
+    std::istringstream in(out);
+    std::string line;
+    while (std::getline(in, line)) lines.push_back(line);
+    ASSERT_EQ(lines.size(), 2u);
+    EXPECT_NE(lines[0].find("\"rejected\":true"), std::string::npos);
+    EXPECT_NE(lines[0].find("chain_length"), std::string::npos) << lines[0];
+    EXPECT_NE(lines[1].find("\"ok\":true"), std::string::npos);
+  }
+}
+
 TEST(Serve, JobFailuresAreInBandRecords) {
   // An intractable job fails while running (not a rejection): the
   // stream carries ok:false with the error, and later records follow.

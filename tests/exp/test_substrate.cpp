@@ -121,7 +121,7 @@ TEST(Substrate, ArenaRunsAreBitIdenticalToStandalone) {
 
   Substrate substrate;
   for (const auto kind :
-       {SchedulerKind::GlobalAdaptive, SchedulerKind::LocalAdaptive}) {
+       {parseScheduler("global"), parseScheduler("local")}) {
     const SimulationEngine standalone(df, cfg);
     const SimulationEngine shared(df, cfg, substrate.arenasFor(df, cfg));
     expectSameRun(standalone.run(kind), shared.run(kind));
@@ -140,8 +140,8 @@ TEST(Substrate, ConcurrentJobsDoNotPerturbSiblings) {
     cfg.seed = seed;
     cfg.workload.mean_rate = 6.0 + 2.0 * static_cast<double>(seed - 60);
     jobs.push_back({&df, cfg,
-                    seed % 2 == 0 ? SchedulerKind::GlobalAdaptive
-                                  : SchedulerKind::LocalAdaptive,
+                    seed % 2 == 0 ? parseScheduler("global")
+                                  : parseScheduler("local"),
                     "", ""});
   }
 

@@ -133,7 +133,7 @@ TEST(FaultTolerance, AdaptiveRecoversFromCrashes) {
   cfg.horizon_s = 2.0 * kSecondsPerHour;
   cfg.workload.mean_rate = 10.0;
   cfg.faults.vm_mtbf_hours = 2.0;  // aggressive: every VM dies ~once per run
-  const auto r = SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+  const auto r = SimulationEngine(df, cfg).run(parseScheduler("global"));
   EXPECT_GT(r.vm_failures, 0);
   // Re-allocation keeps the application alive and near the constraint.
   EXPECT_GE(r.average_omega, 0.6);
@@ -146,9 +146,9 @@ TEST(FaultTolerance, StaticDeploymentBleedsUnderCrashes) {
   cfg.workload.mean_rate = 10.0;
   cfg.faults.vm_mtbf_hours = 2.0;
   const auto fixed =
-      SimulationEngine(df, cfg).run(SchedulerKind::GlobalStatic);
+      SimulationEngine(df, cfg).run(parseScheduler("global-static"));
   const auto adaptive =
-      SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+      SimulationEngine(df, cfg).run(parseScheduler("global"));
   EXPECT_GT(fixed.vm_failures, 0);
   // A static deployment never replaces dead capacity: it ends the run far
   // below the adaptive policy.
@@ -162,7 +162,7 @@ TEST(FaultTolerance, FailureFreeRunsReportZero) {
   ExperimentConfig cfg;
   cfg.horizon_s = 30.0 * kSecondsPerMinute;
   cfg.workload.mean_rate = 5.0;
-  const auto r = SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+  const auto r = SimulationEngine(df, cfg).run(parseScheduler("global"));
   EXPECT_EQ(r.vm_failures, 0);
   EXPECT_DOUBLE_EQ(r.messages_lost, 0.0);
 }

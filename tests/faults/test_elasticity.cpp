@@ -60,7 +60,7 @@ void expectBitIdentical(const ExperimentResult& a,
 TEST(ElasticityEndToEnd, PreemptionsFireAndTheSchedulerDrains) {
   const Dataflow df = makePaperDataflow();
   const auto cfg = preemptionHeavyConfig();
-  const auto r = SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+  const auto r = SimulationEngine(df, cfg).run(parseScheduler("global"));
   // A 15-minute MTBF over an hour of all-spot capacity must reclaim VMs.
   EXPECT_GT(r.preemptions, 0);
   // The heuristic sees the notice and evacuates before the reclaim.
@@ -77,28 +77,28 @@ TEST(ElasticityEndToEnd, SpotCapacityIsCheaperThanOnDemand) {
   // Same market without reclamations: pure price comparison.
   cfg.elasticity.spot_preemption_mtbf_h = 0.0;
   const auto spot =
-      SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+      SimulationEngine(df, cfg).run(parseScheduler("global"));
   cfg.elasticity.spot_discount = 0.0;
   cfg.elasticity.spot_fraction = 0.0;
   const auto on_demand =
-      SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+      SimulationEngine(df, cfg).run(parseScheduler("global"));
   EXPECT_LT(spot.total_cost, on_demand.total_cost);
 }
 
 TEST(ElasticityEndToEnd, SameSeedIsBitIdentical) {
   const Dataflow df = makePaperDataflow();
   const auto cfg = preemptionHeavyConfig();
-  const auto r1 = SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
-  const auto r2 = SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+  const auto r1 = SimulationEngine(df, cfg).run(parseScheduler("global"));
+  const auto r2 = SimulationEngine(df, cfg).run(parseScheduler("global"));
   expectBitIdentical(r1, r2);
 }
 
 TEST(ElasticityEndToEnd, DifferentSeedsMovePreemptions) {
   const Dataflow df = makePaperDataflow();
   auto cfg = preemptionHeavyConfig();
-  const auto r1 = SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+  const auto r1 = SimulationEngine(df, cfg).run(parseScheduler("global"));
   cfg.seed = 2014;
-  const auto r2 = SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+  const auto r2 = SimulationEngine(df, cfg).run(parseScheduler("global"));
   const bool differs = r1.preemptions != r2.preemptions ||
                        r1.total_cost != r2.total_cost ||
                        r1.average_omega != r2.average_omega;
@@ -111,10 +111,10 @@ TEST(ElasticityEndToEnd, EveryRegisteredSchedulerCompletes) {
   cfg.horizon_s = 20.0 * kSecondsPerMinute;
   cfg.elasticity.provisioning_delay_s = 60.0;
   cfg.elasticity.provisioning_delay_per_core_s = 15.0;
-  for (const SchedulerKind kind : allSchedulerKinds()) {
+  for (const SchedulerSpec& kind : allSchedulers()) {
     // The exhaustive static planner legitimately gives up on this rate;
     // everything else must finish the elasticity-heavy run.
-    if (kind == SchedulerKind::BruteForceStatic) continue;
+    if (kind == parseScheduler("brute-force-static")) continue;
     const auto r = SimulationEngine(df, cfg).run(kind);
     EXPECT_FALSE(r.run.intervals().empty()) << r.scheduler_name;
     EXPECT_GT(r.total_cost, 0.0) << r.scheduler_name;
@@ -131,9 +131,9 @@ TEST(ElasticityDelays, PerCoreTermSlowsLargeClassesOnly) {
   ExperimentConfig per_core = base;
   per_core.elasticity.provisioning_delay_per_core_s = 120.0;
   const auto flat =
-      SimulationEngine(df, base).run(SchedulerKind::GlobalAdaptive);
+      SimulationEngine(df, base).run(parseScheduler("global"));
   const auto scaled =
-      SimulationEngine(df, per_core).run(SchedulerKind::GlobalAdaptive);
+      SimulationEngine(df, per_core).run(parseScheduler("global"));
   // The heuristic buys multi-core classes: a per-core term changes the
   // delay draws and with them the run.
   EXPECT_NE(flat.average_omega == scaled.average_omega &&
@@ -150,9 +150,9 @@ TEST(ElasticityMigration, StateSizeCostsThroughput) {
   ExperimentConfig heavy = preemptionHeavyConfig();
   heavy.elasticity.pe_state_mb = 4000.0;  // 320 s of downtime per full move
   const auto instant =
-      SimulationEngine(df, cheap).run(SchedulerKind::GlobalAdaptive);
+      SimulationEngine(df, cheap).run(parseScheduler("global"));
   const auto paused =
-      SimulationEngine(df, heavy).run(SchedulerKind::GlobalAdaptive);
+      SimulationEngine(df, heavy).run(parseScheduler("global"));
   // Heavier state can only hurt: strictly more service-seconds lost.
   EXPECT_LE(paused.average_omega, instant.average_omega);
   EXPECT_NE(paused.average_omega, instant.average_omega);
@@ -172,7 +172,7 @@ TEST(ElasticityMigration, BandwidthIsIrrelevantWhenStateIsZero) {
     cfg.elasticity.migration_bandwidth_mbps = bandwidth;
     std::ostringstream out;
     obs::JsonlTraceSink sink(out);
-    (void)SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive,
+    (void)SimulationEngine(df, cfg).run(parseScheduler("global"),
                                         &sink);
     return out.str();
   };
@@ -196,7 +196,7 @@ TEST(ElasticityMigration, EventBackendEnginesStayBitIdentical) {
     cfg.elasticity.migration_bandwidth_mbps = 50.0;
     std::ostringstream out;
     obs::JsonlTraceSink sink(out);
-    (void)SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive,
+    (void)SimulationEngine(df, cfg).run(parseScheduler("global"),
                                         &sink);
     return out.str();
   };
@@ -210,9 +210,9 @@ TEST(ElasticityCampaign, JobsKnobDoesNotPerturbResults) {
   auto cfg = preemptionHeavyConfig();
   cfg.horizon_s = 20.0 * kSecondsPerMinute;
   Campaign campaign;
-  for (const SchedulerKind kind :
-       {SchedulerKind::GlobalAdaptive, SchedulerKind::LocalAdaptive,
-        SchedulerKind::ReactiveBaseline}) {
+  for (const SchedulerSpec& kind :
+       {parseScheduler("global"), parseScheduler("local"),
+        parseScheduler("reactive-autoscaler")}) {
     campaign.add({&df, cfg, kind, "", ""});
   }
   const auto serial = runCampaign(campaign, {.jobs = 1});
@@ -235,7 +235,7 @@ TEST(ElasticityGolden, PreemptionHeavyTraceByteIdentical) {
   cfg.elasticity.provisioning_delay_s = 60.0;
   std::ostringstream out;
   obs::JsonlTraceSink sink(out);
-  (void)SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive, &sink);
+  (void)SimulationEngine(df, cfg).run(parseScheduler("global"), &sink);
   const std::string trace = out.str();
   // The run exercises the whole event vocabulary before the byte compare.
   for (const char* needle :

@@ -333,8 +333,8 @@ ExperimentConfig turbulentExperiment() {
 TEST(FaultPlanEndToEnd, SameSeedYieldsIdenticalResults) {
   const Dataflow df = makePaperDataflow();
   const auto cfg = turbulentExperiment();
-  const auto r1 = SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
-  const auto r2 = SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+  const auto r1 = SimulationEngine(df, cfg).run(parseScheduler("global"));
+  const auto r2 = SimulationEngine(df, cfg).run(parseScheduler("global"));
 
   EXPECT_EQ(r1.vm_failures, r2.vm_failures);
   EXPECT_DOUBLE_EQ(r1.messages_lost, r2.messages_lost);
@@ -359,9 +359,9 @@ TEST(FaultPlanEndToEnd, SameSeedYieldsIdenticalResults) {
 TEST(FaultPlanEndToEnd, DifferentSeedsYieldDifferentFaultTimelines) {
   const Dataflow df = makePaperDataflow();
   auto cfg = turbulentExperiment();
-  const auto r1 = SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+  const auto r1 = SimulationEngine(df, cfg).run(parseScheduler("global"));
   cfg.seed = 78;
-  const auto r2 = SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+  const auto r2 = SimulationEngine(df, cfg).run(parseScheduler("global"));
   bool differs = r1.vm_failures != r2.vm_failures ||
                  r1.acquisition_rejections != r2.acquisition_rejections ||
                  std::abs(r1.average_omega - r2.average_omega) > 1e-12;
@@ -374,11 +374,11 @@ TEST(FaultPlanEndToEnd, AdaptivePoliciesRecoverStaticsDoNot) {
   cfg.horizon_s = 4.0 * kSecondsPerHour;
 
   const auto global =
-      SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+      SimulationEngine(df, cfg).run(parseScheduler("global"));
   const auto local =
-      SimulationEngine(df, cfg).run(SchedulerKind::LocalAdaptive);
+      SimulationEngine(df, cfg).run(parseScheduler("local"));
   const auto fixed =
-      SimulationEngine(df, cfg).run(SchedulerKind::GlobalStatic);
+      SimulationEngine(df, cfg).run(parseScheduler("global-static"));
 
   // The adaptive policies keep answering faults: constraint violations
   // stay bounded episodes, and overall availability stays high.
@@ -400,7 +400,7 @@ TEST(FaultPlanEndToEnd, CleanRunReportsFullAvailability) {
   ExperimentConfig cfg;
   cfg.horizon_s = 30.0 * kSecondsPerMinute;
   cfg.workload.mean_rate = 5.0;
-  const auto r = SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+  const auto r = SimulationEngine(df, cfg).run(parseScheduler("global"));
   EXPECT_EQ(r.recovery.violation_episodes, 0);
   EXPECT_DOUBLE_EQ(r.recovery.availability, 1.0);
   EXPECT_DOUBLE_EQ(r.recovery.mttr_s, 0.0);

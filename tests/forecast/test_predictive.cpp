@@ -33,7 +33,7 @@ ExperimentConfig predictiveConfig() {
   return cfg;
 }
 
-std::string traceOf(const ExperimentConfig& cfg, SchedulerKind kind) {
+std::string traceOf(const ExperimentConfig& cfg, const SchedulerSpec& kind) {
   const Dataflow df = makePaperDataflow();
   std::ostringstream out;
   obs::JsonlTraceSink sink(out);
@@ -61,8 +61,8 @@ TEST(ForecastOff, TraceBytesUnchangedByTheSubsystem) {
   decorated.forecast.horizon_intervals = 12;
   decorated.forecast.hw_alpha = 0.9;
   decorated.forecast.preacquire_margin = 0.5;
-  EXPECT_EQ(traceOf(base, SchedulerKind::GlobalAdaptive),
-            traceOf(decorated, SchedulerKind::GlobalAdaptive));
+  EXPECT_EQ(traceOf(base, parseScheduler("global")),
+            traceOf(decorated, parseScheduler("global")));
 }
 
 TEST(ForecastGolden, ForecastOffTraceByteIdentical) {
@@ -73,7 +73,7 @@ TEST(ForecastGolden, ForecastOffTraceByteIdentical) {
   ExperimentConfig cfg = predictiveConfig();
   cfg.forecast = ForecastConfig{};
   cfg.horizon_s = 20.0 * kSecondsPerMinute;
-  expectMatchesGolden(traceOf(cfg, SchedulerKind::GlobalAdaptive),
+  expectMatchesGolden(traceOf(cfg, parseScheduler("global")),
                       "forecast/testdata/golden_forecast_off_trace.jsonl");
 }
 
@@ -82,14 +82,14 @@ TEST(ForecastGolden, PredictiveTraceByteIdentical) {
   // stream (forecast + preacquire records included) for one seed.
   ExperimentConfig cfg = predictiveConfig();
   cfg.horizon_s = 20.0 * kSecondsPerMinute;
-  expectMatchesGolden(traceOf(cfg, SchedulerKind::GlobalPredictive),
+  expectMatchesGolden(traceOf(cfg, parseScheduler("global-predictive")),
                       "forecast/testdata/golden_predictive_trace.jsonl");
 }
 
 TEST(ForecastOn, SeedDeterministic) {
   const ExperimentConfig cfg = predictiveConfig();
-  const std::string a = traceOf(cfg, SchedulerKind::GlobalPredictive);
-  const std::string b = traceOf(cfg, SchedulerKind::GlobalPredictive);
+  const std::string a = traceOf(cfg, parseScheduler("global-predictive"));
+  const std::string b = traceOf(cfg, parseScheduler("global-predictive"));
   EXPECT_EQ(a, b);
   EXPECT_NE(a.find("\"ev\":\"forecast\""), std::string::npos);
   EXPECT_NE(a.find("\"ev\":\"preacquire\""), std::string::npos);
@@ -104,8 +104,8 @@ TEST(ForecastOn, EventBackendSeedDeterministic) {
   cfg.backend = SimBackend::Event;
   cfg.elasticity = ElasticityConfig{};
   cfg.horizon_s = 30.0 * kSecondsPerMinute;
-  const std::string a = traceOf(cfg, SchedulerKind::GlobalPredictive);
-  EXPECT_EQ(a, traceOf(cfg, SchedulerKind::GlobalPredictive));
+  const std::string a = traceOf(cfg, parseScheduler("global-predictive"));
+  EXPECT_EQ(a, traceOf(cfg, parseScheduler("global-predictive")));
   EXPECT_NE(a.find("\"backend\":\"event\""), std::string::npos);
   EXPECT_NE(a.find("\"ev\":\"forecast\""), std::string::npos);
   std::istringstream in(a);
@@ -124,9 +124,9 @@ TEST(ForecastOn, PredictiveReducesSloViolationUnderDelay) {
   const ExperimentConfig cfg = predictiveConfig();
   const SimulationEngine engine(df, cfg);
   const ExperimentResult reactive =
-      engine.run(SchedulerKind::GlobalAdaptive);
+      engine.run(parseScheduler("global"));
   const ExperimentResult predictive =
-      engine.run(SchedulerKind::GlobalPredictive);
+      engine.run(parseScheduler("global-predictive"));
   EXPECT_LT(
       violationSeconds(predictive, cfg.omega_target, cfg.interval_s),
       violationSeconds(reactive, cfg.omega_target, cfg.interval_s));
@@ -139,7 +139,7 @@ TEST(ForecastOn, MetricsAndTimelineSurfaceTheRun) {
   std::ostringstream out;
   obs::JsonlTraceSink sink(out);
   const ExperimentResult result =
-      SimulationEngine(df, cfg).run(SchedulerKind::GlobalPredictive, &sink);
+      SimulationEngine(df, cfg).run(parseScheduler("global-predictive"), &sink);
 
   bool saw_predictions = false;
   bool saw_mape = false;
@@ -175,7 +175,7 @@ TEST(ForecastOn, SchedulerNamesCarryThePredictiveSuffix) {
   const Dataflow df = makePaperDataflow();
   const ExperimentConfig cfg = predictiveConfig();
   const ExperimentResult r =
-      SimulationEngine(df, cfg).run(SchedulerKind::LocalPredictive);
+      SimulationEngine(df, cfg).run(parseScheduler("local-predictive"));
   EXPECT_NE(r.scheduler_name.find("-predictive"), std::string::npos);
 }
 

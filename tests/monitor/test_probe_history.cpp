@@ -112,7 +112,7 @@ TEST(ProbeHistory, SmoothedEngineRunStillMeetsConstraint) {
   cfg.workload.mean_rate = 10.0;
   cfg.workload.infra_variability = true;
   cfg.power_smoothing_alpha = 0.3;
-  const auto r = SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+  const auto r = SimulationEngine(df, cfg).run(parseScheduler("global"));
   EXPECT_TRUE(r.constraint_met) << r.average_omega;
 }
 

@@ -25,7 +25,7 @@ ExperimentConfig shortConfig() {
   return cfg;
 }
 
-std::string runTraced(const ExperimentConfig& cfg, SchedulerKind kind) {
+std::string runTraced(const ExperimentConfig& cfg, const SchedulerSpec& kind) {
   const Dataflow df = makePaperDataflow();
   std::ostringstream out;
   obs::JsonlTraceSink sink(out);
@@ -34,8 +34,8 @@ std::string runTraced(const ExperimentConfig& cfg, SchedulerKind kind) {
 }
 
 TEST(EngineTracing, SameSeedAndConfigYieldByteIdenticalTraces) {
-  const std::string a = runTraced(shortConfig(), SchedulerKind::GlobalAdaptive);
-  const std::string b = runTraced(shortConfig(), SchedulerKind::GlobalAdaptive);
+  const std::string a = runTraced(shortConfig(), parseScheduler("global"));
+  const std::string b = runTraced(shortConfig(), parseScheduler("global"));
   EXPECT_FALSE(a.empty());
   EXPECT_EQ(a, b);
 }
@@ -43,13 +43,13 @@ TEST(EngineTracing, SameSeedAndConfigYieldByteIdenticalTraces) {
 TEST(EngineTracing, DifferentSeedsDiverge) {
   ExperimentConfig other = shortConfig();
   other.seed = 78;
-  EXPECT_NE(runTraced(shortConfig(), SchedulerKind::GlobalAdaptive),
-            runTraced(other, SchedulerKind::GlobalAdaptive));
+  EXPECT_NE(runTraced(shortConfig(), parseScheduler("global")),
+            runTraced(other, parseScheduler("global")));
 }
 
 TEST(EngineTracing, TraceStartsWithHeaderAndAnalyzes) {
   const ExperimentConfig cfg = shortConfig();
-  std::istringstream in(runTraced(cfg, SchedulerKind::GlobalAdaptive));
+  std::istringstream in(runTraced(cfg, parseScheduler("global")));
   const auto events = obs::readTraceJsonl(in);
   ASSERT_FALSE(events.empty());
   ASSERT_TRUE(std::holds_alternative<obs::RunHeaderEvent>(events.front()));
@@ -69,7 +69,7 @@ TEST(EngineTracing, TraceStartsWithHeaderAndAnalyzes) {
   // The analysis must agree with the engine's own result.
   const Dataflow df = makePaperDataflow();
   const ExperimentResult r =
-      SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+      SimulationEngine(df, cfg).run(parseScheduler("global"));
   EXPECT_NEAR(a.average_omega, r.average_omega, 1e-12);
   EXPECT_NEAR(a.average_gamma, r.average_gamma, 1e-12);
   EXPECT_NEAR(a.final_cost, r.total_cost, 1e-12);
@@ -84,8 +84,8 @@ TEST(EngineTracing, UntracedRunMatchesTracedRunResults) {
   std::ostringstream out;
   obs::JsonlTraceSink sink(out);
   const ExperimentResult traced =
-      engine.run(SchedulerKind::GlobalAdaptive, &sink);
-  const ExperimentResult untraced = engine.run(SchedulerKind::GlobalAdaptive);
+      engine.run(parseScheduler("global"), &sink);
+  const ExperimentResult untraced = engine.run(parseScheduler("global"));
   // Tracing must observe the run, never steer it.
   EXPECT_EQ(traced.average_omega, untraced.average_omega);
   EXPECT_EQ(traced.average_gamma, untraced.average_gamma);
@@ -97,7 +97,7 @@ TEST(EngineTracing, UntracedRunMatchesTracedRunResults) {
 TEST(EngineTracing, ResultCarriesMetricsSnapshot) {
   const Dataflow df = makePaperDataflow();
   const ExperimentResult r =
-      SimulationEngine(df, shortConfig()).run(SchedulerKind::GlobalAdaptive);
+      SimulationEngine(df, shortConfig()).run(parseScheduler("global"));
   ASSERT_FALSE(r.metrics.empty());
   const auto find = [&](const std::string& name) {
     const auto it =
@@ -126,7 +126,7 @@ TEST(EngineTracing, EventBackendTracesAndAnalyzes) {
   ExperimentConfig cfg = shortConfig();
   cfg.backend = SimBackend::Event;
   cfg.workload.infra_variability = false;
-  std::istringstream in(runTraced(cfg, SchedulerKind::GlobalAdaptive));
+  std::istringstream in(runTraced(cfg, parseScheduler("global")));
   const auto events = obs::readTraceJsonl(in);
   const obs::TraceAnalysis a = obs::analyzeTrace(events);
   ASSERT_TRUE(a.has_header);

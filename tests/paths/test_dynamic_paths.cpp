@@ -98,7 +98,7 @@ TEST(DynamicPaths, MaterializedVariantsRunEndToEnd) {
   for (std::size_t i = 0; i < app.variantCount(); ++i) {
     const Dataflow df = app.materialize(i);
     const auto r = SimulationEngine(df, cfg).run(
-        SchedulerKind::GlobalAdaptive);
+        parseScheduler("global"));
     EXPECT_TRUE(r.constraint_met) << app.variant(i).name;
   }
 }
@@ -111,10 +111,10 @@ TEST(DynamicPaths, ChosenPathIsCheaperAtRuntime) {
   const auto chosen = SimulationEngine(
                           app.materialize(app.selectVariant(Strategy::Global)),
                           cfg)
-                          .run(SchedulerKind::GlobalAdaptive);
+                          .run(parseScheduler("global"));
   const auto deep =
       SimulationEngine(app.materialize(0), cfg)
-          .run(SchedulerKind::GlobalAdaptive);
+          .run(parseScheduler("global"));
   EXPECT_LT(chosen.total_cost, deep.total_cost);
 }
 

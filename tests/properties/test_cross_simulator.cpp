@@ -73,10 +73,10 @@ TEST_P(CrossSimTest, EngineBackendsAgreeUnderAdaptation) {
   cfg.seed = GetParam();
   cfg.backend = SimBackend::Fluid;
   const auto fluid =
-      SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+      SimulationEngine(df, cfg).run(parseScheduler("global"));
   cfg.backend = SimBackend::Event;
   const auto event =
-      SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+      SimulationEngine(df, cfg).run(parseScheduler("global"));
   // Adaptation closes the loop differently (message granularity, Poisson
   // noise), so the band is wider than the fixed-deployment case.
   EXPECT_NEAR(event.average_omega, fluid.average_omega, 0.18);

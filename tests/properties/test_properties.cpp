@@ -144,8 +144,8 @@ TEST_P(RandomGraphTest, FullRunsAreReproducible) {
   cfg.workload.profile = ProfileKind::RandomWalk;
   cfg.workload.infra_variability = true;
   cfg.seed = GetParam();
-  const auto a = SimulationEngine(df, cfg).run(SchedulerKind::LocalAdaptive);
-  const auto b = SimulationEngine(df, cfg).run(SchedulerKind::LocalAdaptive);
+  const auto a = SimulationEngine(df, cfg).run(parseScheduler("local"));
+  const auto b = SimulationEngine(df, cfg).run(parseScheduler("local"));
   ASSERT_EQ(a.run.intervals().size(), b.run.intervals().size());
   for (std::size_t i = 0; i < a.run.intervals().size(); ++i) {
     EXPECT_DOUBLE_EQ(a.run.intervals()[i].omega, b.run.intervals()[i].omega);

@@ -18,8 +18,14 @@ struct Fixture {
   TraceReplayer replayer = TraceReplayer::ideal();
   MonitoringService mon{cloud, replayer};
 
-  SchedulerEnv env() {
+  /// Planners read sigma, T and the seed from the env; seed 1 is the
+  /// one the pinned annealing plans were captured with.
+  SchedulerEnv env(double sigma = 0.0, SimTime horizon_s = kSecondsPerHour,
+                   std::uint64_t seed = 1) {
     SchedulerEnv e;
+    e.sigma = sigma;
+    e.horizon_s = horizon_s;
+    e.seed = seed;
     e.dataflow = &df;
     e.cloud = &cloud;
     e.monitor = &mon;
@@ -70,7 +76,7 @@ TEST(Annealing, OptionsValidation) {
 
 TEST(Annealing, ProducesFeasiblePlan) {
   Fixture f(makePaperDataflow());
-  AnnealingScheduler sched(f.env(), 0.01, kSecondsPerHour);
+  AnnealingScheduler sched(f.env(0.01, kSecondsPerHour));
   const Deployment dep = sched.deploy(5.0);
   EXPECT_TRUE(std::isfinite(sched.bestTheta()));
   // Every PE holds at least one core and the constraint-scaled demand is
@@ -84,9 +90,7 @@ TEST(Annealing, ProducesFeasiblePlan) {
 TEST(Annealing, DeterministicForSeed) {
   auto run = [] {
     Fixture f(makePaperDataflow());
-    AnnealingOptions opts;
-    opts.seed = 99;
-    AnnealingScheduler sched(f.env(), 0.01, kSecondsPerHour, opts);
+    AnnealingScheduler sched(f.env(0.01, kSecondsPerHour, 99));
     (void)sched.deploy(5.0);
     return sched.bestTheta();
   };
@@ -100,14 +104,14 @@ TEST(Annealing, ApproachesBruteForceOptimum) {
   const double sigma = 0.01;
 
   Fixture fb(makePaperDataflow());
-  BruteForceScheduler brute(fb.env(), sigma, kSecondsPerHour);
+  BruteForceScheduler brute(fb.env(sigma, kSecondsPerHour));
   const Deployment brute_dep = brute.deploy(rate);
   const double brute_cost = fb.cloud.accumulatedCost(kSecondsPerHour);
 
   Fixture fa(makePaperDataflow());
   AnnealingOptions opts;
   opts.iterations = 30'000;
-  AnnealingScheduler annealing(fa.env(), sigma, kSecondsPerHour, opts);
+  AnnealingScheduler annealing(fa.env(sigma, kSecondsPerHour), opts);
   (void)annealing.deploy(rate);
 
   // Brute force maximizes the same planned Theta the annealer reports.
@@ -122,11 +126,11 @@ TEST(Annealing, TractableWhereBruteForceIsNot) {
   // 50 msg/s blows the brute-force cap; annealing handles it in bounded
   // iterations.
   Fixture fb(makePaperDataflow());
-  BruteForceScheduler brute(fb.env(), 0.01, kSecondsPerHour);
+  BruteForceScheduler brute(fb.env(0.01, kSecondsPerHour));
   EXPECT_THROW((void)brute.deploy(50.0), SearchSpaceTooLarge);
 
   Fixture fa(makePaperDataflow());
-  AnnealingScheduler annealing(fa.env(), 0.01, kSecondsPerHour);
+  AnnealingScheduler annealing(fa.env(0.01, kSecondsPerHour));
   const Deployment dep = annealing.deploy(50.0);
   ResourceAllocator probe(fa.df, fa.cloud, 0.7);
   const auto proj = projectThroughput(
@@ -136,9 +140,9 @@ TEST(Annealing, TractableWhereBruteForceIsNot) {
 
 TEST(Annealing, RejectsInvalidConstruction) {
   Fixture f(makePaperDataflow());
-  EXPECT_THROW(AnnealingScheduler(f.env(), -1.0, kSecondsPerHour),
+  EXPECT_THROW(AnnealingScheduler(f.env(-1.0, kSecondsPerHour)),
                PreconditionError);
-  EXPECT_THROW(AnnealingScheduler(f.env(), 0.1, 0.0), PreconditionError);
+  EXPECT_THROW(AnnealingScheduler(f.env(0.1, 0.0)), PreconditionError);
 }
 
 }  // namespace

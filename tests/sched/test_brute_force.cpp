@@ -17,8 +17,14 @@ struct Fixture {
   TraceReplayer replayer = TraceReplayer::ideal();
   MonitoringService mon{cloud, replayer};
 
-  SchedulerEnv env() {
+  /// Planners read sigma, T and the seed from the env; seed 1 is the
+  /// one the pinned annealing plans were captured with.
+  SchedulerEnv env(double sigma = 0.0, SimTime horizon_s = kSecondsPerHour,
+                   std::uint64_t seed = 1) {
     SchedulerEnv e;
+    e.sigma = sigma;
+    e.horizon_s = horizon_s;
+    e.seed = seed;
     e.dataflow = &df;
     e.cloud = &cloud;
     e.monitor = &mon;
@@ -30,7 +36,7 @@ struct Fixture {
 
 TEST(BruteForce, DeploysFeasiblePlanOnPaperGraph) {
   Fixture f(makePaperDataflow());
-  BruteForceScheduler sched(f.env(), 0.01, kSecondsPerHour);
+  BruteForceScheduler sched(f.env(0.01, kSecondsPerHour));
   const Deployment dep = sched.deploy(5.0);
   EXPECT_GT(sched.plansExamined(), 0u);
   // Planned throughput meets the constraint at rated performance.
@@ -62,7 +68,7 @@ TEST(BruteForce, PlannedThetaDominatesHeuristics) {
   };
 
   Fixture fb(makePaperDataflow());
-  BruteForceScheduler brute(fb.env(), sigma, kSecondsPerHour);
+  BruteForceScheduler brute(fb.env(sigma, kSecondsPerHour));
   const Deployment brute_dep = brute.deploy(rate);
   const double brute_theta = plannedTheta(fb.cloud, brute_dep);
 
@@ -79,7 +85,7 @@ TEST(BruteForce, ZeroSigmaMaximizesValue) {
   // With sigma = 0 cost is free, so the optimizer picks the best-value
   // alternates (gamma = 1).
   Fixture f(makePaperDataflow());
-  BruteForceScheduler sched(f.env(), 0.0, kSecondsPerHour);
+  BruteForceScheduler sched(f.env(0.0, kSecondsPerHour));
   const Deployment dep = sched.deploy(5.0);
   EXPECT_EQ(dep.activeAlternate(PeId(1)), AlternateId(0));
   EXPECT_EQ(dep.activeAlternate(PeId(2)), AlternateId(0));
@@ -88,7 +94,7 @@ TEST(BruteForce, ZeroSigmaMaximizesValue) {
 TEST(BruteForce, HighSigmaPrefersCheapAlternates) {
   // When cost dominates the objective, the cheap/fast alternates win.
   Fixture f(makePaperDataflow());
-  BruteForceScheduler sched(f.env(), 10.0, kSecondsPerHour);
+  BruteForceScheduler sched(f.env(10.0, kSecondsPerHour));
   const Deployment dep = sched.deploy(5.0);
   EXPECT_EQ(dep.activeAlternate(PeId(1)), AlternateId(1));
   EXPECT_EQ(dep.activeAlternate(PeId(2)), AlternateId(1));
@@ -96,14 +102,14 @@ TEST(BruteForce, HighSigmaPrefersCheapAlternates) {
 
 TEST(BruteForce, SearchSpaceCapThrows) {
   Fixture f(makePaperDataflow());
-  BruteForceScheduler sched(f.env(), 0.01, kSecondsPerHour,
+  BruteForceScheduler sched(f.env(0.01, kSecondsPerHour),
                             /*max_combinations=*/10);
   EXPECT_THROW((void)sched.deploy(50.0), SearchSpaceTooLarge);
 }
 
 TEST(BruteForce, WorksOnSinglePeGraph) {
   Fixture f(makeChainDataflow(1, 2));
-  BruteForceScheduler sched(f.env(), 0.01, kSecondsPerHour);
+  BruteForceScheduler sched(f.env(0.01, kSecondsPerHour));
   const Deployment dep = sched.deploy(4.0);
   EXPECT_GE(totalCores(f.cloud, PeId(0)), 1);
   (void)dep;
@@ -111,7 +117,7 @@ TEST(BruteForce, WorksOnSinglePeGraph) {
 
 TEST(BruteForce, BillsForFullHorizon) {
   Fixture f(makePaperDataflow());
-  BruteForceScheduler sched(f.env(), 0.001, 10.0 * kSecondsPerHour);
+  BruteForceScheduler sched(f.env(0.001, 10.0 * kSecondsPerHour));
   (void)sched.deploy(5.0);
   const double one_hour = f.cloud.accumulatedCost(kSecondsPerHour);
   const double ten_hours = f.cloud.accumulatedCost(10.0 * kSecondsPerHour);
@@ -120,10 +126,10 @@ TEST(BruteForce, BillsForFullHorizon) {
 
 TEST(BruteForce, RejectsInvalidConstruction) {
   Fixture f(makePaperDataflow());
-  EXPECT_THROW(BruteForceScheduler(f.env(), -0.1, kSecondsPerHour),
+  EXPECT_THROW(BruteForceScheduler(f.env(-0.1, kSecondsPerHour)),
                PreconditionError);
-  EXPECT_THROW(BruteForceScheduler(f.env(), 0.1, 0.0), PreconditionError);
-  EXPECT_THROW(BruteForceScheduler(f.env(), 0.1, kSecondsPerHour, 0),
+  EXPECT_THROW(BruteForceScheduler(f.env(0.1, 0.0)), PreconditionError);
+  EXPECT_THROW(BruteForceScheduler(f.env(0.1, kSecondsPerHour), 0),
                PreconditionError);
 }
 
@@ -131,7 +137,7 @@ class BruteForceRateTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(BruteForceRateTest, FeasibleAcrossSmallRates) {
   Fixture f(makePaperDataflow());
-  BruteForceScheduler sched(f.env(), 0.01, kSecondsPerHour);
+  BruteForceScheduler sched(f.env(0.01, kSecondsPerHour));
   const Deployment dep = sched.deploy(GetParam());
   ResourceAllocator probe(f.df, f.cloud, 0.7);
   const auto proj = projectThroughput(

@@ -27,17 +27,16 @@ struct Fixture {
 };
 
 TEST(HeuristicScheduler, Names) {
-  Fixture f(makePaperDataflow());
-  EXPECT_EQ(HeuristicScheduler(f.env(), Strategy::Local).name(), "local");
-  HeuristicOptions static_opts;
-  static_opts.adaptive = false;
-  EXPECT_EQ(
-      HeuristicScheduler(f.env(), Strategy::Global, static_opts).name(),
-      "global-static");
-  HeuristicOptions nodyn;
-  nodyn.use_dynamism = false;
-  EXPECT_EQ(HeuristicScheduler(f.env(), Strategy::Local, nodyn).name(),
-            "local-nodyn");
+  // A heuristic policy is named by its spec: strategy plus mode suffix.
+  using Mode = SchedulerSpec::Mode;
+  const auto name = [](Strategy strategy, Mode mode) {
+    return schedulerName(
+        {SchedulerSpec::Family::Heuristic, strategy, mode});
+  };
+  EXPECT_EQ(name(Strategy::Local, Mode::Adaptive), "local");
+  EXPECT_EQ(name(Strategy::Global, Mode::Static), "global-static");
+  EXPECT_EQ(name(Strategy::Local, Mode::NoDyn), "local-nodyn");
+  EXPECT_EQ(name(Strategy::Global, Mode::Predictive), "global-predictive");
 }
 
 TEST(HeuristicScheduler, DeployMeetsPlannedConstraint) {
@@ -73,7 +72,7 @@ TEST(HeuristicScheduler, DynamismSelectsValueCostAlternates) {
 TEST(HeuristicScheduler, NoDynVariantFixesBestValue) {
   Fixture f(makePaperDataflow());
   HeuristicOptions nodyn;
-  nodyn.use_dynamism = false;
+  nodyn.mode = SchedulerSpec::Mode::NoDyn;
   HeuristicScheduler sched(f.env(), Strategy::Local, nodyn);
   const Deployment dep = sched.deploy(5.0);
   EXPECT_EQ(dep.activeAlternate(PeId(1)), AlternateId(0));
@@ -100,7 +99,7 @@ TEST(HeuristicScheduler, GlobalDeploymentCostsNoMoreThanLocal) {
 TEST(HeuristicScheduler, StaticVariantNeverAdapts) {
   Fixture f(makePaperDataflow());
   HeuristicOptions opts;
-  opts.adaptive = false;
+  opts.mode = SchedulerSpec::Mode::Static;
   HeuristicScheduler sched(f.env(), Strategy::Global, opts);
   Deployment dep = sched.deploy(5.0);
   const int cores_before = totalAllocatedCores(f.cloud);
@@ -204,7 +203,7 @@ TEST(HeuristicScheduler, AlternatePhaseUpgradesValueWhenAhead) {
 TEST(HeuristicScheduler, AlternatePhaseDowngradesWhenBehind) {
   Fixture f(makePaperDataflow());
   HeuristicOptions opts;
-  opts.use_dynamism = true;
+  opts.mode = SchedulerSpec::Mode::Adaptive;
   HeuristicScheduler sched(f.env(), Strategy::Local, opts);
   Deployment dep = sched.deploy(5.0);
   // Force the expensive alternates on, as if the workload had been light.
@@ -228,7 +227,7 @@ TEST(HeuristicScheduler, AlternatePhaseDowngradesWhenBehind) {
 TEST(HeuristicScheduler, NoDynNeverSwitchesAlternates) {
   Fixture f(makePaperDataflow());
   HeuristicOptions nodyn;
-  nodyn.use_dynamism = false;
+  nodyn.mode = SchedulerSpec::Mode::NoDyn;
   HeuristicScheduler sched(f.env(), Strategy::Global, nodyn);
   Deployment dep = sched.deploy(5.0);
 

@@ -29,8 +29,14 @@ struct Fixture {
   TraceReplayer replayer = TraceReplayer::ideal();
   MonitoringService mon{cloud, replayer};
 
-  SchedulerEnv env() {
+  /// Planners read sigma, T and the seed from the env; seed 1 is the
+  /// one the pinned annealing plans were captured with.
+  SchedulerEnv env(double sigma = 0.0, SimTime horizon_s = kSecondsPerHour,
+                   std::uint64_t seed = 1) {
     SchedulerEnv e;
+    e.sigma = sigma;
+    e.horizon_s = horizon_s;
+    e.seed = seed;
     e.dataflow = &df;
     e.cloud = &cloud;
     e.monitor = &mon;
@@ -56,7 +62,7 @@ struct Fixture {
 
 TEST(PlannerDeterminism, GoldenAnnealingPlanOnPaperGraph) {
   Fixture f(makePaperDataflow());
-  AnnealingScheduler s(f.env(), 0.01, kSecondsPerHour, AnnealingOptions{});
+  AnnealingScheduler s(f.env(0.01, kSecondsPerHour), AnnealingOptions{});
   const Deployment dep = s.deploy(5.0);
   // Captured from the pre-evaluator implementation (bitwise).
   EXPECT_EQ(s.bestTheta(), 0x1.e0aa64c2f837bp-1);
@@ -75,9 +81,8 @@ TEST(PlannerDeterminism, GoldenAnnealingPlanOnLayeredGraph) {
   Rng rng(99);
   Fixture f(makeLayeredDataflow(6, 4, 3, rng));
   AnnealingOptions opts;
-  opts.seed = 42;
   opts.iterations = 4000;
-  AnnealingScheduler s(f.env(), 0.005, 2 * kSecondsPerHour, opts);
+  AnnealingScheduler s(f.env(0.005, 2 * kSecondsPerHour, 42), opts);
   const Deployment dep = s.deploy(12.0);
   EXPECT_EQ(s.bestTheta(), 0x1.bc3a8daed086bp-1);
   const std::vector<unsigned> expected_alts{2, 2, 0, 0, 2, 0, 1, 1, 2,
@@ -97,7 +102,7 @@ TEST(PlannerDeterminism, GoldenAnnealingPlanOnLayeredGraph) {
 
 TEST(PlannerDeterminism, GoldenBruteForcePlanOnPaperGraph) {
   Fixture f(makePaperDataflow());
-  BruteForceScheduler s(f.env(), 0.01, kSecondsPerHour);
+  BruteForceScheduler s(f.env(0.01, kSecondsPerHour));
   (void)s.deploy(3.0);
   EXPECT_EQ(s.plansExamined(), 766920u);
   const std::map<std::string, int> expected_vms{
@@ -112,10 +117,9 @@ TEST(PlannerDeterminism, ReferencePathMatchesIncrementalPath) {
     Rng rng(99);
     Fixture f(makeLayeredDataflow(6, 4, 3, rng));
     AnnealingOptions opts;
-    opts.seed = 42;
     opts.iterations = 4000;
     opts.incremental_evaluation = incremental;
-    AnnealingScheduler s(f.env(), 0.005, 2 * kSecondsPerHour, opts);
+    AnnealingScheduler s(f.env(0.005, 2 * kSecondsPerHour, 42), opts);
     const Deployment dep = s.deploy(12.0);
     vms = f.vmMultiset();
     cores = f.allocatedCores();
@@ -138,7 +142,7 @@ TEST(PlannerDeterminism, ReferencePathMatchesIncrementalPath) {
   EXPECT_EQ(cores_inc, cores_ref);
 }
 
-std::string runTraced(SchedulerKind kind, bool reference_engine) {
+std::string runTraced(const SchedulerSpec& kind, bool reference_engine) {
   ExperimentConfig cfg;
   cfg.horizon_s = 0.5 * kSecondsPerHour;
   cfg.workload.mean_rate = 10.0;
@@ -157,17 +161,17 @@ std::string runTraced(SchedulerKind kind, bool reference_engine) {
 // kernel must emit the same bytes.
 TEST(PlannerDeterminism, GoldenTraceAnnealingByteIdentical) {
   const std::string fixture = "sched/testdata/golden_trace_annealing.jsonl";
-  expectMatchesGolden(runTraced(SchedulerKind::AnnealingStatic, false),
+  expectMatchesGolden(runTraced(parseScheduler("annealing-static"), false),
                       fixture);
-  EXPECT_EQ(runTraced(SchedulerKind::AnnealingStatic, true),
+  EXPECT_EQ(runTraced(parseScheduler("annealing-static"), true),
             readGolden(fixture));
 }
 
 TEST(PlannerDeterminism, GoldenTraceGlobalAdaptiveByteIdentical) {
   const std::string fixture = "sched/testdata/golden_trace_global.jsonl";
-  expectMatchesGolden(runTraced(SchedulerKind::GlobalAdaptive, false),
+  expectMatchesGolden(runTraced(parseScheduler("global"), false),
                       fixture);
-  EXPECT_EQ(runTraced(SchedulerKind::GlobalAdaptive, true),
+  EXPECT_EQ(runTraced(parseScheduler("global"), true),
             readGolden(fixture));
 }
 

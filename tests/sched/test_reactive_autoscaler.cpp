@@ -125,7 +125,7 @@ TEST(ReactiveAutoscaler, EventuallyCatchesUpInClosedLoop) {
   cfg.horizon_s = 2.0 * kSecondsPerHour;
   cfg.workload.mean_rate = 10.0;
   const auto r = SimulationEngine(df, cfg).run(
-      SchedulerKind::ReactiveBaseline);
+      parseScheduler("reactive-autoscaler"));
   EXPECT_EQ(r.scheduler_name, "reactive-autoscaler");
   // From a one-core cold start it climbs; late intervals keep up.
   const auto& series = r.run.intervals();
@@ -144,9 +144,9 @@ TEST(ReactiveAutoscaler, CostsMoreOrServesWorseThanGlobalHeuristic) {
   cfg.workload.profile = ProfileKind::PeriodicWave;
   cfg.workload.infra_variability = true;
   const auto reactive =
-      SimulationEngine(df, cfg).run(SchedulerKind::ReactiveBaseline);
+      SimulationEngine(df, cfg).run(parseScheduler("reactive-autoscaler"));
   const auto global =
-      SimulationEngine(df, cfg).run(SchedulerKind::GlobalAdaptive);
+      SimulationEngine(df, cfg).run(parseScheduler("global"));
   EXPECT_GE(global.theta, reactive.theta - 1e-9);
 }
 

@@ -32,7 +32,7 @@ struct TracedRun {
 };
 
 TracedRun runTracedFluid(const Dataflow& df, ExperimentConfig cfg,
-                         SchedulerKind kind, bool reference_engine) {
+                         SchedulerSpec kind, bool reference_engine) {
   cfg.fluid_reference_engine = reference_engine;
   std::ostringstream out;
   obs::JsonlTraceSink sink(out);
@@ -41,7 +41,7 @@ TracedRun runTracedFluid(const Dataflow& df, ExperimentConfig cfg,
 }
 
 void expectIdenticalRuns(const Dataflow& df, const ExperimentConfig& cfg,
-                         SchedulerKind kind, const std::string& label) {
+                         SchedulerSpec kind, const std::string& label) {
   const TracedRun ref = runTracedFluid(df, cfg, kind, true);
   const TracedRun cached = runTracedFluid(df, cfg, kind, false);
   ASSERT_FALSE(cached.trace.empty()) << label;
@@ -78,8 +78,8 @@ TEST(FluidIdentity, RandomGraphsMatchReferenceAcrossSeeds) {
       cfg.elasticity.spot_preemption_mtbf_h = 0.3;
       cfg.elasticity.pe_state_mb = 20.0;
     }
-    const SchedulerKind kind = (s % 2 == 0) ? SchedulerKind::GlobalAdaptive
-                                            : SchedulerKind::LocalAdaptive;
+    const SchedulerSpec kind = (s % 2 == 0) ? parseScheduler("global")
+                                            : parseScheduler("local");
     expectIdenticalRuns(df, cfg, kind, "seed " + std::to_string(s));
   }
 }
@@ -92,8 +92,8 @@ TEST(FluidIdentity, PaperGraphStaticAndAdaptive) {
   cfg.workload.mean_rate = 12.0;
   cfg.workload.profile = ProfileKind::RandomWalk;
   cfg.workload.infra_variability = true;
-  expectIdenticalRuns(df, cfg, SchedulerKind::GlobalStatic, "static");
-  expectIdenticalRuns(df, cfg, SchedulerKind::GlobalAdaptive, "adaptive");
+  expectIdenticalRuns(df, cfg, parseScheduler("global-static"), "static");
+  expectIdenticalRuns(df, cfg, parseScheduler("global"), "adaptive");
 }
 
 // --- golden engine traces --------------------------------------------------
@@ -133,7 +133,7 @@ ExperimentConfig elasticityOnConfig() {
 TEST(FluidGolden, ForecastOnCachedTraceByteIdentical) {
   const TracedRun run =
       runTracedFluid(makePaperDataflow(), forecastOnConfig(),
-                     SchedulerKind::GlobalPredictive, false);
+                     parseScheduler("global-predictive"), false);
   expectMatchesGolden(run.trace, kForecastFixture);
 }
 
@@ -141,21 +141,21 @@ TEST(FluidGolden, ForecastOnReferenceTraceByteIdentical) {
   // Same fixture on purpose: the two kernels must emit the same bytes.
   const TracedRun run =
       runTracedFluid(makePaperDataflow(), forecastOnConfig(),
-                     SchedulerKind::GlobalPredictive, true);
+                     parseScheduler("global-predictive"), true);
   EXPECT_EQ(run.trace, readGolden(kForecastFixture));
 }
 
 TEST(FluidGolden, ElasticityOnCachedTraceByteIdentical) {
   const TracedRun run =
       runTracedFluid(makePaperDataflow(), elasticityOnConfig(),
-                     SchedulerKind::GlobalAdaptive, false);
+                     parseScheduler("global"), false);
   expectMatchesGolden(run.trace, kElasticityFixture);
 }
 
 TEST(FluidGolden, ElasticityOnReferenceTraceByteIdentical) {
   const TracedRun run =
       runTracedFluid(makePaperDataflow(), elasticityOnConfig(),
-                     SchedulerKind::GlobalAdaptive, true);
+                     parseScheduler("global"), true);
   EXPECT_EQ(run.trace, readGolden(kElasticityFixture));
 }
 
@@ -250,8 +250,8 @@ TEST(FluidKernelRebuilds, EngineRunRebuildsOnlyOnRealLedgerChanges) {
   cfg.workload.infra_variability = true;
   cfg.faults.vm_mtbf_hours = 3.0;
   cfg.seed = 11;
-  for (const SchedulerKind kind :
-       {SchedulerKind::GlobalAdaptive, SchedulerKind::ReactiveBaseline}) {
+  for (const SchedulerSpec& kind :
+       {parseScheduler("global"), parseScheduler("reactive-autoscaler")}) {
     LedgerImageSink sink;
     const ExperimentResult r = SimulationEngine(df, cfg).run(kind, &sink);
     const auto rebuilds = std::find_if(

@@ -75,8 +75,8 @@ void printUsage(std::ostream& out) {
          "schedulers (config `scheduler = ...`):";
   // The list is generated from the registry so --help can never drift
   // from the policies the binary actually knows.
-  for (const SchedulerKind kind : allSchedulerKinds()) {
-    out << ' ' << schedulerName(kind);
+  for (const SchedulerSpec& spec : allSchedulers()) {
+    out << ' ' << schedulerName(spec);
   }
   out << "\nrate profiles (config `workload.profile = ...`):";
   for (const ProfileKind kind : allProfileKinds()) {
@@ -234,12 +234,10 @@ int runSpecBatch(const CliOptions& opts) {
   return 0;
 }
 
-Dataflow buildGraph(const CliExperiment& ex, const KeyValueConfig& kv) {
+Dataflow buildGraph(const CliExperiment& ex) {
   if (ex.graph == "paper") return makePaperDataflow();
   if (ex.graph == "diamond") return makeDiamondDataflow();
-  const auto length =
-      static_cast<std::size_t>(kv.getInt("chain_length", 4));
-  return makeChainDataflow(length, 2);
+  return makeChainDataflow(ex.chain_length, 2);
 }
 
 }  // namespace
@@ -267,7 +265,7 @@ int main(int argc, char** argv) {
 
     const auto kv = dds::KeyValueConfig::load(opts.config_path);
     const auto ex = dds::experimentFromConfig(kv);
-    const dds::Dataflow df = buildGraph(ex, kv);
+    const dds::Dataflow df = buildGraph(ex);
 
     std::cout << "dataflow '" << df.name() << "': " << df.peCount()
               << " PEs, " << df.totalAlternateCount() << " alternates; "
