@@ -18,8 +18,8 @@
 //
 // A third section measures the campaign-service substrate: a tenants x
 // jobs spec grid (default 10 x 10; pass e.g. 100 100 for the full
-// sweep) where every job needs a catalog, FutureGrid trace pools and a
-// planner closure. Per-job cold arena builds are timed against shared
+// sweep) where every job needs a catalog and a planner closure and
+// replays the shared FutureGrid trace corpus. Per-job cold arena builds are timed against shared
 // substrate lookups, and the whole grid is run twice on one substrate
 // (cold, then warm) — the amortization the multi-tenant redesign buys.
 //
@@ -210,8 +210,7 @@ int main(int argc, char** argv) {
 
   // Rates vary by tenant (modulo 8, so large sweeps also exercise
   // cross-tenant config interning), one seed per job — the substrate
-  // should intern one catalog, one planner closure, and one trace pool
-  // set per seed.
+  // should intern one catalog and one planner closure for all of them.
   Campaign grid;
   for (std::size_t t = 0; t < sweep_tenants; ++t) {
     for (std::size_t j = 0; j < sweep_jobs; ++j) {
@@ -279,8 +278,6 @@ int main(int argc, char** argv) {
   sweep.addRow({"setup amortization",
                 TextTable::num(shared_s > 0.0 ? cold_s / shared_s : 0.0, 1) +
                     "x"});
-  sweep.addRow({"pool builds (shared)", std::to_string(sstats.pool_builds)});
-  sweep.addRow({"pool hits (shared)", std::to_string(sstats.pool_hits)});
   sweep.addRow({"grid wall, cold substrate (s)",
                 TextTable::num(grid_cold_s, 3)});
   sweep.addRow({"grid wall, warm substrate (s)",
@@ -294,8 +291,8 @@ int main(int argc, char** argv) {
 
   // Short-horizon fluid jobs sharing every immutable arena, including
   // the SoA fluid layout (one build for the whole ladder). Ideal infra:
-  // no per-seed trace pools, so the ladder isolates runner + substrate
-  // + kernel scaling rather than pool generation.
+  // no trace replay, so the ladder isolates runner + substrate + kernel
+  // scaling.
   ExperimentConfig scale_cfg;
   scale_cfg.horizon_s = 0.1 * kSecondsPerHour;
   scale_cfg.workload.mean_rate = 10.0;
@@ -377,8 +374,6 @@ int main(int argc, char** argv) {
       .value(shared_s > 0.0 ? cold_s / shared_s : 0.0);
   sw.key("catalog_builds").value(sstats.catalog_builds);
   sw.key("plan_builds").value(sstats.plan_builds);
-  sw.key("pool_builds").value(sstats.pool_builds);
-  sw.key("pool_hits").value(sstats.pool_hits);
   sw.key("grid_wall_cold_s").value(grid_cold_s);
   sw.key("grid_wall_warm_s").value(grid_warm_s);
   sw.key("warm_results_bit_identical").value(true);

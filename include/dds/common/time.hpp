@@ -7,6 +7,7 @@
 // integer; IntervalClock converts between the two.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 #include "dds/common/error.hpp"
@@ -22,6 +23,11 @@ using IntervalIndex = std::int64_t;
 constexpr SimTime kSecondsPerHour = 3600.0;
 constexpr SimTime kSecondsPerMinute = 60.0;
 
+/// Most adaptation intervals one run may span (horizon / interval length).
+/// Far above every experiment here (a 24 h run at 60 s is 1,440), and low
+/// enough that a hostile horizon is rejected instead of running for days.
+inline constexpr IntervalIndex kMaxIntervalCount = 100000;
+
 /// Maps between interval indices and simulation seconds for one run.
 class IntervalClock {
  public:
@@ -31,6 +37,11 @@ class IntervalClock {
       : interval_length_s_(interval_length_s), horizon_s_(horizon_s) {
     DDS_REQUIRE(interval_length_s > 0.0, "interval length must be positive");
     DDS_REQUIRE(horizon_s > 0.0, "horizon must be positive");
+    DDS_REQUIRE(std::isfinite(interval_length_s) && std::isfinite(horizon_s),
+                "interval length and horizon must be finite");
+    DDS_REQUIRE(horizon_s / interval_length_s <=
+                    static_cast<double>(kMaxIntervalCount),
+                "horizon spans too many intervals");
   }
 
   [[nodiscard]] SimTime intervalLength() const { return interval_length_s_; }

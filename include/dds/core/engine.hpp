@@ -25,20 +25,20 @@
 
 namespace dds {
 
-struct TracePools;
 struct FluidGraphLayout;
 
 /// Immutable shared arenas an engine may consume instead of constructing
 /// its own copies per run: the resolved resource catalog (spot tier
-/// already applied when enabled), the generated trace pools for this
-/// config's seed, and the planner closure for this (dataflow, catalog)
-/// pair. Every field is optional — a null entry falls back to per-run
-/// construction, and a populated one is bit-identical to it by contract
-/// (the exp-layer Substrate builds them through the exact same code
-/// paths). All pointees are const and safely shared across threads.
+/// already applied when enabled), the planner closure for this (dataflow,
+/// catalog) pair and the cached fluid kernel's graph layout. Every field
+/// is optional — a null entry falls back to per-run construction, and a
+/// populated one is bit-identical to it by contract (the exp-layer
+/// Substrate builds them through the exact same code paths). Trace replay
+/// needs no arena: every run reads the one process-wide FutureGrid corpus
+/// (TraceReplayer::futureGridCorpus). All pointees are const and safely
+/// shared across threads.
 struct EngineArenas {
   std::shared_ptr<const ResourceCatalog> catalog;
-  std::shared_ptr<const TracePools> trace_pools;
   std::shared_ptr<const PlanStructure> plan_structure;
   std::shared_ptr<const FluidGraphLayout> fluid_layout;
 };
@@ -49,7 +49,7 @@ class SimulationEngine {
   SimulationEngine(const Dataflow& dataflow, ExperimentConfig config);
 
   /// Same, reading shared substrate arenas instead of rebuilding the
-  /// catalog / trace pools / planner tables inside every run().
+  /// catalog / planner tables / fluid layout inside every run().
   SimulationEngine(const Dataflow& dataflow, ExperimentConfig config,
                    EngineArenas arenas);
 

@@ -26,7 +26,7 @@
 //
 // Jobs can also arrive as versioned JSON specs (see job_spec.hpp):
 // addSpec() resolves a spec against the campaign's Substrate — the
-// shared immutable arenas (catalogs, trace pools, planner closures,
+// shared immutable arenas (catalogs, planner closures, fluid layouts,
 // standard graphs) every job in the campaign reuses.
 //
 // A job that throws (e.g. BruteForceStatic on an intractable graph) is

@@ -2,19 +2,20 @@
 // jobs (the "build once, serve many" half of the multi-tenant service).
 //
 // Every SimulationEngine::run historically rebuilt the same heavyweight
-// state per job: the resource catalog (plus its spot-tier twin), the
-// FutureGrid-like trace pools for the job's seed, and the planners'
-// flattened (dataflow, catalog) closure. None of that state depends on
-// anything but a handful of config keys, so a 10k-job grid paid the
-// substrate cost 10k times. A Substrate memoizes each arena behind a
+// state per job: the resource catalog (plus its spot-tier twin) and the
+// planners' flattened (dataflow, catalog) closure. None of that state
+// depends on anything but a handful of config keys, so a 10k-job grid paid
+// the substrate cost 10k times. A Substrate memoizes each arena behind a
 // mutex and hands out shared_ptr<const T> views; jobs keep only their
-// copy-on-write state (config deltas, RNG cursors, results).
+// copy-on-write state (config deltas, RNG cursors, results). Trace replay
+// is not a substrate arena: every run, standalone or not, reads the one
+// process-wide FutureGrid corpus (TraceReplayer::futureGridCorpus).
 //
 // Bit-identity contract: every arena is built through the exact code
 // path the engine would run standalone (catalogByName / withSpotTier,
-// TraceReplayer::makeFutureGridPools, PlanStructure::build), so an
-// engine consuming substrate arenas produces byte-identical traces and
-// results to one constructing its own.
+// PlanStructure::build, buildFluidLayout), so an engine consuming
+// substrate arenas produces byte-identical traces and results to one
+// constructing its own.
 //
 // Thread safety: all lookups are serialized on an internal mutex; the
 // returned arenas are immutable and freely usable from any thread.
@@ -45,9 +46,10 @@ class Substrate {
   [[nodiscard]] std::shared_ptr<const ResourceCatalog> catalogFor(
       const ExperimentConfig& config);
 
-  /// The FutureGrid-like trace pools for `seed` (default generation
-  /// parameters, which is what the engine uses). Cached by seed.
-  [[nodiscard]] std::shared_ptr<const TracePools> tracePoolsFor(
+  /// The shared FutureGrid corpus; `seed` is ignored. Stays only for
+  /// perfbench's frozen trace-pool probe until the benchmark-hygiene
+  /// change retires it; product code never calls it.
+  [[nodiscard]] std::shared_ptr<const TraceCorpus> tracePoolsFor(
       std::uint64_t seed);
 
   /// The planner closure for this (dataflow, catalog) pair. Cached by
@@ -69,8 +71,7 @@ class Substrate {
       const Dataflow& df);
 
   /// The full per-job arena view for one (dataflow, config) cell; one
-  /// call builds (or reuses) all applicable arenas. Trace pools are only
-  /// attached when the config replays infrastructure variability.
+  /// call builds (or reuses) all applicable arenas.
   [[nodiscard]] EngineArenas arenasFor(const Dataflow& df,
                                        const ExperimentConfig& config);
 
@@ -78,6 +79,8 @@ class Substrate {
   struct Stats {
     std::uint64_t catalog_builds = 0;
     std::uint64_t catalog_hits = 0;
+    /// Always zero (no per-seed pools any more); kept, like
+    /// tracePoolsFor, only for perfbench's frozen probe.
     std::uint64_t pool_builds = 0;
     std::uint64_t pool_hits = 0;
     std::uint64_t plan_builds = 0;
@@ -95,7 +98,6 @@ class Substrate {
   std::map<std::pair<std::string, double>,
            std::shared_ptr<const ResourceCatalog>>
       catalogs_;
-  std::map<std::uint64_t, std::shared_ptr<const TracePools>> pools_;
   std::map<std::pair<const void*, const void*>,
            std::shared_ptr<const PlanStructure>>
       plans_;

@@ -89,6 +89,13 @@ struct SchedulerEnv {
     DDS_REQUIRE(sigma >= 0.0, "sigma must be non-negative");
     DDS_REQUIRE(horizon_s > 0.0, "horizon must be positive");
   }
+
+  /// `*this` once validate() passed: constructors whose members bind
+  /// *dataflow or *cloud initialize from it, so a null env throws first.
+  [[nodiscard]] const SchedulerEnv& validated() const {
+    validate();
+    return *this;
+  }
 };
 
 /// What the monitoring framework reported for the last interval.

@@ -5,12 +5,15 @@
 // coefficient with the rated performance of the active VM to obtain its
 // instantaneous runtime performance."
 //
-// The replayer owns pools of CPU / latency / bandwidth coefficient traces
-// and assigns each VM (or unordered VM pair) a trace plus a replay offset
-// as a pure function of (seed, coefficient family, VM | pair) — stateless
-// splitmix64 hashing, as FaultPlan derives its events — so a coefficient
-// never depends on which other VMs or pairs were queried before it.
-// Multiplying by rated specs is the MonitoringService's job.
+// As in the paper, there is one fixed trace set: the FutureGrid-like
+// corpus, 4 days of CPU / latency / bandwidth coefficient traces generated
+// once per process from a fixed seed and shared read-only by every run.
+// The run seed only picks the windows: each VM (or unordered VM pair) gets
+// a corpus trace plus a replay offset as a pure function of (run seed,
+// coefficient family, VM | pair) — stateless splitmix64 hashing, as
+// FaultPlan derives its events — so a coefficient never depends on which
+// other VMs or pairs were queried before it. Multiplying by rated specs is
+// the MonitoringService's job.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +23,6 @@
 #include "dds/common/ids.hpp"
 #include "dds/common/time.hpp"
 #include "dds/trace/perf_trace.hpp"
-#include "dds/trace/trace_gen.hpp"
 
 namespace dds {
 
@@ -31,11 +33,8 @@ struct CoeffSample {
   SimTime valid_until = 0.0;
 };
 
-/// The immutable trace arena a replayer reads from. Generating these
-/// pools dominates replayer construction cost, so a campaign substrate
-/// builds one arena per generation seed and shares it read-only across
-/// every job with that seed.
-struct TracePools {
+/// An immutable set of coefficient traces, one pool per family.
+struct TraceCorpus {
   std::vector<PerfTrace> cpu;
   std::vector<PerfTrace> latency;
   std::vector<PerfTrace> bandwidth;
@@ -51,27 +50,13 @@ class TraceReplayer {
   /// A replayer whose every coefficient is exactly 1.0 (no variability).
   static TraceReplayer ideal();
 
-  /// Pools generated with the FutureGrid-like parameters from trace_gen.
-  /// `duration_s` should cover the longest experiment (traces wrap).
-  static TraceReplayer futureGridLike(std::uint64_t seed,
-                                      SimTime duration_s = 4.0 * 24.0 *
-                                                           kSecondsPerHour,
-                                      SimTime sample_period_s = 300.0,
-                                      std::size_t pool_size = 8);
+  /// Random windows into the FutureGrid-like corpus, hashed with `seed`.
+  static TraceReplayer futureGridLike(std::uint64_t seed);
 
-  /// The pool set futureGridLike(seed, ...) would generate, as a shared
-  /// immutable arena. overPools(makeFutureGridPools(seed), seed) is
-  /// bit-identical to futureGridLike(seed) without regenerating the pools
-  /// per job.
-  static std::shared_ptr<const TracePools> makeFutureGridPools(
-      std::uint64_t seed,
-      SimTime duration_s = 4.0 * 24.0 * kSecondsPerHour,
-      SimTime sample_period_s = 300.0, std::size_t pool_size = 8);
-
-  /// A replayer reading a shared arena. `run_seed` is the experiment
-  /// seed; the assignment-seed derivation matches futureGridLike.
-  static TraceReplayer overPools(std::shared_ptr<const TracePools> pools,
-                                 std::uint64_t run_seed);
+  /// The corpus futureGridLike replays: 32 traces per family, 4 days at a
+  /// 300 s sample period (trace_gen parameters). Built on first use —
+  /// thread-safely, from a fixed seed — and kept for the process lifetime.
+  static std::shared_ptr<const TraceCorpus> futureGridCorpus();
 
   /// Observed-to-rated CPU speed coefficient for one VM at time `t`, plus
   /// its zero-order-hold validity window: callers may cache the value for
@@ -89,8 +74,8 @@ class TraceReplayer {
                                                  SimTime t) const;
 
  private:
-  TraceReplayer(std::shared_ptr<const TracePools> pools,
-                std::uint64_t assignment_seed);
+  TraceReplayer(std::shared_ptr<const TraceCorpus> corpus,
+                std::uint64_t seed);
 
   /// The sample of `key`'s assigned trace in `pool` at time `t`.
   [[nodiscard]] CoeffSample sample(const std::vector<PerfTrace>& pool,
@@ -98,8 +83,8 @@ class TraceReplayer {
                                    SimTime t) const;
   static std::uint64_t pairKey(VmId a, VmId b);
 
-  // Shared immutable arena; may be referenced by sibling jobs.
-  std::shared_ptr<const TracePools> pools_;
+  // Immutable; the FutureGrid corpus is shared by every replayer.
+  std::shared_ptr<const TraceCorpus> corpus_;
   std::uint64_t seed_;
 };
 

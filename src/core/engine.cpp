@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <sstream>
 #include <type_traits>
 
@@ -148,6 +149,13 @@ std::vector<std::string> ExperimentConfig::validationErrors() const {
   require(errors, horizon_s > 0.0, "horizon must be positive");
   require(errors, interval_s > 0.0 && interval_s <= horizon_s,
           "interval must be positive and within the horizon");
+  require(errors, std::isfinite(horizon_s) && std::isfinite(interval_s),
+          "horizon and interval must be finite");
+  if (std::isfinite(horizon_s) && interval_s > 0.0 &&
+      horizon_s / interval_s > static_cast<double>(kMaxIntervalCount)) {
+    errors.push_back("horizon spans more than " +
+                     std::to_string(kMaxIntervalCount) + " intervals");
+  }
   require(errors, omega_target > 0.0 && omega_target <= 1.0,
           "omega target out of range");
   require(errors, epsilon >= 0.0 && epsilon < 1.0, "epsilon out of range");
@@ -247,14 +255,9 @@ ExperimentResult SimulationEngine::run(const SchedulerSpec& spec,
                                              config_.elasticity.spot_discount)
                               : catalogByName(config_.catalog)));
   cloud.setTracer(tracer);
-  // Shared trace-pool arenas skip regeneration: overPools(pools(seed),
-  // seed) replays exactly what futureGridLike(seed) would.
   const TraceReplayer replayer =
       config_.workload.infra_variability
-          ? (arenas_.trace_pools != nullptr
-                 ? TraceReplayer::overPools(arenas_.trace_pools,
-                                            config_.seed)
-                 : TraceReplayer::futureGridLike(config_.seed))
+          ? TraceReplayer::futureGridLike(config_.seed)
           : TraceReplayer::ideal();
   PlacementConfig placement_cfg;
   placement_cfg.racks = std::max(config_.placement_racks, 1);

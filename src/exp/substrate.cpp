@@ -27,18 +27,9 @@ std::shared_ptr<const ResourceCatalog> Substrate::catalogFor(
   return catalog;
 }
 
-std::shared_ptr<const TracePools> Substrate::tracePoolsFor(
-    std::uint64_t seed) {
-  std::scoped_lock lock(mutex_);
-  auto it = pools_.find(seed);
-  if (it != pools_.end()) {
-    ++stats_.pool_hits;
-    return it->second;
-  }
-  ++stats_.pool_builds;
-  auto pools = TraceReplayer::makeFutureGridPools(seed);
-  pools_.emplace(seed, pools);
-  return pools;
+std::shared_ptr<const TraceCorpus> Substrate::tracePoolsFor(
+    std::uint64_t /*seed*/) {
+  return TraceReplayer::futureGridCorpus();
 }
 
 std::shared_ptr<const PlanStructure> Substrate::planStructureFor(
@@ -102,9 +93,6 @@ EngineArenas Substrate::arenasFor(const Dataflow& df,
                                   const ExperimentConfig& config) {
   EngineArenas arenas;
   arenas.catalog = catalogFor(config);
-  if (config.workload.infra_variability) {
-    arenas.trace_pools = tracePoolsFor(config.seed);
-  }
   arenas.plan_structure = planStructureFor(df, arenas.catalog);
   if (config.backend == SimBackend::Fluid && !config.fluid_reference_engine) {
     arenas.fluid_layout = fluidLayoutFor(df);

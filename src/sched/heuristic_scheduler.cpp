@@ -26,18 +26,11 @@ double freeCorePower(const CloudProvider& cloud, const CorePowerFn& power) {
   return total;
 }
 
-/// `env` once it passed validation: the allocator member binds
-/// *env.dataflow, so a null pointer must throw before that happens.
-SchedulerEnv validated(SchedulerEnv env) {
-  env.validate();
-  return env;
-}
-
 }  // namespace
 
 HeuristicScheduler::HeuristicScheduler(SchedulerEnv env, Strategy strategy,
                                        HeuristicOptions options)
-    : env_(validated(env)),
+    : env_(env.validated()),
       strategy_(strategy),
       options_(options),
       allocator_(*env_.dataflow, *env_.cloud, env_.omega_target,

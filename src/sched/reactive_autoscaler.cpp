@@ -8,12 +8,10 @@ namespace dds {
 
 ReactiveAutoscaler::ReactiveAutoscaler(SchedulerEnv env,
                                        ReactiveOptions options)
-    : env_(env),
+    : env_(env.validated()),
       options_(options),
-      allocator_(*env.dataflow, *env.cloud, env.omega_target),
-      idle_streak_(env.dataflow == nullptr ? 0 : env.dataflow->peCount(),
-                   0) {
-  env_.validate();
+      allocator_(*env_.dataflow, *env_.cloud, env_.omega_target),
+      idle_streak_(env_.dataflow->peCount(), 0) {
   options_.validate();
   allocator_.setObservability(env_.tracer, env_.metrics);
 }

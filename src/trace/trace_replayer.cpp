@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "dds/common/rng.hpp"
+#include "dds/trace/trace_gen.hpp"
 
 namespace dds {
 namespace {
@@ -13,6 +14,13 @@ constexpr std::uint64_t kCpuTag = 0x63707574726163ull;
 constexpr std::uint64_t kLatencyTag = 0x6c6174656e6379ull;
 constexpr std::uint64_t kBandwidthTag = 0x62616e64776964ull;
 
+// The fixed FutureGrid-like corpus: 4 days sampled every 300 s (1,152
+// samples per trace), 32 traces per family, one generation seed.
+constexpr std::uint64_t kCorpusSeed = 0x4675747572654772ull;
+constexpr std::size_t kCorpusTraces = 32;
+constexpr SimTime kCorpusDuration = 4.0 * 24.0 * kSecondsPerHour;
+constexpr SimTime kCorpusPeriod = 300.0;
+
 }  // namespace
 
 TraceReplayer::TraceReplayer(std::vector<PerfTrace> cpu_pool,
@@ -20,18 +28,17 @@ TraceReplayer::TraceReplayer(std::vector<PerfTrace> cpu_pool,
                              std::vector<PerfTrace> bandwidth_pool,
                              std::uint64_t seed)
     : TraceReplayer(
-          std::make_shared<const TracePools>(TracePools{
+          std::make_shared<const TraceCorpus>(TraceCorpus{
               std::move(cpu_pool), std::move(latency_pool),
               std::move(bandwidth_pool)}),
           seed) {}
 
-TraceReplayer::TraceReplayer(std::shared_ptr<const TracePools> pools,
-                             std::uint64_t assignment_seed)
-    : pools_(std::move(pools)), seed_(assignment_seed) {
-  DDS_REQUIRE(pools_ != nullptr, "trace pool arena is null");
-  DDS_REQUIRE(!pools_->cpu.empty(), "CPU trace pool is empty");
-  DDS_REQUIRE(!pools_->latency.empty(), "latency trace pool is empty");
-  DDS_REQUIRE(!pools_->bandwidth.empty(), "bandwidth trace pool is empty");
+TraceReplayer::TraceReplayer(std::shared_ptr<const TraceCorpus> corpus,
+                             std::uint64_t seed)
+    : corpus_(std::move(corpus)), seed_(seed) {
+  DDS_REQUIRE(!corpus_->cpu.empty(), "CPU trace pool is empty");
+  DDS_REQUIRE(!corpus_->latency.empty(), "latency trace pool is empty");
+  DDS_REQUIRE(!corpus_->bandwidth.empty(), "bandwidth trace pool is empty");
 }
 
 TraceReplayer TraceReplayer::ideal() {
@@ -40,34 +47,24 @@ TraceReplayer TraceReplayer::ideal() {
                        {PerfTrace::constant(1.0)}, 0);
 }
 
-TraceReplayer TraceReplayer::futureGridLike(std::uint64_t seed,
-                                            SimTime duration_s,
-                                            SimTime sample_period_s,
-                                            std::size_t pool_size) {
-  return overPools(
-      makeFutureGridPools(seed, duration_s, sample_period_s, pool_size),
-      seed);
+TraceReplayer TraceReplayer::futureGridLike(std::uint64_t seed) {
+  return TraceReplayer(futureGridCorpus(), seed);
 }
 
-std::shared_ptr<const TracePools> TraceReplayer::makeFutureGridPools(
-    std::uint64_t seed, SimTime duration_s, SimTime sample_period_s,
-    std::size_t pool_size) {
-  Rng rng(seed);
-  auto pools = std::make_shared<TracePools>();
-  pools->cpu = generateTracePool(cpuTraceParams(), pool_size, duration_s,
-                                 sample_period_s, rng);
-  pools->latency = generateTracePool(latencyTraceParams(), pool_size,
-                                     duration_s, sample_period_s, rng);
-  pools->bandwidth = generateTracePool(bandwidthTraceParams(), pool_size,
-                                       duration_s, sample_period_s, rng);
-  return pools;
-}
-
-TraceReplayer TraceReplayer::overPools(
-    std::shared_ptr<const TracePools> pools, std::uint64_t run_seed) {
-  // Decorrelate the assignment hashes from the pool-generation stream,
-  // which is seeded with the same run seed.
-  return TraceReplayer(std::move(pools), run_seed ^ 0xabcdef1234567890ull);
+std::shared_ptr<const TraceCorpus> TraceReplayer::futureGridCorpus() {
+  static const std::shared_ptr<const TraceCorpus> corpus = [] {
+    Rng rng(kCorpusSeed);
+    auto built = std::make_shared<TraceCorpus>();
+    built->cpu = generateTracePool(cpuTraceParams(), kCorpusTraces,
+                                   kCorpusDuration, kCorpusPeriod, rng);
+    built->latency = generateTracePool(latencyTraceParams(), kCorpusTraces,
+                                       kCorpusDuration, kCorpusPeriod, rng);
+    built->bandwidth = generateTracePool(bandwidthTraceParams(),
+                                         kCorpusTraces, kCorpusDuration,
+                                         kCorpusPeriod, rng);
+    return std::shared_ptr<const TraceCorpus>(std::move(built));
+  }();
+  return corpus;
 }
 
 std::uint64_t TraceReplayer::pairKey(VmId a, VmId b) {
@@ -89,19 +86,19 @@ CoeffSample TraceReplayer::sample(const std::vector<PerfTrace>& pool,
 }
 
 CoeffSample TraceReplayer::cpuCoeffSample(VmId vm, SimTime t) const {
-  return sample(pools_->cpu, kCpuTag, vm.value(), t);
+  return sample(corpus_->cpu, kCpuTag, vm.value(), t);
 }
 
 CoeffSample TraceReplayer::latencyCoeffSample(VmId a, VmId b,
                                               SimTime t) const {
   DDS_REQUIRE(a != b, "latency between a VM and itself is zero by model");
-  return sample(pools_->latency, kLatencyTag, pairKey(a, b), t);
+  return sample(corpus_->latency, kLatencyTag, pairKey(a, b), t);
 }
 
 CoeffSample TraceReplayer::bandwidthCoeffSample(VmId a, VmId b,
                                                 SimTime t) const {
   DDS_REQUIRE(a != b, "bandwidth between a VM and itself is infinite");
-  return sample(pools_->bandwidth, kBandwidthTag, pairKey(a, b), t);
+  return sample(corpus_->bandwidth, kBandwidthTag, pairKey(a, b), t);
 }
 
 }  // namespace dds

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "dds/common/error.hpp"
 
 namespace dds {
@@ -38,6 +40,16 @@ TEST(IntervalClock, RejectsNonPositiveIntervalLength) {
 
 TEST(IntervalClock, RejectsNonPositiveHorizon) {
   EXPECT_THROW(IntervalClock(60.0, 0.0), PreconditionError);
+}
+
+TEST(IntervalClock, RejectsInfiniteOrOversizedHorizon) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(IntervalClock(60.0, kInf), PreconditionError);
+  EXPECT_THROW(IntervalClock(60.0, 1e300), PreconditionError);
+  EXPECT_THROW(IntervalClock(kInf, 3600.0), PreconditionError);
+  const double cap = 60.0 * static_cast<double>(kMaxIntervalCount);
+  EXPECT_EQ(IntervalClock(60.0, cap).intervalCount(), kMaxIntervalCount);
+  EXPECT_THROW(IntervalClock(60.0, cap + 60.0), PreconditionError);
 }
 
 TEST(IntervalClock, RejectsNegativeIntervalIndex) {

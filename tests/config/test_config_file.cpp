@@ -490,6 +490,29 @@ TEST(ExperimentFromConfig, ChainLengthIsRangeChecked) {
   }
 }
 
+TEST(ExperimentFromConfig, HorizonMustBeFiniteAndBounded) {
+  // An infinite horizon used to reach IntervalClock's double-to-integer
+  // cast (undefined behaviour), and 1e6 h passed as 60,000,000 intervals.
+  const auto parse = [](const std::string& horizon_h) {
+    return experimentFromConfig(
+        KeyValueConfig::parse("horizon_h = " + horizon_h + "\n"));
+  };
+  EXPECT_EQ(parse("24").config.horizon_s, 24.0 * kSecondsPerHour);
+  for (const std::string bad : {"inf", "1e300", "1e6"}) {
+    try {
+      (void)parse(bad);
+      FAIL() << "expected ConfigError for horizon_h " << bad;
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("horizon"), std::string::npos)
+          << e.what();
+    }
+  }
+  // The cap counts intervals, so a shorter interval lowers it.
+  EXPECT_THROW((void)experimentFromConfig(KeyValueConfig::parse(
+                   "horizon_h = 24\ninterval_s = 0.5\n")),
+               ConfigError);
+}
+
 /// Integer keys narrowed to `int`: a value outside int's range must fail
 /// naming the key, not wrap to a small valid-looking number.
 class IntegerConfigKey : public ::testing::TestWithParam<const char*> {};

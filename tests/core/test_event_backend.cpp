@@ -80,13 +80,15 @@ TEST(EventBackend, PowerSmoothingReachesTheScheduler) {
   // Trace replay does not depend on which monitoring queries ran, so the
   // smoothed power the scheduler plans against is the only difference
   // between these runs: alpha < 1 must change its decisions — the active
-  // alternates (Gamma), cores and VMs of some interval.
+  // alternates (Gamma), cores and VMs of some interval. Smoothing changes
+  // a plan only when a probe swing crosses a packing threshold, which
+  // about 3 in 10 seeds' replay windows do here; seed 1 is one of them.
   const Dataflow df = makePaperDataflow();
   ExperimentConfig cfg = eventConfig();
   cfg.horizon_s = 30.0 * kSecondsPerMinute;
   cfg.workload.infra_variability = true;
   cfg.workload.mean_rate = 10.0;
-  cfg.seed = 2;
+  cfg.seed = 1;
   const auto decisions = [&](double alpha) {
     cfg.power_smoothing_alpha = alpha;
     const auto r = SimulationEngine(df, cfg).run(parseScheduler("global"));

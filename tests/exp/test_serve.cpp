@@ -117,6 +117,27 @@ TEST(Serve, OversizedChainLengthIsRejectedAndTheStreamContinues) {
   }
 }
 
+TEST(Serve, HugeHorizonIsRejectedAndTheStreamContinues) {
+  // 1e300 h used to pass validation and reach the interval clock's
+  // double-to-integer cast (undefined behaviour) instead of a rejection.
+  const std::string input =
+      R"({"v":1,"config":{"horizon_h":1e300}})"
+      "\n" +
+      specLine(1, "global") + "\n";
+  ServeStats stats;
+  const std::string out = serveAll(input, {.jobs = 1}, &stats);
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.ok, 1u);
+  std::vector<std::string> lines;
+  std::istringstream in(out);
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_NE(lines[0].find("\"rejected\":true"), std::string::npos);
+  EXPECT_NE(lines[0].find("horizon"), std::string::npos) << lines[0];
+  EXPECT_NE(lines[1].find("\"ok\":true"), std::string::npos);
+}
+
 TEST(Serve, JobFailuresAreInBandRecords) {
   // An intractable job fails while running (not a rejection): the
   // stream carries ok:false with the error, and later records follow.

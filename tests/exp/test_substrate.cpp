@@ -46,29 +46,36 @@ TEST(Substrate, ArenasAreSharedNotRebuilt) {
   const EngineArenas first = substrate.arenasFor(df, cfg);
   const EngineArenas second = substrate.arenasFor(df, cfg);
   ASSERT_NE(first.catalog, nullptr);
-  ASSERT_NE(first.trace_pools, nullptr);
   ASSERT_NE(first.plan_structure, nullptr);
   // Same immutable objects, not equal copies.
   EXPECT_EQ(first.catalog.get(), second.catalog.get());
-  EXPECT_EQ(first.trace_pools.get(), second.trace_pools.get());
   EXPECT_EQ(first.plan_structure.get(), second.plan_structure.get());
 
-  const Substrate::Stats stats = substrate.stats();
+  Substrate::Stats stats = substrate.stats();
   EXPECT_EQ(stats.catalog_builds, 1u);
   EXPECT_EQ(stats.catalog_hits, 1u);
-  EXPECT_EQ(stats.pool_builds, 1u);
-  EXPECT_EQ(stats.pool_hits, 1u);
   EXPECT_EQ(stats.plan_builds, 1u);
   EXPECT_EQ(stats.plan_hits, 1u);
 
-  // A different seed needs different trace pools but the same catalog
-  // and plan closure.
+  // The seed is not part of any arena key: another seed reuses every
+  // arena, and trace replay needs none (all runs read one corpus).
   ExperimentConfig other = cfg;
   other.seed = 32;
   const EngineArenas third = substrate.arenasFor(df, other);
   EXPECT_EQ(third.catalog.get(), first.catalog.get());
-  EXPECT_NE(third.trace_pools.get(), first.trace_pools.get());
   EXPECT_EQ(third.plan_structure.get(), first.plan_structure.get());
+  stats = substrate.stats();
+  EXPECT_EQ(stats.catalog_builds, 1u);
+  EXPECT_EQ(stats.plan_builds, 1u);
+}
+
+TEST(Substrate, TracePoolsForIsTheSharedCorpusForEverySeed) {
+  Substrate substrate;
+  const auto corpus = TraceReplayer::futureGridCorpus();
+  EXPECT_EQ(substrate.tracePoolsFor(31).get(), corpus.get());
+  EXPECT_EQ(substrate.tracePoolsFor(32).get(), corpus.get());
+  EXPECT_EQ(substrate.stats().pool_builds, 0u);
+  EXPECT_EQ(substrate.stats().pool_hits, 0u);
 }
 
 TEST(Substrate, FluidLayoutSharedAcrossJobsOfOneGraph) {
@@ -112,8 +119,8 @@ TEST(Substrate, GraphCacheSharesByNameAndLength) {
 TEST(Substrate, ArenaRunsAreBitIdenticalToStandalone) {
   // The whole substrate contract: an engine consuming shared arenas is
   // indistinguishable from one building its own. Exercised with spot
-  // pricing (catalog twin), trace replay (shared pools) and the planner
-  // closure all active.
+  // pricing (catalog twin), trace replay and the planner closure all
+  // active.
   const Dataflow df = makePaperDataflow();
   ExperimentConfig cfg = variedConfig();
   cfg.elasticity.spot_discount = 0.6;
@@ -169,12 +176,12 @@ TEST(Substrate, ConcurrentJobsDoNotPerturbSiblings) {
     ASSERT_TRUE(together[i].ok) << together[i].error;
     expectSameRun(isolated[i].result, together[i].result);
   }
-  // The shared substrate actually shared: one catalog and one plan
-  // closure across all four jobs, pools per distinct seed.
+  // The shared substrate actually shared: one catalog, one plan closure
+  // and one fluid layout across all four seeds.
   const Substrate::Stats stats = shared.stats();
   EXPECT_EQ(stats.catalog_builds, 1u);
   EXPECT_EQ(stats.plan_builds, 1u);
-  EXPECT_EQ(stats.pool_builds, 4u);
+  EXPECT_EQ(stats.fluid_layout_builds, 1u);
 }
 
 }  // namespace

@@ -35,6 +35,18 @@ TEST(ReactiveAutoscaler, OptionsValidation) {
   EXPECT_THROW(bad.validate(), PreconditionError);
 }
 
+TEST(ReactiveAutoscaler, RejectsInvalidEnv) {
+  // The allocator member binds *dataflow and *cloud, so the env must be
+  // validated before it is bound, not after.
+  Fixture f(makePaperDataflow());
+  SchedulerEnv env = f.env();
+  env.dataflow = nullptr;
+  EXPECT_THROW(ReactiveAutoscaler{env}, PreconditionError);
+  env = f.env();
+  env.cloud = nullptr;
+  EXPECT_THROW(ReactiveAutoscaler{env}, PreconditionError);
+}
+
 TEST(ReactiveAutoscaler, ColdStartDeployment) {
   Fixture f(makePaperDataflow());
   ReactiveAutoscaler sched(f.env());

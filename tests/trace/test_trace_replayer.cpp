@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -150,6 +152,81 @@ TEST(TraceReplayer, CpuCoefficientsStayPositive) {
     for (double t = 0.0; t < 12 * 3600.0; t += 600.0) {
       EXPECT_GT(cpu(r, v, t), 0.0);
     }
+  }
+}
+
+TEST(TraceReplayer, CorpusIsFixedAndShared) {
+  const auto corpus = TraceReplayer::futureGridCorpus();
+  EXPECT_EQ(corpus.get(), TraceReplayer::futureGridCorpus().get());
+  // 32 traces per family, each 4 days at a 300 s sample period.
+  for (const auto* pool : {&corpus->cpu, &corpus->latency,
+                           &corpus->bandwidth}) {
+    ASSERT_EQ(pool->size(), 32u);
+    for (const PerfTrace& trace : *pool) {
+      EXPECT_EQ(trace.sampleCount(), 1152u);
+      EXPECT_DOUBLE_EQ(trace.samplePeriod(), 300.0);
+    }
+  }
+}
+
+TEST(TraceReplayer, SeedsShareCorpusTracesButNotWindows) {
+  // The run seed picks windows only: two seeds replay values drawn from
+  // the same corpus traces, but assign most VMs a different window.
+  const auto corpus = TraceReplayer::futureGridCorpus();
+  const auto inCorpus = [&](double value) {
+    return std::any_of(
+        corpus->cpu.begin(), corpus->cpu.end(), [&](const PerfTrace& tr) {
+          const auto& xs = tr.samples();
+          return std::find(xs.begin(), xs.end(), value) != xs.end();
+        });
+  };
+  const auto a = TraceReplayer::futureGridLike(1);
+  const auto b = TraceReplayer::futureGridLike(2);
+  constexpr std::uint32_t kVms = 16;
+  int differing = 0;
+  for (std::uint32_t v = 0; v < kVms; ++v) {
+    bool differs = false;
+    for (double t = 0.0; t < 6 * 3600.0; t += 1800.0) {
+      EXPECT_TRUE(inCorpus(cpu(a, v, t))) << "vm " << v << " t " << t;
+      EXPECT_TRUE(inCorpus(cpu(b, v, t))) << "vm " << v << " t " << t;
+      differs = differs || cpu(a, v, t) != cpu(b, v, t);
+    }
+    if (differs) ++differing;
+  }
+  EXPECT_GE(differing, 14);
+}
+
+TEST(TraceReplayer, ConcurrentFirstUseMatchesSerialReplay) {
+  // Four threads race to build the process-wide corpus; each must see
+  // the same corpus and replay exactly what a serial run replays.
+  constexpr std::size_t kThreads = 4;
+  const auto fingerprint = [](std::uint64_t seed) {
+    const auto r = TraceReplayer::futureGridLike(seed);
+    std::vector<double> xs;
+    for (std::uint32_t v = 0; v < 6; ++v) {
+      for (double t = 0.0; t < 4 * 3600.0; t += 900.0) {
+        xs.push_back(cpu(r, v, t));
+        xs.push_back(latency(r, v, v + 1, t));
+        xs.push_back(bandwidth(r, v, v + 1, t));
+      }
+    }
+    return xs;
+  };
+  std::vector<std::vector<double>> racing(kThreads);
+  std::vector<const TraceCorpus*> seen(kThreads, nullptr);
+  {
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < kThreads; ++i) {
+      threads.emplace_back([&, i]() {
+        seen[i] = TraceReplayer::futureGridCorpus().get();
+        racing[i] = fingerprint(100 + i);
+      });
+    }
+    for (auto& t : threads) t.join();
+  }
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(seen[i], TraceReplayer::futureGridCorpus().get());
+    EXPECT_EQ(racing[i], fingerprint(100 + i)) << "thread " << i;
   }
 }
 
