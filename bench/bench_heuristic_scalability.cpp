@@ -12,14 +12,25 @@
 // 8 width), cross-checks that both evaluator paths produce bit-identical
 // plans, and writes the results as JSON (committed as
 // BENCH_planner_latency.json at the repo root).
+// --adaptation-json=PATH [--commit=SHA] instead runs whole elastic-cloud
+// jobs through SimulationEngine (paper graph and 4x4/6x6/8x8 layered
+// graphs, `global` and `global-predictive`, fixed seeds) and writes the
+// runtime-adaptation cost per interval — run wall time minus the
+// simulator's step time — next to each job's Theta. BENCH_adaptation.json
+// at the repo root pairs this output at a parent and a change commit:
+// the Thetas must agree bit for bit, the microseconds show the cut.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
+#include <ctime>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dds/dds.hpp"
@@ -196,7 +207,7 @@ SweepRun runAnnealingDeploy(int layers, int width, bool incremental) {
         dep.activeAlternate(PeId(static_cast<PeId::value_type>(i)))
             .value());
   }
-  for (const VmId id : env.cloud.activeVms()) {
+  for (const VmId id : env.cloud.activeIds()) {
     ++run.vms[env.cloud.instance(id).spec().name];
     run.cores += env.cloud.instance(id).allocatedCoreCount();
   }
@@ -271,16 +282,171 @@ int plannerLatencySweep(const std::string& path) {
   return mismatch ? 1 : 0;
 }
 
+// --- runtime-adaptation cost per interval (writes JSON) ----------------
+
+/// The perfbench `elastic` shape: 2 h, a wave at `mean_rate`, ideal
+/// hosts, provisioning delays, a half-spot mix with preemptions,
+/// migration state and VM crashes, Holt-Winters forecasts.
+ExperimentConfig adaptationConfig(std::uint64_t seed, double mean_rate) {
+  ExperimentConfig cfg;
+  cfg.horizon_s = 2.0 * kSecondsPerHour;
+  cfg.seed = seed;
+  cfg.workload.mean_rate = mean_rate;
+  cfg.workload.profile = ProfileKind::PeriodicWave;
+  cfg.forecast.model = ForecastModel::HoltWinters;
+  cfg.elasticity.provisioning_delay_s = 60.0;
+  cfg.elasticity.provisioning_delay_per_core_s = 15.0;
+  cfg.elasticity.spot_discount = 0.7;
+  cfg.elasticity.spot_fraction = 0.5;
+  cfg.elasticity.spot_preemption_mtbf_h = 4.0;
+  cfg.elasticity.spot_notice_s = 120.0;
+  cfg.elasticity.pe_state_mb = 50.0;
+  cfg.elasticity.migration_bandwidth_mbps = 100.0;
+  cfg.faults.vm_mtbf_hours = 12.0;
+  return cfg;
+}
+
+/// Core power the default alternates need per msg/s of input.
+double demandPerUnitRate(const Dataflow& df) {
+  double total = 0.0;
+  for (const double r : requiredCorePower(df, Deployment(df), 1.0)) {
+    total += r;
+  }
+  return total;
+}
+
+double gaugeValue(const obs::MetricsSnapshot& metrics,
+                  const std::string& name) {
+  for (const obs::MetricSample& m : metrics) {
+    if (m.name == name) return m.value;
+  }
+  return 0.0;
+}
+
+std::string utcNow() {
+  const std::time_t now = std::time(nullptr);
+  std::tm tm{};
+  gmtime_r(&now, &tm);
+  char buf[32];
+  std::strftime(buf, sizeof buf, "%Y-%m-%dT%H:%M:%SZ", &tm);
+  return buf;
+}
+
+int adaptationSweep(const std::string& path, const std::string& commit) {
+  struct Graph {
+    std::string name;
+    Dataflow df;
+  };
+  std::vector<Graph> graphs;
+  graphs.push_back({"paper", makePaperDataflow()});
+  for (const int n : {4, 6, 8}) {
+    graphs.push_back({"layered-" + std::to_string(n) + "x" + std::to_string(n),
+                      graphOfSize(n, n)});
+  }
+  // Layered graphs multiply the rate by their fan-in at every layer, so
+  // each graph's mean rate is scaled until its demand equals the paper
+  // graph's at 10 msg/s: every row then runs a comparable cloud.
+  const double reference_demand = 10.0 * demandPerUnitRate(graphs[0].df);
+  const std::vector<std::string> policies = {"global", "global-predictive"};
+  const std::vector<std::uint64_t> seeds = {11, 12, 13};
+  constexpr int kReps = 20;  // best of twenty: the host is shared
+
+  std::ofstream out(path);
+  if (!out.good()) {
+    std::cerr << "cannot open " << path << " for writing\n";
+    return 1;
+  }
+  out << std::setprecision(17);
+  out << "{\n"
+      << "  \"header\": {\"commit\": \"" << commit
+      << "\", \"build_type\": \"" << DDS_BENCH_BUILD_TYPE
+      << "\", \"hardware_concurrency\": "
+      << std::thread::hardware_concurrency() << ", \"date\": \""
+      << utcNow() << "\",\n"
+      << "             \"horizon_h\": 2, \"demand_core_power\": "
+      << reference_demand << ", \"reps\": " << kReps << "},\n"
+      << "  \"rows\": [\n";
+
+  bool first = true;
+  for (const Graph& g : graphs) {
+    const double rate = reference_demand / demandPerUnitRate(g.df);
+    for (const std::string& policy : policies) {
+      // Per seed: the best-of-reps run and step wall times; Theta must
+      // repeat exactly across reps (the runs are deterministic).
+      double adapt_s = 0.0;
+      double step_s = 0.0;
+      double intervals = 0.0;
+      std::vector<double> thetas;
+      for (const std::uint64_t seed : seeds) {
+        const SimulationEngine engine(g.df, adaptationConfig(seed, rate));
+        double best_adapt = std::numeric_limits<double>::infinity();
+        double best_step = 0.0;
+        double theta = 0.0;
+        double n = 0.0;
+        for (int rep = 0; rep < kReps; ++rep) {
+          const auto t0 = std::chrono::steady_clock::now();
+          const ExperimentResult r = engine.run(parseScheduler(policy));
+          const double wall = std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - t0)
+                                  .count();
+          n = static_cast<double>(r.run.intervals().size());
+          const double ips = gaugeValue(r.metrics, "fluid.intervals_per_s");
+          const double step = ips > 0.0 ? n / ips : 0.0;
+          if (rep > 0 && r.theta != theta) {
+            std::cerr << "THETA MOVED between reps on " << g.name << " "
+                      << policy << "\n";
+            return 1;
+          }
+          theta = r.theta;
+          if (wall - step < best_adapt) {
+            best_adapt = wall - step;
+            best_step = step;
+          }
+        }
+        adapt_s += best_adapt;
+        step_s += best_step;
+        intervals += n;
+        thetas.push_back(theta);
+      }
+      std::cerr << g.name << " " << policy << ": "
+                << adapt_s / intervals * 1e6 << " us adapt / interval\n";
+      out << (first ? "" : ",\n") << "    {\"graph\": \"" << g.name
+          << "\", \"pes\": " << g.df.peCount() << ", \"policy\": \""
+          << policy << "\", \"mean_rate\": " << rate
+          << ",\n     \"adapt_us_per_interval\": "
+          << adapt_s / intervals * 1e6 << ", \"step_us_per_interval\": "
+          << step_s / intervals * 1e6 << ",\n     \"theta\": [";
+      for (std::size_t i = 0; i < thetas.size(); ++i) {
+        out << (i ? ", " : "") << thetas[i];
+      }
+      out << "]}";
+      first = false;
+    }
+  }
+  out << "\n  ]\n}\n";
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const std::string kSweepFlag = "--planner-latency-json=";
+  const std::string kAdaptFlag = "--adaptation-json=";
+  const std::string kCommitFlag = "--commit=";
+  std::string adaptation_path;
+  std::string commit = "unknown";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind(kSweepFlag, 0) == 0) {
       return plannerLatencySweep(arg.substr(kSweepFlag.size()));
     }
+    if (arg.rfind(kAdaptFlag, 0) == 0) {
+      adaptation_path = arg.substr(kAdaptFlag.size());
+    } else if (arg.rfind(kCommitFlag, 0) == 0) {
+      commit = arg.substr(kCommitFlag.size());
+    }
   }
+  if (!adaptation_path.empty()) return adaptationSweep(adaptation_path, commit);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

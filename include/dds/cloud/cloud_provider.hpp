@@ -152,14 +152,23 @@ class CloudProvider {
     return instances_.size();
   }
 
-  /// Ids of VMs still running.
-  [[nodiscard]] std::vector<VmId> activeVms() const;
+  /// Ids of VMs still running, ascending. Maintained incrementally
+  /// (appended on acquisition, erased on termination), so scans over the
+  /// running set cost O(active VMs) rather than O(VMs ever acquired). The
+  /// reference is invalidated by acquire, tryAcquire, release, terminate
+  /// and preempt: callers that change the active set while iterating must
+  /// walk an activeVms() snapshot instead.
+  [[nodiscard]] const std::vector<VmId>& activeIds() const {
+    return active_ids_;
+  }
+
+  /// A copy of activeIds(): the snapshot for callers that release or
+  /// terminate VMs while iterating.
+  [[nodiscard]] std::vector<VmId> activeVms() const { return active_ids_; }
 
   /// Every instance ever acquired, in VmId order (active and stopped).
-  /// Hot paths iterate this directly and skip stopped VMs instead of
-  /// materializing an activeVms() snapshot per call; the filtered visit
-  /// order is identical. Callers that mutate the active set while
-  /// iterating must keep using the activeVms() snapshot.
+  /// Only for readers that care about stopped VMs too (billing, per-VmId
+  /// bookkeeping); scans of the running set walk activeIds().
   [[nodiscard]] const std::vector<VmInstance>& instances() const {
     return instances_;
   }
@@ -190,6 +199,7 @@ class CloudProvider {
 
   std::shared_ptr<const ResourceCatalog> catalog_;
   std::vector<VmInstance> instances_;
+  std::vector<VmId> active_ids_;  ///< ascending ids of running instances.
   obs::Tracer tracer_;
   const AcquisitionFaultModel* acq_faults_ = nullptr;
   const PreemptionFaultModel* preemption_model_ = nullptr;

@@ -58,15 +58,12 @@ class VmInstance {
 
   [[nodiscard]] int coreCount() const { return spec_.cores; }
 
+  /// O(1): the ledger mutators keep the allocated count current.
   [[nodiscard]] int freeCoreCount() const {
-    int n = 0;
-    for (const auto& c : cores_) n += c.has_value() ? 0 : 1;
-    return n;
+    return coreCount() - allocated_;
   }
 
-  [[nodiscard]] int allocatedCoreCount() const {
-    return coreCount() - freeCoreCount();
-  }
+  [[nodiscard]] int allocatedCoreCount() const { return allocated_; }
 
   /// Owner of core `index`, or nullopt when the core is free.
   [[nodiscard]] std::optional<PeId> coreOwner(int index) const {
@@ -88,6 +85,7 @@ class VmInstance {
     for (std::size_t i = 0; i < cores_.size(); ++i) {
       if (!cores_[i].has_value()) {
         cores_[i] = pe;
+        ++allocated_;
         return static_cast<int>(i);
       }
     }
@@ -99,6 +97,7 @@ class VmInstance {
     for (std::size_t i = 0; i < cores_.size(); ++i) {
       if (cores_[i].has_value() && *cores_[i] == pe) {
         cores_[i] = std::nullopt;
+        --allocated_;
         return static_cast<int>(i);
       }
     }
@@ -114,6 +113,7 @@ class VmInstance {
         ++n;
       }
     }
+    allocated_ -= n;
     return n;
   }
 
@@ -142,6 +142,7 @@ class VmInstance {
   SimTime t_off_ = std::numeric_limits<SimTime>::infinity();
   TerminationReason reason_ = TerminationReason::None;
   std::vector<std::optional<PeId>> cores_;
+  int allocated_ = 0;  ///< cores_ entries with an owner.
 };
 
 }  // namespace dds

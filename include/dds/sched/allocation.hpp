@@ -145,10 +145,6 @@ class ResourceAllocator {
   [[nodiscard]] std::vector<double> allocatedPower(
       const CorePowerFn& power) const;
 
-  /// Buffer-reusing variant for the scale-out/scale-in inner loops.
-  void allocatedPowerInto(const CorePowerFn& power,
-                          std::vector<double>& pw) const;
-
   /// Give every PE at least one core, walking PEs in forward BFS order and
   /// filling the most recent VM first so dataflow neighbours colocate
   /// (Alg. 1 lines 13-20). Acquires largest-class VMs on demand.
@@ -192,7 +188,8 @@ class ResourceAllocator {
   /// Iterative repacking (Table 1): repeatedly try to empty the least
   /// loaded VM by relocating its cores onto free cores of equal or faster
   /// speed elsewhere; stop when no VM can be emptied.
-  void repackFreeVms(const CorePowerFn& power);
+  /// Feasibility is decided on rated core speeds.
+  void repackFreeVms();
 
   /// Shut down VMs with no allocated cores according to `policy`; returns
   /// how many were released. `interval_s` is the adaptation interval (the
@@ -211,8 +208,10 @@ class ResourceAllocator {
 
   /// One more core for `pe`: prefer VMs already hosting it, then VMs
   /// hosting a graph neighbour, then any free core, then a fresh
-  /// largest-class VM (when `allow_acquire`). Returns success.
-  bool allocateCoreForPe(PeId pe, SimTime now, bool allow_acquire);
+  /// largest-class VM (when `allow_acquire`). Returns the VM that granted
+  /// the core (possibly a fresh acquisition), nullopt when none could.
+  std::optional<VmId> allocateCoreForPe(PeId pe, SimTime now,
+                                        bool allow_acquire);
 
   /// Trace one core (de)allocation and bump the matching counter.
   void traceCoreAlloc(VmId vm, PeId pe, std::int64_t delta, SimTime now);
@@ -231,10 +230,51 @@ class ResourceAllocator {
   SimTime acquisition_retry_after_ = 0.0;
   int consecutive_unmet_ = 0;
   int rejections_ = 0;
+  /// Per-call view of the ledger behind scaleOut()/scaleIn(): each PE's
+  /// hosts (VM id ascending, cores it owns there) and allocated power,
+  /// plus each VM's per-core power memoized by VmId — the power function
+  /// is pure in (VM, now) while one call runs. After a one-core change only
+  /// the touched PE's row is updated and its power entry re-summed in the
+  /// ledger's VM-then-core order, so the vector stays bitwise equal to a
+  /// full recompute (a +/- per-core delta would not round the same way).
+  class ScaleView {
+   public:
+    struct Host {
+      VmId vm;
+      int cores;
+    };
+
+    /// Rebuild the table from the active ledger of `cloud`.
+    void reset(const CloudProvider& cloud, const CorePowerFn& power,
+               std::size_t pe_count);
+
+    /// Record that `pe` gained (+1) or lost (-1) one core on `vm`.
+    void changeCore(PeId pe, VmId vm, int delta);
+
+    /// Per-core power of `vm`, asking the power function once per call.
+    double corePower(VmId vm);
+
+    [[nodiscard]] const std::vector<Host>& hosts(PeId pe) const {
+      return hosts_[pe.value()];
+    }
+
+    /// Allocated power by PeId. Callers may perturb an entry to test a
+    /// candidate but must restore it before the next changeCore().
+    [[nodiscard]] std::vector<double>& power() { return pe_power_; }
+
+   private:
+    void resum(PeId pe);
+
+    const CorePowerFn* power_fn_ = nullptr;
+    std::vector<std::vector<Host>> hosts_;
+    std::vector<double> pe_power_;
+    std::vector<double> vm_power_;  ///< NaN until first asked.
+  };
+
   // Scale-loop scratch, reused across iterations (and adaptation
   // intervals) so the steady-state hot paths stay allocation-free.
   ThroughputProjector projector_;
-  std::vector<double> pw_scratch_;
+  ScaleView view_;
   std::vector<double> deficit_scratch_;
 };
 

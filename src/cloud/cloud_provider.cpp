@@ -8,6 +8,7 @@ VmId CloudProvider::acquireInternal(ResourceClassId cls, SimTime t) {
   DDS_REQUIRE(t >= 0.0, "acquire time must be non-negative");
   const VmId id(static_cast<VmId::value_type>(instances_.size()));
   instances_.emplace_back(id, cls, catalog_->at(cls), t);
+  active_ids_.push_back(id);  // ids are handed out ascending
   ++ledger_generation_;
   return id;
 }
@@ -66,6 +67,8 @@ void CloudProvider::release(VmId id, SimTime t) {
 void CloudProvider::terminate(VmId id, SimTime t, TerminationReason reason) {
   VmInstance& vm = mutableInstance(id);
   vm.shutdown(t, reason);
+  active_ids_.erase(
+      std::lower_bound(active_ids_.begin(), active_ids_.end(), id));
   ++ledger_generation_;
   if (tracer_.enabled()) {
     tracer_.emit(obs::VmReleaseEvent{.t = t,
@@ -81,14 +84,6 @@ SimTime CloudProvider::preemptionTimeOf(VmId id) const {
     return std::numeric_limits<SimTime>::infinity();
   }
   return preemption_model_->preemptionTime(id, vm.startTime());
-}
-
-std::vector<VmId> CloudProvider::activeVms() const {
-  std::vector<VmId> out;
-  for (const auto& vm : instances_) {
-    if (vm.isActive()) out.push_back(vm.id());
-  }
-  return out;
 }
 
 int CloudProvider::billedHours(VmId id, SimTime t) const {

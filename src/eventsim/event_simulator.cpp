@@ -321,9 +321,9 @@ void EventSimulator::refreshLedgerViews() {
   for (auto& refs : slot_ref_) {
     std::fill(refs.begin(), refs.end(), SlotRef{});
   }
-  for (const VmInstance& vm : cloud.instances()) {
-    if (!vm.isActive()) continue;
-    const std::size_t vmi = vm.id().value();
+  for (const VmId id : cloud.activeIds()) {
+    const VmInstance& vm = cloud.instance(id);
+    const std::size_t vmi = id.value();
     if (vmi >= core_busy_.size()) core_busy_.resize(vmi + 1);
     auto& busy = core_busy_[vmi];
     if (busy.size() < static_cast<std::size_t>(vm.coreCount())) {
@@ -644,7 +644,7 @@ IntervalMetrics EventSimulator::step(IntervalIndex index, double rate,
   }
   m.gamma = gamma_acc / static_cast<double>(n);
   m.cost_cumulative = cloud_->accumulatedCost(t1);
-  m.active_vms = static_cast<int>(cloud_->activeVms().size());
+  m.active_vms = static_cast<int>(cloud_->activeIds().size());
   m.allocated_cores = totalAllocatedCores(*cloud_);
 
   result_.intervals.add(m);

@@ -11,12 +11,12 @@ void ProbeHistory::probe(SimTime t) {
   DDS_REQUIRE(t >= last_probe_, "probe times must be non-decreasing");
   last_probe_ = t;
   ++probes_;
-  for (const VmInstance& inst : monitor_->cloud().instances()) {
+  const CloudProvider& cloud = monitor_->cloud();
+  for (const VmId vm : cloud.activeIds()) {
     // A provisioning VM observes zero power by definition, not because it
     // is slow; folding that into the EWMA would poison the estimate the
     // schedulers (and the straggler guard) plan against.
-    if (!inst.isActive() || !inst.isReady(t)) continue;
-    const VmId vm = inst.id();
+    if (!cloud.instance(vm).isReady(t)) continue;
     const double observed = monitor_->observedCorePower(vm, t);
     const auto it = smoothed_.find(vm);
     if (it == smoothed_.end()) {

@@ -16,11 +16,6 @@ constexpr double kEps = 1e-9;
 /// Hash-family tag for the per-acquisition spot/on-demand choice.
 constexpr std::uint64_t kSpotChoiceTag = 0x7a3d91c5ull;
 
-/// Active VM ids, cheapest-to-query helper.
-std::vector<VmId> activeVmIds(const CloudProvider& cloud) {
-  return cloud.activeVms();
-}
-
 bool hostsPe(const VmInstance& vm, PeId pe) {
   return vm.coresOwnedBy(pe) > 0;
 }
@@ -135,25 +130,84 @@ ResourceAllocator::ResourceAllocator(const Dataflow& df, CloudProvider& cloud,
               "omega target out of range");
 }
 
-void ResourceAllocator::allocatedPowerInto(const CorePowerFn& power,
-                                           std::vector<double>& pw) const {
-  pw.assign(df_->peCount(), 0.0);
-  for (const VmInstance& vm : cloud_->instances()) {
-    if (!vm.isActive()) continue;
-    const double per_core = power(vm.id());
+std::vector<double> ResourceAllocator::allocatedPower(
+    const CorePowerFn& power) const {
+  std::vector<double> pw(df_->peCount(), 0.0);
+  for (const VmId id : cloud_->activeIds()) {
+    const VmInstance& vm = cloud_->instance(id);
+    const double per_core = power(id);
     for (int c = 0; c < vm.coreCount(); ++c) {
       if (const auto owner = vm.coreOwner(c)) {
         pw[owner->value()] += per_core;
       }
     }
   }
+  return pw;
 }
 
-std::vector<double> ResourceAllocator::allocatedPower(
-    const CorePowerFn& power) const {
-  std::vector<double> pw;
-  allocatedPowerInto(power, pw);
-  return pw;
+void ResourceAllocator::ScaleView::reset(const CloudProvider& cloud,
+                                         const CorePowerFn& power,
+                                         std::size_t pe_count) {
+  power_fn_ = &power;
+  hosts_.resize(pe_count);
+  for (auto& row : hosts_) row.clear();
+  // resize() grows geometrically; assign() would reallocate to the exact
+  // size every time a call sees a freshly acquired VM.
+  vm_power_.resize(cloud.instanceCount());
+  std::fill(vm_power_.begin(), vm_power_.end(),
+            std::numeric_limits<double>::quiet_NaN());
+  // One ledger pass, VMs ascending: a PE's row gains an entry the first
+  // time the PE shows up on a VM, so each row comes out VM-id sorted.
+  for (const VmId id : cloud.activeIds()) {
+    const VmInstance& vm = cloud.instance(id);
+    for (int c = 0; c < vm.coreCount(); ++c) {
+      const auto owner = vm.coreOwner(c);
+      if (!owner.has_value()) continue;
+      auto& row = hosts_[owner->value()];
+      if (row.empty() || row.back().vm != id) {
+        row.push_back({id, 1});
+      } else {
+        ++row.back().cores;
+      }
+    }
+  }
+  pe_power_.resize(pe_count);
+  for (std::size_t i = 0; i < pe_count; ++i) {
+    resum(PeId(static_cast<PeId::value_type>(i)));
+  }
+}
+
+double ResourceAllocator::ScaleView::corePower(VmId vm) {
+  if (vm.value() >= vm_power_.size()) {
+    vm_power_.resize(vm.value() + 1, std::numeric_limits<double>::quiet_NaN());
+  }
+  double& memo = vm_power_[vm.value()];
+  if (std::isnan(memo)) memo = (*power_fn_)(vm);
+  return memo;
+}
+
+void ResourceAllocator::ScaleView::resum(PeId pe) {
+  double sum = 0.0;
+  for (const Host& h : hosts_[pe.value()]) {
+    const double per_core = corePower(h.vm);
+    for (int c = 0; c < h.cores; ++c) sum += per_core;
+  }
+  pe_power_[pe.value()] = sum;
+}
+
+void ResourceAllocator::ScaleView::changeCore(PeId pe, VmId vm, int delta) {
+  auto& row = hosts_[pe.value()];
+  const auto it = std::lower_bound(
+      row.begin(), row.end(), vm,
+      [](const Host& h, VmId id) { return h.vm < id; });
+  if (it != row.end() && it->vm == vm) {
+    it->cores += delta;
+    if (it->cores == 0) row.erase(it);
+  } else {
+    DDS_REQUIRE(delta > 0, "PE holds no core on that VM");
+    row.insert(it, {vm, delta});
+  }
+  resum(pe);
 }
 
 ResourceClassId ResourceAllocator::preferredClass() const {
@@ -263,16 +317,18 @@ std::optional<VmId> ResourceAllocator::acquireNew(SimTime now) {
   return std::nullopt;
 }
 
-bool ResourceAllocator::allocateCoreForPe(PeId pe, SimTime now,
-                                          bool allow_acquire) {
+std::optional<VmId> ResourceAllocator::allocateCoreForPe(PeId pe,
+                                                         SimTime now,
+                                                         bool allow_acquire) {
   // Rank free-core VMs: colocate with itself, then with graph neighbours,
   // then anywhere; prefer faster cores, then tighter packing.
   std::optional<VmId> best;
   int best_rank = -1;
   double best_speed = -1.0;
   int best_free = std::numeric_limits<int>::max();
-  for (const VmInstance& vm : cloud_->instances()) {
-    if (!vm.isActive() || vm.freeCoreCount() == 0) continue;
+  for (const VmId id : cloud_->activeIds()) {
+    const VmInstance& vm = cloud_->instance(id);
+    if (vm.freeCoreCount() == 0) continue;
     int rank = 0;
     if (hostsPe(vm, pe)) {
       rank = 2;
@@ -286,20 +342,20 @@ bool ResourceAllocator::allocateCoreForPe(PeId pe, SimTime now,
         (rank == best_rank &&
          (speed > best_speed || (speed == best_speed && free < best_free)));
     if (better) {
-      best = vm.id();
+      best = id;
       best_rank = rank;
       best_speed = speed;
       best_free = free;
     }
   }
   if (!best.has_value()) {
-    if (!allow_acquire) return false;
+    if (!allow_acquire) return std::nullopt;
     best = acquireNew(now);
-    if (!best.has_value()) return false;  // rejected or backing off
+    if (!best.has_value()) return std::nullopt;  // rejected or backing off
   }
   cloud_->allocateCore(*best, pe);
   traceCoreAlloc(*best, pe, +1, now);
-  return true;
+  return best;
 }
 
 void ResourceAllocator::ensureMinimumCores(SimTime now) {
@@ -312,9 +368,9 @@ void ResourceAllocator::ensureMinimumCores(SimTime now) {
         cloud_->instance(*last_vm).freeCoreCount() == 0) {
       // Reuse any active VM with spare cores before acquiring a new one.
       last_vm.reset();
-      for (const VmInstance& vm : cloud_->instances()) {
-        if (vm.isActive() && vm.freeCoreCount() > 0) {
-          last_vm = vm.id();
+      for (const VmId id : cloud_->activeIds()) {
+        if (cloud_->instance(id).freeCoreCount() > 0) {
+          last_vm = id;
           break;
         }
       }
@@ -386,8 +442,9 @@ void ResourceAllocator::scaleOut(const Deployment& deployment,
   if (scope == Strategy::Global) {
     projector_.bind(*df_, deployment, input_rate);
   }
+  view_.reset(*cloud_, power, df_->peCount());
+  const std::vector<double>& pw = view_.power();
   for (std::size_t iter = 0; iter < max_iters; ++iter) {
-    allocatedPowerInto(power, pw_scratch_);
     // Deficit of each PE against its target; the most negative deficit is
     // the bottleneck. A PE at its saturation point (pe_omega == 1) cannot
     // be improved and never counts as a deficit.
@@ -397,7 +454,7 @@ void ResourceAllocator::scaleOut(const Deployment& deployment,
     if (scope == Strategy::Global) {
       // Graph-wide projection at predicted rates: allocate only while the
       // *application* omega trails the target.
-      const ThroughputProjection& proj = projector_.project(pw_scratch_);
+      const ThroughputProjection& proj = projector_.project(pw);
       satisfied = proj.omega >= target - kEps;
       for (std::size_t i = 0; i < deficit.size(); ++i) {
         deficit[i] = proj.pe_omega[i] - 1.0;
@@ -411,7 +468,7 @@ void ResourceAllocator::scaleOut(const Deployment& deployment,
         const PeId pe(static_cast<PeId::value_type>(i));
         double pe_omega = 1.0;
         if (required[i] > kEps) {
-          pe_omega = std::min(1.0, pw_scratch_[i] / required[i]);
+          pe_omega = std::min(1.0, pw[i] / required[i]);
         }
         const double pe_target = df_->isInput(pe) ? target : 1.0;
         deficit[i] = pe_omega - pe_target;
@@ -425,7 +482,10 @@ void ResourceAllocator::scaleOut(const Deployment& deployment,
     if (*bottleneck_it >= -kEps) return;  // nothing left to improve
     const PeId bottleneck(static_cast<PeId::value_type>(
         std::distance(deficit.begin(), bottleneck_it)));
-    if (!allocateCoreForPe(bottleneck, now, /*allow_acquire=*/true)) return;
+    const auto granted =
+        allocateCoreForPe(bottleneck, now, /*allow_acquire=*/true);
+    if (!granted.has_value()) return;
+    view_.changeCore(bottleneck, *granted, +1);
   }
   throw InvariantError(
       "incremental allocation failed to converge within its bound");
@@ -445,10 +505,9 @@ std::vector<MigrationEvent> ResourceAllocator::scaleIn(
   if (scope == Strategy::Global) {
     projector_.bind(*df_, deployment, input_rate);
   }
+  view_.reset(*cloud_, power, df_->peCount());
+  std::vector<double>& pw = view_.power();
   for (int iter = 0; iter < initial_cores; ++iter) {
-    std::vector<double>& pw = pw_scratch_;
-    allocatedPowerInto(power, pw);
-
     // Candidate = the PE with the largest surplus whose core removal keeps
     // the (scope-dependent) projection at or above the floor. The core we
     // give up is the one on the PE's least-loaded VM, so removals
@@ -456,31 +515,30 @@ std::vector<MigrationEvent> ResourceAllocator::scaleIn(
     struct Candidate {
       PeId pe{0};
       VmId vm{0};
+      int on_vm = 0;  ///< the PE's cores on `vm` before the release.
+      int total = 0;  ///< the PE's cores overall before the release.
       double surplus = 0.0;
     };
     std::optional<Candidate> best;
     for (const auto& element : df_->pes()) {
       const PeId pe = element.id();
-      // One pass over the instances replaces the peCores() snapshot: core
-      // count plus least-loaded hosting VM, visited in the same order.
+      // The PE's row gives its core count and least-loaded hosting VM
+      // (ties: lowest id).
       int count = 0;
-      std::optional<VmId> victim;
+      const ScaleView::Host* victim = nullptr;
       int victim_load = std::numeric_limits<int>::max();
-      for (const VmInstance& vm : cloud_->instances()) {
-        if (!vm.isActive()) continue;
-        const int on_vm = vm.coresOwnedBy(pe);
-        if (on_vm == 0) continue;
-        count += on_vm;
-        const int load = vm.allocatedCoreCount();
+      for (const ScaleView::Host& h : view_.hosts(pe)) {
+        count += h.cores;
+        const int load = cloud_->instance(h.vm).allocatedCoreCount();
         if (load < victim_load) {
           victim_load = load;
-          victim = vm.id();
+          victim = &h;
         }
       }
       if (count <= 1) continue;  // every PE keeps at least one core
 
       const double saved = pw[pe.value()];
-      const double reduced = saved - power(*victim);
+      const double reduced = saved - view_.corePower(victim->vm);
       bool ok;
       if (scope == Strategy::Global) {
         pw[pe.value()] = reduced;
@@ -495,21 +553,19 @@ std::vector<MigrationEvent> ResourceAllocator::scaleIn(
       const double surplus =
           pw[pe.value()] / std::max(required[pe.value()], kEps);
       if (!best.has_value() || surplus > best->surplus) {
-        best = Candidate{pe, *victim, surplus};
+        best = Candidate{pe, victim->vm, victim->cores, count, surplus};
       }
     }
     if (!best.has_value()) break;
 
-    const VmInstance& vm = cloud_->instance(best->vm);
-    const int before_on_vm = vm.coresOwnedBy(best->pe);
-    const int before_total = totalCores(*cloud_, best->pe);
     cloud_->releaseCoreOf(best->vm, best->pe);
     traceCoreAlloc(best->vm, best->pe, -1, now);
-    if (before_on_vm == 1 && before_total > 1) {
+    view_.changeCore(best->pe, best->vm, -1);
+    if (best->on_vm == 1 && best->total > 1) {
       // The PE lost its last core on this VM: its share of buffered
       // messages moves to its remaining hosts over the network.
       migrations.push_back(
-          {best->pe, 1.0 / static_cast<double>(before_total)});
+          {best->pe, 1.0 / static_cast<double>(best->total)});
     }
   }
   return migrations;
@@ -567,13 +623,12 @@ void ResourceAllocator::repackPes(const Deployment& deployment,
   }
 }
 
-void ResourceAllocator::repackFreeVms(const CorePowerFn& power) {
-  (void)power;  // relocation feasibility is decided on rated core speeds
+void ResourceAllocator::repackFreeVms() {
   bool moved = true;
   while (moved) {
     moved = false;
     // Lightest-loaded active VM first.
-    auto ids = activeVmIds(*cloud_);
+    auto ids = cloud_->activeVms();
     std::sort(ids.begin(), ids.end(), [this](VmId a, VmId b) {
       return cloud_->instance(a).allocatedCoreCount() <
              cloud_->instance(b).allocatedCoreCount();
@@ -644,7 +699,8 @@ void ResourceAllocator::repackFreeVms(const CorePowerFn& power) {
 int ResourceAllocator::releaseEmptyVms(ReleasePolicy policy, SimTime now,
                                        SimTime interval_s) {
   int released = 0;
-  for (const VmId id : activeVmIds(*cloud_)) {
+  // Snapshot: releasing shrinks activeIds() under the loop.
+  for (const VmId id : cloud_->activeVms()) {
     const VmInstance& vm = cloud_->instance(id);
     if (vm.allocatedCoreCount() > 0) continue;
     if (policy == ReleasePolicy::AtHourBoundary) {

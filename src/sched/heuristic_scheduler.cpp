@@ -19,9 +19,9 @@ const double kNoTheta = std::numeric_limits<double>::quiet_NaN();
 /// Free (unallocated) normalized core power across active VMs.
 double freeCorePower(const CloudProvider& cloud, const CorePowerFn& power) {
   double total = 0.0;
-  for (const VmInstance& vm : cloud.instances()) {
-    if (!vm.isActive()) continue;
-    total += static_cast<double>(vm.freeCoreCount()) * power(vm.id());
+  for (const VmId id : cloud.activeIds()) {
+    total += static_cast<double>(cloud.instance(id).freeCoreCount()) *
+             power(id);
   }
   return total;
 }
@@ -73,7 +73,7 @@ Deployment HeuristicScheduler::deploy(double estimated_input_rate) {
                       strategy_, /*target=*/1.0);
   if (strategy_ == Strategy::Global && options_.enable_repacking) {
     allocator_.repackPes(deployment, estimated_input_rate, rated, 0.0);
-    allocator_.repackFreeVms(rated);
+    allocator_.repackFreeVms();
   }
   // VMs emptied by repacking were acquired this instant: releasing at t=0
   // is free under hour-rounded billing for either strategy.
@@ -145,8 +145,8 @@ SchedulerTelemetry HeuristicScheduler::telemetry() const {
 
 bool HeuristicScheduler::capacityPending(SimTime now) const {
   if (allocator_.acquisitionBackoffActive(now)) return true;
-  for (const VmInstance& vm : env_.cloud->instances()) {
-    if (vm.isActive() && !vm.isReady(now)) return true;
+  for (const VmId id : env_.cloud->activeIds()) {
+    if (!env_.cloud->instance(id).isReady(now)) return true;
   }
   return false;
 }
@@ -372,10 +372,10 @@ int HeuristicScheduler::preacquireForForecast(const ObservedState& state,
   allocator_.scaleOut(deployment, peak, power, state.now, strategy_);
   int vms = 0;
   SimTime ready_by = state.now;
-  for (const VmInstance& vm : env_.cloud->instances()) {
-    if (vm.id().value() < before || !vm.isActive()) continue;
+  for (const VmId id : env_.cloud->activeIds()) {
+    if (id.value() < before) continue;
     ++vms;
-    ready_by = std::max(ready_by, vm.readyTime());
+    ready_by = std::max(ready_by, env_.cloud->instance(id).readyTime());
   }
   if (vms > 0) {
     if (env_.tracer.enabled()) {
@@ -458,11 +458,9 @@ void HeuristicScheduler::drainPreemptionNotices(
   if (cloud.noticeWindow() <= 0.0) return;
 
   std::vector<VmId> doomed;
-  for (const VmInstance& vm : cloud.instances()) {
-    if (!vm.isActive() || !vm.spec().preemptible) continue;
-    if (cloud.preemptionImminent(vm.id(), state.now)) {
-      doomed.push_back(vm.id());
-    }
+  for (const VmId id : cloud.activeIds()) {
+    if (!cloud.instance(id).spec().preemptible) continue;
+    if (cloud.preemptionImminent(id, state.now)) doomed.push_back(id);
   }
   if (doomed.empty()) return;
 

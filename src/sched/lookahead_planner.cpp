@@ -54,8 +54,8 @@ LookaheadPlanner::Result LookaheadPlanner::plan(
   // The VM multiset on hand: every active instance counts, including
   // ones still provisioning — over the forecast horizon they are online.
   vm_counts_.assign(cloud_->catalog().classes().size(), 0);
-  for (const VmInstance& vm : cloud_->instances()) {
-    if (vm.isActive()) ++vm_counts_[vm.classId().value()];
+  for (const VmId id : cloud_->activeIds()) {
+    ++vm_counts_[cloud_->instance(id).classId().value()];
   }
 
   current_.resize(n_pes);

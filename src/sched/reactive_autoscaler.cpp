@@ -51,7 +51,7 @@ std::vector<MigrationEvent> ReactiveAutoscaler::adapt(
     if (backlog_per_core > options_.backlog_hi_per_core) {
       // Pressure: one more core, wherever it fits (acquire when needed).
       idle_streak_[pe.value()] = 0;
-      for (const VmId id : env_.cloud->activeVms()) {
+      for (const VmId id : env_.cloud->activeIds()) {
         const VmInstance& vm = env_.cloud->instance(id);
         if (vm.freeCoreCount() > 0) {
           env_.cloud->allocateCore(id, pe);

@@ -13,9 +13,8 @@ std::vector<VmId> StragglerGuard::probe(SimTime t) {
   std::vector<VmId> newly_quarantined;
   if (!options_.quarantineEnabled()) return newly_quarantined;
 
-  for (const VmInstance& inst : cloud_->instances()) {
-    if (!inst.isActive()) continue;
-    const VmId vm = inst.id();
+  for (const VmId vm : cloud_->activeIds()) {
+    const VmInstance& inst = cloud_->instance(vm);
     if (blacklist_.contains(vm)) continue;
     if (!inst.isReady(t)) continue;
     const double rated = monitor_->ratedCorePower(vm);

@@ -4,11 +4,8 @@ namespace dds {
 
 std::vector<VmCores> peCores(const CloudProvider& cloud, PeId pe) {
   std::vector<VmCores> out;
-  for (std::size_t i = 0; i < cloud.instanceCount(); ++i) {
-    const VmId id(static_cast<VmId::value_type>(i));
-    const VmInstance& vm = cloud.instance(id);
-    if (!vm.isActive()) continue;
-    const int n = vm.coresOwnedBy(pe);
+  for (const VmId id : cloud.activeIds()) {
+    const int n = cloud.instance(id).coresOwnedBy(pe);
     if (n > 0) out.push_back({id, n});
   }
   return out;
@@ -16,7 +13,9 @@ std::vector<VmCores> peCores(const CloudProvider& cloud, PeId pe) {
 
 int totalCores(const CloudProvider& cloud, PeId pe) {
   int total = 0;
-  for (const auto& vc : peCores(cloud, pe)) total += vc.cores;
+  for (const VmId id : cloud.activeIds()) {
+    total += cloud.instance(id).coresOwnedBy(pe);
+  }
   return total;
 }
 
@@ -39,10 +38,8 @@ double observedPowerOf(const CloudProvider& cloud,
 }
 
 bool areColocated(const CloudProvider& cloud, PeId a, PeId b) {
-  for (std::size_t i = 0; i < cloud.instanceCount(); ++i) {
-    const VmId id(static_cast<VmId::value_type>(i));
+  for (const VmId id : cloud.activeIds()) {
     const VmInstance& vm = cloud.instance(id);
-    if (!vm.isActive()) continue;
     if (vm.coresOwnedBy(a) > 0 && vm.coresOwnedBy(b) > 0) return true;
   }
   return false;
@@ -50,10 +47,8 @@ bool areColocated(const CloudProvider& cloud, PeId a, PeId b) {
 
 int totalAllocatedCores(const CloudProvider& cloud) {
   int total = 0;
-  for (std::size_t i = 0; i < cloud.instanceCount(); ++i) {
-    const VmId id(static_cast<VmId::value_type>(i));
-    const VmInstance& vm = cloud.instance(id);
-    if (vm.isActive()) total += vm.allocatedCoreCount();
+  for (const VmId id : cloud.activeIds()) {
+    total += cloud.instance(id).allocatedCoreCount();
   }
   return total;
 }

@@ -7,7 +7,7 @@ namespace dds {
 
 std::string renderVmLayout(const Dataflow& df, const CloudProvider& cloud) {
   std::ostringstream os;
-  for (const VmId id : cloud.activeVms()) {
+  for (const VmId id : cloud.activeIds()) {
     const VmInstance& vm = cloud.instance(id);
     os << "vm-" << id.value() << "  " << std::setw(10) << std::left
        << vm.spec().name << "  $" << vm.spec().price_per_hour << "/h  [";
@@ -18,7 +18,7 @@ std::string renderVmLayout(const Dataflow& df, const CloudProvider& cloud) {
     }
     os << "]\n";
   }
-  if (cloud.activeVms().empty()) os << "(no active VMs)\n";
+  if (cloud.activeIds().empty()) os << "(no active VMs)\n";
   return os.str();
 }
 

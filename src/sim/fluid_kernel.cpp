@@ -49,8 +49,8 @@ void FluidKernel::rebuild() {
   // Same single ledger pass as the reference kernel's beginInterval():
   // exactly one VmCores entry per (PE, VM) pair, in VM-id order.
   for (auto& cores : pe_cores_) cores.clear();
-  for (const VmInstance& vm : cloud_->instances()) {
-    if (!vm.isActive()) continue;
+  for (const VmId id : cloud_->activeIds()) {
+    const VmInstance& vm = cloud_->instance(id);
     vm_pe_scratch_.clear();
     for (int core = 0; core < vm.coreCount(); ++core) {
       const std::optional<PeId> owner = vm.coreOwner(core);
@@ -299,11 +299,7 @@ void FluidKernel::runInterval(SimTime t_start, SimTime dt, double input_rate,
   m.gamma = gamma_sum / static_cast<double>(n);
 
   m.cost_cumulative = cloud_->accumulatedCost(t_start + dt);
-  int active = 0;  // same count activeVms() materializes, no allocation
-  for (const VmInstance& vm : cloud_->instances()) {
-    if (vm.isActive()) ++active;
-  }
-  m.active_vms = active;
+  m.active_vms = static_cast<int>(cloud_->activeIds().size());
   m.allocated_cores = total_cores_;
 }
 

@@ -87,10 +87,8 @@ void DataflowSimulator::beginInterval(SimTime t_mid) {
   // Each (PE, VM) pair must yield exactly one VmCores entry, in VM-id
   // order, to match peCores() — a fragmented VM split into two entries
   // would double-count the remote bandwidth cap in deliverableRate().
-  for (std::size_t i = 0; i < cloud_->instanceCount(); ++i) {
-    const VmId id(static_cast<VmId::value_type>(i));
+  for (const VmId id : cloud_->activeIds()) {
     const VmInstance& vm = cloud_->instance(id);
-    if (!vm.isActive()) continue;
     vm_pe_scratch_.clear();
     for (int core = 0; core < vm.coreCount(); ++core) {
       const std::optional<PeId> owner = vm.coreOwner(core);
@@ -270,7 +268,7 @@ IntervalMetrics DataflowSimulator::step(IntervalIndex index,
   m.gamma = gamma_sum / static_cast<double>(n);
 
   m.cost_cumulative = cloud_->accumulatedCost(t_start + dt);
-  m.active_vms = static_cast<int>(cloud_->activeVms().size());
+  m.active_vms = static_cast<int>(cloud_->activeIds().size());
   int total_cores = 0;
   for (const auto& cores : pe_cores_) {
     for (const auto& vc : cores) total_cores += vc.cores;

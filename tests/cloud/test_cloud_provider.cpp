@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
+#include "dds/common/rng.hpp"
 #include "dds/faults/fault_plan.hpp"
 
 namespace dds {
@@ -411,6 +414,118 @@ TEST(CloudLedger, EveryMutationMovesTheGeneration) {
   ASSERT_EQ(plan.injectUpTo(cloud, death).size(), 1u);
   EXPECT_TRUE(moved());
   EXPECT_FALSE(cloud.instance(doomed).isActive());
+}
+
+/// Rejects about a quarter of the attempts and delays the rest by 0, 60 or
+/// 120 s, both pure in the attempt / VM index.
+class HashedAcquisitionFaults final : public AcquisitionFaultModel {
+ public:
+  [[nodiscard]] bool acquisitionRejected(
+      std::uint64_t attempt) const override {
+    return splitmix64(attempt) % 4 == 0;
+  }
+  [[nodiscard]] SimTime provisioningDelay(
+      VmId vm, const ResourceClass&) const override {
+    return 60.0 * static_cast<double>(vm.value() % 3);
+  }
+};
+
+/// The maintained indexes must equal a recount from the raw ledger.
+void expectIndexesMatchLedger(const CloudProvider& cloud) {
+  std::vector<VmId> active;
+  for (const VmInstance& vm : cloud.instances()) {
+    if (vm.isActive()) active.push_back(vm.id());
+    int owned = 0;
+    for (int c = 0; c < vm.coreCount(); ++c) {
+      owned += vm.coreOwner(c).has_value() ? 1 : 0;
+    }
+    ASSERT_EQ(vm.allocatedCoreCount(), owned) << "vm " << vm.id().value();
+    ASSERT_EQ(vm.freeCoreCount(), vm.coreCount() - owned)
+        << "vm " << vm.id().value();
+  }
+  ASSERT_EQ(cloud.activeIds(), active);
+  ASSERT_EQ(cloud.activeVms(), active);
+}
+
+TEST(CloudLedger, ActiveIdsAndCoreCountsTrackEveryMutation) {
+  auto cloud = makeSpotCloud();
+  const HashedAcquisitionFaults faults;
+  const ScriptedPreemptions preemptions(1e9, 120.0);
+  cloud.setAcquisitionFaults(&faults);
+  cloud.setPreemptionModel(&preemptions);
+  const auto classes = static_cast<int>(cloud.catalog().size());
+  constexpr int kPes = 6;
+
+  std::mt19937_64 rng(20261017);
+  const auto pick = [&rng](int n) {
+    return static_cast<int>(rng() % static_cast<std::uint64_t>(n));
+  };
+  const auto randomActive = [&]() -> std::optional<VmId> {
+    const auto& ids = cloud.activeIds();
+    if (ids.empty()) return std::nullopt;
+    return ids[static_cast<std::size_t>(pick(static_cast<int>(ids.size())))];
+  };
+  const auto randomClass = [&] {
+    return ResourceClassId(
+        static_cast<ResourceClassId::value_type>(pick(classes)));
+  };
+
+  SimTime t = 0.0;
+  int ops = 0;
+  for (int step = 0; step < 4000; ++step) {
+    t += 7.0;
+    switch (pick(9)) {
+      case 0:
+        (void)cloud.acquire(randomClass(), t);
+        break;
+      case 1:
+        (void)cloud.tryAcquire(randomClass(), t);  // may be rejected
+        break;
+      case 2:
+      case 3:
+        if (const auto vm = randomActive()) {
+          if (cloud.instance(*vm).freeCoreCount() == 0) continue;
+          cloud.allocateCore(*vm, PeId(static_cast<PeId::value_type>(
+                                      pick(kPes))));
+        }
+        break;
+      case 4:
+        if (const auto vm = randomActive()) {
+          const VmInstance& inst = cloud.instance(*vm);
+          const auto owner = inst.coreOwner(pick(inst.coreCount()));
+          if (!owner.has_value()) continue;
+          cloud.releaseCoreOf(*vm, *owner);
+        }
+        break;
+      case 5:
+        if (const auto vm = randomActive()) {
+          (void)cloud.releaseAllCoresOf(
+              *vm, PeId(static_cast<PeId::value_type>(pick(kPes))));
+        }
+        break;
+      case 6:
+        if (const auto vm = randomActive()) {
+          if (cloud.instance(*vm).allocatedCoreCount() > 0) continue;
+          cloud.release(*vm, t);
+        }
+        break;
+      case 7:
+        if (const auto vm = randomActive()) {
+          cloud.terminate(*vm, t, TerminationReason::Crashed);
+        }
+        break;
+      default:
+        if (const auto vm = randomActive()) cloud.preempt(*vm, t);
+        break;
+    }
+    ++ops;
+    expectIndexesMatchLedger(cloud);
+    if (HasFatalFailure()) return;
+  }
+  // The sequence really exercised the ledger.
+  EXPECT_GT(ops, 2000);
+  EXPECT_GT(cloud.rejectedAcquisitions(), 0);
+  EXPECT_GT(cloud.instanceCount(), 100u);
 }
 
 }  // namespace

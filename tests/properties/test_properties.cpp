@@ -123,7 +123,7 @@ TEST_P(RandomGraphTest, RepackingPreservesCapacityAndCoreCounts) {
     cores_before.push_back(totalCores(cloud, id));
     power_before.push_back(ratedPowerOf(cloud, id));
   }
-  alloc.repackFreeVms(ratedCorePowerFn(cloud));
+  alloc.repackFreeVms();
   for (std::size_t i = 0; i < df.peCount(); ++i) {
     const PeId id(static_cast<PeId::value_type>(i));
     EXPECT_EQ(totalCores(cloud, id), cores_before[i]) << "PE " << i;

@@ -265,7 +265,7 @@ TEST(Allocator, RepackFreeVmsConsolidatesSparseVms) {
   f.cloud.allocateCore(a, PeId(0));
   f.cloud.allocateCore(b, PeId(1));
   ResourceAllocator alloc(f.df, f.cloud, 0.7);
-  alloc.repackFreeVms(f.rated());
+  alloc.repackFreeVms();
   const int empties =
       (f.cloud.instance(a).allocatedCoreCount() == 0 ? 1 : 0) +
       (f.cloud.instance(b).allocatedCoreCount() == 0 ? 1 : 0);
@@ -289,7 +289,7 @@ TEST(Allocator, RepackFreeVmsNeverMovesToSlowerCores) {
   cloud.allocateCore(fast, PeId(0));
   cloud.allocateCore(slow, PeId(1));
   ResourceAllocator alloc(df, cloud, 0.7);
-  alloc.repackFreeVms(ratedCorePowerFn(cloud));
+  alloc.repackFreeVms();
   // The fast VM's core must not migrate onto slower cores (capacity drop);
   // the slow VM's core may migrate to the fast VM.
   EXPECT_EQ(cloud.instance(fast).coresOwnedBy(PeId(0)), 1);
