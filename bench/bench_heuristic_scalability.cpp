@@ -23,16 +23,15 @@
 
 #include <algorithm>
 #include <chrono>
-#include <ctime>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <limits>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench_header.hpp"
 #include "dds/dds.hpp"
 
 namespace {
@@ -323,15 +322,6 @@ double gaugeValue(const obs::MetricsSnapshot& metrics,
   return 0.0;
 }
 
-std::string utcNow() {
-  const std::time_t now = std::time(nullptr);
-  std::tm tm{};
-  gmtime_r(&now, &tm);
-  char buf[32];
-  std::strftime(buf, sizeof buf, "%Y-%m-%dT%H:%M:%SZ", &tm);
-  return buf;
-}
-
 int adaptationSweep(const std::string& path, const std::string& commit) {
   struct Graph {
     std::string name;
@@ -358,11 +348,7 @@ int adaptationSweep(const std::string& path, const std::string& commit) {
   }
   out << std::setprecision(17);
   out << "{\n"
-      << "  \"header\": {\"commit\": \"" << commit
-      << "\", \"build_type\": \"" << DDS_BENCH_BUILD_TYPE
-      << "\", \"hardware_concurrency\": "
-      << std::thread::hardware_concurrency() << ", \"date\": \""
-      << utcNow() << "\",\n"
+      << "  \"header\": {" << bench::provenanceFields(commit) << ",\n"
       << "             \"horizon_h\": 2, \"demand_core_power\": "
       << reference_demand << ", \"reps\": " << kReps << "},\n"
       << "  \"rows\": [\n";

@@ -11,11 +11,15 @@
 // engines' results are bit-identical: fixed-deployment rows compare
 // fingerprint() of the stepped simulator, the adaptive row (driven by
 // SimulationEngine, which owns the interval loop) its run outputs.
-// `--throughput-json=PATH` writes that sweep as JSON (committed as
-// BENCH_eventsim_throughput.json at the repo root).
+// `--throughput-json=PATH [--commit=SHA]` writes that sweep as JSON under
+// a provenance header (commit, build type, host cores, date).
+// BENCH_eventsim_throughput.json at the repo root pairs this output at a
+// parent and a change commit: events must repeat exactly, the cached_s
+// columns show the change.
 #include <fstream>
 #include <iomanip>
 
+#include "bench_header.hpp"
 #include "bench_util.hpp"
 
 namespace {
@@ -220,7 +224,7 @@ void printThroughputTable(const std::vector<ThroughputRow>& rows) {
   std::cout << table.render() << '\n';
 }
 
-int throughputSweepJson(const std::string& path) {
+int throughputSweepJson(const std::string& path, const std::string& commit) {
   const std::vector<ThroughputRow> rows = runThroughputSweep();
   printThroughputTable(rows);
 
@@ -232,6 +236,7 @@ int throughputSweepJson(const std::string& path) {
   out << std::setprecision(17);
   out << "{\n"
       << "  \"benchmark\": \"eventsim_cached_vs_reference\",\n"
+      << "  \"header\": {" << bench::provenanceFields(commit) << "},\n"
       << "  \"horizon_s\": " << kSweepHorizonS << ",\n"
       << "  \"interval_s\": " << kSweepIntervalS << ",\n"
       << "  \"seed\": 7,\n"
@@ -267,12 +272,18 @@ int main(int argc, char** argv) {
   using namespace dds::bench;
 
   const std::string kSweepFlag = "--throughput-json=";
+  const std::string kCommitFlag = "--commit=";
+  std::string sweep_path;
+  std::string commit = "unknown";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind(kSweepFlag, 0) == 0) {
-      return throughputSweepJson(arg.substr(kSweepFlag.size()));
+      sweep_path = arg.substr(kSweepFlag.size());
+    } else if (arg.rfind(kCommitFlag, 0) == 0) {
+      commit = arg.substr(kCommitFlag.size());
     }
   }
+  if (!sweep_path.empty()) return throughputSweepJson(sweep_path, commit);
 
   printHeader("Latency",
               "end-to-end message latency (event-level simulation, "

@@ -1,23 +1,25 @@
-// Indexed 4-ary min-heap over pooled event records.
+// Flat 4-ary min-heap of simulator events, held by value.
 //
-// The event simulator's hot loop pops the earliest of three event streams
-// (external arrivals, network deliveries, core completions) millions of
-// times per run. Two std::priority_queues plus a hand-merged arrival
-// stream cost one allocation per push and three comparisons per merge
-// step; this heap replaces them with a single arena:
-//  * records live in a pool and are recycled through a free list, so the
-//    steady state performs zero allocations;
+// The event simulator's hot loop pops the earliest network delivery or
+// core completion millions of times per run (external arrivals are a
+// single pending time the drain loop keeps outside the heap). Every
+// comparison reads only the heap array, whose entries are the 40-byte
+// events themselves, so a sift step touches one contiguous run of
+// children:
 //  * the heap is 4-ary — shallower than binary, and the four-child scan
 //    is friendly to both branch prediction and cache lines;
-//  * every record tracks its heap position, so an arbitrary record (e.g.
-//    the pending arrival discarded at an interval boundary) is removable
-//    in O(log n) without a full scan.
+//  * popTop() leaves a hole at the root instead of sifting the last
+//    element down and re-sifting on the next push. Most pops are followed
+//    by a push (a completion re-dispatches its core), which fills the
+//    hole with one sift-down; top() or popTop() on a heap with a hole
+//    first fills it from the back;
+//  * the array keeps its capacity, so steady state allocates nothing.
 //
 // Ordering is (time, kind, seq): earliest first; at equal times arrivals
-// precede deliveries precede completions — exactly the reference drain
-// loop's tie rules (`arrival <= completion && arrival <= delivery` picks
-// the arrival, then `delivery <= completion` picks the delivery) — and
-// records of the same kind pop FIFO by insertion sequence.
+// precede deliveries precede completions — the reference drain loop's tie
+// rules (`arrival <= completion && arrival <= delivery` picks the arrival,
+// then `delivery <= completion` picks the delivery) — and events of the
+// same kind pop FIFO by insertion sequence.
 #pragma once
 
 #include <algorithm>
@@ -37,125 +39,86 @@ enum class EventKind : std::uint8_t {
   Completion = 2,  ///< a busy (vm, core) finishes its message.
 };
 
-/// One pooled event record. Field use by kind: Arrival uses only `time`;
-/// Delivery uses `pe` plus the message timestamps; Completion uses all.
-struct PooledEvent {
+/// One queued event. Field use by kind: Arrival uses only `time`;
+/// Delivery uses `pe` and `msg_created`; Completion uses all.
+struct Event {
   SimTime time = 0.0;
-  std::uint64_t seq = 0;  ///< global insertion order, breaks exact ties.
-  EventKind kind = EventKind::Arrival;
+  std::uint64_t seq = 0;      ///< global insertion order, breaks exact ties.
+  SimTime msg_created = 0.0;  ///< end-to-end latency anchor.
   PeId pe{0};
   VmId vm{0};
   std::int32_t core = 0;
-  SimTime msg_created = 0.0;   ///< end-to-end latency anchor.
-  SimTime msg_enqueued = 0.0;  ///< when it entered the current queue.
-  std::int32_t heap_pos = -1;  ///< index into the heap array; -1 = free.
+  EventKind kind = EventKind::Arrival;
 };
+static_assert(sizeof(Event) <= 40, "an event record is 40 bytes");
 
-/// Allocation-free indexed priority queue of simulator events.
+/// Allocation-free (in steady state) priority queue of simulator events.
 class EventHeap {
  public:
-  using Slot = std::uint32_t;
-  static constexpr Slot kInvalidSlot = static_cast<Slot>(-1);
-
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
-  [[nodiscard]] std::size_t size() const { return heap_.size(); }
-  /// Pooled records ever allocated — stays flat once the steady-state
-  /// event population is reached (the free list recycles records).
-  [[nodiscard]] std::size_t poolCapacity() const { return pool_.size(); }
-
-  void reserve(std::size_t n) {
-    pool_.reserve(n);
-    heap_.reserve(n);
-    free_.reserve(n);
+  [[nodiscard]] bool empty() const { return size() == 0; }
+  [[nodiscard]] std::size_t size() const {
+    return heap_.size() - (hole_ ? 1 : 0);
   }
 
-  /// Drop every queued event but keep the arena capacity (and keep
-  /// advancing `seq`, which only ever needs to be unique).
-  void clear() {
-    for (const Slot s : heap_) pool_[s].heap_pos = -1;
-    free_.clear();
-    for (Slot s = 0; s < pool_.size(); ++s) free_.push_back(s);
-    heap_.clear();
-  }
-
-  /// Insert an event; returns its slot (stable until popped/removed).
-  Slot push(SimTime time, EventKind kind, PeId pe, VmId vm,
-            std::int32_t core, SimTime msg_created, SimTime msg_enqueued) {
-    Slot s;
-    if (!free_.empty()) {
-      s = free_.back();
-      free_.pop_back();
+  /// Insert an event, filling the root hole a previous pop left, if any.
+  void push(SimTime time, EventKind kind, PeId pe, VmId vm,
+            std::int32_t core, SimTime msg_created) {
+    const Event e{time, next_seq_++, msg_created, pe, vm, core, kind};
+    if (hole_) {
+      hole_ = false;
+      siftDown(e);
     } else {
-      s = static_cast<Slot>(pool_.size());
-      pool_.emplace_back();
+      heap_.push_back(e);
+      siftUp(heap_.size() - 1, e);
     }
-    PooledEvent& e = pool_[s];
-    e.time = time;
-    e.seq = next_seq_++;
-    e.kind = kind;
-    e.pe = pe;
-    e.vm = vm;
-    e.core = core;
-    e.msg_created = msg_created;
-    e.msg_enqueued = msg_enqueued;
-    e.heap_pos = static_cast<std::int32_t>(heap_.size());
-    heap_.push_back(s);
-    siftUp(heap_.size() - 1);
-    return s;
   }
 
-  [[nodiscard]] const PooledEvent& top() const {
+  [[nodiscard]] const Event& top() {
+    fillHole();
     DDS_REQUIRE(!heap_.empty(), "top() on empty event heap");
-    return pool_[heap_.front()];
+    return heap_.front();
   }
 
-  [[nodiscard]] const PooledEvent& at(Slot s) const { return pool_[s]; }
-
-  /// Pop the earliest event, returning a copy; its slot is recycled.
-  PooledEvent popTop() {
+  /// Pop the earliest event, returning a copy; its root slot stays a
+  /// hole until the next push or top().
+  Event popTop() {
+    fillHole();
     DDS_REQUIRE(!heap_.empty(), "popTop() on empty event heap");
-    const Slot s = heap_.front();
-    const PooledEvent out = pool_[s];
-    removeAt(0);
-    return out;
-  }
-
-  /// Remove an arbitrary live event by slot (O(log n)).
-  void remove(Slot s) {
-    DDS_REQUIRE(s < pool_.size() && pool_[s].heap_pos >= 0,
-                "remove() of a slot that is not queued");
-    removeAt(static_cast<std::size_t>(pool_[s].heap_pos));
+    hole_ = true;
+    return heap_.front();
   }
 
  private:
   static constexpr std::size_t kArity = 4;
 
-  [[nodiscard]] bool before(Slot a, Slot b) const {
-    const PooledEvent& x = pool_[a];
-    const PooledEvent& y = pool_[b];
+  [[nodiscard]] static bool before(const Event& x, const Event& y) {
     if (x.time != y.time) return x.time < y.time;
     if (x.kind != y.kind) return x.kind < y.kind;
     return x.seq < y.seq;
   }
 
-  void place(std::size_t pos, Slot s) {
-    heap_[pos] = s;
-    pool_[s].heap_pos = static_cast<std::int32_t>(pos);
+  /// Move the last event into the root hole.
+  void fillHole() {
+    if (!hole_) return;
+    hole_ = false;
+    const Event last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) siftDown(last);
   }
 
-  void siftUp(std::size_t pos) {
-    const Slot s = heap_[pos];
+  void siftUp(std::size_t pos, const Event& e) {
     while (pos > 0) {
       const std::size_t parent = (pos - 1) / kArity;
-      if (!before(s, heap_[parent])) break;
-      place(pos, heap_[parent]);
+      if (!before(e, heap_[parent])) break;
+      heap_[pos] = heap_[parent];
       pos = parent;
     }
-    place(pos, s);
+    heap_[pos] = e;
   }
 
-  void siftDown(std::size_t pos) {
-    const Slot s = heap_[pos];
+  /// Place `e` at the root (whose old content is dead) and sift it down.
+  void siftDown(const Event& e) {
+    std::size_t pos = 0;
     const std::size_t n = heap_.size();
     while (true) {
       const std::size_t first = pos * kArity + 1;
@@ -165,29 +128,15 @@ class EventHeap {
       for (std::size_t c = first + 1; c < last; ++c) {
         if (before(heap_[c], heap_[best])) best = c;
       }
-      if (!before(heap_[best], s)) break;
-      place(pos, heap_[best]);
+      if (!before(heap_[best], e)) break;
+      heap_[pos] = heap_[best];
       pos = best;
     }
-    place(pos, s);
+    heap_[pos] = e;
   }
 
-  void removeAt(std::size_t pos) {
-    const Slot victim = heap_[pos];
-    pool_[victim].heap_pos = -1;
-    free_.push_back(victim);
-    const Slot moved = heap_.back();
-    heap_.pop_back();
-    if (pos < heap_.size()) {
-      place(pos, moved);
-      siftDown(pos);
-      siftUp(pos);
-    }
-  }
-
-  std::vector<PooledEvent> pool_;
-  std::vector<Slot> heap_;   ///< heap array of pool slots.
-  std::vector<Slot> free_;   ///< recycled pool slots.
+  std::vector<Event> heap_;
+  bool hole_ = false;  ///< heap_[0] was popped and not yet refilled.
   std::uint64_t next_seq_ = 0;
 };
 

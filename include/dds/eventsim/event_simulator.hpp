@@ -16,12 +16,13 @@
 // free-core index rebuilt only when the cloud's allocation ledger
 // generation moves, a (producer VM, successor PE) routing table whose
 // entries carry exact zero-order-hold validity windows, a memoized
-// core-power lookup, and a single indexed 4-ary heap of pooled event
-// records. The *reference* engine is the straightforward scan-everything
-// implementation. Both produce bit-identical results — same RNG
-// consumption, latency samples, interval metrics and trace bytes — which
-// fingerprint() checks byte-for-byte (the throughput benchmark asserts it
-// on every row).
+// core-power lookup, and one flat 4-ary heap of deliveries and
+// completions held by value, with the pending arrival kept beside it as
+// in the reference drain loop. The *reference* engine is the
+// straightforward scan-everything implementation. Both produce
+// bit-identical results — same RNG consumption, latency samples, interval
+// metrics and trace bytes — which fingerprint() checks byte-for-byte (the
+// throughput benchmark asserts it on every row).
 //
 // The simulator is a stepper: SimulationEngine drives it one interval at
 // a time through the same four calls as the fluid simulator (step,
@@ -163,7 +164,7 @@ class EventSimulator {
   /// `seq` makes the ordering total: equal-time events pop FIFO instead
   /// of in std::priority_queue's unspecified structural order, so results
   /// are well-defined, portable across standard libraries, and match the
-  /// cached engine's pooled heap exactly.
+  /// cached engine's event heap exactly.
   struct Delivery {
     SimTime time;
     std::uint64_t seq = 0;
@@ -285,7 +286,6 @@ class EventSimulator {
 
   // Cached-engine state.
   EventHeap heap_;
-  EventHeap::Slot pending_arrival_ = EventHeap::kInvalidSlot;
   std::vector<std::vector<CoreSlot>> pe_slots_;  ///< by PeId.
   std::vector<std::vector<VmId>> pe_vms_;  ///< VMs holding the PE's cores.
   /// Free-slot bitmap per PE over pe_slots_ indices (bit set = idle);

@@ -166,56 +166,60 @@ std::vector<std::string> KeyValueConfig::keys() const {
 namespace {
 
 /// Every config key experimentFromConfig accepts, sorted — the vocabulary
-/// config files and the job-spec API share.
-std::vector<std::string> canonicalConfigKeys() {
-  std::vector<std::string> keys = {
-      "graph",        "chain_length",   "scheduler",
-      "horizon_h",    "interval_s",     "seed",
-      "omega_target", "epsilon",        "alternate_period",
-      "resource_period", "sigma",       "output_csv",
-      "catalog",      "placement_racks", "power_smoothing_alpha",
-      "backend",      "max_queue_delay_s",
-      "workload.mean_rate",
-      "workload.profile",
-      "workload.msg_size_kb",
-      "workload.infra_variability",
-      "fault.vm_mtbf_h",
-      "fault.straggler_mtbf_h",
-      "fault.straggler_factor",
-      "fault.straggler_duration_s",
-      "fault.acq_failure_prob",
-      "fault.partition_mtbf_h",
-      "fault.partition_duration_s",
-      "resilience.quarantine_threshold",
-      "resilience.quarantine_probes",
-      "resilience.acq_max_retries",
-      "resilience.acq_backoff_s",
-      "resilience.graceful_degradation",
-      "elasticity.provisioning_delay_s",
-      "elasticity.provisioning_delay_per_core_s",
-      "elasticity.spot_discount",
-      "elasticity.spot_fraction",
-      "elasticity.spot_preemption_mtbf_h",
-      "elasticity.spot_notice_s",
-      "elasticity.pe_state_mb",
-      "elasticity.migration_bandwidth_mbps",
-      "forecast.model",
-      "forecast.horizon_intervals",
-      "forecast.ewma_alpha",
-      "forecast.hw_alpha",
-      "forecast.hw_beta",
-      "forecast.hw_gamma",
-      "forecast.hw_season_intervals",
-      "forecast.preacquire_margin",
-      "forecast.lookahead_alternates"};
-  std::sort(keys.begin(), keys.end());
-  return keys;
+/// config files and the job-spec API share. Built once: every campaign
+/// job parses its config through here.
+const std::vector<std::string>& canonicalConfigKeys() {
+  static const std::vector<std::string> kKeys = [] {
+    std::vector<std::string> keys = {
+        "graph",        "chain_length",   "scheduler",
+        "horizon_h",    "interval_s",     "seed",
+        "omega_target", "epsilon",        "alternate_period",
+        "resource_period", "sigma",       "output_csv",
+        "catalog",      "placement_racks", "power_smoothing_alpha",
+        "backend",      "max_queue_delay_s",
+        "workload.mean_rate",
+        "workload.profile",
+        "workload.msg_size_kb",
+        "workload.infra_variability",
+        "fault.vm_mtbf_h",
+        "fault.straggler_mtbf_h",
+        "fault.straggler_factor",
+        "fault.straggler_duration_s",
+        "fault.acq_failure_prob",
+        "fault.partition_mtbf_h",
+        "fault.partition_duration_s",
+        "resilience.quarantine_threshold",
+        "resilience.quarantine_probes",
+        "resilience.acq_max_retries",
+        "resilience.acq_backoff_s",
+        "resilience.graceful_degradation",
+        "elasticity.provisioning_delay_s",
+        "elasticity.provisioning_delay_per_core_s",
+        "elasticity.spot_discount",
+        "elasticity.spot_fraction",
+        "elasticity.spot_preemption_mtbf_h",
+        "elasticity.spot_notice_s",
+        "elasticity.pe_state_mb",
+        "elasticity.migration_bandwidth_mbps",
+        "forecast.model",
+        "forecast.horizon_intervals",
+        "forecast.ewma_alpha",
+        "forecast.hw_alpha",
+        "forecast.hw_beta",
+        "forecast.hw_gamma",
+        "forecast.hw_season_intervals",
+        "forecast.preacquire_margin",
+        "forecast.lookahead_alternates"};
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  }();
+  return kKeys;
 }
 
 }  // namespace
 
 CliExperiment experimentFromConfig(const KeyValueConfig& kv) {
-  const std::vector<std::string> known_keys = canonicalConfigKeys();
+  const std::vector<std::string>& known_keys = canonicalConfigKeys();
   for (const auto& key : kv.keys()) {
     if (!std::binary_search(known_keys.begin(), known_keys.end(), key)) {
       throw ConfigError("unknown config key: '" + key + "'");

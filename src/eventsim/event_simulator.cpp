@@ -4,6 +4,7 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "dds/common/time.hpp"
@@ -128,7 +129,7 @@ void EventSimulator::deliverDownstream(PeId from, VmId from_vm,
       enqueueAt(succ, msg, now, dep);
     } else if (cached_) {
       heap_.push(now + delay, EventKind::Delivery, succ, VmId(0), 0,
-                 msg.created, msg.enqueued);
+                 msg.created);
     } else {
       deliveries_.push({now + delay, ref_seq_++, succ, msg});
     }
@@ -309,7 +310,7 @@ void EventSimulator::drainReference(SimTime t0, SimTime t1, double rate,
 
 // ---------------------------------------------------------------------------
 // Cached engine: ledger-generation-guarded indexes, zero-order-hold
-// windowed monitor lookups, one pooled event heap.
+// windowed monitor lookups, one flat event heap.
 // ---------------------------------------------------------------------------
 
 void EventSimulator::refreshLedgerViews() {
@@ -391,7 +392,7 @@ void EventSimulator::dispatchIdleCoresCached(PeId pe, SimTime now,
         speed > 0.0 ? alt.cost_core_sec / speed
                     : std::numeric_limits<double>::infinity();
     heap_.push(now + service, EventKind::Completion, pe, slot.vm, slot.core,
-               msg.created, msg.enqueued);
+               msg.created);
     if (st.queue.empty()) break;
   }
 }
@@ -457,51 +458,43 @@ double EventSimulator::cachedRouteDelay(VmId from_vm, PeId succ,
 
 void EventSimulator::drainCached(SimTime t0, SimTime t1, double rate,
                                  const Deployment& dep) {
-  // The pending arrival lives in the heap as a removable record; like the
-  // reference's local `next_arrival`, it is discarded at the interval end
-  // and re-drawn at the next interval start (rates change per interval).
-  pending_arrival_ = EventHeap::kInvalidSlot;
+  // The pending arrival stays outside the heap, exactly as in
+  // drainReference: it is dropped at the interval end and re-drawn at the
+  // next interval start (rates change per interval), and it wins an
+  // equal-time tie against any queued event.
+  const SimTime inf = std::numeric_limits<SimTime>::infinity();
+  SimTime next_arrival = inf;
   if (rate > 0.0) {
-    const SimTime t =
+    next_arrival =
         t0 + (cfg_.poisson_arrivals ? rng_.exponential(rate) : 1.0 / rate);
-    pending_arrival_ = heap_.push(t, EventKind::Arrival, PeId(0), VmId(0),
-                                  0, 0.0, 0.0);
   }
 
-  while (!heap_.empty() && heap_.top().time < t1) {
-    const PooledEvent ev = heap_.popTop();
-    switch (ev.kind) {
-      case EventKind::Arrival: {
-        ++result_.messages_injected;
-        ++result_.counters.arrivals;
-        for (const PeId in : df_->inputs()) {
-          enqueueAt(in, Message{ev.time, ev.time}, ev.time, dep);
-        }
-        const SimTime t =
-            ev.time +
-            (cfg_.poisson_arrivals ? rng_.exponential(rate) : 1.0 / rate);
-        pending_arrival_ = heap_.push(t, EventKind::Arrival, PeId(0),
-                                      VmId(0), 0, 0.0, 0.0);
-        break;
-      }
-      case EventKind::Delivery: {
-        ++result_.counters.deliveries;
-        enqueueAt(ev.pe, Message{ev.msg_created, ev.msg_enqueued}, ev.time,
+  while (true) {
+    const SimTime queued = heap_.empty() ? inf : heap_.top().time;
+    if (next_arrival <= queued) {
+      if (next_arrival >= t1) break;
+      ++result_.messages_injected;
+      ++result_.counters.arrivals;
+      for (const PeId in : df_->inputs()) {
+        enqueueAt(in, Message{next_arrival, next_arrival}, next_arrival,
                   dep);
-        break;
       }
-      case EventKind::Completion: {
-        ++result_.counters.completions;
-        handleCompletion(ev.time, ev.pe, ev.vm, ev.core,
-                         Message{ev.msg_created, ev.msg_enqueued}, dep);
-        break;
-      }
+      next_arrival +=
+          cfg_.poisson_arrivals ? rng_.exponential(rate) : 1.0 / rate;
+      continue;
     }
-  }
-
-  if (pending_arrival_ != EventHeap::kInvalidSlot) {
-    heap_.remove(pending_arrival_);
-    pending_arrival_ = EventHeap::kInvalidSlot;
+    if (queued >= t1) break;
+    // Message::enqueued is rewritten when the message lands in a queue,
+    // so an event carries only the creation time.
+    const Event ev = heap_.popTop();
+    if (ev.kind == EventKind::Delivery) {
+      ++result_.counters.deliveries;
+      enqueueAt(ev.pe, Message{ev.msg_created}, ev.time, dep);
+    } else {
+      ++result_.counters.completions;
+      handleCompletion(ev.time, ev.pe, ev.vm, ev.core,
+                       Message{ev.msg_created}, dep);
+    }
   }
 }
 

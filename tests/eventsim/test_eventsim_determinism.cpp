@@ -1,13 +1,16 @@
 // Bit-identity, determinism, and golden-trace coverage for the event
-// simulator's cached engine, plus unit tests for the indexed event heap
-// and the latency-sample reservoir. The cached engine is a memoization
+// simulator's cached engine, plus unit tests for the event heap and the
+// latency-sample reservoir. The cached engine is a memoization
 // of the reference engine, not an approximation: every latency sample,
 // counter, interval metric — and the trace bytes of an engine run —
 // must match byte-for-byte.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <vector>
 
+#include "dds/common/rng.hpp"
 #include "dds/core/engine.hpp"
 #include "dds/dataflow/standard_graphs.hpp"
 #include "dds/eventsim/event_heap.hpp"
@@ -24,9 +27,9 @@ namespace {
 
 TEST(EventHeap, PopsInTimeOrder) {
   EventHeap h;
-  h.push(3.0, EventKind::Arrival, PeId(0), VmId(0), 0, 0.0, 0.0);
-  h.push(1.0, EventKind::Arrival, PeId(1), VmId(0), 0, 0.0, 0.0);
-  h.push(2.0, EventKind::Arrival, PeId(2), VmId(0), 0, 0.0, 0.0);
+  h.push(3.0, EventKind::Arrival, PeId(0), VmId(0), 0, 0.0);
+  h.push(1.0, EventKind::Arrival, PeId(1), VmId(0), 0, 0.0);
+  h.push(2.0, EventKind::Arrival, PeId(2), VmId(0), 0, 0.0);
   EXPECT_EQ(h.popTop().pe, PeId(1));
   EXPECT_EQ(h.popTop().pe, PeId(2));
   EXPECT_EQ(h.popTop().pe, PeId(0));
@@ -37,44 +40,87 @@ TEST(EventHeap, EqualTimesPopKindThenFifo) {
   EventHeap h;
   // Same timestamp: kind priority (Arrival < Delivery < Completion),
   // then insertion order within a kind.
-  h.push(5.0, EventKind::Completion, PeId(10), VmId(0), 0, 0.0, 0.0);
-  h.push(5.0, EventKind::Delivery, PeId(11), VmId(0), 0, 0.0, 0.0);
-  h.push(5.0, EventKind::Arrival, PeId(12), VmId(0), 0, 0.0, 0.0);
-  h.push(5.0, EventKind::Delivery, PeId(13), VmId(0), 0, 0.0, 0.0);
+  h.push(5.0, EventKind::Completion, PeId(10), VmId(0), 0, 0.0);
+  h.push(5.0, EventKind::Delivery, PeId(11), VmId(0), 0, 0.0);
+  h.push(5.0, EventKind::Arrival, PeId(12), VmId(0), 0, 0.0);
+  h.push(5.0, EventKind::Delivery, PeId(13), VmId(0), 0, 0.0);
   EXPECT_EQ(h.popTop().pe, PeId(12));
   EXPECT_EQ(h.popTop().pe, PeId(11));
   EXPECT_EQ(h.popTop().pe, PeId(13));
   EXPECT_EQ(h.popTop().pe, PeId(10));
 }
 
-TEST(EventHeap, RemoveDiscardsArbitrarySlot) {
-  EventHeap h;
-  (void)h.push(1.0, EventKind::Arrival, PeId(1), VmId(0), 0, 0.0, 0.0);
-  const EventHeap::Slot middle =
-      h.push(2.0, EventKind::Arrival, PeId(2), VmId(0), 0, 0.0, 0.0);
-  (void)h.push(3.0, EventKind::Arrival, PeId(3), VmId(0), 0, 0.0, 0.0);
-  h.remove(middle);
-  EXPECT_EQ(h.size(), 2u);
-  EXPECT_EQ(h.popTop().pe, PeId(1));
-  EXPECT_EQ(h.popTop().pe, PeId(3));
-}
-
-TEST(EventHeap, RecyclesPooledRecords) {
-  EventHeap h;
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 100; ++i) {
-      h.push(static_cast<double>(100 - i), EventKind::Completion, PeId(0),
-             VmId(0), i, 0.0, 0.0);
+TEST(EventHeap, MatchesSortedOrderUnderInterleaving) {
+  // Seeded push/pop interleavings against a stable sort by (time, kind)
+  // of the queued events in insertion order. Four distinct times across
+  // all three kinds make most comparisons ties; pops leave the root hole
+  // that the next push, top() or popTop() must fill.
+  struct Queued {
+    double time;
+    EventKind kind;
+    std::int32_t id;  ///< insertion order, carried in Event::core.
+  };
+  const auto sortedFront = [](std::vector<Queued>& q) {
+    std::stable_sort(q.begin(), q.end(),
+                     [](const Queued& a, const Queued& b) {
+                       return a.time != b.time ? a.time < b.time
+                                               : a.kind < b.kind;
+                     });
+    const Queued front = q.front();
+    q.erase(q.begin());
+    return front;
+  };
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    EventHeap h;
+    std::vector<Queued> model;
+    std::int32_t next_id = 0;
+    const auto push = [&] {
+      const Queued q{0.5 * static_cast<double>(rng.uniformInt(0, 3)),
+                     static_cast<EventKind>(rng.uniformInt(0, 2)), next_id++};
+      h.push(q.time, q.kind, PeId(0), VmId(0), q.id, 0.0);
+      model.push_back(q);
+    };
+    for (int op = 0; op < 400; ++op) {
+      // Bias toward pushes early and pops late so the heap both grows
+      // past several levels and drains to empty.
+      const bool pop = !model.empty() &&
+                       rng.uniformInt(0, 399) < std::min(op + 100, 399);
+      if (!pop) {
+        push();
+        continue;
+      }
+      const Event ev = h.popTop();
+      const Queued want = sortedFront(model);
+      ASSERT_EQ(ev.core, want.id) << "seed " << seed << " op " << op;
+      ASSERT_EQ(ev.time, want.time);
+      ASSERT_EQ(ev.kind, want.kind);
+      // The root is a hole now: the counts exclude it.
+      ASSERT_EQ(h.size(), model.size());
+      ASSERT_EQ(h.empty(), model.empty());
+      switch (rng.uniformInt(0, 2)) {
+        case 0:
+          push();  // fills the hole with one sift-down
+          break;
+        case 1:
+          if (!model.empty()) {
+            // top() fills the hole from the back without popping.
+            std::vector<Queued> peek = model;
+            ASSERT_EQ(h.top().core, sortedFront(peek).id);
+            ASSERT_EQ(h.size(), model.size());
+          }
+          break;
+        default:
+          break;  // the next popTop() fills the hole itself
+      }
     }
-    double prev = 0.0;
-    while (!h.empty()) {
-      const PooledEvent ev = h.popTop();
-      EXPECT_GE(ev.time, prev);
-      prev = ev.time;
+    while (!model.empty()) {
+      ASSERT_EQ(h.popTop().core, sortedFront(model).id) << "seed " << seed;
     }
+    EXPECT_TRUE(h.empty());
+    EXPECT_EQ(h.size(), 0u);
+    EXPECT_THROW((void)h.popTop(), PreconditionError);
   }
-  // Three rounds of 100 events reuse the same 100 pooled records.
-  EXPECT_LE(h.poolCapacity(), 100u);
 }
 
 // --- cached engine == reference engine -------------------------------------
@@ -182,6 +228,45 @@ TEST(EventSimIdentity, SameSeedSameEngineIsDeterministic) {
       fingerprint(
           runHeuristic(df, 15.0, true, EventSimConfig::Engine::Cached)));
   EXPECT_EQ(adaptiveRun(df, 15.0, false), adaptiveRun(df, 15.0, false));
+}
+
+TEST(EventSimIdentity, ArrivalTiesMatchReference) {
+  // Deterministic arrivals every 0.5 s (or 0.25 s, overloading the
+  // source) onto a source whose first core (m1.medium, power 2) serves a
+  // cost-1 message in exactly 0.5 s and whose second (m1.small, power 1)
+  // in 1 s: completions land on arrival instants and on interval ends
+  // (60 s is a multiple of both spacings). Who wins the tie decides
+  // which core serves the arrival — and so its service time — so the
+  // cached engine must let the arrival win, as the reference does.
+  DataflowBuilder b("ties");
+  const PeId src = b.addPe("src", {{"src", 1.0, 1.0, 1.0}});
+  const PeId sink = b.addPe("sink", {{"sink", 1.0, 1.0, 1.0}});
+  b.addEdge(src, sink);
+  const Dataflow df = std::move(b).build();
+  for (const double rate : {2.0, 4.0}) {
+    auto run = [&](EventSimConfig::Engine engine) {
+      CloudProvider cloud(awsCatalog2013());
+      TraceReplayer replayer = TraceReplayer::ideal();
+      MonitoringService mon(cloud, replayer);
+      const VmId medium = cloud.acquire(ResourceClassId(1), 0.0);
+      const VmId small = cloud.acquire(ResourceClassId(0), 0.0);
+      const VmId large = cloud.acquire(ResourceClassId(2), 0.0);
+      cloud.allocateCore(medium, src);
+      cloud.allocateCore(small, src);
+      cloud.allocateCore(large, sink);
+      cloud.allocateCore(large, sink);
+      EventSimConfig cfg;
+      cfg.poisson_arrivals = false;
+      cfg.engine = engine;
+      EventSimulator sim(df, cloud, mon, cfg);
+      const Deployment dep(df);
+      return runFixed(sim, ConstantRate(rate), dep, 600.0);
+    };
+    const EventSimResult ref = run(EventSimConfig::Engine::Reference);
+    const EventSimResult cached = run(EventSimConfig::Engine::Cached);
+    EXPECT_EQ(fingerprint(ref), fingerprint(cached)) << "rate " << rate;
+    EXPECT_GT(cached.messages_delivered, 0u);
+  }
 }
 
 // --- golden engine trace ---------------------------------------------------
