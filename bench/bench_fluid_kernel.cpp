@@ -1,6 +1,6 @@
-// Interval-throughput bench for the fluid simulator's two kernels: the
-// cached SoA kernel (default) against the reference per-interval-snapshot
-// kernel, over a graph-size x rate-profile sweep.
+// Interval-throughput bench for the fluid simulator: the product's cached
+// SoA kernel against the per-interval-snapshot walk of the test-only
+// oracle::ReferenceFluidSimulator, over a graph-size x rate-profile sweep.
 //
 // Each row times ONLY the step() loop (deployment held static, so the
 // cached kernel amortizes its one rebuild across the whole run) and
@@ -16,6 +16,7 @@
 #include <iomanip>
 
 #include "bench_util.hpp"
+#include "dds/oracle/reference_fluid_simulator.hpp"
 
 namespace {
 
@@ -72,7 +73,8 @@ struct RunOutput {
 /// One full step-loop run on a fresh environment; both kernels get the
 /// same seeds and a static deployment, so any output difference is a
 /// kernel bug. Only the step() loop is timed.
-RunOutput runKernel(const SweepCase& c, SimConfig::Engine engine) {
+template <class Simulator>
+RunOutput runKernel(const SweepCase& c) {
   const Dataflow df = graphByName(c.graph);
   CloudProvider cloud(awsCatalog2013());
   TraceReplayer replayer = c.variability ? TraceReplayer::futureGridLike(2013)
@@ -89,8 +91,7 @@ RunOutput runKernel(const SweepCase& c, SimConfig::Engine engine) {
       profileByName(c.profile, c.rate);
   SimConfig cfg;
   cfg.interval_s = kIntervalS;
-  cfg.engine = engine;
-  DataflowSimulator sim(df, cloud, mon, cfg);
+  Simulator sim(df, cloud, mon, cfg);
 
   RunOutput out;
   out.omegas.reserve(kIntervals);
@@ -129,8 +130,8 @@ SweepRow runCase(const SweepCase& c) {
   RunOutput ref;
   RunOutput cached;
   for (int rep = 0; rep < kReps; ++rep) {
-    const RunOutput r = runKernel(c, SimConfig::Engine::Reference);
-    const RunOutput k = runKernel(c, SimConfig::Engine::Cached);
+    const RunOutput r = runKernel<oracle::ReferenceFluidSimulator>(c);
+    const RunOutput k = runKernel<DataflowSimulator>(c);
     if (rep == 0 || r.wall_s < ref.wall_s) ref = r;
     if (rep == 0 || k.wall_s < cached.wall_s) cached = k;
   }

@@ -5,13 +5,14 @@
 // 10's of alternates and 100's of VMs". This bench measures the wall time
 // of the two decision procedures — initial deployment (Alg. 1) and one
 // runtime adaptation step (Alg. 2) — as the dataflow grows, plus the
-// brute-force search on the small graph for contrast.
+// brute-force search on the small graph for contrast, and one fluid
+// simulator step on the product's kernel and on the reference walk.
 // Invoking the binary with --planner-latency-json=PATH skips the
-// google-benchmark harness and instead runs the full incremental-vs-full
-// annealing sweep (default 20k iterations, graph sizes up to 10 layers x
-// 8 width), cross-checks that both evaluator paths produce bit-identical
-// plans, and writes the results as JSON (committed as
-// BENCH_planner_latency.json at the repo root).
+// google-benchmark harness and instead times the annealing planner's
+// deploy() (default 20k iterations, graph sizes up to 10 layers x 8
+// width) and writes the results as JSON. BENCH_planner_latency.json at
+// the repo root records the incremental-vs-full comparison from when the
+// planner still had its full-evaluation path.
 // --adaptation-json=PATH [--commit=SHA] instead runs whole elastic-cloud
 // jobs through SimulationEngine (paper graph and 4x4/6x6/8x8 layered
 // graphs, `global` and `global-predictive`, fixed seeds) and writes the
@@ -27,12 +28,12 @@
 #include <iomanip>
 #include <iostream>
 #include <limits>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "bench_header.hpp"
 #include "dds/dds.hpp"
+#include "dds/oracle/reference_fluid_simulator.hpp"
 
 namespace {
 
@@ -116,29 +117,23 @@ BENCHMARK(BM_AdaptationStep)
 void BM_AnnealingDeploy(benchmark::State& state) {
   const auto layers = static_cast<int>(state.range(0));
   const auto width = static_cast<int>(state.range(1));
-  const bool incremental = state.range(2) != 0;
   const Dataflow df = graphOfSize(layers, width);
   for (auto _ : state) {
     Env env{graphOfSize(layers, width)};
     AnnealingOptions opts;
     opts.iterations = 2'000;  // fast smoke-sized search; the full 20k
                               // sweep runs under --planner-latency-json
-    opts.incremental_evaluation = incremental;
     AnnealingScheduler sched(env.schedEnv(), opts);
     benchmark::DoNotOptimize(sched.deploy(10.0));
   }
-  state.SetLabel(std::string(incremental ? "incremental" : "full") + ", " +
-                 std::to_string(df.peCount()) + " PEs, " +
+  state.SetLabel(std::to_string(df.peCount()) + " PEs, " +
                  std::to_string(df.totalAlternateCount()) + " alternates");
 }
 BENCHMARK(BM_AnnealingDeploy)
-    ->Args({4, 4, 1})
-    ->Args({6, 4, 1})
-    ->Args({8, 6, 1})
-    ->Args({10, 8, 1})
-    ->Args({4, 4, 0})
-    ->Args({6, 4, 0})  // full evaluation only at small sizes: at 10x8 a
-                       // single from-scratch deploy() takes ~25 s
+    ->Args({4, 4})
+    ->Args({6, 4})
+    ->Args({8, 6})
+    ->Args({10, 8})
     ->Unit(benchmark::kMillisecond);
 
 void BM_BruteForceSmallGraph(benchmark::State& state) {
@@ -156,60 +151,53 @@ BENCHMARK(BM_BruteForceSmallGraph)
               // prohibitively long"), so the sweep stops here
     ->Unit(benchmark::kMillisecond);
 
+/// One fluid step on an ideal-infrastructure layered graph, on the
+/// product's cached kernel or on the reference per-object walk.
+template <class Simulator>
 void BM_SimulatorStep(benchmark::State& state) {
   const auto layers = static_cast<int>(state.range(0));
   Env env{graphOfSize(layers, layers)};
   HeuristicScheduler sched(env.schedEnv(), Strategy::Global);
   Deployment dep = sched.deploy(10.0);
-  DataflowSimulator sim(env.df, env.cloud, env.mon, {});
+  Simulator sim(env.df, env.cloud, env.mon, {});
   IntervalIndex i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(sim.step(i++, 10.0, dep));
   }
   state.SetLabel(std::to_string(env.df.peCount()) + " PEs");
 }
-BENCHMARK(BM_SimulatorStep)->Arg(3)->Arg(5)->Arg(8)->Unit(
-    benchmark::kMicrosecond);
+BENCHMARK_TEMPLATE(BM_SimulatorStep, DataflowSimulator)
+    ->Arg(3)
+    ->Arg(5)
+    ->Arg(8)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_TEMPLATE(BM_SimulatorStep, oracle::ReferenceFluidSimulator)
+    ->Arg(3)
+    ->Arg(5)  // at 8x8 one reference step takes seconds
+    ->Unit(benchmark::kMicrosecond);
 
-// --- incremental-vs-full planner-latency sweep (writes JSON) -----------
+// --- planner-latency sweep (writes JSON) --------------------------------
 
-/// Everything one annealing deploy() produces that must match between
-/// the two evaluator paths, plus its performance counters.
+/// One annealing deploy()'s wall time and performance counters.
 struct SweepRun {
-  double theta = 0.0;
-  std::vector<unsigned> alternates;
-  std::map<std::string, int> vms;
-  int cores = 0;
   double wall_ms = 0.0;
   double decisions_per_s = 0.0;
   std::uint64_t memo_lookups = 0;
   std::uint64_t memo_hits = 0;
 };
 
-SweepRun runAnnealingDeploy(int layers, int width, bool incremental) {
+SweepRun runAnnealingDeploy(int layers, int width) {
   Env env{graphOfSize(layers, width)};
   obs::MetricsRegistry metrics;
   SchedulerEnv se = env.schedEnv();
   se.metrics = &metrics;
-  AnnealingOptions opts;  // stock 20k iterations, stock seed
-  opts.incremental_evaluation = incremental;
-  AnnealingScheduler sched(se, opts);
+  AnnealingScheduler sched(se, AnnealingOptions{});  // stock 20k, seed 1
 
   const auto t0 = std::chrono::steady_clock::now();
-  const Deployment dep = sched.deploy(10.0);
+  (void)sched.deploy(10.0);
   const auto t1 = std::chrono::steady_clock::now();
 
   SweepRun run;
-  run.theta = sched.bestTheta();
-  for (std::size_t i = 0; i < env.df.peCount(); ++i) {
-    run.alternates.push_back(
-        dep.activeAlternate(PeId(static_cast<PeId::value_type>(i)))
-            .value());
-  }
-  for (const VmId id : env.cloud.activeIds()) {
-    ++run.vms[env.cloud.instance(id).spec().name];
-    run.cores += env.cloud.instance(id).allocatedCoreCount();
-  }
   run.wall_ms =
       std::chrono::duration<double, std::milli>(t1 - t0).count();
   run.decisions_per_s = metrics.gauge("sched.deploy_decisions_per_s").value();
@@ -232,53 +220,36 @@ int plannerLatencySweep(const std::string& path) {
   }
   out << std::setprecision(17);
   out << "{\n"
-      << "  \"benchmark\": \"annealing_deploy_incremental_vs_full\",\n"
+      << "  \"benchmark\": \"annealing_deploy\",\n"
       << "  \"iterations\": " << AnnealingOptions{}.iterations << ",\n"
       << "  \"input_rate\": 10.0,\n"
       << "  \"sigma\": 0.01,\n"
       << "  \"catalog\": \"awsCatalog2013\",\n"
       << "  \"rows\": [\n";
 
-  bool mismatch = false;
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     const auto [layers, width] = sizes[i];
     const Dataflow df = graphOfSize(layers, width);
     std::cerr << "sweep " << layers << "x" << width << " ("
-              << df.peCount() << " PEs): full evaluation..." << std::flush;
-    const SweepRun full = runAnnealingDeploy(layers, width, false);
-    std::cerr << " " << full.wall_ms << " ms, incremental..."
-              << std::flush;
-    const SweepRun inc = runAnnealingDeploy(layers, width, true);
-    std::cerr << " " << inc.wall_ms << " ms\n";
-
-    // The evaluator is a pure cache: any divergence is a bug, and a
-    // benchmark of two paths that disagree would be meaningless.
-    const bool identical = full.theta == inc.theta &&  // bitwise
-                           full.alternates == inc.alternates &&
-                           full.vms == inc.vms && full.cores == inc.cores;
-    if (!identical) {
-      std::cerr << "PLAN MISMATCH at " << layers << "x" << width << "\n";
-      mismatch = true;
-    }
+              << df.peCount() << " PEs)..." << std::flush;
+    const SweepRun run = runAnnealingDeploy(layers, width);
+    std::cerr << " " << run.wall_ms << " ms\n";
 
     const double hit_rate =
-        inc.memo_lookups == 0
+        run.memo_lookups == 0
             ? 0.0
-            : static_cast<double>(inc.memo_hits) /
-                  static_cast<double>(inc.memo_lookups);
+            : static_cast<double>(run.memo_hits) /
+                  static_cast<double>(run.memo_lookups);
     out << "    {\"layers\": " << layers << ", \"width\": " << width
         << ", \"pes\": " << df.peCount()
         << ", \"alternates\": " << df.totalAlternateCount()
-        << ",\n     \"full_ms\": " << full.wall_ms
-        << ", \"incremental_ms\": " << inc.wall_ms
-        << ", \"speedup\": " << full.wall_ms / inc.wall_ms
-        << ",\n     \"decisions_per_s\": " << inc.decisions_per_s
-        << ", \"memo_hit_rate\": " << hit_rate
-        << ", \"plans_identical\": " << (identical ? "true" : "false")
-        << "}" << (i + 1 < sizes.size() ? "," : "") << "\n";
+        << ",\n     \"incremental_ms\": " << run.wall_ms
+        << ", \"decisions_per_s\": " << run.decisions_per_s
+        << ", \"memo_hit_rate\": " << hit_rate << "}"
+        << (i + 1 < sizes.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
-  return mismatch ? 1 : 0;
+  return 0;
 }
 
 // --- runtime-adaptation cost per interval (writes JSON) ----------------

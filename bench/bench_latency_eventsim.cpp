@@ -6,11 +6,13 @@
 // under a wave workload on the Fig. 1 dataflow.
 //
 // A second section measures raw event throughput (events drained per
-// second of wall clock) of the cached engine against the reference
-// engine over a rate x graph-size sweep. Every row asserts that the two
-// engines' results are bit-identical: fixed-deployment rows compare
-// fingerprint() of the stepped simulator, the adaptive row (driven by
-// SimulationEngine, which owns the interval loop) its run outputs.
+// second of wall clock) of the product's cached simulator against the
+// test-only oracle::ReferenceEventSimulator over a rate x graph-size
+// sweep. Every row asserts that the two simulators' results are
+// bit-identical: fixed-deployment rows compare fingerprint() of the
+// stepped simulator, the adaptive row (driven by SimulationEngine, which
+// owns the interval loop; oracle::runReference for the reference side)
+// its run outputs.
 // `--throughput-json=PATH [--commit=SHA]` writes that sweep as JSON under
 // a provenance header (commit, build type, host cores, date).
 // BENCH_eventsim_throughput.json at the repo root pairs this output at a
@@ -21,6 +23,8 @@
 
 #include "bench_header.hpp"
 #include "bench_util.hpp"
+#include "dds/oracle/reference_event_simulator.hpp"
+#include "dds/oracle/run_reference.hpp"
 
 namespace {
 
@@ -83,10 +87,10 @@ Dataflow graphByName(const std::string& name) {
 }
 
 /// A fixed deployment, stepped interval by interval on a fresh
-/// environment; both engines get the same seeds, so any result difference
-/// is an engine bug.
-SweepRun runStaticSweep(const ThroughputCase& c,
-                        EventSimConfig::Engine engine) {
+/// environment; both simulators get the same seeds, so any result
+/// difference is a simulator bug.
+template <class Simulator>
+SweepRun runStaticSweep(const ThroughputCase& c) {
   const Dataflow df = graphByName(c.graph);
   CloudProvider cloud(awsCatalog2013());
   TraceReplayer replayer = TraceReplayer::futureGridLike(2013);
@@ -102,8 +106,7 @@ SweepRun runStaticSweep(const ThroughputCase& c,
   EventSimConfig cfg;
   cfg.interval_s = kSweepIntervalS;
   cfg.seed = 7;
-  cfg.engine = engine;
-  EventSimulator sim(df, cloud, mon, cfg);
+  Simulator sim(df, cloud, mon, cfg);
   const Deployment dep = sched.deploy(c.rate);
   const IntervalClock clock(kSweepIntervalS, kSweepHorizonS);
   for (IntervalIndex i = 0; i < clock.intervalCount(); ++i) {
@@ -115,8 +118,7 @@ SweepRun runStaticSweep(const ThroughputCase& c,
 }
 
 /// An adaptive run through SimulationEngine, which owns the interval loop.
-SweepRun runAdaptiveSweep(const ThroughputCase& c,
-                          EventSimConfig::Engine engine) {
+SweepRun runAdaptiveSweep(const ThroughputCase& c, bool reference) {
   const Dataflow df = graphByName(c.graph);
   ExperimentConfig cfg;
   cfg.horizon_s = kSweepHorizonS;
@@ -125,9 +127,10 @@ SweepRun runAdaptiveSweep(const ThroughputCase& c,
   cfg.workload.infra_variability = true;
   cfg.seed = 7;
   cfg.backend = SimBackend::Event;
-  cfg.event_reference_engine = engine == EventSimConfig::Engine::Reference;
+  const SimulationEngine engine(df, cfg);
   const ExperimentResult r =
-      SimulationEngine(df, cfg).run(parseScheduler("global"));
+      reference ? oracle::runReference(engine, parseScheduler("global"))
+                : engine.run(parseScheduler("global"));
   SweepRun out;
   double events_per_s = 0.0;
   std::ostringstream fp;
@@ -160,13 +163,14 @@ SweepRun runAdaptiveSweep(const ThroughputCase& c,
   return out;
 }
 
-SweepRun runThroughput(const ThroughputCase& c,
-                       EventSimConfig::Engine engine) {
-  return c.adaptive ? runAdaptiveSweep(c, engine) : runStaticSweep(c, engine);
+SweepRun runThroughput(const ThroughputCase& c, bool reference) {
+  if (c.adaptive) return runAdaptiveSweep(c, reference);
+  return reference ? runStaticSweep<oracle::ReferenceEventSimulator>(c)
+                   : runStaticSweep<EventSimulator>(c);
 }
 
 std::vector<ThroughputRow> runThroughputSweep() {
-  // Rates are capped per graph so the *reference* engine finishes each
+  // Rates are capped per graph so the *reference* simulator finishes each
   // row in under a minute — layered6x4 deploys ~200 VMs at 50 msg/s and
   // the reference path is O(VMs) per event.
   const std::vector<ThroughputCase> cases{
@@ -180,9 +184,9 @@ std::vector<ThroughputRow> runThroughputSweep() {
     std::cerr << "throughput " << c.graph << " @ " << c.rate << " msg/s"
               << (c.adaptive ? " adaptive" : "") << ": reference..."
               << std::flush;
-    const SweepRun ref = runThroughput(c, EventSimConfig::Engine::Reference);
+    const SweepRun ref = runThroughput(c, true);
     std::cerr << " " << ref.wall_s << " s, cached..." << std::flush;
-    const SweepRun cach = runThroughput(c, EventSimConfig::Engine::Cached);
+    const SweepRun cach = runThroughput(c, false);
     std::cerr << " " << cach.wall_s << " s\n";
 
     ThroughputRow row;
@@ -192,7 +196,7 @@ std::vector<ThroughputRow> runThroughputSweep() {
     row.cached_s = cach.wall_s;
     row.route_refreshes = cach.route_refreshes;
     row.core_index_rebuilds = cach.core_index_rebuilds;
-    // The cached engine is a memoization, not an approximation: every
+    // The cached simulator is a memoization, not an approximation: every
     // sample, counter and interval metric must match bit-for-bit.
     row.identical = ref.fingerprint == cach.fingerprint;
     if (!row.identical) {

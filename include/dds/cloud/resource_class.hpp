@@ -106,8 +106,16 @@ class ResourceCatalog {
 /// fast dense cores at the high end.
 [[nodiscard]] ResourceCatalog awsCatalogMixed2013();
 
-/// Look up one of the named catalogs: "m1", "m3", "mixed".
-/// Throws PreconditionError for unknown names.
+/// The names catalogByName accepts, in listing order: "m1", "m3", "mixed".
+[[nodiscard]] const std::vector<std::string>& catalogNames();
+
+/// Empty when `name` is one of catalogNames(); otherwise the error
+/// catalogByName throws for it, naming `name` and the valid names. Checks
+/// a name without building a catalog.
+[[nodiscard]] std::string unknownCatalogError(const std::string& name);
+
+/// Look up one of the named catalogs. Throws PreconditionError (with
+/// unknownCatalogError's message) for unknown names.
 [[nodiscard]] ResourceCatalog catalogByName(const std::string& name);
 
 }  // namespace dds

@@ -13,7 +13,12 @@
 // different schedulers under the same config are independent and see
 // identical workloads and (for a fixed seed) identical trace assignments.
 // One interval loop (monitor, adapt, execute) drives either simulator
-// backend; see DESIGN.md "Engine: one interval loop".
+// backend: run() is the member template runWith instantiated with the
+// product's DataflowSimulator and EventSimulator. The template's body
+// lives in the private header src/core/interval_loop.hpp, so only code
+// built beside it — the product, and the test-only dds_oracle library
+// with its reference simulators — can instantiate it. See DESIGN.md
+// "Engine: one interval loop".
 #pragma once
 
 #include <memory>
@@ -63,6 +68,13 @@ class SimulationEngine {
   /// and config: two runs write byte-identical JSONL traces.
   [[nodiscard]] ExperimentResult run(const SchedulerSpec& spec,
                                      obs::TraceSink* sink) const;
+
+  /// The interval loop over a (fluid, event) simulator pair; run() is
+  /// runWith<DataflowSimulator, EventSimulator>. Defined in
+  /// src/core/interval_loop.hpp.
+  template <class FluidSim, class EventSim>
+  [[nodiscard]] ExperimentResult runWith(const SchedulerSpec& spec,
+                                         obs::TraceSink* sink) const;
 
   /// The sigma this config resolves to (override or §8.2 derivation).
   [[nodiscard]] double sigma() const { return sigma_; }

@@ -180,14 +180,6 @@ struct ExperimentConfig {
   /// Simulator backend. The event backend additionally reports end-to-end
   /// latency percentiles; fault injection is fluid-only for now.
   SimBackend backend = SimBackend::Fluid;
-  /// Run the event backend on its reference (scan-everything) engine
-  /// instead of the cached one. Both are bit-identical; this exists for
-  /// cross-checks and golden-trace tests.
-  bool event_reference_engine = false;
-  /// Run the fluid backend on its reference (per-object, per-interval
-  /// re-snapshot) kernel instead of the cached SoA kernel. Both are
-  /// bit-identical; this exists for cross-checks and golden-trace tests.
-  bool fluid_reference_engine = false;
   /// Queue-delay SLA for the heuristic schedulers (seconds; 0 disables):
   /// any PE whose backlog would take longer than this to drain triggers a
   /// scale-out sized to drain it — bounds latency, costs capacity.

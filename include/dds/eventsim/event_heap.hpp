@@ -16,10 +16,10 @@
 //  * the array keeps its capacity, so steady state allocates nothing.
 //
 // Ordering is (time, kind, seq): earliest first; at equal times arrivals
-// precede deliveries precede completions — the reference drain loop's tie
-// rules (`arrival <= completion && arrival <= delivery` picks the arrival,
-// then `delivery <= completion` picks the delivery) — and events of the
-// same kind pop FIFO by insertion sequence.
+// precede deliveries precede completions — the tie rules of the oracle's
+// three-queue drain loop (`arrival <= completion && arrival <= delivery`
+// picks the arrival, then `delivery <= completion` picks the delivery) —
+// and events of the same kind pop FIFO by insertion sequence.
 #pragma once
 
 #include <algorithm>

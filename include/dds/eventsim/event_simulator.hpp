@@ -11,18 +11,19 @@
 // introduction motivates ("penalty of high processing latencies during
 // the high data rate period").
 //
-// Two engines share one model. The *cached* engine (default) keeps the
-// per-event hot paths allocation-free and O(1) amortized: a per-PE
-// free-core index rebuilt only when the cloud's allocation ledger
+// The per-event hot paths are allocation-free and O(1) amortized: a
+// per-PE free-core index rebuilt only when the cloud's allocation ledger
 // generation moves, a (producer VM, successor PE) routing table whose
 // entries carry exact zero-order-hold validity windows, a memoized
 // core-power lookup, and one flat 4-ary heap of deliveries and
-// completions held by value, with the pending arrival kept beside it as
-// in the reference drain loop. The *reference* engine is the
-// straightforward scan-everything implementation. Both produce
-// bit-identical results — same RNG consumption, latency samples, interval
-// metrics and trace bytes — which fingerprint() checks byte-for-byte (the
-// throughput benchmark asserts it on every row).
+// completions held by value, with the pending arrival kept beside it.
+// The simulator only reads the cloud: core ownership comes from the
+// ledger, and the busy flags it claims and frees are its own.
+//
+// The test-only dds_oracle library holds a self-contained scan-everything
+// implementation of the same model (oracle::ReferenceEventSimulator);
+// fingerprint() compares the two byte-for-byte — same RNG consumption,
+// latency samples, interval metrics and trace bytes.
 //
 // The simulator is a stepper: SimulationEngine drives it one interval at
 // a time through the same four calls as the fluid simulator (step,
@@ -34,8 +35,6 @@
 #pragma once
 
 #include <deque>
-#include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -53,10 +52,6 @@ namespace dds {
 
 /// Event-simulation knobs.
 struct EventSimConfig {
-  /// Which hot-path implementation to run. Both are bit-identical;
-  /// Reference exists as the cross-check oracle and perf baseline.
-  enum class Engine { Cached, Reference };
-
   double msg_size_bytes = 100.0e3;  ///< ~100 KB/msg (§8.1).
   SimTime interval_s = 60.0;        ///< adaptation/metrics interval.
   std::uint64_t seed = 42;          ///< arrival-process seed.
@@ -66,14 +61,13 @@ struct EventSimConfig {
   /// dedicated RNG stream, so capped runs estimate the same percentiles
   /// as uncapped ones without perturbing the arrival process.
   std::size_t max_latency_samples = 200'000;
-  Engine engine = Engine::Cached;
 
   void validate() const;
 };
 
 /// Event-loop work counters. The first four are model-determined and part
 /// of the bit-identity fingerprint; the cache counters and wall clock
-/// describe the engine's work and are excluded from it.
+/// describe the simulator's work and are excluded from it.
 struct EventSimCounters {
   std::uint64_t arrivals = 0;     ///< external arrival events drained.
   std::uint64_t deliveries = 0;   ///< network delivery events drained.
@@ -119,7 +113,7 @@ struct EventSimResult {
 /// step(). Intervals must be stepped in order, starting at 0.
 class EventSimulator {
  public:
-  EventSimulator(const Dataflow& df, CloudProvider& cloud,
+  EventSimulator(const Dataflow& df, const CloudProvider& cloud,
                  const MonitoringService& mon, EventSimConfig cfg);
 
   /// Drain every event of interval `index` with external arrivals at
@@ -160,37 +154,9 @@ class EventSimulator {
     std::size_t emitted_in_interval = 0;
   };
 
-  /// A message in flight over the network toward `pe` (reference engine).
-  /// `seq` makes the ordering total: equal-time events pop FIFO instead
-  /// of in std::priority_queue's unspecified structural order, so results
-  /// are well-defined, portable across standard libraries, and match the
-  /// cached engine's event heap exactly.
-  struct Delivery {
-    SimTime time;
-    std::uint64_t seq = 0;
-    PeId pe;
-    Message msg;
-    bool operator>(const Delivery& o) const {
-      return time != o.time ? time > o.time : seq > o.seq;
-    }
-  };
-
-  /// A busy core finishes a message at `time` (reference engine).
-  struct Completion {
-    SimTime time;
-    std::uint64_t seq = 0;
-    PeId pe;
-    VmId vm;
-    int core = 0;  ///< which physical core frees up.
-    Message msg;
-    bool operator>(const Completion& o) const {
-      return time != o.time ? time > o.time : seq > o.seq;
-    }
-  };
-
   /// One dispatchable (vm, core) pair owned by a PE; the per-PE slot
-  /// lists mirror the reference peCores() scan order (VM id ascending,
-  /// core index ascending) and are rebuilt only on ledger changes.
+  /// lists follow the peCores() scan order (VM id ascending, core index
+  /// ascending) and are rebuilt only on ledger changes.
   struct CoreSlot {
     VmId vm;
     std::int32_t core = 0;
@@ -235,7 +201,6 @@ class EventSimulator {
     return static_cast<SimTime>(next_index_) * cfg_.interval_s;
   }
 
-  // -- shared model logic (identical in both engines) -------------------
   void dispatchIdleCores(PeId pe, SimTime now, const Deployment& dep);
   void deliverDownstream(PeId from, VmId from_vm, const Message& msg,
                          SimTime now, const Deployment& dep);
@@ -243,54 +208,29 @@ class EventSimulator {
   void handleCompletion(SimTime time, PeId pe, VmId vm, int core,
                         const Message& msg, const Deployment& dep);
   void recordDeliveredLatency(double latency);
-
-  // -- reference engine -------------------------------------------------
-  void dispatchIdleCoresReference(PeId pe, SimTime now,
-                                  const Deployment& dep);
-  [[nodiscard]] double referenceRouteDelay(VmId from_vm, PeId succ,
-                                           SimTime now) const;
-  void drainReference(SimTime t0, SimTime t1, double rate,
-                      const Deployment& dep);
-
-  // -- cached engine ----------------------------------------------------
   void refreshLedgerViews();
-  void dispatchIdleCoresCached(PeId pe, SimTime now, const Deployment& dep);
-  [[nodiscard]] double cachedRouteDelay(VmId from_vm, PeId succ,
-                                        SimTime now);
-  void drainCached(SimTime t0, SimTime t1, double rate,
-                   const Deployment& dep);
+  [[nodiscard]] double routeDelay(VmId from_vm, PeId succ, SimTime now);
+  void drain(SimTime t0, SimTime t1, double rate, const Deployment& dep);
 
   const Dataflow* df_;
-  CloudProvider* cloud_;
+  const CloudProvider* cloud_;
   const MonitoringService* mon_;
   EventSimConfig cfg_;
-  bool cached_ = true;
 
   IntervalIndex next_index_ = 0;
   std::vector<PeState> pe_state_;
   std::vector<Transit> in_transit_;  ///< migrated messages, insertion order.
-  /// Migration downtime: no new dispatch at a PE before this time. Lives
-  /// in the shared model logic so both engines stay bit-identical.
+  /// Migration downtime: no new dispatch at a PE before this time.
   std::vector<SimTime> pe_pause_until_;
   /// Busy flag per (vm, core) — indexed by VM id then core index.
   std::vector<std::vector<bool>> core_busy_;
 
-  // Reference-engine event queues.
-  std::priority_queue<Completion, std::vector<Completion>,
-                      std::greater<Completion>>
-      completions_;
-  std::priority_queue<Delivery, std::vector<Delivery>,
-                      std::greater<Delivery>>
-      deliveries_;
-  std::uint64_t ref_seq_ = 0;  ///< tie-break stamp for the queues above.
-
-  // Cached-engine state.
   EventHeap heap_;
   std::vector<std::vector<CoreSlot>> pe_slots_;  ///< by PeId.
   std::vector<std::vector<VmId>> pe_vms_;  ///< VMs holding the PE's cores.
   /// Free-slot bitmap per PE over pe_slots_ indices (bit set = idle);
-  /// find-first-set claims the lowest index, i.e. the reference engine's
-  /// (vm ascending, core ascending) dispatch order.
+  /// find-first-set claims the lowest index, i.e. the (vm ascending, core
+  /// ascending) dispatch order.
   std::vector<std::vector<std::uint64_t>> pe_free_;
   std::vector<std::vector<SlotRef>> slot_ref_;  ///< [VmId][core].
   std::uint64_t slots_gen_ = 0;

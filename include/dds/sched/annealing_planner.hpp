@@ -12,6 +12,14 @@
 // Energy: −Theta for feasible plans (greedy core assignment must cover
 // the constraint-scaled demand), with infeasible plans rejected outright.
 // Standard exponential cooling; fully deterministic for a given seed.
+//
+// Candidates are scored through the incremental PlanEvaluator (delta
+// demand propagation + feasibility memo): a move is applied in place and
+// a rejected one undone. The settled plan is re-scored from scratch by
+// referencePlanTheta, which also yields the greedy core assignment to
+// materialize, and deploy() requires the two scores to agree bit for bit.
+// PlanEvaluator's own tests check every move kind and undo against the
+// from-scratch score.
 #pragma once
 
 #include "dds/sched/scheduler.hpp"
@@ -23,12 +31,6 @@ struct AnnealingOptions {
   std::size_t iterations = 20'000;
   double initial_temperature = 0.05;  ///< in Theta units.
   double cooling = 0.9995;            ///< per-iteration multiplier.
-  /// Score candidates through the incremental PlanEvaluator (delta
-  /// demand propagation + feasibility memo). The reference full
-  /// re-evaluation path is kept selectable for tests and benchmarks;
-  /// both paths produce bit-identical plans, Theta values and RNG
-  /// consumption — the evaluator is a pure cache.
-  bool incremental_evaluation = true;
   /// Feasibility-memo slots (rounded up to a power of two); 0 disables
   /// memoization while keeping incremental demand maintenance.
   std::size_t memo_capacity = 8192;

@@ -1,14 +1,13 @@
-// Immutable structure-of-arrays image of a dataflow for the cached fluid
-// kernel (ROADMAP [speed], mirroring the event simulator's dual-engine
-// refactor).
+// Immutable structure-of-arrays image of a dataflow for the fluid
+// simulator's interval kernel.
 //
 // Everything here is a pure function of the Dataflow: topological order,
-// the in-edge CSR in the exact order the reference kernel walks
-// predecessors, the active-alternate coefficient tables (cost, selectivity,
-// relative value) flattened per PE, and the output list. Because it never
+// the in-edge CSR in the exact order Dataflow::predecessors lists them,
+// the active-alternate coefficient tables (cost, selectivity, relative
+// value) flattened per PE, and the output list. Because it never
 // changes, `Substrate` shares one instance across every campaign job that
 // runs the same graph — per-job mutable state (backlogs, coefficient
-// caches, the ledger image) stays in the kernel and the simulator.
+// caches, the ledger image) stays in the simulator.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +24,8 @@ struct FluidGraphLayout {
   std::vector<std::uint8_t> is_input;  ///< by pe id.
   /// In-edges of the PE at topo position p: global edge indices
   /// edge_offset[p] .. edge_offset[p+1], upstream pe id in edge_u. Edge
-  /// order equals the reference kernel's predecessor walk order, which
-  /// fixes the canonical arrival-sum sequence.
+  /// order equals Dataflow::predecessors order, which fixes the canonical
+  /// arrival-sum sequence.
   std::vector<std::uint32_t> edge_offset;
   std::vector<std::uint32_t> edge_u;
   /// Alternate tables, CSR by pe id: slot alt_offset[pe] + alternate id.

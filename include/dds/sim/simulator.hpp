@@ -15,25 +15,26 @@
 // The step() result carries Omega(t) (Def. 4), Gamma(t) (Def. 3) and the
 // cumulative dollar cost, plus per-PE stats for the adaptation heuristics.
 //
-// Hot-path note: step() is the inner loop of every campaign run. Two
-// interval kernels implement the identical arithmetic (SimConfig::Engine,
-// mirroring the event simulator's dual-engine design):
-//  * Cached (default) — the structure-of-arrays FluidKernel: the ledger
-//    image, per-edge bandwidth-cap entries and coefficient caches live in
-//    flat arrays rebuilt only when the cloud's allocation-ledger
-//    generation changes, and monitoring queries are skipped whenever a
-//    cached sample's validity window still covers the interval midpoint.
-//  * Reference — the original per-object walk below: the ledger is
-//    snapshotted every interval and pi/beta lookups are memoized per
-//    interval. It is the bit-identity oracle for the cached kernel
-//    (golden fixtures + fuzzing gate the pair).
-// Both kernels accumulate every reduction in the same canonical sequence.
-// Monitoring queries are pure (trace assignment is a function of the VM or
-// pair, not of query history), so the kernels may query in any order and
-// as often as they like.
+// Hot-path note: step() is the inner loop of every campaign run, so the
+// interval kernel (src/sim/fluid_kernel.cpp) works on structure-of-arrays
+// images. The graph image is the shared immutable FluidGraphLayout; the
+// ledger image (per-PE capacity entries, per-edge bandwidth-cap entries)
+// is rebuilt only when CloudProvider::ledgerGeneration() changes; the
+// monitoring coefficient caches (per-VM core power, per-directional-pair
+// bandwidth) persist across rebuilds, each value tagged with the validity
+// window its Sample query reported. A cached sample equals a fresh query
+// anywhere inside its window (MonitoringService contract), and trace
+// assignment is a pure function of the VM (pair), so skipping a re-query
+// cannot change a value. Every reduction accumulates in one canonical
+// sequence (topological PE order, predecessor order, VM-id order).
+//
+// The test-only dds_oracle library holds the per-object walk this kernel
+// memoizes (oracle::ReferenceFluidSimulator); golden traces and seeded
+// identity runs hold the two bit-identical.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -49,17 +50,11 @@
 namespace dds {
 
 struct FluidGraphLayout;
-class FluidKernel;
 
 /// Simulation constants for one run.
 struct SimConfig {
-  /// Which interval kernel to run (see the header comment). Cached is the
-  /// SoA kernel; Reference is the retained per-object oracle.
-  enum class Engine { Cached, Reference };
-
   double msg_size_bytes = 100.0e3;  ///< ~100 KB/msg (§8.1).
   SimTime interval_s = 60.0;        ///< adaptation interval length.
-  Engine engine = Engine::Cached;
 
   /// Messages/s a link of `mbps` megabits/s can carry at this msg size.
   [[nodiscard]] double linkMsgsPerSec(double mbps) const {
@@ -67,16 +62,16 @@ struct SimConfig {
   }
 };
 
-/// Stateful per-run simulator; owns the backlog queues.
+/// Stateful per-run simulator; owns the backlog queues and the kernel's
+/// caches.
 class DataflowSimulator {
  public:
   /// `layout` optionally shares a prebuilt immutable SoA graph image
   /// (Substrate hands the same one to every job on the same dataflow);
-  /// when null the cached engine builds its own.
+  /// when null the simulator builds its own.
   DataflowSimulator(const Dataflow& df, const CloudProvider& cloud,
                     const MonitoringService& mon, SimConfig cfg,
                     std::shared_ptr<const FluidGraphLayout> layout = nullptr);
-  ~DataflowSimulator();
 
   /// Simulate interval `index` with the given external input rate applied
   /// to every input PE, under the given deployment. Advances queue state.
@@ -112,47 +107,82 @@ class DataflowSimulator {
     return pause_remaining_[pe.value()];
   }
 
-  /// How many times the interval kernel rebuilt its ledger image: the
-  /// cached engine rebuilds only on allocation-ledger generation changes,
-  /// the reference engine snapshots once per interval. Feeds the
-  /// `fluid.kernel_rebuilds` metric.
-  [[nodiscard]] std::uint64_t kernelRebuilds() const;
+  /// Ledger-image rebuilds so far (== distinct ledger generations seen).
+  /// Feeds the `fluid.kernel_rebuilds` metric.
+  [[nodiscard]] std::uint64_t kernelRebuilds() const { return rebuilds_; }
+
+  /// Wall-clock seconds spent inside step() so far. Feeds the
+  /// `fluid.intervals_per_s` gauge.
+  [[nodiscard]] double wallSeconds() const { return wall_seconds_; }
 
  private:
-  /// Refresh the per-PE core lists from the cloud ledger (one pass) and
-  /// invalidate the per-interval monitoring memos.
-  void beginInterval(SimTime t_mid);
+  /// One cached monitoring sample; the sentinel window makes a fresh slot
+  /// stale.
+  struct Slot {
+    double value = 0.0;
+    SimTime valid_until = -std::numeric_limits<SimTime>::infinity();
+  };
 
-  /// Memoized MonitoringService::observedCorePower at the interval
-  /// midpoint.
-  [[nodiscard]] double corePowerAt(VmId vm);
-
-  /// Memoized MonitoringService::observedBandwidthMbps at the interval
-  /// midpoint (directional key, matching the unmemoized call pattern).
-  [[nodiscard]] double bandwidthAt(VmId a, VmId b);
-
-  /// Deliverable msgs/s on edge (u -> v) given this interval's snapshot.
-  [[nodiscard]] double deliverableRate(double flow_rate, PeId u, PeId v);
+  void runInterval(SimTime t_start, double input_rate,
+                   const Deployment& deployment, IntervalMetrics& m);
+  void rebuild();
+  [[nodiscard]] std::uint32_t pairSlot(std::uint32_t a, std::uint32_t b);
+  void refreshPair(std::uint32_t slot, SimTime t_mid);
+  void refreshPePower(std::uint32_t pe, SimTime t_mid);
+  void refreshEdge(std::uint32_t e, std::uint32_t u, SimTime t_mid);
 
   const Dataflow* df_;
   const CloudProvider* cloud_;
   const MonitoringService* mon_;
   SimConfig cfg_;
   std::shared_ptr<const FluidGraphLayout> layout_;
-  std::unique_ptr<FluidKernel> kernel_;  ///< null on the reference engine.
-  std::uint64_t reference_snapshots_ = 0;
+  double wall_seconds_ = 0.0;
+
+  // Queue state.
   std::vector<double> backlog_;     ///< msgs queued per PE.
   std::vector<double> in_transit_;  ///< msgs arriving next interval per PE.
   std::vector<SimTime> pause_remaining_;  ///< migration downtime per PE.
-
-  // Per-interval working state, reused across step() calls.
-  SimTime t_mid_ = 0.0;
-  std::vector<std::vector<VmCores>> pe_cores_;  ///< ledger snapshot per PE.
-  std::vector<double> cpu_power_memo_;  ///< per-VM pi; NaN = not queried.
-  std::unordered_map<std::uint64_t, double> bandwidth_memo_;
   std::vector<double> output_rate_;
   std::vector<double> expected_rate_;
-  std::vector<std::pair<PeId, int>> vm_pe_scratch_;  ///< per-VM PE counts.
+
+  bool built_ = false;
+  std::uint64_t generation_ = 0;
+  std::uint64_t rebuilds_ = 0;
+
+  // Coefficient caches: facts about the replayed traces, so they survive
+  // ledger rebuilds. Pair slots are append-only across the run.
+  std::vector<Slot> cpu_coeff_;  ///< by VM id.
+  std::vector<Slot> pair_coeff_;
+  std::vector<std::uint32_t> pair_a_;  ///< slot -> directional VM pair.
+  std::vector<std::uint32_t> pair_b_;
+  std::unordered_map<std::uint64_t, std::uint32_t> pair_slot_of_;
+
+  // Ledger image (valid for one generation).
+  std::vector<std::pair<PeId, int>> vm_pe_scratch_;
+  std::vector<std::vector<VmCores>> pe_cores_;
+  std::vector<std::uint32_t> cap_offset_;  ///< by pe id, size n+1.
+  std::vector<std::uint32_t> cap_vm_;
+  std::vector<double> cap_cores_;
+  std::vector<int> pe_cores_total_;
+  int total_cores_ = 0;
+
+  // Per-edge bandwidth-cap entries (one per u-side VmCores of a runnable
+  // edge), in the canonical walk order. A remote entry's pair range holds
+  // one slot per v-side VM; a colocated entry's range is empty.
+  std::vector<std::uint32_t> entry_offset_;  ///< edge -> entries, E+1.
+  std::vector<std::uint32_t> entry_vm_;
+  std::vector<double> entry_cores_;
+  std::vector<std::uint32_t> pair_offset_;  ///< entry -> pair slots.
+  std::vector<std::uint32_t> pair_slots_;
+  std::vector<std::uint8_t> edge_runnable_;  ///< both endpoints placed.
+
+  // Aggregates, each tagged with the min validity window of the slots it
+  // was reduced from.
+  std::vector<double> pe_power_;
+  std::vector<SimTime> pe_power_valid_;
+  std::vector<double> edge_coloc_power_;
+  std::vector<double> edge_remote_cap_;
+  std::vector<SimTime> edge_valid_;
 };
 
 }  // namespace dds

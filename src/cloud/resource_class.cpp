@@ -133,11 +133,52 @@ ResourceCatalog awsCatalogMixed2013() {
   });
 }
 
+namespace {
+
+struct NamedCatalog {
+  const char* name;
+  ResourceCatalog (*build)();
+};
+
+/// The one list of named catalogs: catalogNames, unknownCatalogError and
+/// catalogByName all read it.
+constexpr NamedCatalog kNamedCatalogs[] = {
+    {"m1", &awsCatalog2013},
+    {"m3", &awsCatalogSecondGen2013},
+    {"mixed", &awsCatalogMixed2013},
+};
+
+const NamedCatalog* findCatalog(const std::string& name) {
+  for (const NamedCatalog& c : kNamedCatalogs) {
+    if (name == c.name) return &c;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+const std::vector<std::string>& catalogNames() {
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> out;
+    for (const NamedCatalog& c : kNamedCatalogs) out.emplace_back(c.name);
+    return out;
+  }();
+  return names;
+}
+
+std::string unknownCatalogError(const std::string& name) {
+  if (findCatalog(name) != nullptr) return {};
+  std::string message = "unknown catalog: '" + name + "' (expected ";
+  for (std::size_t i = 0; i < catalogNames().size(); ++i) {
+    message += (i ? ", " : "") + catalogNames()[i];
+  }
+  return message + ")";
+}
+
 ResourceCatalog catalogByName(const std::string& name) {
-  if (name == "m1") return awsCatalog2013();
-  if (name == "m3") return awsCatalogSecondGen2013();
-  if (name == "mixed") return awsCatalogMixed2013();
-  throw PreconditionError("unknown catalog: " + name);
+  const NamedCatalog* c = findCatalog(name);
+  if (c == nullptr) throw PreconditionError(unknownCatalogError(name));
+  return c->build();
 }
 
 }  // namespace dds

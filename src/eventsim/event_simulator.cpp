@@ -65,14 +65,13 @@ std::string fingerprint(const EventSimResult& r) {
   return os.str();
 }
 
-EventSimulator::EventSimulator(const Dataflow& df, CloudProvider& cloud,
+EventSimulator::EventSimulator(const Dataflow& df, const CloudProvider& cloud,
                                const MonitoringService& mon,
                                EventSimConfig cfg)
     : df_(&df),
       cloud_(&cloud),
       mon_(&mon),
       cfg_(cfg),
-      cached_(cfg.engine == EventSimConfig::Engine::Cached),
       power_(mon),
       rng_(cfg.seed),
       reservoir_rng_(cfg.seed ^ 0x5ee5a11e5ull) {
@@ -88,24 +87,8 @@ EventSimulator::EventSimulator(const Dataflow& df, CloudProvider& cloud,
 }
 
 // ---------------------------------------------------------------------------
-// Shared model logic.
+// Model logic.
 // ---------------------------------------------------------------------------
-
-void EventSimulator::dispatchIdleCores(PeId pe, SimTime now,
-                                       const Deployment& dep) {
-  // Migration downtime gate: while the PE's buffered state is in flight,
-  // no new message may start service (queued arrivals wait; cores already
-  // busy run to completion). Shared by both engines for bit-identity.
-  if (pe.value() < pe_pause_until_.size() &&
-      now < pe_pause_until_[pe.value()]) {
-    return;
-  }
-  if (cached_) {
-    dispatchIdleCoresCached(pe, now, dep);
-  } else {
-    dispatchIdleCoresReference(pe, now, dep);
-  }
-}
 
 void EventSimulator::enqueueAt(PeId pe, Message msg, SimTime now,
                                const Deployment& dep) {
@@ -123,15 +106,12 @@ void EventSimulator::deliverDownstream(PeId from, VmId from_vm,
   for (const PeId succ : df_->successors(from)) {
     // Network cost from the producing VM to the successor's best VM;
     // colocated flows are in-memory (§4).
-    const double delay = cached_ ? cachedRouteDelay(from_vm, succ, now)
-                                 : referenceRouteDelay(from_vm, succ, now);
+    const double delay = routeDelay(from_vm, succ, now);
     if (delay <= 0.0) {
       enqueueAt(succ, msg, now, dep);
-    } else if (cached_) {
+    } else {
       heap_.push(now + delay, EventKind::Delivery, succ, VmId(0), 0,
                  msg.created);
-    } else {
-      deliveries_.push({now + delay, ref_seq_++, succ, msg});
     }
   }
 }
@@ -166,7 +146,7 @@ void EventSimulator::handleCompletion(SimTime time, PeId pe, VmId vm,
       // Mirror the free into the bitmap under the core's *current* owner.
       // Stale views (ledger moved since the last rebuild) skip this; the
       // next rebuild reconstructs the bitmap from the busy flags.
-      if (cached_ && slots_valid_ &&
+      if (slots_valid_ &&
           slots_gen_ == cloud_->ledgerGeneration() &&
           vm.value() < slot_ref_.size() &&
           static_cast<std::size_t>(core) < slot_ref_[vm.value()].size()) {
@@ -197,120 +177,8 @@ void EventSimulator::handleCompletion(SimTime time, PeId pe, VmId vm,
 }
 
 // ---------------------------------------------------------------------------
-// Reference engine: scan the ledger and query the monitor per event.
-// ---------------------------------------------------------------------------
-
-void EventSimulator::dispatchIdleCoresReference(PeId pe, SimTime now,
-                                                const Deployment& dep) {
-  PeState& st = pe_state_[pe.value()];
-  if (st.queue.empty()) return;
-  const auto& alt = df_->pe(pe).alternate(dep.activeAlternate(pe));
-  for (const auto& vc : peCores(*cloud_, pe)) {
-    const VmInstance& vm = cloud_->instance(vc.vm);
-    if (vc.vm.value() >= core_busy_.size()) {
-      core_busy_.resize(vc.vm.value() + 1);
-    }
-    auto& busy = core_busy_[vc.vm.value()];
-    if (busy.size() < static_cast<std::size_t>(vm.coreCount())) {
-      busy.resize(static_cast<std::size_t>(vm.coreCount()), false);
-    }
-    for (int c = 0; c < vm.coreCount() && !st.queue.empty(); ++c) {
-      const auto owner = vm.coreOwner(c);
-      if (!owner.has_value() || *owner != pe) continue;
-      if (busy[static_cast<std::size_t>(c)]) continue;
-      // Claim the core and start the message at the head of the queue.
-      busy[static_cast<std::size_t>(c)] = true;
-      const Message msg = st.queue.front();
-      st.queue.pop_front();
-      result_.pe_queue_wait[pe.value()].add(now - msg.enqueued);
-      ++result_.counters.dispatches;
-      const double speed = mon_->observedCorePower(vc.vm, now);
-      const double service =
-          speed > 0.0 ? alt.cost_core_sec / speed
-                      : std::numeric_limits<double>::infinity();
-      completions_.push({now + service, ref_seq_++, pe, vc.vm, c, msg});
-    }
-    if (st.queue.empty()) break;
-  }
-}
-
-double EventSimulator::referenceRouteDelay(VmId from_vm, PeId succ,
-                                           SimTime now) const {
-  double delay = 0.0;
-  bool colocated = false;
-  double best_mbps = 0.0;
-  for (const auto& vc : peCores(*cloud_, succ)) {
-    if (vc.vm == from_vm) {
-      colocated = true;
-      break;
-    }
-    best_mbps =
-        std::max(best_mbps, mon_->observedBandwidthMbps(from_vm, vc.vm, now));
-  }
-  if (!colocated && best_mbps > 0.0) {
-    // Route over the best-connected target VM: one-way latency plus the
-    // serialization time of a ~100 KB message at the observed bandwidth.
-    for (const auto& vc : peCores(*cloud_, succ)) {
-      if (mon_->observedBandwidthMbps(from_vm, vc.vm, now) == best_mbps) {
-        delay = mon_->observedLatencyMs(from_vm, vc.vm, now) / 1000.0 +
-                cfg_.msg_size_bytes * 8.0 / (best_mbps * 1.0e6);
-        break;
-      }
-    }
-  }
-  return delay;
-}
-
-void EventSimulator::drainReference(SimTime t0, SimTime t1, double rate,
-                                    const Deployment& dep) {
-  // Piecewise-constant arrival rate within the interval.
-  SimTime next_arrival = std::numeric_limits<SimTime>::infinity();
-  if (rate > 0.0) {
-    next_arrival =
-        t0 + (cfg_.poisson_arrivals ? rng_.exponential(rate) : 1.0 / rate);
-  }
-
-  // Drain events in time order until the interval ends.
-  while (true) {
-    const SimTime completion_time =
-        completions_.empty() ? std::numeric_limits<SimTime>::infinity()
-                             : completions_.top().time;
-    const SimTime delivery_time =
-        deliveries_.empty() ? std::numeric_limits<SimTime>::infinity()
-                            : deliveries_.top().time;
-    const SimTime next_time =
-        std::min({next_arrival, completion_time, delivery_time});
-    if (next_time >= t1) break;
-
-    if (next_arrival <= completion_time && next_arrival <= delivery_time) {
-      // External message enters every input PE (same stream fan-in as
-      // the fluid model).
-      ++result_.messages_injected;
-      ++result_.counters.arrivals;
-      for (const PeId in : df_->inputs()) {
-        enqueueAt(in, Message{next_arrival, next_arrival}, next_arrival,
-                  dep);
-      }
-      next_arrival +=
-          cfg_.poisson_arrivals ? rng_.exponential(rate) : 1.0 / rate;
-    } else if (delivery_time <= completion_time) {
-      const Delivery arriving = deliveries_.top();
-      deliveries_.pop();
-      ++result_.counters.deliveries;
-      enqueueAt(arriving.pe, arriving.msg, arriving.time, dep);
-    } else {
-      const Completion done = completions_.top();
-      completions_.pop();
-      ++result_.counters.completions;
-      handleCompletion(done.time, done.pe, done.vm, done.core, done.msg,
-                       dep);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Cached engine: ledger-generation-guarded indexes, zero-order-hold
-// windowed monitor lookups, one flat event heap.
+// Caches: ledger-generation-guarded indexes, zero-order-hold windowed
+// monitor lookups, one flat event heap.
 // ---------------------------------------------------------------------------
 
 void EventSimulator::refreshLedgerViews() {
@@ -363,15 +231,19 @@ void EventSimulator::refreshLedgerViews() {
   ++result_.counters.core_index_rebuilds;
 }
 
-void EventSimulator::dispatchIdleCoresCached(PeId pe, SimTime now,
-                                             const Deployment& dep) {
+void EventSimulator::dispatchIdleCores(PeId pe, SimTime now,
+                                       const Deployment& dep) {
+  // Migration downtime gate: while the PE's buffered state is in flight,
+  // no new message may start service (queued arrivals wait; cores already
+  // busy run to completion).
+  if (now < pe_pause_until_[pe.value()]) return;
   PeState& st = pe_state_[pe.value()];
   if (st.queue.empty()) return;
   refreshLedgerViews();
   const auto& alt = df_->pe(pe).alternate(dep.activeAlternate(pe));
   // Find-first-set over the free-slot bitmap claims the lowest slot
-  // index — the reference ledger scan's (vm asc, core asc) order —
-  // without walking the busy prefix.
+  // index — the ledger scan's (vm asc, core asc) order — without walking
+  // the busy prefix.
   const auto& slots = pe_slots_[pe.value()];
   auto& words = pe_free_[pe.value()];
   for (std::size_t w = 0; w < words.size();) {
@@ -397,16 +269,15 @@ void EventSimulator::dispatchIdleCoresCached(PeId pe, SimTime now,
   }
 }
 
-double EventSimulator::cachedRouteDelay(VmId from_vm, PeId succ,
-                                        SimTime now) {
+double EventSimulator::routeDelay(VmId from_vm, PeId succ, SimTime now) {
   auto& row = routes_[succ.value()];
   if (from_vm.value() >= row.size()) row.resize(from_vm.value() + 1);
   RouteEntry& e = row[from_vm.value()];
   const std::uint64_t gen = cloud_->ledgerGeneration();
   if (e.ledger_gen == gen && now < e.valid_until) return e.delay;
 
-  // Recompute with the reference's scan order. Fold the zero-order-hold
-  // window of every coefficient consulted; a colocated or network-free
+  // Recompute in peCores() scan order. Fold the zero-order-hold window of
+  // every coefficient consulted; a colocated or network-free
   // route depends only on core placement, which the generation guard
   // covers.
   refreshLedgerViews();  // pe_vms_ may predate the current generation.
@@ -456,12 +327,12 @@ double EventSimulator::cachedRouteDelay(VmId from_vm, PeId succ,
   return delay;
 }
 
-void EventSimulator::drainCached(SimTime t0, SimTime t1, double rate,
-                                 const Deployment& dep) {
-  // The pending arrival stays outside the heap, exactly as in
-  // drainReference: it is dropped at the interval end and re-drawn at the
-  // next interval start (rates change per interval), and it wins an
-  // equal-time tie against any queued event.
+void EventSimulator::drain(SimTime t0, SimTime t1, double rate,
+                           const Deployment& dep) {
+  // The pending arrival stays outside the heap: it is dropped at the
+  // interval end and re-drawn at the next interval start (rates change
+  // per interval), and it wins an equal-time tie against any queued
+  // event.
   const SimTime inf = std::numeric_limits<SimTime>::infinity();
   SimTime next_arrival = inf;
   if (rate > 0.0) {
@@ -588,11 +459,7 @@ IntervalMetrics EventSimulator::step(IntervalIndex index, double rate,
     st.emitted_in_interval = 0;
   }
 
-  if (cached_) {
-    drainCached(t0, t1, rate, deployment);
-  } else {
-    drainReference(t0, t1, rate, deployment);
-  }
+  drain(t0, t1, rate, deployment);
 
   // Interval metrics, same shape as the fluid simulator's.
   IntervalMetrics m;

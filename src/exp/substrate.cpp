@@ -94,7 +94,7 @@ EngineArenas Substrate::arenasFor(const Dataflow& df,
   EngineArenas arenas;
   arenas.catalog = catalogFor(config);
   arenas.plan_structure = planStructureFor(df, arenas.catalog);
-  if (config.backend == SimBackend::Fluid && !config.fluid_reference_engine) {
+  if (config.backend == SimBackend::Fluid) {
     arenas.fluid_layout = fluidLayoutFor(df);
   }
   return arenas;

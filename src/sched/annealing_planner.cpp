@@ -55,27 +55,16 @@ Deployment AnnealingScheduler::deploy(double estimated_input_rate) {
   const double horizon_hours = std::ceil(env_.horizon_s / kSecondsPerHour);
   Rng rng(env_.seed);
 
-  const bool incremental = options_.incremental_evaluation;
   PlanEvaluatorOptions eval_options;
   eval_options.input_rate = estimated_input_rate;
   eval_options.omega_target = env_.omega_target;
   eval_options.sigma = env_.sigma;
   eval_options.horizon_hours = horizon_hours;
-  eval_options.memo_capacity = incremental ? options_.memo_capacity : 0;
+  eval_options.memo_capacity = options_.memo_capacity;
   PlanEvaluator eval(env_.plan_structure != nullptr
                          ? env_.plan_structure
                          : PlanStructure::build(df, catalog),
                      df, catalog, eval_options);
-
-  // Reference path (incremental_evaluation == false): the from-scratch
-  // evaluation this planner ran before the evaluator existed. Both paths
-  // score every candidate identically, bit for bit.
-  Deployment scratch(df);
-  auto evaluateFull = [&](const Plan& plan) {
-    return referencePlanTheta(df, catalog, plan.alternates, plan.vm_counts,
-                              estimated_input_rate, env_.omega_target,
-                              env_.sigma, horizon_hours, scratch, nullptr);
-  };
 
   // Seed plan: cheapest-per-value alternates are unknown yet, so start
   // from alternate 0 everywhere and enough largest-class VMs to host the
@@ -99,21 +88,16 @@ Deployment AnnealingScheduler::deploy(double estimated_input_rate) {
   }
 
   const auto search_start = std::chrono::steady_clock::now();
-  if (incremental) eval.reset(current.alternates, current.vm_counts);
-  double current_theta =
-      incremental ? eval.theta() : evaluateFull(current);
+  eval.reset(current.alternates, current.vm_counts);
+  double current_theta = eval.theta();
   // The aggregate-power sizing above ignores core granularity: greedy
   // packing strands up to one core-equivalent per PE, which on wide
   // graphs leaves the seed short. Top up until it packs.
   for (std::size_t extra = 0;
        !std::isfinite(current_theta) && extra < n_pes; ++extra) {
     ++current.vm_counts[largest.value()];
-    if (incremental) {
-      eval.setVmCount(largest.value(), current.vm_counts[largest.value()]);
-      current_theta = eval.theta();
-    } else {
-      current_theta = evaluateFull(current);
-    }
+    eval.setVmCount(largest.value(), current.vm_counts[largest.value()]);
+    current_theta = eval.theta();
   }
   DDS_ENSURE(std::isfinite(current_theta),
              "annealing seed plan must be feasible");
@@ -124,17 +108,13 @@ Deployment AnnealingScheduler::deploy(double estimated_input_rate) {
   // Superseded incumbents become the decision event's rejected
   // candidates; collected only when a tracer is attached.
   std::vector<obs::RejectedPlan> superseded;
-  // Reference-path candidate buffers; assignments below never reallocate
-  // (the sizes are fixed), keeping the loop allocation-free in both modes.
-  Plan candidate = current;
 
   enum class MoveKind { None, Alternate, VmCount };
 
   for (std::size_t iter = 0; iter < options_.iterations; ++iter) {
     // Move: 50% flip an alternate (if any PE has >1), 50% nudge a VM
-    // count. The move is described first and applied second so the
-    // incremental path can undo a rejection in place; the RNG is consumed
-    // in exactly the pre-evaluator order.
+    // count. The move is described first and applied second so a
+    // rejection can be undone in place.
     MoveKind kind = MoveKind::None;
     std::size_t move_pe = 0;
     AlternateId alt_old(0);
@@ -170,24 +150,12 @@ Deployment AnnealingScheduler::deploy(double estimated_input_rate) {
       count_new = std::max(0, count_old + delta);
     }
 
-    double candidate_theta;
-    if (incremental) {
-      if (kind == MoveKind::Alternate) {
-        eval.setAlternate(move_pe, alt_new);
-      } else if (kind == MoveKind::VmCount) {
-        eval.setVmCount(move_cls, count_new);
-      }
-      candidate_theta = eval.theta();
-    } else {
-      candidate.alternates = current.alternates;
-      candidate.vm_counts = current.vm_counts;
-      if (kind == MoveKind::Alternate) {
-        candidate.alternates[move_pe] = alt_new;
-      } else if (kind == MoveKind::VmCount) {
-        candidate.vm_counts[move_cls] = count_new;
-      }
-      candidate_theta = evaluateFull(candidate);
+    if (kind == MoveKind::Alternate) {
+      eval.setAlternate(move_pe, alt_new);
+    } else if (kind == MoveKind::VmCount) {
+      eval.setVmCount(move_cls, count_new);
     }
+    const double candidate_theta = eval.theta();
 
     const double delta_theta = candidate_theta - current_theta;
     const bool accept =
@@ -209,7 +177,7 @@ Deployment AnnealingScheduler::deploy(double estimated_input_rate) {
         best.vm_counts = current.vm_counts;
         best_theta = current_theta;
       }
-    } else if (incremental) {
+    } else {
       // Rejected: restore the evaluator. The undo re-propagates the same
       // downstream cone from unchanged inputs, which restores every
       // arrival and demand double exactly.
@@ -224,16 +192,18 @@ Deployment AnnealingScheduler::deploy(double estimated_input_rate) {
   const std::chrono::duration<double> search_elapsed =
       std::chrono::steady_clock::now() - search_start;
 
-  // Final scoring always goes through the reference path: it doubles as
-  // an exact cross-check of the incremental evaluator (the ENSURE below)
-  // and produces the greedy assignment to materialize.
+  // Final scoring goes through the from-scratch path: it doubles as an
+  // exact cross-check of the incremental evaluator (the ENSURE below) and
+  // produces the greedy assignment to materialize.
   Deployment deployment(df);
   static_planning::Assignment assignment;
   best_theta_ = referencePlanTheta(df, catalog, best.alternates,
                                    best.vm_counts, estimated_input_rate,
                                    env_.omega_target, env_.sigma,
                                    horizon_hours, deployment, &assignment);
-  DDS_ENSURE(std::isfinite(best_theta_), "best plan must stay feasible");
+  DDS_ENSURE(best_theta_ == best_theta,
+             "incremental Theta of the best plan must equal its "
+             "from-scratch re-score bit for bit");
   if (env_.tracer.enabled()) {
     // Keep the last few superseded incumbents (best theta first).
     std::reverse(superseded.begin(), superseded.end());

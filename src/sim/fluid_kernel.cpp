@@ -1,7 +1,11 @@
-#include "dds/sim/fluid_kernel.hpp"
-
+// DataflowSimulator's interval kernel: the ledger-image rebuild, the
+// windowed coefficient refreshes and the per-interval walk over the
+// structure-of-arrays images (see simulator.hpp).
 #include <algorithm>
 #include <cmath>
+
+#include "dds/sim/fluid_layout.hpp"
+#include "dds/sim/simulator.hpp"
 
 namespace dds {
 namespace {
@@ -14,21 +18,7 @@ std::uint64_t directionalPairKey(std::uint32_t a, std::uint32_t b) {
 
 }  // namespace
 
-FluidKernel::FluidKernel(const Dataflow& df, const CloudProvider& cloud,
-                         const MonitoringService& mon, const SimConfig& cfg,
-                         std::shared_ptr<const FluidGraphLayout> layout)
-    : df_(&df),
-      cloud_(&cloud),
-      mon_(&mon),
-      cfg_(cfg),
-      layout_(std::move(layout)) {
-  if (layout_ == nullptr) layout_ = buildFluidLayout(df);
-  DDS_REQUIRE(layout_->pe_count == df.peCount(),
-              "fluid layout does not match dataflow");
-  pe_cores_.resize(layout_->pe_count);
-}
-
-std::uint32_t FluidKernel::pairSlot(std::uint32_t a, std::uint32_t b) {
+std::uint32_t DataflowSimulator::pairSlot(std::uint32_t a, std::uint32_t b) {
   const auto [it, inserted] = pair_slot_of_.try_emplace(
       directionalPairKey(a, b), static_cast<std::uint32_t>(pair_coeff_.size()));
   if (inserted) {
@@ -39,15 +29,16 @@ std::uint32_t FluidKernel::pairSlot(std::uint32_t a, std::uint32_t b) {
   return it->second;
 }
 
-void FluidKernel::rebuild() {
+void DataflowSimulator::rebuild() {
   built_ = true;
   generation_ = cloud_->ledgerGeneration();
   ++rebuilds_;
   const FluidGraphLayout& L = *layout_;
   const std::size_t n = L.pe_count;
 
-  // Same single ledger pass as the reference kernel's beginInterval():
-  // exactly one VmCores entry per (PE, VM) pair, in VM-id order.
+  // One pass over the ledger: exactly one VmCores entry per (PE, VM)
+  // pair, in VM-id order (a VM split into two entries would double-count
+  // the remote bandwidth cap).
   for (auto& cores : pe_cores_) cores.clear();
   for (const VmId id : cloud_->activeIds()) {
     const VmInstance& vm = cloud_->instance(id);
@@ -129,13 +120,13 @@ void FluidKernel::rebuild() {
   edge_valid_.assign(ecount, kNeverValid);
 }
 
-void FluidKernel::refreshPair(std::uint32_t slot, SimTime t_mid) {
+void DataflowSimulator::refreshPair(std::uint32_t slot, SimTime t_mid) {
   const CoeffSample c = mon_->observedBandwidthSample(
       VmId(pair_a_[slot]), VmId(pair_b_[slot]), t_mid);
   pair_coeff_[slot] = {c.value, c.valid_until};
 }
 
-void FluidKernel::refreshPePower(std::uint32_t pe, SimTime t_mid) {
+void DataflowSimulator::refreshPePower(std::uint32_t pe, SimTime t_mid) {
   double power = 0.0;
   SimTime valid = std::numeric_limits<SimTime>::infinity();
   const std::uint32_t end = cap_offset_[pe + 1];
@@ -153,12 +144,12 @@ void FluidKernel::refreshPePower(std::uint32_t pe, SimTime t_mid) {
   pe_power_valid_[pe] = valid;
 }
 
-void FluidKernel::refreshEdge(std::uint32_t e, std::uint32_t u,
-                              SimTime t_mid) {
+void DataflowSimulator::refreshEdge(std::uint32_t e, std::uint32_t u,
+                                    SimTime t_mid) {
   // Precondition: u precedes this edge's head in topological order, so
   // u's capacity phase already refreshed every core-power slot below for
   // this t_mid — reading .value without a staleness check is exact, and
-  // matches the reference kernel's per-interval memo hit.
+  // matches the per-object walk's per-interval memo hit.
   double coloc = 0.0;
   double remote = 0.0;
   SimTime valid = pe_power_valid_[u];
@@ -186,15 +177,12 @@ void FluidKernel::refreshEdge(std::uint32_t e, std::uint32_t u,
   edge_valid_[e] = valid;
 }
 
-void FluidKernel::runInterval(SimTime t_start, SimTime dt, double input_rate,
-                              const Deployment& deployment,
-                              IntervalMetrics& m, std::vector<double>& backlog,
-                              std::vector<double>& in_transit,
-                              std::vector<SimTime>& pause_remaining,
-                              std::vector<double>& output_rate,
-                              std::vector<double>& expected_rate) {
+void DataflowSimulator::runInterval(SimTime t_start, double input_rate,
+                                    const Deployment& deployment,
+                                    IntervalMetrics& m) {
   if (!built_ || cloud_->ledgerGeneration() != generation_) rebuild();
   const FluidGraphLayout& L = *layout_;
+  const SimTime dt = cfg_.interval_s;
   const SimTime t_mid = t_start + 0.5 * dt;
   const std::size_t n = L.pe_count;
 
@@ -209,9 +197,9 @@ void FluidKernel::runInterval(SimTime t_start, SimTime dt, double input_rate,
       const std::uint32_t e_end = L.edge_offset[pos + 1];
       for (std::uint32_t e = L.edge_offset[pos]; e < e_end; ++e) {
         const std::uint32_t u = L.edge_u[e];
-        const double flow = output_rate[u];
-        // Same gates, same order as deliverableRate(): no flow or an
-        // unplaced endpoint delivers nothing and skips every query.
+        const double flow = output_rate_[u];
+        // No flow or an unplaced endpoint delivers nothing and skips
+        // every query.
         if (flow <= 0.0 || edge_runnable_[e] == 0) continue;
         if (!(t_mid < edge_valid_[e])) refreshEdge(e, u, t_mid);
         const double total_power = pe_power_[u];
@@ -227,8 +215,8 @@ void FluidKernel::runInterval(SimTime t_start, SimTime dt, double input_rate,
     }
     st.arrival_rate = arrival;
 
-    const double available_msgs = arrival * dt + backlog[i] + in_transit[i];
-    in_transit[i] = 0.0;
+    const double available_msgs = arrival * dt + backlog_[i] + in_transit_[i];
+    in_transit_[i] = 0.0;
     st.offered_rate = available_msgs / dt;
 
     if (!(t_mid < pe_power_valid_[i])) refreshPePower(i, t_mid);
@@ -240,31 +228,31 @@ void FluidKernel::runInterval(SimTime t_start, SimTime dt, double input_rate,
     st.allocated_cores = pe_cores_total_[i];
 
     SimTime service_dt = dt;
-    if (pause_remaining[i] > 0.0) {
-      const SimTime pause = std::min(pause_remaining[i], dt);
-      pause_remaining[i] -= pause;
+    if (pause_remaining_[i] > 0.0) {
+      const SimTime pause = std::min(pause_remaining_[i], dt);
+      pause_remaining_[i] -= pause;
       service_dt = dt - pause;
     }
     const double processed_msgs =
         std::min(available_msgs, capacity_rate * service_dt);
-    backlog[i] = available_msgs - processed_msgs;
+    backlog_[i] = available_msgs - processed_msgs;
     st.processed_rate = processed_msgs / dt;
-    st.backlog_msgs = backlog[i];
+    st.backlog_msgs = backlog_[i];
     st.relative_throughput =
         available_msgs > 0.0 ? processed_msgs / available_msgs : 1.0;
 
-    output_rate[i] = processed_msgs * L.alt_selectivity[alt] / dt;
-    st.output_rate = output_rate[i];
+    output_rate_[i] = processed_msgs * L.alt_selectivity[alt] / dt;
+    st.output_rate = output_rate_[i];
   }
 
   // Omega(t): flat mirror of expectedOutputRatesInto() — the arrival walk
   // in topological order, then the own-selectivity multiply in pe-id
   // order — with the same operand sequence.
-  expected_rate.assign(n, 0.0);
+  expected_rate_.assign(n, 0.0);
   for (std::size_t pos = 0; pos < n; ++pos) {
     const std::uint32_t v = L.topo[pos];
     if (L.is_input[v] != 0) {
-      expected_rate[v] = input_rate;
+      expected_rate_[v] = input_rate;
     } else {
       double sum = 0.0;
       const std::uint32_t e_end = L.edge_offset[pos + 1];
@@ -272,20 +260,20 @@ void FluidKernel::runInterval(SimTime t_start, SimTime dt, double input_rate,
         const std::uint32_t u = L.edge_u[e];
         const std::uint32_t ua =
             L.alt_offset[u] + deployment.activeAlternate(PeId(u)).value();
-        sum += expected_rate[u] * L.alt_selectivity[ua];
+        sum += expected_rate_[u] * L.alt_selectivity[ua];
       }
-      expected_rate[v] = sum;
+      expected_rate_[v] = sum;
     }
   }
   for (std::uint32_t i = 0; i < n; ++i) {
     const std::uint32_t a =
         L.alt_offset[i] + deployment.activeAlternate(PeId(i)).value();
-    expected_rate[i] *= L.alt_selectivity[a];
+    expected_rate_[i] *= L.alt_selectivity[a];
   }
   double omega_sum = 0.0;
   for (const std::uint32_t o : L.outputs) {
-    const double exp_rate = expected_rate[o];
-    const double ratio = exp_rate > 0.0 ? output_rate[o] / exp_rate : 1.0;
+    const double exp_rate = expected_rate_[o];
+    const double ratio = exp_rate > 0.0 ? output_rate_[o] / exp_rate : 1.0;
     omega_sum += std::clamp(ratio, 0.0, 1.0);
   }
   m.omega = omega_sum / static_cast<double>(L.outputs.size());

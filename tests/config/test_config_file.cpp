@@ -103,6 +103,29 @@ TEST(ExperimentFromConfig, UnknownSchedulerListsTheValidNames) {
   }
 }
 
+TEST(ExperimentFromConfig, UnknownCatalogListsTheValidNames) {
+  for (const char* bad : {"gpu", "M1"}) {
+    try {
+      (void)experimentFromConfig(
+          KeyValueConfig::parse(std::string("catalog = ") + bad + "\n"));
+      FAIL() << "expected ConfigError for '" << bad << "'";
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(std::string(e.what()), "unknown catalog: '" +
+                                           std::string(bad) +
+                                           "' (expected m1, m3, mixed)");
+    }
+  }
+  // Every listed name validates and builds a non-empty catalog.
+  ASSERT_EQ(catalogNames().size(), 3u);
+  for (const std::string& name : catalogNames()) {
+    const auto ex =
+        experimentFromConfig(KeyValueConfig::parse("catalog = " + name + "\n"));
+    EXPECT_EQ(ex.config.catalog, name);
+    EXPECT_TRUE(ex.config.validationErrors().empty()) << name;
+    EXPECT_GT(catalogByName(name).size(), 0u) << name;
+  }
+}
+
 TEST(ExperimentFromConfig, AppliesValuesAndDefaults) {
   const auto kv = KeyValueConfig::parse(
       "graph = chain\n"

@@ -1,4 +1,5 @@
-// Test-side helpers that step the event simulator directly: on a fixed
+// Test-side helpers that step an event simulator directly — the product's
+// EventSimulator or oracle::ReferenceEventSimulator — on a fixed
 // deployment, or under a bare monitor-adapt-execute loop. Experiment runs
 // go through SimulationEngine, which owns the full interval loop; these
 // exist so tests can compare whole EventSimResults (every latency sample,
@@ -15,10 +16,10 @@ namespace dds {
 /// Step `sim` through every interval of `horizon_s` under `dep`, each at
 /// `profile`'s rate at the interval start. `interval_s` must match the
 /// simulator's EventSimConfig::interval_s.
-inline EventSimResult runFixed(EventSimulator& sim, const RateProfile& profile,
-                               const Deployment& dep,
-                               SimTime horizon_s = 600.0,
-                               SimTime interval_s = 60.0) {
+template <class Simulator>
+EventSimResult runFixed(Simulator& sim, const RateProfile& profile,
+                        const Deployment& dep, SimTime horizon_s = 600.0,
+                        SimTime interval_s = 60.0) {
   const IntervalClock clock(interval_s, horizon_s);
   for (IntervalIndex i = 0; i < clock.intervalCount(); ++i) {
     (void)sim.step(i, profile.rate(clock.startOf(i)), dep);
@@ -29,10 +30,11 @@ inline EventSimResult runFixed(EventSimulator& sim, const RateProfile& profile,
 /// As runFixed, but `sched` adapts `dep` before every interval after the
 /// first, seeing the previous interval's rate and metrics; its migrations
 /// move backlog with no downtime. No faults, probes or forecasts.
-inline EventSimResult runAdaptive(EventSimulator& sim, Scheduler& sched,
-                                  const RateProfile& profile, Deployment dep,
-                                  SimTime horizon_s = 600.0,
-                                  SimTime interval_s = 60.0) {
+template <class Simulator>
+EventSimResult runAdaptive(Simulator& sim, Scheduler& sched,
+                           const RateProfile& profile, Deployment dep,
+                           SimTime horizon_s = 600.0,
+                           SimTime interval_s = 60.0) {
   const IntervalClock clock(interval_s, horizon_s);
   double omega_sum = 0.0;
   IntervalMetrics last{};

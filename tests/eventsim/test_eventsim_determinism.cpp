@@ -1,9 +1,9 @@
 // Bit-identity, determinism, and golden-trace coverage for the event
-// simulator's cached engine, plus unit tests for the event heap and the
-// latency-sample reservoir. The cached engine is a memoization
-// of the reference engine, not an approximation: every latency sample,
-// counter, interval metric — and the trace bytes of an engine run —
-// must match byte-for-byte.
+// simulator, plus unit tests for the event heap and the latency-sample
+// reservoir. The product's cached simulator must reproduce the
+// self-contained oracle::ReferenceEventSimulator exactly, not
+// approximately: every latency sample, counter, interval metric — and the
+// trace bytes of an engine run — must match byte-for-byte.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +16,9 @@
 #include "dds/eventsim/event_heap.hpp"
 #include "dds/eventsim/event_simulator.hpp"
 #include "dds/obs/jsonl_sink.hpp"
+#include "dds/oracle/invariants.hpp"
+#include "dds/oracle/reference_event_simulator.hpp"
+#include "dds/oracle/run_reference.hpp"
 #include "dds/sched/heuristic_scheduler.hpp"
 #include "golden.hpp"
 #include "stepping.hpp"
@@ -123,13 +126,13 @@ TEST(EventHeap, MatchesSortedOrderUnderInterleaving) {
   }
 }
 
-// --- cached engine == reference engine -------------------------------------
+// --- product simulator == reference simulator ------------------------------
 
 /// The global heuristic deployed for `rate` on a 5-minute wave, stepped
 /// directly — under its adaptation or on the fixed initial deployment —
 /// so the whole EventSimResult can be fingerprinted.
-EventSimResult runHeuristic(const Dataflow& df, double rate, bool adaptive,
-                            EventSimConfig::Engine engine) {
+template <class Simulator>
+EventSimResult runHeuristic(const Dataflow& df, double rate, bool adaptive) {
   CloudProvider cloud(awsCatalog2013());
   TraceReplayer replayer = TraceReplayer::futureGridLike(2013);
   MonitoringService mon(cloud, replayer);
@@ -144,8 +147,7 @@ EventSimResult runHeuristic(const Dataflow& df, double rate, bool adaptive,
 
   EventSimConfig cfg;
   cfg.seed = 7;
-  cfg.engine = engine;
-  EventSimulator sim(df, cloud, mon, cfg);
+  Simulator sim(df, cloud, mon, cfg);
   PeriodicWaveRate profile(rate, 0.4 * rate, 300.0, 0.0);
   Deployment dep = sched.deploy(profile.rate(0.0));
   return adaptive ? runAdaptive(sim, sched, profile, std::move(dep), 300.0)
@@ -154,7 +156,8 @@ EventSimResult runHeuristic(const Dataflow& df, double rate, bool adaptive,
 
 /// An adaptive engine run on the event backend, as one canonical string
 /// of every model-determined output: the JSONL trace, the latency summary,
-/// the drain counters and each interval's per-PE stats (hexfloat).
+/// the drain counters and each interval's per-PE stats (hexfloat). The
+/// run also passes the per-interval invariants.
 std::string adaptiveRun(const Dataflow& df, double rate, bool reference,
                         std::uint64_t* core_index_rebuilds = nullptr) {
   ExperimentConfig cfg;
@@ -164,11 +167,13 @@ std::string adaptiveRun(const Dataflow& df, double rate, bool reference,
   cfg.workload.infra_variability = true;
   cfg.seed = 7;
   cfg.backend = SimBackend::Event;
-  cfg.event_reference_engine = reference;
   std::ostringstream out;
   obs::JsonlTraceSink sink(out);
+  const SimulationEngine engine(df, cfg);
   const ExperimentResult r =
-      SimulationEngine(df, cfg).run(parseScheduler("global"), &sink);
+      reference ? oracle::runReference(engine, parseScheduler("global"), &sink)
+                : engine.run(parseScheduler("global"), &sink);
+  oracle::expectIntervalInvariants(r, SimBackend::Event);
   out << std::hexfloat << r.messages_delivered << ' ' << r.latency_mean_s
       << ' ' << r.latency_p95_s << ' ' << r.latency_p99_s << '\n';
   for (const obs::MetricSample& m : r.metrics) {
@@ -195,9 +200,8 @@ std::string adaptiveRun(const Dataflow& df, double rate, bool reference,
 TEST(EventSimIdentity, CachedMatchesReferenceStatic) {
   const Dataflow df = makePaperDataflow();
   const EventSimResult ref =
-      runHeuristic(df, 20.0, false, EventSimConfig::Engine::Reference);
-  const EventSimResult cached =
-      runHeuristic(df, 20.0, false, EventSimConfig::Engine::Cached);
+      runHeuristic<oracle::ReferenceEventSimulator>(df, 20.0, false);
+  const EventSimResult cached = runHeuristic<EventSimulator>(df, 20.0, false);
   EXPECT_EQ(fingerprint(ref), fingerprint(cached));
   EXPECT_GT(cached.counters.drained(), 0u);
 }
@@ -209,9 +213,8 @@ TEST(EventSimIdentity, CachedMatchesReferenceAdaptive) {
   // migration, probes and the trace.
   const Dataflow df = makePaperDataflow();
   const EventSimResult ref =
-      runHeuristic(df, 25.0, true, EventSimConfig::Engine::Reference);
-  const EventSimResult cached =
-      runHeuristic(df, 25.0, true, EventSimConfig::Engine::Cached);
+      runHeuristic<oracle::ReferenceEventSimulator>(df, 25.0, true);
+  const EventSimResult cached = runHeuristic<EventSimulator>(df, 25.0, true);
   EXPECT_EQ(fingerprint(ref), fingerprint(cached));
   EXPECT_GT(cached.counters.core_index_rebuilds, 1u);
 
@@ -223,11 +226,31 @@ TEST(EventSimIdentity, CachedMatchesReferenceAdaptive) {
 
 TEST(EventSimIdentity, SameSeedSameEngineIsDeterministic) {
   const Dataflow df = makeChainDataflow(4, 2);
-  EXPECT_EQ(
-      fingerprint(runHeuristic(df, 15.0, true, EventSimConfig::Engine::Cached)),
-      fingerprint(
-          runHeuristic(df, 15.0, true, EventSimConfig::Engine::Cached)));
+  EXPECT_EQ(fingerprint(runHeuristic<EventSimulator>(df, 15.0, true)),
+            fingerprint(runHeuristic<EventSimulator>(df, 15.0, true)));
   EXPECT_EQ(adaptiveRun(df, 15.0, false), adaptiveRun(df, 15.0, false));
+}
+
+/// Deterministic arrivals at `rate` onto a two-PE pipeline whose source
+/// holds an m1.medium core (first) and an m1.small core, its sink two
+/// m1.large cores; stepped for 10 minutes on that fixed deployment.
+template <class Simulator>
+EventSimResult runArrivalTies(const Dataflow& df, double rate) {
+  CloudProvider cloud(awsCatalog2013());
+  TraceReplayer replayer = TraceReplayer::ideal();
+  MonitoringService mon(cloud, replayer);
+  const VmId medium = cloud.acquire(ResourceClassId(1), 0.0);
+  const VmId small = cloud.acquire(ResourceClassId(0), 0.0);
+  const VmId large = cloud.acquire(ResourceClassId(2), 0.0);
+  cloud.allocateCore(medium, PeId(0));
+  cloud.allocateCore(small, PeId(0));
+  cloud.allocateCore(large, PeId(1));
+  cloud.allocateCore(large, PeId(1));
+  EventSimConfig cfg;
+  cfg.poisson_arrivals = false;
+  Simulator sim(df, cloud, mon, cfg);
+  const Deployment dep(df);
+  return runFixed(sim, ConstantRate(rate), dep, 600.0);
 }
 
 TEST(EventSimIdentity, ArrivalTiesMatchReference) {
@@ -237,33 +260,16 @@ TEST(EventSimIdentity, ArrivalTiesMatchReference) {
   // in 1 s: completions land on arrival instants and on interval ends
   // (60 s is a multiple of both spacings). Who wins the tie decides
   // which core serves the arrival — and so its service time — so the
-  // cached engine must let the arrival win, as the reference does.
+  // cached simulator must let the arrival win, as the reference does.
   DataflowBuilder b("ties");
   const PeId src = b.addPe("src", {{"src", 1.0, 1.0, 1.0}});
   const PeId sink = b.addPe("sink", {{"sink", 1.0, 1.0, 1.0}});
   b.addEdge(src, sink);
   const Dataflow df = std::move(b).build();
   for (const double rate : {2.0, 4.0}) {
-    auto run = [&](EventSimConfig::Engine engine) {
-      CloudProvider cloud(awsCatalog2013());
-      TraceReplayer replayer = TraceReplayer::ideal();
-      MonitoringService mon(cloud, replayer);
-      const VmId medium = cloud.acquire(ResourceClassId(1), 0.0);
-      const VmId small = cloud.acquire(ResourceClassId(0), 0.0);
-      const VmId large = cloud.acquire(ResourceClassId(2), 0.0);
-      cloud.allocateCore(medium, src);
-      cloud.allocateCore(small, src);
-      cloud.allocateCore(large, sink);
-      cloud.allocateCore(large, sink);
-      EventSimConfig cfg;
-      cfg.poisson_arrivals = false;
-      cfg.engine = engine;
-      EventSimulator sim(df, cloud, mon, cfg);
-      const Deployment dep(df);
-      return runFixed(sim, ConstantRate(rate), dep, 600.0);
-    };
-    const EventSimResult ref = run(EventSimConfig::Engine::Reference);
-    const EventSimResult cached = run(EventSimConfig::Engine::Cached);
+    const EventSimResult ref =
+        runArrivalTies<oracle::ReferenceEventSimulator>(df, rate);
+    const EventSimResult cached = runArrivalTies<EventSimulator>(df, rate);
     EXPECT_EQ(fingerprint(ref), fingerprint(cached)) << "rate " << rate;
     EXPECT_GT(cached.messages_delivered, 0u);
   }
@@ -279,11 +285,15 @@ std::string runTracedEventBackend(bool reference_engine) {
   cfg.workload.infra_variability = true;
   cfg.seed = 77;
   cfg.backend = SimBackend::Event;
-  cfg.event_reference_engine = reference_engine;
   const Dataflow df = makePaperDataflow();
   std::ostringstream out;
   obs::JsonlTraceSink sink(out);
-  (void)SimulationEngine(df, cfg).run(parseScheduler("global"), &sink);
+  const SimulationEngine engine(df, cfg);
+  const ExperimentResult r =
+      reference_engine
+          ? oracle::runReference(engine, parseScheduler("global"), &sink)
+          : engine.run(parseScheduler("global"), &sink);
+  oracle::expectIntervalInvariants(r, SimBackend::Event);
   return out.str();
 }
 

@@ -90,11 +90,11 @@ TEST(Substrate, FluidLayoutSharedAcrossJobsOfOneGraph) {
   EXPECT_EQ(substrate.stats().fluid_layout_builds, 1u);
   EXPECT_EQ(substrate.stats().fluid_layout_hits, 1u);
 
-  // The reference engine bypasses the cached kernel, so no layout is
-  // attached (and none is built for it).
-  ExperimentConfig reference = cfg;
-  reference.fluid_reference_engine = true;
-  EXPECT_EQ(substrate.arenasFor(df, reference).fluid_layout, nullptr);
+  // The event backend has no fluid kernel, so no layout is attached
+  // (and none is built for it).
+  ExperimentConfig event = cfg;
+  event.backend = SimBackend::Event;
+  EXPECT_EQ(substrate.arenasFor(df, event).fluid_layout, nullptr);
   EXPECT_EQ(substrate.stats().fluid_layout_builds, 1u);
 
   // A different graph gets its own layout.

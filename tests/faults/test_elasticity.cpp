@@ -11,6 +11,8 @@
 #include "dds/dataflow/standard_graphs.hpp"
 #include "dds/exp/campaign.hpp"
 #include "dds/obs/jsonl_sink.hpp"
+#include "dds/oracle/invariants.hpp"
+#include "dds/oracle/run_reference.hpp"
 #include "golden.hpp"
 
 namespace dds {
@@ -180,9 +182,9 @@ TEST(ElasticityMigration, BandwidthIsIrrelevantWhenStateIsZero) {
 }
 
 TEST(ElasticityMigration, EventBackendEnginesStayBitIdentical) {
-  // Migration pauses live in the event simulator's shared model logic:
-  // the cached and reference engines must agree byte-for-byte with
-  // pe_state_mb > 0, exactly as they do without it.
+  // Migration pauses are part of the event model: the product simulator
+  // and the reference one must agree byte-for-byte with pe_state_mb > 0,
+  // exactly as they do without it.
   const Dataflow df = makePaperDataflow();
   auto traced = [&df](bool reference) {
     ExperimentConfig cfg;
@@ -191,13 +193,16 @@ TEST(ElasticityMigration, EventBackendEnginesStayBitIdentical) {
     cfg.workload.profile = ProfileKind::PeriodicWave;
     cfg.seed = 77;
     cfg.backend = SimBackend::Event;
-    cfg.event_reference_engine = reference;
     cfg.elasticity.pe_state_mb = 200.0;
     cfg.elasticity.migration_bandwidth_mbps = 50.0;
     std::ostringstream out;
     obs::JsonlTraceSink sink(out);
-    (void)SimulationEngine(df, cfg).run(parseScheduler("global"),
-                                        &sink);
+    const SimulationEngine engine(df, cfg);
+    const ExperimentResult r =
+        reference
+            ? oracle::runReference(engine, parseScheduler("global"), &sink)
+            : engine.run(parseScheduler("global"), &sink);
+    oracle::expectIntervalInvariants(r, SimBackend::Event);
     return out.str();
   };
   EXPECT_EQ(traced(false), traced(true));
@@ -233,9 +238,11 @@ TEST(ElasticityGolden, PreemptionHeavyTraceByteIdentical) {
   ExperimentConfig cfg = preemptionHeavyConfig();
   cfg.horizon_s = 20.0 * kSecondsPerMinute;
   cfg.elasticity.provisioning_delay_s = 60.0;
+  const SimulationEngine engine(df, cfg);
   std::ostringstream out;
   obs::JsonlTraceSink sink(out);
-  (void)SimulationEngine(df, cfg).run(parseScheduler("global"), &sink);
+  oracle::expectIntervalInvariants(engine.run(parseScheduler("global"), &sink),
+                                   SimBackend::Fluid);
   const std::string trace = out.str();
   // The run exercises the whole event vocabulary before the byte compare.
   for (const char* needle :
@@ -243,7 +250,15 @@ TEST(ElasticityGolden, PreemptionHeavyTraceByteIdentical) {
         "migration_begin", "migration_end"}) {
     EXPECT_NE(trace.find(needle), std::string::npos) << needle;
   }
-  expectMatchesGolden(trace, "faults/testdata/golden_preemption_trace.jsonl");
+  const char* fixture = "faults/testdata/golden_preemption_trace.jsonl";
+  expectMatchesGolden(trace, fixture);
+  // The reference simulators must emit the same bytes.
+  std::ostringstream ref_out;
+  obs::JsonlTraceSink ref_sink(ref_out);
+  oracle::expectIntervalInvariants(
+      oracle::runReference(engine, parseScheduler("global"), &ref_sink),
+      SimBackend::Fluid);
+  EXPECT_EQ(ref_out.str(), readGolden(fixture));
 }
 
 }  // namespace

@@ -12,6 +12,8 @@
 #include "dds/obs/jsonl_sink.hpp"
 #include "dds/obs/timeline.hpp"
 #include "dds/obs/trace_reader.hpp"
+#include "dds/oracle/invariants.hpp"
+#include "dds/oracle/run_reference.hpp"
 #include "golden.hpp"
 
 namespace dds {
@@ -33,11 +35,20 @@ ExperimentConfig predictiveConfig() {
   return cfg;
 }
 
-std::string traceOf(const ExperimentConfig& cfg, const SchedulerSpec& kind) {
+/// The JSONL trace of one paper-graph run, on the product's simulators
+/// or (`reference`) through oracle::runReference.
+std::string traceOf(const ExperimentConfig& cfg, const SchedulerSpec& kind,
+                    bool reference = false) {
   const Dataflow df = makePaperDataflow();
   std::ostringstream out;
   obs::JsonlTraceSink sink(out);
-  (void)SimulationEngine(df, cfg).run(kind, &sink);
+  const SimulationEngine engine(df, cfg);
+  if (reference) {
+    oracle::expectIntervalInvariants(oracle::runReference(engine, kind, &sink),
+                                     cfg.backend);
+  } else {
+    (void)engine.run(kind, &sink);
+  }
   return out.str();
 }
 
@@ -73,8 +84,10 @@ TEST(ForecastGolden, ForecastOffTraceByteIdentical) {
   ExperimentConfig cfg = predictiveConfig();
   cfg.forecast = ForecastConfig{};
   cfg.horizon_s = 20.0 * kSecondsPerMinute;
-  expectMatchesGolden(traceOf(cfg, parseScheduler("global")),
-                      "forecast/testdata/golden_forecast_off_trace.jsonl");
+  const char* fixture = "forecast/testdata/golden_forecast_off_trace.jsonl";
+  expectMatchesGolden(traceOf(cfg, parseScheduler("global")), fixture);
+  EXPECT_EQ(traceOf(cfg, parseScheduler("global"), true),
+            readGolden(fixture));
 }
 
 TEST(ForecastGolden, PredictiveTraceByteIdentical) {
@@ -82,8 +95,11 @@ TEST(ForecastGolden, PredictiveTraceByteIdentical) {
   // stream (forecast + preacquire records included) for one seed.
   ExperimentConfig cfg = predictiveConfig();
   cfg.horizon_s = 20.0 * kSecondsPerMinute;
+  const char* fixture = "forecast/testdata/golden_predictive_trace.jsonl";
   expectMatchesGolden(traceOf(cfg, parseScheduler("global-predictive")),
-                      "forecast/testdata/golden_predictive_trace.jsonl");
+                      fixture);
+  EXPECT_EQ(traceOf(cfg, parseScheduler("global-predictive"), true),
+            readGolden(fixture));
 }
 
 TEST(ForecastOn, SeedDeterministic) {

@@ -5,7 +5,8 @@
 // from-scratch evaluation the planners shipped with. These tests pin the
 // plans and Theta values (hexfloat, bitwise) captured from the
 // pre-evaluator implementation, plus two full engine traces compared byte
-// for byte against committed fixtures.
+// for byte against committed fixtures. The annealer itself requires its
+// incremental best Theta to equal a from-scratch re-score bit for bit.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -15,6 +16,8 @@
 #include "dds/core/engine.hpp"
 #include "dds/dataflow/standard_graphs.hpp"
 #include "dds/obs/jsonl_sink.hpp"
+#include "dds/oracle/invariants.hpp"
+#include "dds/oracle/run_reference.hpp"
 #include "dds/sched/annealing_planner.hpp"
 #include "dds/sched/brute_force.hpp"
 #include "golden.hpp"
@@ -111,37 +114,6 @@ TEST(PlannerDeterminism, GoldenBruteForcePlanOnPaperGraph) {
   EXPECT_EQ(f.allocatedCores(), 58);
 }
 
-TEST(PlannerDeterminism, ReferencePathMatchesIncrementalPath) {
-  auto run = [](bool incremental, std::map<std::string, int>& vms,
-                int& cores, std::vector<unsigned>& alts) {
-    Rng rng(99);
-    Fixture f(makeLayeredDataflow(6, 4, 3, rng));
-    AnnealingOptions opts;
-    opts.iterations = 4000;
-    opts.incremental_evaluation = incremental;
-    AnnealingScheduler s(f.env(0.005, 2 * kSecondsPerHour, 42), opts);
-    const Deployment dep = s.deploy(12.0);
-    vms = f.vmMultiset();
-    cores = f.allocatedCores();
-    alts.clear();
-    for (std::size_t i = 0; i < f.df.peCount(); ++i) {
-      alts.push_back(
-          dep.activeAlternate(PeId(static_cast<PeId::value_type>(i)))
-              .value());
-    }
-    return s.bestTheta();
-  };
-  std::map<std::string, int> vms_inc, vms_ref;
-  int cores_inc = 0, cores_ref = 0;
-  std::vector<unsigned> alts_inc, alts_ref;
-  const double theta_inc = run(true, vms_inc, cores_inc, alts_inc);
-  const double theta_ref = run(false, vms_ref, cores_ref, alts_ref);
-  EXPECT_EQ(theta_inc, theta_ref);  // bitwise
-  EXPECT_EQ(alts_inc, alts_ref);
-  EXPECT_EQ(vms_inc, vms_ref);
-  EXPECT_EQ(cores_inc, cores_ref);
-}
-
 std::string runTraced(const SchedulerSpec& kind, bool reference_engine) {
   ExperimentConfig cfg;
   cfg.horizon_s = 0.5 * kSecondsPerHour;
@@ -149,16 +121,19 @@ std::string runTraced(const SchedulerSpec& kind, bool reference_engine) {
   cfg.workload.profile = ProfileKind::PeriodicWave;
   cfg.workload.infra_variability = true;
   cfg.seed = 77;
-  cfg.fluid_reference_engine = reference_engine;
   const Dataflow df = makePaperDataflow();
   std::ostringstream out;
   obs::JsonlTraceSink sink(out);
-  (void)SimulationEngine(df, cfg).run(kind, &sink);
+  const SimulationEngine engine(df, cfg);
+  const ExperimentResult r = reference_engine
+                                 ? oracle::runReference(engine, kind, &sink)
+                                 : engine.run(kind, &sink);
+  oracle::expectIntervalInvariants(r, SimBackend::Fluid);
   return out.str();
 }
 
-// Each fixture is written by the cached fluid kernel; the reference
-// kernel must emit the same bytes.
+// Each fixture is written by the product's fluid simulator; the
+// reference simulator must emit the same bytes.
 TEST(PlannerDeterminism, GoldenTraceAnnealingByteIdentical) {
   const std::string fixture = "sched/testdata/golden_trace_annealing.jsonl";
   expectMatchesGolden(runTraced(parseScheduler("annealing-static"), false),

@@ -1,9 +1,10 @@
 // Bit-identity, golden-trace, and rebuild-accounting coverage for the
 // cached SoA fluid kernel. The cached kernel is a memoization of the
-// reference kernel, not an approximation: per-PE stats, Omega/Gamma/cost
-// and the trace bytes of an engine run must match byte-for-byte, with
-// provisioning delays, spot preemption, migration pauses, forecasting and
-// pre-acquisition layered on top.
+// per-object walk in oracle::ReferenceFluidSimulator, not an
+// approximation: per-PE stats, Omega/Gamma/cost and the trace bytes of an
+// engine run must match byte-for-byte, with provisioning delays, spot
+// preemption, migration pauses, forecasting and pre-acquisition layered
+// on top. Every engine run also passes the per-interval invariants.
 //
 // The golden fixtures are written by the cached kernel (see golden.hpp
 // for regeneration) and pin its bytes against both kernels.
@@ -18,6 +19,9 @@
 #include "dds/core/engine.hpp"
 #include "dds/dataflow/standard_graphs.hpp"
 #include "dds/obs/jsonl_sink.hpp"
+#include "dds/oracle/invariants.hpp"
+#include "dds/oracle/reference_fluid_simulator.hpp"
+#include "dds/oracle/run_reference.hpp"
 #include "dds/sim/simulator.hpp"
 #include "golden.hpp"
 
@@ -31,12 +35,15 @@ struct TracedRun {
   ExperimentResult result;
 };
 
-TracedRun runTracedFluid(const Dataflow& df, ExperimentConfig cfg,
+TracedRun runTracedFluid(const Dataflow& df, const ExperimentConfig& cfg,
                          SchedulerSpec kind, bool reference_engine) {
-  cfg.fluid_reference_engine = reference_engine;
   std::ostringstream out;
   obs::JsonlTraceSink sink(out);
-  ExperimentResult r = SimulationEngine(df, cfg).run(kind, &sink);
+  const SimulationEngine engine(df, cfg);
+  ExperimentResult r = reference_engine
+                           ? oracle::runReference(engine, kind, &sink)
+                           : engine.run(kind, &sink);
+  oracle::expectIntervalInvariants(r, SimBackend::Fluid);
   return {out.str(), std::move(r)};
 }
 
@@ -270,33 +277,33 @@ TEST(FluidKernelRebuilds, ReferenceSnapshotsEveryInterval) {
   Fixture f(makePipeline());
   f.giveSmallCores(PeId(0), 1);
   Deployment dep(f.df);
-  SimConfig cfg;
-  cfg.engine = SimConfig::Engine::Reference;
-  DataflowSimulator sim(f.df, f.cloud, f.mon, cfg);
+  oracle::ReferenceFluidSimulator sim(f.df, f.cloud, f.mon, {});
   for (IntervalIndex i = 0; i < 4; ++i) (void)sim.step(i, 5.0, dep);
   EXPECT_EQ(sim.kernelRebuilds(), 4u);
+}
+
+/// Steps 1 and 2 of a pipeline run with a backlog migration and a
+/// service pause between steps 0 and 1.
+template <class Simulator>
+std::pair<IntervalMetrics, IntervalMetrics> migrateAndPause() {
+  Fixture f(makePipeline());
+  f.giveSmallCores(PeId(0), 1);
+  f.giveSmallCores(PeId(1), 1);
+  Deployment dep(f.df);
+  Simulator sim(f.df, f.cloud, f.mon, SimConfig{});
+  (void)sim.step(0, 20.0, dep);
+  sim.migrateBacklog(PeId(0), 0.5);
+  sim.pauseService(PeId(0), 45.0);
+  const IntervalMetrics a = sim.step(1, 20.0, dep);
+  const IntervalMetrics b = sim.step(2, 5.0, dep);
+  return {a, b};
 }
 
 TEST(FluidKernelRebuilds, MigrationAndPauseComposeIdentically) {
   // Mid-run queue surgery (what spot drains and scale-in do) must leave
   // both kernels in identical states.
-  auto run = [](SimConfig::Engine engine) {
-    Fixture f(makePipeline());
-    f.giveSmallCores(PeId(0), 1);
-    f.giveSmallCores(PeId(1), 1);
-    Deployment dep(f.df);
-    SimConfig cfg;
-    cfg.engine = engine;
-    DataflowSimulator sim(f.df, f.cloud, f.mon, cfg);
-    (void)sim.step(0, 20.0, dep);
-    sim.migrateBacklog(PeId(0), 0.5);
-    sim.pauseService(PeId(0), 45.0);
-    const IntervalMetrics a = sim.step(1, 20.0, dep);
-    const IntervalMetrics b = sim.step(2, 5.0, dep);
-    return std::pair{a, b};
-  };
-  const auto ref = run(SimConfig::Engine::Reference);
-  const auto cached = run(SimConfig::Engine::Cached);
+  const auto ref = migrateAndPause<oracle::ReferenceFluidSimulator>();
+  const auto cached = migrateAndPause<DataflowSimulator>();
   for (std::size_t i = 0; i < 2; ++i) {
     const PeIntervalStats& r =
         (i == 0 ? ref.first : ref.second).pe_stats[0];
