@@ -263,8 +263,9 @@ int main(int argc, char** argv) {
   DDS_REQUIRE(campaignJsonl(grid_cold) == campaignJsonl(grid_warm),
               "warm substrate changed campaign results");
 
-  const double per_job_cold_ms = cold_s * 1.0e3 / grid_jobs;
-  const double per_job_shared_us = shared_s * 1.0e6 / grid_jobs;
+  const auto jobs = static_cast<double>(grid_jobs);
+  const double per_job_cold_ms = cold_s * 1.0e3 / jobs;
+  const double per_job_shared_us = shared_s * 1.0e6 / jobs;
   TextTable sweep({"metric", "value"});
   sweep.addRow({"tenants", std::to_string(sweep_tenants)});
   sweep.addRow({"jobs/tenant", std::to_string(sweep_jobs)});

@@ -99,7 +99,7 @@ RunOutput runKernel(const SweepCase& c) {
   const auto begin = std::chrono::steady_clock::now();
   for (IntervalIndex i = 0; i < kIntervals; ++i) {
     const IntervalMetrics m =
-        sim.step(i, profile->rate(i * kIntervalS), dep);
+        sim.step(i, profile->rate(static_cast<double>(i) * kIntervalS), dep);
     out.omegas.push_back(m.omega);
     out.costs.push_back(m.cost_cumulative);
   }

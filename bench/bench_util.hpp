@@ -64,7 +64,10 @@ inline std::vector<JobOutcome> runGrid(
   Campaign campaign;
   for (const auto& cfg : rows) {
     for (const auto kind : kinds) {
-      campaign.add({&df, cfg, kind, schedulerName(kind), ""});
+      campaign.add({.dataflow = &df,
+                    .config = cfg,
+                    .kind = kind,
+                    .label = schedulerName(kind)});
     }
   }
   CampaignResult res = runCampaign(campaign);

@@ -55,11 +55,11 @@ int main() {
 
   // §8.2's two-level comparison: constraint satisfaction, then Theta.
   std::sort(results.begin(), results.end(),
-            [](const ExperimentResult& a, const ExperimentResult& b) {
-              if (a.constraint_met != b.constraint_met) {
-                return a.constraint_met;
+            [](const ExperimentResult& x, const ExperimentResult& y) {
+              if (x.constraint_met != y.constraint_met) {
+                return x.constraint_met;
               }
-              return a.theta > b.theta;
+              return x.theta > y.theta;
             });
 
   TextTable table({"#", "policy", "omega", "met", "value", "cost$",

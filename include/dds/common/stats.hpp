@@ -6,6 +6,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <limits>
@@ -78,23 +79,53 @@ class RunningStats {
   return s / static_cast<double>(xs.size());
 }
 
-/// Linear-interpolation percentile of an ascending sample, p in [0, 100].
-[[nodiscard]] inline double sortedPercentile(std::span<const double> sorted,
-                                             double p) {
-  DDS_REQUIRE(!sorted.empty(), "percentile of empty sample");
-  DDS_REQUIRE(p >= 0.0 && p <= 100.0, "percentile out of range");
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const auto hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+/// Linear-interpolation percentiles of a sample, for ascending ps in
+/// [0, 100]. Percentile p reads the order statistics lo = floor(p/100 (n-1))
+/// and hi = min(lo + 1, n - 1) and returns x_lo + frac (x_hi - x_lo).
+///
+/// Reorders `scratch`, a copy the caller owns, in linear time: each rank
+/// runs one std::nth_element over the part the previous ranks left
+/// unpartitioned, and x_hi is the minimum of the tail after lo. Order
+/// statistics are values, not positions, so the results are the bits a
+/// fully sorted copy gives (for samples without NaN or zeros of both signs,
+/// which a sort orders arbitrarily too).
+template <std::size_t N>
+[[nodiscard]] std::array<double, N> percentiles(std::span<double> scratch,
+                                                const double (&ps)[N]) {
+  DDS_REQUIRE(!scratch.empty(), "percentile of empty sample");
+  const std::size_t n = scratch.size();
+  const auto first = scratch.begin();
+  std::array<double, N> out{};
+  std::size_t unpartitioned = 0;  // scratch[0, unpartitioned) is placed
+  double prev_p = 0.0;
+  for (std::size_t k = 0; k < N; ++k) {
+    const double p = ps[k];
+    DDS_REQUIRE(p >= prev_p && p <= 100.0,
+                "percentiles must ascend within [0, 100]");
+    prev_p = p;
+    const double rank = p / 100.0 * static_cast<double>(n - 1);
+    const auto lo = static_cast<std::size_t>(rank);
+    if (lo >= unpartitioned) {
+      std::nth_element(first + static_cast<std::ptrdiff_t>(unpartitioned),
+                       first + static_cast<std::ptrdiff_t>(lo), scratch.end());
+      unpartitioned = lo + 1;
+    }
+    const double a = scratch[lo];
+    const double b =
+        lo + 1 < n ? *std::min_element(
+                         first + static_cast<std::ptrdiff_t>(lo + 1),
+                         scratch.end())
+                   : a;
+    const double frac = rank - static_cast<double>(lo);
+    out[k] = a + frac * (b - a);
+  }
+  return out;
 }
 
-/// Linear-interpolation percentile, p in [0, 100]. Copies and sorts.
+/// Linear-interpolation percentile, p in [0, 100]. Copies and selects.
 [[nodiscard]] inline double percentile(std::span<const double> xs, double p) {
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  return sortedPercentile(sorted, p);
+  std::vector<double> scratch(xs.begin(), xs.end());
+  return percentiles(scratch, {p})[0];
 }
 
 }  // namespace dds

@@ -46,18 +46,21 @@ namespace dds {
 
 class Substrate;
 
-/// One (dataflow, config, policy) cell of a campaign grid.
+/// One (dataflow, config, policy) cell of a campaign grid. Build it with
+/// designated initializers; every member has a default initializer, so
+/// `{.dataflow = &df, .config = cfg, .kind = kind}` leaves the optional
+/// strings empty without -Wmissing-field-initializers.
 struct ExperimentJob {
   const Dataflow* dataflow = nullptr;
-  ExperimentConfig config;
-  SchedulerSpec kind;  ///< the policy; defaults to "global".
+  ExperimentConfig config = {};
+  SchedulerSpec kind = {};  ///< the policy; defaults to "global".
   /// Display label; empty means schedulerName(kind).
-  std::string label;
+  std::string label = {};
   /// When non-empty, the job streams its trace as JSONL to this path
   /// (one sink per job, so traces stay deterministic at any --jobs).
-  std::string trace_path;
+  std::string trace_path = {};
   /// Submitting tenant (multi-tenant service tag); purely descriptive.
-  std::string tenant;
+  std::string tenant = {};
 };
 
 /// What one job produced. `result` is meaningful only when `ok`.

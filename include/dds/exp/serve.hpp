@@ -41,7 +41,7 @@ struct ServeOptions {
   std::size_t queue = 0;
   /// Arenas to run against; null = one fresh substrate for this stream.
   /// Pass a shared one to amortize across streams (the service case).
-  std::shared_ptr<Substrate> substrate;
+  std::shared_ptr<Substrate> substrate = nullptr;
 };
 
 /// What one serve stream processed.

@@ -398,11 +398,11 @@ ExperimentResult SimulationEngine::runWith(const SchedulerSpec& spec,
     result.messages_delivered = er.messages_delivered;
     result.latency_mean_s = er.latency.mean();
     if (!er.latency_samples.empty()) {
-      std::vector<double> sorted = er.latency_samples;  // one sort, three reads
-      std::sort(sorted.begin(), sorted.end());
-      result.latency_p50_s = sortedPercentile(sorted, 50.0);
-      result.latency_p95_s = sortedPercentile(sorted, 95.0);
-      result.latency_p99_s = sortedPercentile(sorted, 99.0);
+      std::vector<double> scratch = er.latency_samples;  // one copy
+      const auto [p50, p95, p99] = percentiles(scratch, {50.0, 95.0, 99.0});
+      result.latency_p50_s = p50;
+      result.latency_p95_s = p95;
+      result.latency_p99_s = p99;
     }
     registry.counter("eventsim.arrivals").inc(er.counters.arrivals);
     registry.counter("eventsim.deliveries").inc(er.counters.deliveries);

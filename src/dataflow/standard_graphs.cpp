@@ -5,6 +5,20 @@
 
 namespace dds {
 
+namespace {
+
+/// Appends the parts of a graph, PE or alternate name into one string.
+/// GCC 12 reports a -Wrestrict false positive on the inlined
+/// `"literal" + std::string` operator+ chain these names used to be.
+template <typename... Parts>
+std::string joinName(const Parts&... parts) {
+  std::string out;
+  (out.append(parts), ...);
+  return out;
+}
+
+}  // namespace
+
 Dataflow makePaperDataflow() {
   DataflowBuilder b("sc13-fig1");
   // Costs are core-seconds per message on a standard (pi = 1) core. They
@@ -31,19 +45,20 @@ Dataflow makePaperDataflow() {
 Dataflow makeChainDataflow(std::size_t length, std::size_t alternates_per_pe) {
   DDS_REQUIRE(length >= 1, "chain needs at least one PE");
   DDS_REQUIRE(alternates_per_pe >= 1, "need at least one alternate per PE");
-  DataflowBuilder b("chain-" + std::to_string(length));
+  DataflowBuilder b(joinName("chain-", std::to_string(length)));
   std::vector<PeId> ids;
   ids.reserve(length);
   for (std::size_t i = 0; i < length; ++i) {
     std::vector<Alternate> alts;
     for (std::size_t j = 0; j < alternates_per_pe; ++j) {
       const auto dj = static_cast<double>(j);
-      alts.push_back({"s" + std::to_string(i) + "a" + std::to_string(j),
+      alts.push_back({joinName("s", std::to_string(i), "a", std::to_string(j)),
                       /*value=*/1.0 / (1.0 + 0.3 * dj),
                       /*cost_core_sec=*/0.2 / (1.0 + dj),
                       /*selectivity=*/1.0});
     }
-    ids.push_back(b.addPe("stage" + std::to_string(i), std::move(alts)));
+    ids.push_back(
+        b.addPe(joinName("stage", std::to_string(i)), std::move(alts)));
   }
   for (std::size_t i = 0; i + 1 < length; ++i) b.addEdge(ids[i], ids[i + 1]);
   return std::move(b).build();
@@ -66,14 +81,14 @@ Dataflow makeAggregationTreeDataflow(std::size_t leaves,
                                      std::size_t fan_in) {
   DDS_REQUIRE(leaves >= 1, "tree needs at least one leaf");
   DDS_REQUIRE(fan_in >= 2, "aggregation fan-in must be at least 2");
-  DataflowBuilder b("aggtree-" + std::to_string(leaves) + "x" +
-                    std::to_string(fan_in));
+  DataflowBuilder b(joinName("aggtree-", std::to_string(leaves), "x",
+                             std::to_string(fan_in)));
 
   // Leaf ingest stage: one PE per sensor feed.
   std::vector<PeId> level;
   for (std::size_t i = 0; i < leaves; ++i) {
-    level.push_back(
-        b.addPe("leaf" + std::to_string(i), {{"ingest", 1.0, 0.5, 1.0}}));
+    level.push_back(b.addPe(joinName("leaf", std::to_string(i)),
+                            {{"ingest", 1.0, 0.5, 1.0}}));
   }
 
   // Reduce until one node remains. Each aggregator emits one message per
@@ -85,7 +100,8 @@ Dataflow makeAggregationTreeDataflow(std::size_t leaves,
     std::vector<PeId> next;
     for (std::size_t i = 0; i < level.size(); i += fan_in) {
       const PeId agg = b.addPe(
-          "agg-d" + std::to_string(depth) + "-" + std::to_string(i / fan_in),
+          joinName("agg-d", std::to_string(depth), "-",
+                   std::to_string(i / fan_in)),
           {{"precise", 1.0, 2.0, sel}, {"sampled", 0.8, 0.8, sel}});
       for (std::size_t j = i; j < std::min(i + fan_in, level.size()); ++j) {
         b.addEdge(level[j], agg);
@@ -108,8 +124,8 @@ Dataflow makeLayeredDataflow(std::size_t layers, std::size_t width,
   DDS_REQUIRE(layers >= 2, "layered DAG needs at least two layers");
   DDS_REQUIRE(width >= 1, "layered DAG needs positive width");
   DDS_REQUIRE(alternates_per_pe >= 1, "need at least one alternate per PE");
-  DataflowBuilder b("layered-" + std::to_string(layers) + "x" +
-                    std::to_string(width));
+  DataflowBuilder b(
+      joinName("layered-", std::to_string(layers), "x", std::to_string(width)));
 
   std::vector<std::vector<PeId>> layer_ids(layers);
   for (std::size_t l = 0; l < layers; ++l) {
@@ -118,13 +134,13 @@ Dataflow makeLayeredDataflow(std::size_t layers, std::size_t width,
     for (std::size_t i = 0; i < w; ++i) {
       std::vector<Alternate> alts;
       for (std::size_t j = 0; j < alternates_per_pe; ++j) {
-        alts.push_back({"l" + std::to_string(l) + "p" + std::to_string(i) +
-                            "a" + std::to_string(j),
+        alts.push_back({joinName("l", std::to_string(l), "p", std::to_string(i),
+                                 "a", std::to_string(j)),
                         rng.uniform(0.4, 1.0), rng.uniform(0.05, 0.4),
                         rng.uniform(0.5, 1.5)});
       }
       layer_ids[l].push_back(b.addPe(
-          "pe-l" + std::to_string(l) + "-" + std::to_string(i),
+          joinName("pe-l", std::to_string(l), "-", std::to_string(i)),
           std::move(alts)));
     }
   }

@@ -111,7 +111,7 @@ void Campaign::addPolicySweep(const Dataflow& dataflow,
                               const ExperimentConfig& base,
                               const std::vector<SchedulerSpec>& kinds) {
   for (const SchedulerSpec& kind : kinds) {
-    add({&dataflow, base, kind, "", ""});
+    add({.dataflow = &dataflow, .config = base, .kind = kind});
   }
 }
 
@@ -122,7 +122,7 @@ void Campaign::addSeedSweep(const Dataflow& dataflow,
   for (std::size_t i = 0; i < runs; ++i) {
     ExperimentConfig cfg = base;
     cfg.seed = base.seed + i;
-    add({&dataflow, cfg, kind, "", ""});
+    add({.dataflow = &dataflow, .config = cfg, .kind = kind});
   }
 }
 
@@ -144,7 +144,8 @@ void Campaign::setTracePaths(const std::string& base) {
         entry.label.empty() ? schedulerName(entry.kind) : entry.label;
     entry.trace_path = base + "." + label;
     if (label_uses[label] > 1) {
-      entry.trace_path += "." + std::to_string(i);
+      entry.trace_path += '.';
+      entry.trace_path += std::to_string(i);
     }
   }
 }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "dds/common/stats.hpp"
+
 namespace dds {
 
 double RunResult::averageOmega() const {
@@ -36,7 +38,7 @@ RecoveryStats computeRecoveryStats(const RunResult& result,
   double recovered_total = 0;  // summed lengths of recovered episodes
   int recovered_count = 0;
   int longest = 0;
-  std::vector<int> episode_lengths;
+  std::vector<double> episode_lengths;
   for (const auto& m : intervals) {
     if (m.omega >= omega_hat) {
       ++ok_intervals;
@@ -45,7 +47,7 @@ RecoveryStats computeRecoveryStats(const RunResult& result,
         ++recovered_count;
         recovered_total += episode_len;
         longest = std::max(longest, episode_len);
-        episode_lengths.push_back(episode_len);
+        episode_lengths.push_back(static_cast<double>(episode_len));
         episode_len = 0;
       }
     } else {
@@ -57,7 +59,7 @@ RecoveryStats computeRecoveryStats(const RunResult& result,
     ++stats.violation_episodes;
     ++stats.unrecovered_episodes;
     longest = std::max(longest, episode_len);
-    episode_lengths.push_back(episode_len);
+    episode_lengths.push_back(static_cast<double>(episode_len));
   }
   if (recovered_count > 0) {
     stats.mttr_s = recovered_total /
@@ -70,18 +72,7 @@ RecoveryStats computeRecoveryStats(const RunResult& result,
       static_cast<double>(static_cast<int>(intervals.size()) - ok_intervals) *
       interval_s;
   if (!episode_lengths.empty()) {
-    std::sort(episode_lengths.begin(), episode_lengths.end());
-    const double rank =
-        0.95 * static_cast<double>(episode_lengths.size() - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    const auto hi =
-        std::min(lo + 1, episode_lengths.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    const double p95_intervals =
-        static_cast<double>(episode_lengths[lo]) +
-        (static_cast<double>(episode_lengths[hi]) -
-         static_cast<double>(episode_lengths[lo])) *
-            frac;
+    const double p95_intervals = percentiles(episode_lengths, {95.0})[0];
     stats.p95_episode_s = p95_intervals * interval_s;
   }
   return stats;

@@ -1,6 +1,9 @@
 #include "dds/obs/metrics_registry.hpp"
 
 #include <algorithm>
+#include <vector>
+
+#include "dds/common/stats.hpp"
 
 namespace dds::obs {
 
@@ -22,6 +25,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     s.value = g.value();
     out.push_back(std::move(s));
   }
+  std::vector<double> scratch;  // one copy per histogram, three selections
   for (const auto& [name, h] : histograms_) {
     MetricSample s;
     s.name = name;
@@ -30,9 +34,13 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     s.mean = h.stats().mean();
     s.min = h.stats().min();
     s.max = h.stats().max();
-    s.p50 = h.percentile(50.0);
-    s.p95 = h.percentile(95.0);
-    s.p99 = h.percentile(99.0);
+    if (!h.samples().empty()) {
+      scratch.assign(h.samples().begin(), h.samples().end());
+      const auto [p50, p95, p99] = percentiles(scratch, {50.0, 95.0, 99.0});
+      s.p50 = p50;
+      s.p95 = p95;
+      s.p99 = p99;
+    }
     out.push_back(std::move(s));
   }
   std::sort(out.begin(), out.end(),

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "dds/common/stats.hpp"
+
 namespace dds::obs {
 
 namespace {
@@ -178,14 +180,7 @@ TraceAnalysis analyzeTrace(const std::vector<TraceEvent>& events) {
     double sum = 0.0;
     for (const double e : episodes) sum += e;
     fold.out.mean_recovery_s = sum / static_cast<double>(episodes.size());
-    std::sort(episodes.begin(), episodes.end());
-    const double rank =
-        0.95 * static_cast<double>(episodes.size() - 1);
-    const auto lo = static_cast<std::size_t>(std::floor(rank));
-    const auto hi = static_cast<std::size_t>(std::ceil(rank));
-    const double frac = rank - std::floor(rank);
-    fold.out.p95_recovery_s =
-        episodes[lo] + (episodes[hi] - episodes[lo]) * frac;
+    fold.out.p95_recovery_s = percentiles(episodes, {95.0})[0];
   }
 
   // Forecast accuracy: join each interval's one-step prediction with

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "dds/common/rng.hpp"
@@ -119,6 +126,79 @@ TEST_P(PercentileMonotoneTest, MonotoneInP) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PercentileMonotoneTest,
                          ::testing::Values(1, 2, 3, 4, 5));
+
+/// The copy-sort-interpolate percentile the selection routine replaced.
+double sortedReferencePercentile(std::vector<double> xs, double p) {
+  std::sort(xs.begin(), xs.end());
+  const double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const auto hi = std::min(lo + 1, xs.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return xs[lo] + frac * (xs[hi] - xs[lo]);
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(Percentiles, SelectionMatchesSortBitwise) {
+  constexpr double kPs[] = {0.0, 50.0, 95.0, 99.0, 100.0};
+  Rng rng(2013);
+  std::vector<std::size_t> sizes = {1, 2, 3};
+  for (int i = 0; i < 40; ++i) {
+    sizes.push_back(static_cast<std::size_t>(rng.uniformInt(4, 1000)));
+  }
+  sizes.push_back(200'000);
+
+  using Shape = std::function<std::vector<double>(std::size_t)>;
+  const auto randomValues = [&rng](std::size_t n) {
+    std::vector<double> xs(n);
+    for (double& x : xs) x = rng.uniform(-1e3, 1e3);
+    return xs;
+  };
+  const std::vector<std::pair<std::string, Shape>> shapes = {
+      {"ascending",
+       [&](std::size_t n) {
+         std::vector<double> xs = randomValues(n);
+         std::sort(xs.begin(), xs.end());
+         return xs;
+       }},
+      {"descending",
+       [&](std::size_t n) {
+         std::vector<double> xs = randomValues(n);
+         std::sort(xs.begin(), xs.end(), std::greater<>());
+         return xs;
+       }},
+      {"random", randomValues},
+      {"heavy-tie",
+       [&rng](std::size_t n) {
+         std::vector<double> xs(n);
+         for (double& x : xs) x = static_cast<double>(rng.uniformInt(0, 2));
+         return xs;
+       }},
+  };
+
+  for (const std::size_t n : sizes) {
+    for (const auto& [shape, make] : shapes) {
+      const std::vector<double> xs = make(n);
+      std::vector<double> scratch = xs;
+      const std::array<double, 5> all = percentiles(scratch, kPs);
+      for (std::size_t k = 0; k < all.size(); ++k) {
+        const double p = kPs[k];
+        const double want = sortedReferencePercentile(xs, p);
+        EXPECT_EQ(bits(all[k]), bits(want))
+            << shape << " n=" << n << " p=" << p << " (five ranks)";
+        EXPECT_EQ(bits(percentile(xs, p)), bits(want))
+            << shape << " n=" << n << " p=" << p << " (one rank)";
+      }
+    }
+  }
+}
+
+TEST(Percentiles, RejectsDescendingRanks) {
+  std::vector<double> xs = {1.0, 2.0, 3.0};
+  EXPECT_THROW((void)percentiles(xs, {95.0, 50.0}), PreconditionError);
+  std::vector<double> none;
+  EXPECT_THROW((void)percentiles(none, {50.0}), PreconditionError);
+}
 
 }  // namespace
 }  // namespace dds

@@ -54,7 +54,7 @@ TEST(IntervalClock, RejectsInfiniteOrOversizedHorizon) {
 
 TEST(IntervalClock, RejectsNegativeIntervalIndex) {
   const IntervalClock clock(60.0, 3600.0);
-  EXPECT_THROW(clock.startOf(-1), PreconditionError);
+  EXPECT_THROW((void)clock.startOf(-1), PreconditionError);
 }
 
 TEST(TimeConstants, HourAndMinute) {
@@ -76,7 +76,9 @@ TEST_P(IntervalClockParamTest, IntervalsTileTheHorizon) {
   }
   // The tiling never overruns the horizon (except the single-interval
   // minimum case).
-  if (n > 1) EXPECT_LE(clock.endOf(n - 1), horizon + 1e-9);
+  if (n > 1) {
+    EXPECT_LE(clock.endOf(n - 1), horizon + 1e-9);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

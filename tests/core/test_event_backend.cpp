@@ -1,12 +1,17 @@
 // Engine runs through the discrete-event backend.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "dds/common/stats.hpp"
 #include "dds/config/config_file.hpp"
 #include "dds/core/engine.hpp"
 #include "dds/dataflow/standard_graphs.hpp"
+#include "dds/oracle/run_reference.hpp"
 
 namespace dds {
 namespace {
@@ -109,6 +114,67 @@ TEST(EventBackend, ConfigFileSelectsBackend) {
   EXPECT_THROW((void)experimentFromConfig(
                    KeyValueConfig::parse("backend = quantum\n")),
                PreconditionError);
+}
+
+/// tools/testdata/event_smoke.conf's run: paper graph, global heuristic,
+/// a 12 msg/s wave with infrastructure variability over 30 minutes.
+ExperimentConfig eventSmokeConfig() {
+  return experimentFromConfig(KeyValueConfig::parse(
+                                  "backend = event\n"
+                                  "workload.mean_rate = 12\n"
+                                  "workload.profile = wave\n"
+                                  "workload.infra_variability = true\n"
+                                  "horizon_h = 0.5\n"
+                                  "interval_s = 60\n"
+                                  "seed = 11\n"))
+      .config;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(EventBackend, LatencyPercentilesPinned) {
+  // Bit patterns the latency summary had when the percentiles were read
+  // off a fully sorted copy of the reservoir. The oracle instantiates the
+  // same interval loop, so product-vs-oracle identity alone cannot catch a
+  // change in how the percentiles are computed; these constants can.
+  const Dataflow df = makePaperDataflow();
+  const SimulationEngine engine(df, eventSmokeConfig());
+  const ExperimentResult product = engine.run(parseScheduler("global"));
+  const ExperimentResult oracle =
+      oracle::runReference(engine, parseScheduler("global"), nullptr);
+  for (const ExperimentResult* r : {&product, &oracle}) {
+    EXPECT_EQ(bits(r->latency_mean_s), bits(0x1.e78f4d1e3a2d1p+7));
+    EXPECT_EQ(bits(r->latency_p50_s), bits(0x1.de66d5ff56c78p+7));
+    EXPECT_EQ(bits(r->latency_p95_s), bits(0x1.b8c11ffb6cf2bp+8));
+    EXPECT_EQ(bits(r->latency_p99_s), bits(0x1.feb95b4eff838p+8));
+    EXPECT_GT(r->messages_delivered, 1000u) << r->messages_delivered;
+  }
+}
+
+TEST(EventBackend, SnapshotHistogramPercentilesMatchPercentile) {
+  // The interval.* histograms observe one value per interval, so their
+  // samples are the run's per-interval omega, gamma and input rate.
+  const Dataflow df = makePaperDataflow();
+  const ExperimentResult r =
+      SimulationEngine(df, eventSmokeConfig()).run(parseScheduler("global"));
+  obs::MetricsRegistry samples;
+  for (const IntervalMetrics& im : r.run.intervals()) {
+    samples.histogram("interval.omega").observe(im.omega);
+    samples.histogram("interval.gamma").observe(im.gamma);
+    samples.histogram("interval.input_rate").observe(im.input_rate);
+  }
+  int checked = 0;
+  for (const obs::MetricSample& m : r.metrics) {
+    if (!m.name.starts_with("interval.")) continue;
+    ASSERT_EQ(m.kind, obs::MetricSample::Kind::Histogram) << m.name;
+    const obs::Histogram& h = samples.histogram(m.name);
+    ASSERT_EQ(m.count, h.samples().size()) << m.name;
+    EXPECT_EQ(bits(m.p50), bits(percentile(h.samples(), 50.0))) << m.name;
+    EXPECT_EQ(bits(m.p95), bits(percentile(h.samples(), 95.0))) << m.name;
+    EXPECT_EQ(bits(m.p99), bits(percentile(h.samples(), 99.0))) << m.name;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 3);
 }
 
 }  // namespace

@@ -54,14 +54,17 @@ void expectIdentical(const JobOutcome& a, const JobOutcome& b) {
 
 TEST(Campaign, AddValidatesJobs) {
   Campaign campaign;
-  EXPECT_THROW(campaign.add({nullptr, shortConfig(),
-                             parseScheduler("global"), "", ""}),
+  EXPECT_THROW(campaign.add({.dataflow = nullptr,
+                             .config = shortConfig(),
+                             .kind = parseScheduler("global")}),
                PreconditionError);
   ExperimentConfig bad = shortConfig();
   bad.horizon_s = -1.0;
   const Dataflow df = makePaperDataflow();
   EXPECT_THROW(
-      campaign.add({&df, bad, parseScheduler("global"), "", ""}),
+      campaign.add({.dataflow = &df,
+                    .config = bad,
+                    .kind = parseScheduler("global")}),
       PreconditionError);
   EXPECT_TRUE(campaign.empty());
 }
@@ -162,7 +165,8 @@ TEST(Campaign, InterningDoesNotChangeCampaignJson) {
   for (std::size_t i = 0; i < 4; ++i) {
     ExperimentConfig cfg = shortConfig();
     cfg.seed = 101 + i;
-    copies.add({&df, cfg, parseScheduler("global"), "", ""});
+    copies.add(
+        {.dataflow = &df, .config = cfg, .kind = parseScheduler("global")});
   }
   Campaign deltas;
   ExperimentConfig base = shortConfig();
@@ -187,7 +191,8 @@ TEST(Campaign, TimingFreeJsonStripsThroughputGauges) {
   const Dataflow df = makePaperDataflow();
   Campaign campaign;
   ExperimentConfig cfg = shortConfig();
-  campaign.add({&df, cfg, parseScheduler("global"), "", ""});
+  campaign.add(
+      {.dataflow = &df, .config = cfg, .kind = parseScheduler("global")});
   const CampaignResult result = runCampaign(campaign, {.jobs = 1});
   result.throwIfAnyFailed();
 

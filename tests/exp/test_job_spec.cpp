@@ -62,7 +62,7 @@ TEST(JobSpec, RejectsUnknownTopLevelField) {
   EXPECT_THROW(parseJobSpec(R"({"v": 1, "grahp": "paper"})"), ConfigError);
   EXPECT_THROW(parseJobSpec(R"({"v": 1, "priority": 3})"), ConfigError);
   try {
-    parseJobSpec(R"({"v": 1, "grahp": "paper"})");
+    (void)parseJobSpec(R"({"v": 1, "grahp": "paper"})");
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& e) {
     EXPECT_NE(std::string(e.what()).find("grahp"), std::string::npos);

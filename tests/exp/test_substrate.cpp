@@ -146,10 +146,10 @@ TEST(Substrate, ConcurrentJobsDoNotPerturbSiblings) {
     ExperimentConfig cfg = variedConfig();
     cfg.seed = seed;
     cfg.workload.mean_rate = 6.0 + 2.0 * static_cast<double>(seed - 60);
-    jobs.push_back({&df, cfg,
-                    seed % 2 == 0 ? parseScheduler("global")
-                                  : parseScheduler("local"),
-                    "", ""});
+    jobs.push_back({.dataflow = &df,
+                    .config = cfg,
+                    .kind = seed % 2 == 0 ? parseScheduler("global")
+                                          : parseScheduler("local")});
   }
 
   std::vector<JobOutcome> isolated;

@@ -218,7 +218,7 @@ TEST(ElasticityCampaign, JobsKnobDoesNotPerturbResults) {
   for (const SchedulerSpec& kind :
        {parseScheduler("global"), parseScheduler("local"),
         parseScheduler("reactive-autoscaler")}) {
-    campaign.add({&df, cfg, kind, "", ""});
+    campaign.add({.dataflow = &df, .config = cfg, .kind = kind});
   }
   const auto serial = runCampaign(campaign, {.jobs = 1});
   const auto parallel = runCampaign(campaign, {.jobs = 4});

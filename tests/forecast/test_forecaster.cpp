@@ -166,8 +166,8 @@ TEST(ForecastRegistry, KnowsEveryModelOnce) {
 }
 
 TEST(ForecastRegistry, RejectsUnknownNames) {
-  EXPECT_THROW(parseForecastModel("oracle"), PreconditionError);
-  EXPECT_THROW(parseForecastModel(""), PreconditionError);
+  EXPECT_THROW((void)parseForecastModel("oracle"), PreconditionError);
+  EXPECT_THROW((void)parseForecastModel(""), PreconditionError);
 }
 
 TEST(ForecastRegistry, FactoryBuildsEveryRealModel) {

@@ -147,10 +147,10 @@ TEST(ProfileRegistry, KnowsEveryKindOnce) {
 }
 
 TEST(ProfileRegistry, RejectsUnknownNames) {
-  EXPECT_THROW(parseProfileKind("sawtooth"), PreconditionError);
-  EXPECT_THROW(parseProfileKind(""), PreconditionError);
+  EXPECT_THROW((void)parseProfileKind("sawtooth"), PreconditionError);
+  EXPECT_THROW((void)parseProfileKind(""), PreconditionError);
   // The old informal spelling must not silently parse.
-  EXPECT_THROW(parseProfileKind("periodic-wave"), PreconditionError);
+  EXPECT_THROW((void)parseProfileKind("periodic-wave"), PreconditionError);
 }
 
 TEST(MakeProfile, RandomWalkStaysInsideTheDocumentedClamp) {
