@@ -1,20 +1,16 @@
 // Key-value experiment configuration files for the ddsim CLI.
 //
 // Format: one `key = value` pair per line, `#` comments, blank lines
-// ignored. Keys are free-form strings; typed getters convert on access.
-//
-//   # experiment.conf
-//   graph              = paper         # paper | chain | diamond
-//   scheduler          = global,local  # any comma list of policy names
-//   workload.mean_rate = 10
-//   workload.profile   = wave          # constant | wave | random-walk
-//   horizon_h          = 2
-//   workload.infra_variability = true
+// ignored. Every key is one row of a table in config_file.cpp; the row
+// says how the value text converts and which field it sets.
+// tools/example.conf lists every key with a one-line doc.
 #pragma once
 
-#include <limits>
-#include <map>
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "dds/core/experiment.hpp"
@@ -30,7 +26,10 @@ class ConfigError : public PreconditionError {
   using PreconditionError::PreconditionError;
 };
 
-/// A parsed key-value configuration.
+/// One `key = value` setting, the value in config-file text form.
+using ConfigEntry = std::pair<std::string, std::string>;
+
+/// A parsed key-value configuration file.
 class KeyValueConfig {
  public:
   /// Parse from text; throws IoError on malformed lines.
@@ -39,38 +38,13 @@ class KeyValueConfig {
   /// Load from a file; throws IoError when unreadable.
   static KeyValueConfig load(const std::string& path);
 
-  [[nodiscard]] bool has(const std::string& key) const;
-
-  /// Set or overwrite one key programmatically. This is how structured
-  /// front-ends (the JSON job-spec API) funnel values into the same
-  /// validation pipeline the file parser feeds.
-  void set(const std::string& key, const std::string& value);
-
-  /// Typed getters with defaults; throw PreconditionError when the value
-  /// exists but cannot be converted.
-  [[nodiscard]] std::string getString(const std::string& key,
-                                      const std::string& fallback) const;
-  [[nodiscard]] double getDouble(const std::string& key,
-                                 double fallback) const;
-  [[nodiscard]] std::int64_t getInt(const std::string& key,
-                                    std::int64_t fallback) const;
-  /// getInt() narrowed to `int` within [lo, hi]; a value outside throws
-  /// ConfigError naming the key instead of wrapping.
-  [[nodiscard]] int getIntInRange(
-      const std::string& key, int fallback,
-      int lo = std::numeric_limits<int>::min(),
-      int hi = std::numeric_limits<int>::max()) const;
-  [[nodiscard]] bool getBool(const std::string& key, bool fallback) const;
-
-  /// Comma-separated list (whitespace trimmed); empty when absent.
-  [[nodiscard]] std::vector<std::string> getList(
-      const std::string& key) const;
-
-  /// Keys present in the file (sorted) — used to reject typos.
-  [[nodiscard]] std::vector<std::string> keys() const;
+  /// The settings in file order, a repeated key once per line.
+  [[nodiscard]] const std::vector<ConfigEntry>& entries() const {
+    return entries_;
+  }
 
  private:
-  std::map<std::string, std::string> values_;
+  std::vector<ConfigEntry> entries_;
 };
 
 /// Longest `chain` graph a config or job spec may ask for. Chains are
@@ -87,12 +61,29 @@ struct CliExperiment {
   std::string output_csv;  ///< empty = no CSV dump
 };
 
-/// Translate a parsed config into an experiment. Unknown keys, graphs,
-/// profiles or scheduler names throw ConfigError with the offender named.
-///
-/// Sub-struct knobs use nested keys ("workload.mean_rate",
-/// "fault.vm_mtbf_h", "resilience.quarantine_threshold") mirroring the
-/// ExperimentConfig sub-structs; any other key is an unknown-key error.
+/// Where a config key may be set.
+enum class ConfigScope {
+  Everywhere,    ///< config files and a job spec's "config" object.
+  SpecTopLevel,  ///< config files; a job spec sets it as its own field.
+  FileOnly,      ///< config files only (no meaning in a job spec).
+};
+
+/// Every config key, in the order the table applies them.
+[[nodiscard]] std::vector<std::string_view> configKeyNames();
+
+/// The scope of `key`; nullopt when no front-end accepts it.
+[[nodiscard]] std::optional<ConfigScope> configKeyScope(std::string_view key);
+
+/// Translate settings into a validated experiment. Unknown keys, bad
+/// values, graphs, profiles or scheduler names throw ConfigError with the
+/// offender named. A repeated key takes its last value; the rows apply in
+/// table order, so the first bad value reported does not depend on the
+/// order the settings came in. Sub-struct knobs have nested keys
+/// ("<sub-struct>.<knob>") mirroring the ExperimentConfig sub-structs.
+[[nodiscard]] CliExperiment experimentFromEntries(
+    std::span<const ConfigEntry> entries);
+
+/// experimentFromEntries() over a config file's settings.
 [[nodiscard]] CliExperiment experimentFromConfig(const KeyValueConfig& kv);
 
 }  // namespace dds

@@ -17,10 +17,11 @@
 //    "scheduler": "global",        // one policy name (see schedulers.hpp)
 //    "config": {"seed": 7, ...}}   // canonical config keys only
 //
-// Config values may be JSON numbers, bools, or strings; they funnel
-// through KeyValueConfig::set into experimentFromConfig, so a spec and a
-// config file accept exactly the same vocabulary. Numbers are rendered with jsonNumber()
-// (shortest round-trip form), so doubles survive spec -> config exactly.
+// Config values may be JSON numbers, bools, or strings. Each is rendered
+// in config-file text form and applied through the same key table a
+// config file goes through (experimentFromEntries), so a spec and a file
+// accept exactly the same keys and coercions. Numbers are rendered with
+// jsonNumber() (shortest round-trip form), so doubles survive exactly.
 #pragma once
 
 #include <cstddef>
@@ -52,7 +53,7 @@ struct JobSpec {
     double number = 0.0;
     std::string text;
 
-    /// The config-file string form KeyValueConfig::set receives.
+    /// The config-file text form the key table converts.
     [[nodiscard]] std::string asConfigString() const;
   };
 
@@ -66,15 +67,14 @@ struct JobSpec {
 
 /// Parse one JSON line into a spec. Throws ConfigError on malformed
 /// JSON, an unknown top-level field, a missing or unsupported "v", a
-/// wrongly-typed field, or a reserved key inside "config" (graph /
-/// chain_length / scheduler belong at the top level; output_csv has no
-/// meaning in a spec).
+/// wrongly-typed field, or a reserved key inside "config" (a key whose
+/// ConfigScope is not Everywhere).
 [[nodiscard]] JobSpec parseJobSpec(const std::string& json_line);
 
 /// Resolve the spec's scheduler + config deltas into a validated
-/// experiment through the same pipeline a config file takes. Unknown
-/// config keys and invalid values throw ConfigError. The returned CliExperiment carries exactly
-/// one scheduler (the spec's).
+/// experiment through the same key table a config file takes. Unknown
+/// config keys and invalid values throw ConfigError. The returned
+/// CliExperiment carries exactly one scheduler (the spec's).
 [[nodiscard]] CliExperiment experimentFromSpec(const JobSpec& spec);
 
 }  // namespace dds

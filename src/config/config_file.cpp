@@ -1,10 +1,17 @@
 #include "dds/config/config_file.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 
 #include "dds/common/error.hpp"
 #include "dds/forecast/forecaster.hpp"
@@ -37,6 +44,240 @@ std::string trim(const std::string& s) {
   return s.substr(begin, end - begin);
 }
 
+// The key table. Every config key is one row: its kind (how the value
+// text converts), the setter that writes the converted value into the
+// experiment, and where the key may be set. Config files and job specs
+// both apply their settings through these rows; range checks stay in
+// ExperimentConfig::validationErrors, which C++-built configs need too.
+
+template <typename T>
+using Setter = void (*)(CliExperiment&, T);
+
+struct Number { Setter<double> set; };  // finite, from_chars syntax
+struct Flag { Setter<bool> set; };  // true/yes/on/1, false/no/off/0, any case
+struct Name { Setter<std::string> set; };  // registry names and free text
+struct Integer { Setter<std::int64_t> set; std::int64_t lo, hi; };  // [lo, hi]
+using Kind = std::variant<Number, Integer, Flag, Name>;
+
+struct Row {
+  std::string_view key;
+  Kind kind;
+  ConfigScope scope = ConfigScope::Everywhere;
+};
+
+/// The kind a plain field's type implies, setting the field `get` names.
+/// Integers are bounded to the field's type: the seed, the one unsigned
+/// field, to [0, 2^63 - 1].
+template <typename Get>
+constexpr Kind fieldKind(Get) {
+  using T = std::remove_reference_t<std::invoke_result_t<Get, CliExperiment&>>;
+  if constexpr (std::is_same_v<T, double>) {
+    return Number{[](CliExperiment& ex, double v) { Get{}(ex) = v; }};
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return Flag{[](CliExperiment& ex, bool v) { Get{}(ex) = v; }};
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return Name{[](CliExperiment& ex, std::string v) {
+      Get{}(ex) = std::move(v);
+    }};
+  } else {
+    using Limits = std::numeric_limits<std::conditional_t<
+        std::is_unsigned_v<T>, std::int64_t, T>>;
+    return Integer{[](CliExperiment& ex, std::int64_t v) {
+                     Get{}(ex) = static_cast<T>(v);
+                   },
+                   std::is_unsigned_v<T> ? 0 : Limits::min(), Limits::max()};
+  }
+}
+
+/// The kind of ExperimentConfig's field `FIELD`.
+#define DDS_CONFIG(FIELD) \
+  fieldKind([](CliExperiment& ex) -> auto& { return ex.config.FIELD; })
+
+/// `name` through a registry's parser; an unknown name lists the registry.
+template <typename T, typename Kinds, typename NameFn>
+T fromRegistry(T (*parse)(const std::string&), const std::string& name,
+               const std::string& what, const Kinds& kinds, NameFn name_of) {
+  try {
+    return parse(name);
+  } catch (const PreconditionError&) {
+    throw ConfigError("unknown " + what + ": '" + name + "' (expected " +
+                      joinNames(kinds, name_of) + ")");
+  }
+}
+
+void setGraph(CliExperiment& ex, std::string graph) {
+  if (graph != "paper" && graph != "chain" && graph != "diamond") {
+    throw ConfigError("unknown graph: '" + graph +
+                      "' (expected paper, chain or diamond)");
+  }
+  ex.graph = std::move(graph);
+}
+
+void setForecastModel(CliExperiment& ex, std::string model) {
+  ex.config.forecast.model =
+      fromRegistry(parseForecastModel, model, "forecast model",
+                   allForecastModels(), forecastModelName);
+}
+
+void setProfile(CliExperiment& ex, std::string profile) {
+  ex.config.workload.profile = fromRegistry(
+      parseProfileKind, profile, "profile", allProfileKinds(), profileName);
+}
+
+void setBackend(CliExperiment& ex, std::string backend) {
+  if (backend != "fluid" && backend != "event") {
+    throw ConfigError("unknown backend: '" + backend +
+                      "' (expected fluid or event)");
+  }
+  ex.config.backend = backend == "fluid" ? SimBackend::Fluid
+                                         : SimBackend::Event;
+}
+
+/// Comma-separated scheduler names, whitespace trimmed, empty items
+/// dropped; an empty list leaves the default (global).
+void setSchedulers(CliExperiment& ex, std::string list) {
+  ex.schedulers.clear();
+  std::istringstream in(list);
+  std::string item;
+  while (std::getline(in, item, ',')) {
+    const std::string name = trim(item);
+    if (name.empty()) continue;
+    ex.schedulers.push_back(fromRegistry(parseScheduler, name,
+                                         "scheduler name", allSchedulers(),
+                                         schedulerName));
+  }
+}
+
+/// Rows apply in this order, so the first of several bad values reported
+/// is the same whichever front-end the settings came from.
+const Row kRows[] = {
+    {"graph", Name{setGraph}, ConfigScope::SpecTopLevel},
+    {"chain_length",
+     Integer{[](CliExperiment& ex, std::int64_t n) {
+               ex.chain_length = static_cast<std::size_t>(n);
+             },
+             1, kMaxChainLength},
+     ConfigScope::SpecTopLevel},
+    {"horizon_h", Number{[](CliExperiment& ex, double h) {
+       ex.config.horizon_s = h * kSecondsPerHour;
+     }}},
+    {"interval_s", DDS_CONFIG(interval_s)},
+    {"seed", DDS_CONFIG(seed)},
+    {"omega_target", DDS_CONFIG(omega_target)},
+    {"epsilon", DDS_CONFIG(epsilon)},
+    {"alternate_period", DDS_CONFIG(alternate_period)},
+    {"resource_period", DDS_CONFIG(resource_period)},
+    {"sigma", DDS_CONFIG(sigma_override)},
+    {"catalog", DDS_CONFIG(catalog)},
+    {"placement_racks", DDS_CONFIG(placement_racks)},
+    {"power_smoothing_alpha", DDS_CONFIG(power_smoothing_alpha)},
+    {"max_queue_delay_s", DDS_CONFIG(max_queue_delay_s)},
+    {"workload.mean_rate", DDS_CONFIG(workload.mean_rate)},
+    {"workload.infra_variability", DDS_CONFIG(workload.infra_variability)},
+    {"workload.msg_size_kb", Number{[](CliExperiment& ex, double kb) {
+       ex.config.workload.msg_size_bytes = kb * 1000.0;
+     }}},
+    {"fault.vm_mtbf_h", DDS_CONFIG(faults.vm_mtbf_hours)},
+    {"fault.straggler_mtbf_h", DDS_CONFIG(faults.straggler_mtbf_hours)},
+    {"fault.straggler_factor", DDS_CONFIG(faults.straggler_factor)},
+    {"fault.straggler_duration_s", DDS_CONFIG(faults.straggler_duration_s)},
+    {"fault.acq_failure_prob", DDS_CONFIG(faults.acquisition_failure_prob)},
+    {"fault.partition_mtbf_h", DDS_CONFIG(faults.partition_mtbf_hours)},
+    {"fault.partition_duration_s", DDS_CONFIG(faults.partition_duration_s)},
+    {"elasticity.provisioning_delay_s",
+     DDS_CONFIG(elasticity.provisioning_delay_s)},
+    {"elasticity.provisioning_delay_per_core_s",
+     DDS_CONFIG(elasticity.provisioning_delay_per_core_s)},
+    {"elasticity.spot_discount", DDS_CONFIG(elasticity.spot_discount)},
+    {"elasticity.spot_fraction", DDS_CONFIG(elasticity.spot_fraction)},
+    {"elasticity.spot_preemption_mtbf_h",
+     DDS_CONFIG(elasticity.spot_preemption_mtbf_h)},
+    {"elasticity.spot_notice_s", DDS_CONFIG(elasticity.spot_notice_s)},
+    {"elasticity.pe_state_mb", DDS_CONFIG(elasticity.pe_state_mb)},
+    {"elasticity.migration_bandwidth_mbps",
+     DDS_CONFIG(elasticity.migration_bandwidth_mbps)},
+    {"resilience.quarantine_threshold",
+     DDS_CONFIG(resilience.quarantine_threshold)},
+    {"resilience.quarantine_probes", DDS_CONFIG(resilience.quarantine_probes)},
+    {"resilience.acq_max_retries",
+     DDS_CONFIG(resilience.acquisition_max_retries)},
+    {"resilience.acq_backoff_s", DDS_CONFIG(resilience.acquisition_backoff_s)},
+    {"resilience.graceful_degradation",
+     DDS_CONFIG(resilience.graceful_degradation)},
+    {"forecast.model", Name{setForecastModel}},
+    {"forecast.horizon_intervals", DDS_CONFIG(forecast.horizon_intervals)},
+    {"forecast.ewma_alpha", DDS_CONFIG(forecast.ewma_alpha)},
+    {"forecast.hw_alpha", DDS_CONFIG(forecast.hw_alpha)},
+    {"forecast.hw_beta", DDS_CONFIG(forecast.hw_beta)},
+    {"forecast.hw_gamma", DDS_CONFIG(forecast.hw_gamma)},
+    {"forecast.hw_season_intervals", DDS_CONFIG(forecast.hw_season_intervals)},
+    {"forecast.preacquire_margin", DDS_CONFIG(forecast.preacquire_margin)},
+    {"forecast.lookahead_alternates",
+     DDS_CONFIG(forecast.lookahead_alternates)},
+    {"workload.profile", Name{setProfile}},
+    {"backend", Name{setBackend}},
+    {"scheduler", Name{setSchedulers}, ConfigScope::SpecTopLevel},
+    {"output_csv",
+     Name{[](CliExperiment& ex, std::string path) {
+       ex.output_csv = std::move(path);
+     }},
+     ConfigScope::FileOnly},
+};
+
+#undef DDS_CONFIG
+
+const Row* findRow(std::string_view key) {
+  const auto it = std::find_if(std::begin(kRows), std::end(kRows),
+                               [&](const Row& row) { return row.key == key; });
+  return it == std::end(kRows) ? nullptr : &*it;
+}
+
+[[noreturn]] void badValue(std::string_view key, const std::string& what,
+                           const std::string& text) {
+  throw ConfigError("config key '" + std::string(key) + "' is " + what +
+                    ": '" + text + "'");
+}
+
+/// from_chars over the whole of `text`.
+template <typename T>
+bool parseWhole(const std::string& text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
+void apply(const Row& row, const std::string& text, CliExperiment& ex) {
+  if (const auto* number = std::get_if<Number>(&row.kind)) {
+    double v = 0.0;
+    if (!parseWhole(text, v)) badValue(row.key, "not a number", text);
+    if (!std::isfinite(v)) badValue(row.key, "not a finite number", text);
+    number->set(ex, v);
+  } else if (const auto* integer = std::get_if<Integer>(&row.kind)) {
+    std::int64_t v = 0;
+    if (!parseWhole(text, v)) badValue(row.key, "not an integer", text);
+    if (v < integer->lo || v > integer->hi) {
+      badValue(row.key,
+               "out of range [" + std::to_string(integer->lo) + ", " +
+                   std::to_string(integer->hi) + "]",
+               text);
+    }
+    integer->set(ex, v);
+  } else if (const auto* flag = std::get_if<Flag>(&row.kind)) {
+    std::string v = text;
+    std::transform(v.begin(), v.end(), v.begin(),
+                   [](unsigned char c) { return std::tolower(c); });
+    if (v == "true" || v == "yes" || v == "on" || v == "1") {
+      flag->set(ex, true);
+    } else if (v == "false" || v == "no" || v == "off" || v == "0") {
+      flag->set(ex, false);
+    } else {
+      badValue(row.key, "not a boolean", text);
+    }
+  } else {
+    std::get<Name>(row.kind).set(ex, text);
+  }
+}
+
 }  // namespace
 
 KeyValueConfig KeyValueConfig::parse(const std::string& text) {
@@ -63,7 +304,7 @@ KeyValueConfig KeyValueConfig::parse(const std::string& text) {
       os << "config line " << line_no << ": empty key";
       throw IoError(os.str());
     }
-    cfg.values_[key] = value;
+    cfg.entries_.emplace_back(key, value);
   }
   return cfg;
 }
@@ -76,291 +317,41 @@ KeyValueConfig KeyValueConfig::load(const std::string& path) {
   return parse(buffer.str());
 }
 
-bool KeyValueConfig::has(const std::string& key) const {
-  return values_.contains(key);
-}
-
-void KeyValueConfig::set(const std::string& key, const std::string& value) {
-  DDS_REQUIRE(!key.empty(), "config key must be non-empty");
-  values_[key] = value;
-}
-
-std::string KeyValueConfig::getString(const std::string& key,
-                                      const std::string& fallback) const {
-  const auto it = values_.find(key);
-  return it == values_.end() ? fallback : it->second;
-}
-
-double KeyValueConfig::getDouble(const std::string& key,
-                                 double fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  double out = 0.0;
-  const auto& s = it->second;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) {
-    throw ConfigError("config key '" + key + "' is not a number: '" + s +
-                      "'");
-  }
+std::vector<std::string_view> configKeyNames() {
+  std::vector<std::string_view> out;
+  for (const Row& row : kRows) out.push_back(row.key);
   return out;
 }
 
-std::int64_t KeyValueConfig::getInt(const std::string& key,
-                                    std::int64_t fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  std::int64_t out = 0;
-  const auto& s = it->second;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) {
-    throw ConfigError("config key '" + key + "' is not an integer: '" + s +
-                      "'");
-  }
-  return out;
+std::optional<ConfigScope> configKeyScope(std::string_view key) {
+  const Row* row = findRow(key);
+  return row == nullptr ? std::nullopt : std::optional(row->scope);
 }
 
-int KeyValueConfig::getIntInRange(const std::string& key, int fallback,
-                                  int lo, int hi) const {
-  const std::int64_t v = getInt(key, fallback);
-  if (v < lo || v > hi) {
-    throw ConfigError("config key '" + key + "' is out of range [" +
-                      std::to_string(lo) + ", " + std::to_string(hi) +
-                      "]: '" + getString(key, "") + "'");
-  }
-  return static_cast<int>(v);
-}
-
-bool KeyValueConfig::getBool(const std::string& key, bool fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  std::string v = it->second;
-  std::transform(v.begin(), v.end(), v.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  if (v == "true" || v == "yes" || v == "on" || v == "1") return true;
-  if (v == "false" || v == "no" || v == "off" || v == "0") return false;
-  throw ConfigError("config key '" + key + "' is not a boolean: '" +
-                    it->second + "'");
-}
-
-std::vector<std::string> KeyValueConfig::getList(
-    const std::string& key) const {
-  std::vector<std::string> out;
-  const auto it = values_.find(key);
-  if (it == values_.end()) return out;
-  std::istringstream in(it->second);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    const std::string t = trim(item);
-    if (!t.empty()) out.push_back(t);
-  }
-  return out;
-}
-
-std::vector<std::string> KeyValueConfig::keys() const {
-  std::vector<std::string> out;
-  out.reserve(values_.size());
-  for (const auto& [k, v] : values_) out.push_back(k);
-  return out;
-}
-
-namespace {
-
-/// Every config key experimentFromConfig accepts, sorted — the vocabulary
-/// config files and the job-spec API share. Built once: every campaign
-/// job parses its config through here.
-const std::vector<std::string>& canonicalConfigKeys() {
-  static const std::vector<std::string> kKeys = [] {
-    std::vector<std::string> keys = {
-        "graph",        "chain_length",   "scheduler",
-        "horizon_h",    "interval_s",     "seed",
-        "omega_target", "epsilon",        "alternate_period",
-        "resource_period", "sigma",       "output_csv",
-        "catalog",      "placement_racks", "power_smoothing_alpha",
-        "backend",      "max_queue_delay_s",
-        "workload.mean_rate",
-        "workload.profile",
-        "workload.msg_size_kb",
-        "workload.infra_variability",
-        "fault.vm_mtbf_h",
-        "fault.straggler_mtbf_h",
-        "fault.straggler_factor",
-        "fault.straggler_duration_s",
-        "fault.acq_failure_prob",
-        "fault.partition_mtbf_h",
-        "fault.partition_duration_s",
-        "resilience.quarantine_threshold",
-        "resilience.quarantine_probes",
-        "resilience.acq_max_retries",
-        "resilience.acq_backoff_s",
-        "resilience.graceful_degradation",
-        "elasticity.provisioning_delay_s",
-        "elasticity.provisioning_delay_per_core_s",
-        "elasticity.spot_discount",
-        "elasticity.spot_fraction",
-        "elasticity.spot_preemption_mtbf_h",
-        "elasticity.spot_notice_s",
-        "elasticity.pe_state_mb",
-        "elasticity.migration_bandwidth_mbps",
-        "forecast.model",
-        "forecast.horizon_intervals",
-        "forecast.ewma_alpha",
-        "forecast.hw_alpha",
-        "forecast.hw_beta",
-        "forecast.hw_gamma",
-        "forecast.hw_season_intervals",
-        "forecast.preacquire_margin",
-        "forecast.lookahead_alternates"};
-    std::sort(keys.begin(), keys.end());
-    return keys;
-  }();
-  return kKeys;
-}
-
-}  // namespace
-
-CliExperiment experimentFromConfig(const KeyValueConfig& kv) {
-  const std::vector<std::string>& known_keys = canonicalConfigKeys();
-  for (const auto& key : kv.keys()) {
-    if (!std::binary_search(known_keys.begin(), known_keys.end(), key)) {
-      throw ConfigError("unknown config key: '" + key + "'");
+CliExperiment experimentFromEntries(std::span<const ConfigEntry> entries) {
+  // The last value of each key, by row. Of several unknown keys the
+  // alphabetically first is reported.
+  std::array<const std::string*, std::size(kRows)> values{};
+  const std::string* unknown = nullptr;
+  for (const auto& [key, value] : entries) {
+    if (const Row* row = findRow(key)) {
+      values[static_cast<std::size_t>(row - kRows)] = &value;
+    } else if (unknown == nullptr || key < *unknown) {
+      unknown = &key;
     }
+  }
+  if (unknown != nullptr) {
+    throw ConfigError("unknown config key: '" + *unknown + "'");
   }
 
   CliExperiment ex;
-  ex.graph = kv.getString("graph", "paper");
-  if (ex.graph != "paper" && ex.graph != "chain" && ex.graph != "diamond") {
-    throw ConfigError("unknown graph: '" + ex.graph +
-                      "' (expected paper, chain or diamond)");
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (values[i] != nullptr) apply(kRows[i], *values[i], ex);
   }
-  ex.chain_length = static_cast<std::size_t>(
-      kv.getIntInRange("chain_length", 4, 1, kMaxChainLength));
-
-  ExperimentConfig& cfg = ex.config;
-  cfg.horizon_s = kv.getDouble("horizon_h", 1.0) * kSecondsPerHour;
-  cfg.interval_s = kv.getDouble("interval_s", cfg.interval_s);
-  cfg.seed = static_cast<std::uint64_t>(
-      kv.getInt("seed", static_cast<std::int64_t>(cfg.seed)));
-  cfg.omega_target = kv.getDouble("omega_target", cfg.omega_target);
-  cfg.epsilon = kv.getDouble("epsilon", cfg.epsilon);
-  cfg.alternate_period = kv.getInt("alternate_period", cfg.alternate_period);
-  cfg.resource_period = kv.getInt("resource_period", cfg.resource_period);
-  cfg.sigma_override = kv.getDouble("sigma", cfg.sigma_override);
-  cfg.catalog = kv.getString("catalog", cfg.catalog);
-  cfg.placement_racks =
-      kv.getIntInRange("placement_racks", cfg.placement_racks);
-  cfg.power_smoothing_alpha =
-      kv.getDouble("power_smoothing_alpha", cfg.power_smoothing_alpha);
-  cfg.max_queue_delay_s =
-      kv.getDouble("max_queue_delay_s", cfg.max_queue_delay_s);
-
-  WorkloadConfig& wl = cfg.workload;
-  wl.mean_rate = kv.getDouble("workload.mean_rate", wl.mean_rate);
-  wl.infra_variability =
-      kv.getBool("workload.infra_variability", wl.infra_variability);
-  wl.msg_size_bytes =
-      kv.getDouble("workload.msg_size_kb", wl.msg_size_bytes / 1000.0) *
-      1000.0;
-
-  FaultConfig& fl = cfg.faults;
-  fl.vm_mtbf_hours = kv.getDouble("fault.vm_mtbf_h", fl.vm_mtbf_hours);
-  fl.straggler_mtbf_hours =
-      kv.getDouble("fault.straggler_mtbf_h", fl.straggler_mtbf_hours);
-  fl.straggler_factor =
-      kv.getDouble("fault.straggler_factor", fl.straggler_factor);
-  fl.straggler_duration_s =
-      kv.getDouble("fault.straggler_duration_s", fl.straggler_duration_s);
-  fl.acquisition_failure_prob =
-      kv.getDouble("fault.acq_failure_prob", fl.acquisition_failure_prob);
-  fl.partition_mtbf_hours =
-      kv.getDouble("fault.partition_mtbf_h", fl.partition_mtbf_hours);
-  fl.partition_duration_s =
-      kv.getDouble("fault.partition_duration_s", fl.partition_duration_s);
-
-  ElasticityConfig& el = cfg.elasticity;
-  el.provisioning_delay_s = kv.getDouble("elasticity.provisioning_delay_s",
-                                         el.provisioning_delay_s);
-  el.provisioning_delay_per_core_s =
-      kv.getDouble("elasticity.provisioning_delay_per_core_s",
-                   el.provisioning_delay_per_core_s);
-  el.spot_discount =
-      kv.getDouble("elasticity.spot_discount", el.spot_discount);
-  el.spot_fraction =
-      kv.getDouble("elasticity.spot_fraction", el.spot_fraction);
-  el.spot_preemption_mtbf_h = kv.getDouble(
-      "elasticity.spot_preemption_mtbf_h", el.spot_preemption_mtbf_h);
-  el.spot_notice_s = kv.getDouble("elasticity.spot_notice_s",
-                                  el.spot_notice_s);
-  el.pe_state_mb = kv.getDouble("elasticity.pe_state_mb", el.pe_state_mb);
-  el.migration_bandwidth_mbps = kv.getDouble(
-      "elasticity.migration_bandwidth_mbps", el.migration_bandwidth_mbps);
-
-  ResilienceConfig& rl = cfg.resilience;
-  rl.quarantine_threshold =
-      kv.getDouble("resilience.quarantine_threshold", rl.quarantine_threshold);
-  rl.quarantine_probes =
-      kv.getIntInRange("resilience.quarantine_probes", rl.quarantine_probes);
-  rl.acquisition_max_retries = kv.getIntInRange(
-      "resilience.acq_max_retries", rl.acquisition_max_retries);
-  rl.acquisition_backoff_s =
-      kv.getDouble("resilience.acq_backoff_s", rl.acquisition_backoff_s);
-  rl.graceful_degradation =
-      kv.getBool("resilience.graceful_degradation", rl.graceful_degradation);
-
-  ForecastConfig& fo = cfg.forecast;
-  const std::string model =
-      kv.getString("forecast.model", forecastModelName(fo.model));
-  try {
-    fo.model = parseForecastModel(model);
-  } catch (const PreconditionError&) {
-    throw ConfigError("unknown forecast model: '" + model +
-                      "' (expected " +
-                      joinNames(allForecastModels(), forecastModelName) +
-                      ")");
-  }
-  fo.horizon_intervals =
-      kv.getIntInRange("forecast.horizon_intervals", fo.horizon_intervals);
-  fo.ewma_alpha = kv.getDouble("forecast.ewma_alpha", fo.ewma_alpha);
-  fo.hw_alpha = kv.getDouble("forecast.hw_alpha", fo.hw_alpha);
-  fo.hw_beta = kv.getDouble("forecast.hw_beta", fo.hw_beta);
-  fo.hw_gamma = kv.getDouble("forecast.hw_gamma", fo.hw_gamma);
-  fo.hw_season_intervals = kv.getIntInRange("forecast.hw_season_intervals",
-                                            fo.hw_season_intervals);
-  fo.preacquire_margin =
-      kv.getDouble("forecast.preacquire_margin", fo.preacquire_margin);
-  fo.lookahead_alternates =
-      kv.getBool("forecast.lookahead_alternates", fo.lookahead_alternates);
-
-  const std::string profile = kv.getString("workload.profile", "constant");
-  try {
-    wl.profile = parseProfileKind(profile);
-  } catch (const PreconditionError&) {
-    throw ConfigError("unknown profile: '" + profile + "' (expected " +
-                      joinNames(allProfileKinds(), profileName) + ")");
-  }
-
-  const std::string backend = kv.getString("backend", "fluid");
-  if (backend == "fluid") {
-    cfg.backend = SimBackend::Fluid;
-  } else if (backend == "event") {
-    cfg.backend = SimBackend::Event;
-  } else {
-    throw ConfigError("unknown backend: '" + backend +
-                      "' (expected fluid or event)");
-  }
-
-  auto names = kv.getList("scheduler");
-  if (names.empty()) names = {"global"};
-  for (const auto& name : names) {
-    try {
-      ex.schedulers.push_back(parseScheduler(name));
-    } catch (const PreconditionError&) {
-      throw ConfigError("unknown scheduler name: '" + name + "' (expected " +
-                        joinNames(allSchedulers(), schedulerName) + ")");
-    }
-  }
+  if (ex.schedulers.empty()) ex.schedulers.push_back(parseScheduler("global"));
   for (const SchedulerSpec& spec : ex.schedulers) {
     if (spec.mode == SchedulerSpec::Mode::Predictive &&
-        !cfg.forecast.enabled()) {
+        !ex.config.forecast.enabled()) {
       throw ConfigError(
           "scheduler '" + schedulerName(spec) +
           "' needs forecasting on; set forecast.model to one of " +
@@ -368,10 +359,9 @@ CliExperiment experimentFromConfig(const KeyValueConfig& kv) {
           " (other than off)");
     }
   }
-  ex.output_csv = kv.getString("output_csv", "");
   // Report every config mistake at once, as a ConfigError (one clean CLI
   // line rather than a precondition stack).
-  const std::vector<std::string> errors = cfg.validationErrors();
+  const std::vector<std::string> errors = ex.config.validationErrors();
   if (!errors.empty()) {
     std::ostringstream os;
     for (std::size_t i = 0; i < errors.size(); ++i) {
@@ -380,6 +370,10 @@ CliExperiment experimentFromConfig(const KeyValueConfig& kv) {
     throw ConfigError(os.str());
   }
   return ex;
+}
+
+CliExperiment experimentFromConfig(const KeyValueConfig& kv) {
+  return experimentFromEntries(kv.entries());
 }
 
 }  // namespace dds

@@ -1,19 +1,13 @@
 #include "dds/exp/job_spec.hpp"
 
 #include <cmath>
+#include <optional>
 
 #include "dds/common/json.hpp"
 #include "dds/common/json_value.hpp"
 
 namespace dds {
 namespace {
-
-/// Keys a spec may not smuggle inside "config": the first three are
-/// top-level spec fields, the last is a CLI-file-only control.
-bool reservedConfigKey(const std::string& key) {
-  return key == "graph" || key == "chain_length" || key == "scheduler" ||
-         key == "output_csv";
-}
 
 std::string expectString(const JsonValue& v, const std::string& field) {
   const std::string* s = v.asString();
@@ -58,6 +52,9 @@ std::string JobSpec::ConfigValue::asConfigString() const {
     case Kind::Bool:
       return boolean ? "true" : "false";
     case Kind::Number:
+      // A literal past double's range (1e999) parses as infinity; its
+      // text form lets the number row reject it by key.
+      if (!std::isfinite(number)) return number > 0 ? "inf" : "-inf";
       return jsonNumber(number);
     case Kind::String:
       return text;
@@ -140,10 +137,11 @@ JobSpec parseJobSpec(const std::string& json_line) {
         throw ConfigError("job-spec field 'config' must be an object");
       }
       for (const auto& [key, cv] : *cfg) {
-        if (reservedConfigKey(key)) {
+        const std::optional<ConfigScope> scope = configKeyScope(key);
+        if (scope.has_value() && *scope != ConfigScope::Everywhere) {
           throw ConfigError(
               "job-spec config key '" + key + "' is reserved" +
-              (key == "output_csv"
+              (*scope == ConfigScope::FileOnly
                    ? " (it has no meaning in a job spec)"
                    : " (set it as a top-level spec field)"));
         }
@@ -162,16 +160,18 @@ JobSpec parseJobSpec(const std::string& json_line) {
 }
 
 CliExperiment experimentFromSpec(const JobSpec& spec) {
-  KeyValueConfig kv;
-  kv.set("graph", spec.graph);
+  // The top-level fields share their names with their config keys.
+  std::vector<ConfigEntry> entries;
+  entries.reserve(spec.config.size() + 3);
+  entries.emplace_back("graph", spec.graph);
   if (spec.graph == "chain") {
-    kv.set("chain_length", std::to_string(spec.chain_length));
+    entries.emplace_back("chain_length", std::to_string(spec.chain_length));
   }
-  kv.set("scheduler", spec.scheduler);
+  entries.emplace_back("scheduler", spec.scheduler);
   for (const auto& [key, value] : spec.config) {
-    kv.set(key, value.asConfigString());
+    entries.emplace_back(key, value.asConfigString());
   }
-  return experimentFromConfig(kv);
+  return experimentFromEntries(entries);
 }
 
 }  // namespace dds

@@ -5,6 +5,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
 namespace dds {
 namespace {
@@ -16,20 +20,9 @@ TEST(KeyValueConfig, ParsesPairsCommentsAndBlanks) {
       "\n"
       "graph= paper   # trailing comment\n"
       "infra_variability =true\n");
-  EXPECT_TRUE(kv.has("mean_rate"));
-  EXPECT_DOUBLE_EQ(kv.getDouble("mean_rate", 0.0), 12.5);
-  EXPECT_EQ(kv.getString("graph", ""), "paper");
-  EXPECT_TRUE(kv.getBool("infra_variability", false));
-  EXPECT_FALSE(kv.has("absent"));
-}
-
-TEST(KeyValueConfig, FallbacksWhenAbsent) {
-  const auto kv = KeyValueConfig::parse("a = 1\n");
-  EXPECT_DOUBLE_EQ(kv.getDouble("missing", 7.5), 7.5);
-  EXPECT_EQ(kv.getInt("missing", 3), 3);
-  EXPECT_EQ(kv.getString("missing", "x"), "x");
-  EXPECT_TRUE(kv.getBool("missing", true));
-  EXPECT_TRUE(kv.getList("missing").empty());
+  const std::vector<ConfigEntry> expected = {
+      {"mean_rate", "12.5"}, {"graph", "paper"}, {"infra_variability", "true"}};
+  EXPECT_EQ(kv.entries(), expected);
 }
 
 TEST(KeyValueConfig, RejectsMalformedLines) {
@@ -37,39 +30,105 @@ TEST(KeyValueConfig, RejectsMalformedLines) {
   EXPECT_THROW((void)KeyValueConfig::parse("= value\n"), IoError);
 }
 
-TEST(KeyValueConfig, RejectsBadConversions) {
-  const auto kv = KeyValueConfig::parse(
-      "num = abc\nint = 1.5\nflag = maybe\n");
-  EXPECT_THROW((void)kv.getDouble("num", 0.0), PreconditionError);
-  EXPECT_THROW((void)kv.getInt("int", 0), PreconditionError);
-  EXPECT_THROW((void)kv.getBool("flag", false), PreconditionError);
-}
-
-TEST(KeyValueConfig, BoolSynonyms) {
-  const auto kv = KeyValueConfig::parse(
-      "a = yes\nb = ON\nc = 0\nd = False\n");
-  EXPECT_TRUE(kv.getBool("a", false));
-  EXPECT_TRUE(kv.getBool("b", false));
-  EXPECT_FALSE(kv.getBool("c", true));
-  EXPECT_FALSE(kv.getBool("d", true));
-}
-
-TEST(KeyValueConfig, ListsSplitOnCommas) {
-  const auto kv = KeyValueConfig::parse("s = global, local ,brute-force-static\n");
-  const auto items = kv.getList("s");
-  ASSERT_EQ(items.size(), 3u);
-  EXPECT_EQ(items[0], "global");
-  EXPECT_EQ(items[1], "local");
-  EXPECT_EQ(items[2], "brute-force-static");
-}
-
-TEST(KeyValueConfig, LastDuplicateWins) {
-  const auto kv = KeyValueConfig::parse("k = 1\nk = 2\n");
-  EXPECT_EQ(kv.getInt("k", 0), 2);
-}
-
 TEST(KeyValueConfig, LoadMissingFileThrows) {
   EXPECT_THROW((void)KeyValueConfig::load("/no/such/file.conf"), IoError);
+}
+
+CliExperiment fromText(const std::string& text) {
+  return experimentFromConfig(KeyValueConfig::parse(text));
+}
+
+/// The ConfigError message `text` fails with ("" when it parses).
+std::string errorFor(const std::string& text) {
+  try {
+    (void)fromText(text);
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ExperimentFromConfig, FallbacksWhenAbsent) {
+  // An empty file sets nothing: every field keeps its default.
+  const CliExperiment ex = fromText("# nothing set\n");
+  EXPECT_EQ(ex.config, ExperimentConfig{});
+  EXPECT_EQ(ex.graph, "paper");
+  EXPECT_EQ(ex.chain_length, 4u);
+  EXPECT_EQ(ex.schedulers, std::vector<SchedulerSpec>{parseScheduler("global")});
+  EXPECT_TRUE(ex.output_csv.empty());
+  // An empty scheduler list also falls back to the default.
+  EXPECT_EQ(fromText("scheduler = , ,\n").schedulers,
+            std::vector<SchedulerSpec>{parseScheduler("global")});
+}
+
+TEST(ExperimentFromConfig, RejectsBadConversions) {
+  EXPECT_EQ(errorFor("workload.mean_rate = abc\n"),
+            "config key 'workload.mean_rate' is not a number: 'abc'");
+  EXPECT_EQ(errorFor("seed = 1.5\n"),
+            "config key 'seed' is not an integer: '1.5'");
+  EXPECT_EQ(errorFor("resilience.quarantine_probes = 7.5\n"),
+            "config key 'resilience.quarantine_probes' is not an integer: "
+            "'7.5'");
+  EXPECT_EQ(errorFor("workload.infra_variability = maybe\n"),
+            "config key 'workload.infra_variability' is not a boolean: "
+            "'maybe'");
+  // Of several bad values the first row in table order is reported,
+  // whatever order the file lists them in.
+  EXPECT_EQ(errorFor("forecast.hw_alpha = x\nseed = y\n"),
+            "config key 'seed' is not an integer: 'y'");
+}
+
+TEST(ExperimentFromConfig, BoolSynonyms) {
+  for (const char* yes : {"true", "yes", "ON", "1", "True"}) {
+    EXPECT_TRUE(fromText(std::string("workload.infra_variability = ") + yes +
+                         "\n")
+                    .config.workload.infra_variability)
+        << yes;
+  }
+  for (const char* no : {"false", "no", "Off", "0", "False"}) {
+    EXPECT_FALSE(fromText(std::string("forecast.lookahead_alternates = ") +
+                          no + "\n")
+                     .config.forecast.lookahead_alternates)
+        << no;
+  }
+}
+
+TEST(ExperimentFromConfig, ListsSplitOnCommas) {
+  const CliExperiment ex =
+      fromText("scheduler = global, local ,brute-force-static,\n");
+  ASSERT_EQ(ex.schedulers.size(), 3u);
+  EXPECT_EQ(ex.schedulers[0], parseScheduler("global"));
+  EXPECT_EQ(ex.schedulers[1], parseScheduler("local"));
+  EXPECT_EQ(ex.schedulers[2], parseScheduler("brute-force-static"));
+}
+
+TEST(ExperimentFromConfig, LastDuplicateWins) {
+  EXPECT_EQ(fromText("seed = 1\nseed = 2\n").config.seed, 2u);
+  EXPECT_EQ(fromText("scheduler = local\nscheduler = global\n").schedulers,
+            std::vector<SchedulerSpec>{parseScheduler("global")});
+  // Only the last value is converted: an earlier bad one is overwritten.
+  EXPECT_EQ(fromText("seed = x\nseed = 3\n").config.seed, 3u);
+}
+
+TEST(ExperimentFromConfig, RejectsNonFiniteNumbersAndNegativeSeeds) {
+  // These used to run: sigma = inf gave a -Infinity Theta, nan was
+  // silently ignored, inf rates failed deep inside the run, and a
+  // negative seed wrapped to 2^64 - 1.
+  for (const std::string key :
+       {"sigma", "workload.mean_rate", "elasticity.pe_state_mb",
+        "workload.msg_size_kb", "horizon_h", "fault.vm_mtbf_h"}) {
+    for (const std::string value : {"inf", "-inf", "nan", "infinity"}) {
+      EXPECT_EQ(errorFor(key + " = " + value + "\n"),
+                "config key '" + key + "' is not a finite number: '" + value +
+                    "'");
+    }
+  }
+  EXPECT_EQ(errorFor("seed = -1\n"),
+            "config key 'seed' is out of range [0, 9223372036854775807]: "
+            "'-1'");
+  EXPECT_EQ(fromText("seed = 0\n").config.seed, 0u);
+  EXPECT_EQ(fromText("seed = 9223372036854775807\n").config.seed,
+            9223372036854775807u);
 }
 
 TEST(ExperimentFromConfig, AcceptsEverySchedulerName) {
@@ -491,6 +550,35 @@ TEST(ExperimentFromConfig, ShippedExampleConfParses) {
   const auto ex = experimentFromConfig(KeyValueConfig::load(path.string()));
   EXPECT_EQ(ex.graph, "paper");
   EXPECT_EQ(ex.schedulers.size(), 4u);
+}
+
+TEST(ExperimentFromConfig, ShippedExampleConfDocumentsEveryKey) {
+  // tools/example.conf lists every key, commented out or not, and no key
+  // the table does not have.
+  std::ifstream in(std::filesystem::path(__FILE__)
+                       .parent_path()
+                       .parent_path()
+                       .parent_path() /
+                   "tools" / "example.conf");
+  ASSERT_TRUE(in);
+  std::set<std::string> documented;
+  std::string line;
+  while (std::getline(in, line)) {
+    // A key line, live or commented out, has one word before its '='.
+    const std::size_t eq = line.find('=');
+    if (eq == std::string::npos) continue;
+    std::istringstream lhs(line.substr(0, eq));
+    std::string word;
+    std::string extra;
+    lhs >> word;
+    if (word == "#") lhs >> word;
+    if (word.starts_with('#')) word.erase(0, 1);
+    if (!word.empty() && !(lhs >> extra)) documented.insert(word);
+  }
+  const std::vector<std::string_view> names = configKeyNames();
+  const std::set<std::string> keys(names.begin(), names.end());
+  EXPECT_EQ(keys.size(), 50u);
+  EXPECT_EQ(documented, keys);
 }
 
 TEST(ExperimentFromConfig, ChainLengthIsRangeChecked) {

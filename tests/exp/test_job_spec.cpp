@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "dds/common/time.hpp"
 
@@ -134,6 +137,166 @@ TEST(JobSpec, BadSchedulerOrGraphFailResolution) {
   EXPECT_THROW(
       experimentFromSpec(parseJobSpec(R"({"v": 1, "graph": "torus"})")),
       ConfigError);
+}
+
+/// The ConfigError message resolving `line` fails with ("" when it
+/// resolves).
+std::string resolutionError(const std::string& line) {
+  try {
+    (void)experimentFromSpec(parseJobSpec(line));
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(JobSpec, CoercesValuesLikeAConfigFile) {
+  // Bools take JSON bools, synonym strings and 1/0; numbers take numeric
+  // strings; a repeated key takes its last value.
+  const CliExperiment ex = experimentFromSpec(parseJobSpec(
+      R"({"v": 1, "config": {"workload.infra_variability": 1,)"
+      R"( "resilience.graceful_degradation": "yes",)"
+      R"( "forecast.lookahead_alternates": 0, "workload.mean_rate": "12.5",)"
+      R"( "seed": 1, "seed": "2", "resilience.quarantine_probes": "5"}})"));
+  EXPECT_TRUE(ex.config.workload.infra_variability);
+  EXPECT_TRUE(ex.config.resilience.graceful_degradation);
+  EXPECT_FALSE(ex.config.forecast.lookahead_alternates);
+  EXPECT_EQ(ex.config.workload.mean_rate, 12.5);
+  EXPECT_EQ(ex.config.seed, 2u);
+  EXPECT_EQ(ex.config.resilience.quarantine_probes, 5);
+  // Integers reject fractions, given as numbers or as strings.
+  EXPECT_EQ(resolutionError(R"({"v": 1, "config": {"seed": 7.5}})"),
+            "config key 'seed' is not an integer: '7.5'");
+  EXPECT_EQ(resolutionError(
+                R"({"v": 1, "config": {"forecast.horizon_intervals": "7.5"}})"),
+            "config key 'forecast.horizon_intervals' is not an integer: "
+            "'7.5'");
+  EXPECT_EQ(resolutionError(
+                R"({"v": 1, "config": {"workload.infra_variability": 2}})"),
+            "config key 'workload.infra_variability' is not a boolean: '2'");
+  EXPECT_EQ(resolutionError(R"({"v": 1, "config": {"epsilon": true}})"),
+            "config key 'epsilon' is not a number: 'true'");
+}
+
+TEST(JobSpec, RejectsNonFiniteNumbersAndNegativeSeeds) {
+  EXPECT_EQ(resolutionError(R"({"v": 1, "config": {"sigma": "inf"}})"),
+            "config key 'sigma' is not a finite number: 'inf'");
+  EXPECT_EQ(resolutionError(R"({"v": 1, "config": {"sigma": "nan"}})"),
+            "config key 'sigma' is not a finite number: 'nan'");
+  // A literal past double's range parses as infinity.
+  EXPECT_EQ(
+      resolutionError(R"({"v": 1, "config": {"workload.mean_rate": 1e999}})"),
+      "config key 'workload.mean_rate' is not a finite number: 'inf'");
+  EXPECT_EQ(resolutionError(
+                R"({"v": 1, "config": {"workload.msg_size_kb": -1e999}})"),
+            "config key 'workload.msg_size_kb' is not a finite number: "
+            "'-inf'");
+  EXPECT_EQ(resolutionError(R"({"v": 1, "config": {"seed": -1}})"),
+            "config key 'seed' is out of range [0, 9223372036854775807]: "
+            "'-1'");
+}
+
+/// One key's value, spelled once for a config file and once as JSON.
+struct Setting {
+  const char* key;
+  const char* conf;
+  const char* json;
+};
+
+/// The spec and the file a settings list describes.
+std::pair<std::string, std::string> specAndFile(
+    const std::vector<Setting>& settings, const std::string& top_level) {
+  std::string spec = R"({"v": 1, )" + top_level + R"(, "config": {)";
+  std::string file;
+  for (std::size_t i = 0; i < settings.size(); ++i) {
+    spec += std::string(i ? ", " : "") + "\"" + settings[i].key +
+            "\": " + settings[i].json;
+    file += std::string(settings[i].key) + " = " + settings[i].conf + "\n";
+  }
+  return {spec + "}}", file};
+}
+
+TEST(JobSpec, FileAndSpecGiveEqualExperimentsForEveryKey) {
+  // Every key set to a non-default value, once as config-file text and
+  // once as v1 JSON. Fault, delay and spot knobs are fluid-only, so the
+  // event backend gets a second, smaller set.
+  const std::vector<Setting> fluid = {
+      {"horizon_h", "0.5", "0.5"},
+      {"interval_s", "30", R"("30")"},
+      {"seed", "7", "7"},
+      {"omega_target", "0.8", R"("0.8")"},
+      {"epsilon", "0.04", "0.04"},
+      {"alternate_period", "3", "3"},
+      {"resource_period", "2", R"("2")"},
+      {"sigma", "0.5", "0.5"},
+      {"catalog", "mixed", R"("mixed")"},
+      {"placement_racks", "2", "2"},
+      {"power_smoothing_alpha", "0.5", R"("0.5")"},
+      {"max_queue_delay_s", "20", "20"},
+      {"workload.mean_rate", "12.5", "12.5"},
+      {"workload.profile", "wave", R"("wave")"},
+      {"workload.msg_size_kb", "50", R"("50")"},
+      {"workload.infra_variability", "true", R"("yes")"},
+      {"fault.vm_mtbf_h", "4", "4"},
+      {"fault.straggler_mtbf_h", "2", R"("2")"},
+      {"fault.straggler_factor", "0.4", "0.4"},
+      {"fault.straggler_duration_s", "300", "300"},
+      {"fault.acq_failure_prob", "0.1", R"("0.1")"},
+      {"fault.partition_mtbf_h", "3", "3"},
+      {"fault.partition_duration_s", "90", "90"},
+      {"elasticity.provisioning_delay_s", "60", "60"},
+      {"elasticity.provisioning_delay_per_core_s", "10", R"("10")"},
+      {"elasticity.spot_discount", "0.6", "0.6"},
+      {"elasticity.spot_fraction", "0.5", "0.5"},
+      {"elasticity.spot_preemption_mtbf_h", "2", "2"},
+      {"elasticity.spot_notice_s", "90", R"("90")"},
+      {"elasticity.pe_state_mb", "40", "40"},
+      {"elasticity.migration_bandwidth_mbps", "200", "200"},
+      {"resilience.quarantine_threshold", "0.5", "0.5"},
+      {"resilience.quarantine_probes", "2", "2"},
+      {"resilience.acq_max_retries", "4", R"("4")"},
+      {"resilience.acq_backoff_s", "30", "30"},
+      {"resilience.graceful_degradation", "on", "true"},
+      {"forecast.model", "holt-winters", R"("holt-winters")"},
+      {"forecast.horizon_intervals", "4", "4"},
+      {"forecast.ewma_alpha", "0.4", R"("0.4")"},
+      {"forecast.hw_alpha", "0.35", "0.35"},
+      {"forecast.hw_beta", "0.1", "0.1"},
+      {"forecast.hw_gamma", "0.25", "0.25"},
+      {"forecast.hw_season_intervals", "10", R"("10")"},
+      {"forecast.preacquire_margin", "0.2", "0.2"},
+      {"forecast.lookahead_alternates", "no", "0"},
+  };
+  const std::vector<Setting> event = {
+      {"backend", "event", R"("event")"},
+      {"workload.mean_rate", "6", R"("6")"},
+      {"workload.infra_variability", "yes", "1"},
+      {"forecast.model", "ewma", R"("ewma")"},
+  };
+  const std::string top_level =
+      R"("graph": "chain", "chain_length": 6, "scheduler": "global-predictive")";
+  const std::string top_level_file =
+      "graph = chain\nchain_length = 6\nscheduler = global-predictive\n";
+
+  std::set<std::string> covered = {"graph", "chain_length", "scheduler"};
+  for (const auto* settings : {&fluid, &event}) {
+    const auto [spec, file] = specAndFile(*settings, top_level);
+    const CliExperiment from_spec = experimentFromSpec(parseJobSpec(spec));
+    const CliExperiment from_file =
+        experimentFromConfig(KeyValueConfig::parse(top_level_file + file));
+    EXPECT_EQ(from_spec.config, from_file.config) << spec;
+    EXPECT_NE(from_spec.config, ExperimentConfig{}) << spec;
+    EXPECT_EQ(from_spec.graph, from_file.graph);
+    EXPECT_EQ(from_spec.chain_length, from_file.chain_length);
+    EXPECT_EQ(from_spec.schedulers, from_file.schedulers);
+    for (const Setting& setting : *settings) covered.insert(setting.key);
+  }
+  // Every key a spec can set is covered (output_csv is file-only).
+  std::set<std::string> spec_keys;
+  for (const std::string_view key : configKeyNames()) {
+    if (configKeyScope(key) != ConfigScope::FileOnly) spec_keys.emplace(key);
+  }
+  EXPECT_EQ(covered, spec_keys);
 }
 
 }  // namespace

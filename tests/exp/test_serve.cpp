@@ -4,6 +4,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace dds {
@@ -136,6 +137,43 @@ TEST(Serve, HugeHorizonIsRejectedAndTheStreamContinues) {
   EXPECT_NE(lines[0].find("\"rejected\":true"), std::string::npos);
   EXPECT_NE(lines[0].find("horizon"), std::string::npos) << lines[0];
   EXPECT_NE(lines[1].find("\"ok\":true"), std::string::npos);
+}
+
+TEST(Serve, NonFiniteNumbersAndNegativeSeedsAreRejectedAndTheStreamContinues) {
+  // Each of these used to run (or, for 1e999, stop the whole service):
+  // now each is a rejection naming its key.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {R"({"v":1,"config":{"sigma":"inf"}})", "'sigma'"},
+      {R"({"v":1,"config":{"sigma":"nan"}})", "'sigma'"},
+      {R"({"v":1,"config":{"sigma":1e999}})", "'sigma'"},
+      {R"({"v":1,"config":{"workload.mean_rate":"inf"}})",
+       "'workload.mean_rate'"},
+      {R"({"v":1,"config":{"elasticity.pe_state_mb":"inf"}})",
+       "'elasticity.pe_state_mb'"},
+      {R"({"v":1,"config":{"workload.msg_size_kb":"inf"}})",
+       "'workload.msg_size_kb'"},
+      {R"({"v":1,"config":{"seed":-1}})", "'seed'"},
+  };
+  std::string input;
+  for (const auto& [line, key] : cases) input += line + "\n";
+  input += specLine(1, "global") + "\n";
+  ServeStats stats;
+  const std::string out = serveAll(input, {.jobs = 2}, &stats);
+  EXPECT_EQ(stats.rejected, cases.size());
+  EXPECT_EQ(stats.ok, 1u);
+  std::vector<std::string> lines;
+  std::istringstream in(out);
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(line);
+  ASSERT_EQ(lines.size(), cases.size() + 1);
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_NE(lines[i].find("\"rejected\":true"), std::string::npos)
+        << lines[i];
+    EXPECT_NE(lines[i].find("config key " + cases[i].second),
+              std::string::npos)
+        << lines[i];
+  }
+  EXPECT_NE(lines.back().find("\"ok\":true"), std::string::npos);
 }
 
 TEST(Serve, JobFailuresAreInBandRecords) {
