@@ -69,6 +69,9 @@ class JsonWriter {
   JsonWriter& value(int v) { return value(static_cast<std::int64_t>(v)); }
   JsonWriter& value(bool v);
   JsonWriter& null();
+  /// A number given as the JSON literal it was parsed from, written
+  /// verbatim (an integer past 2^53 stays exact).
+  JsonWriter& numberLiteral(const std::string& literal);
 
   /// The document so far; call after the outermost container is closed.
   /// Pretty documents end with '\n'; Compact ones do not (the caller

@@ -20,8 +20,11 @@
 // Config values may be JSON numbers, bools, or strings. Each is rendered
 // in config-file text form and applied through the same key table a
 // config file goes through (experimentFromEntries), so a spec and a file
-// accept exactly the same keys and coercions. Numbers are rendered with
-// jsonNumber() (shortest round-trip form), so doubles survive exactly.
+// accept exactly the same keys and coercions. An integer literal is
+// passed on as written, so a spec and a file give the same result and
+// message for the same digits (a seed past 2^53 stays exact); other
+// numbers are rendered with jsonNumber() (shortest round-trip form), so
+// doubles survive exactly.
 #pragma once
 
 #include <cstddef>
@@ -51,6 +54,8 @@ struct JobSpec {
     Kind kind = Kind::String;
     bool boolean = false;
     double number = 0.0;
+    /// A String's value; for a Number, its JSON literal when that is an
+    /// integer ("9223372036854775807"), else empty.
     std::string text;
 
     /// The config-file text form the key table converts.

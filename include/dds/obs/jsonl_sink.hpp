@@ -1,11 +1,13 @@
 // Streaming JSONL trace sink.
 //
 // One compact JSON object per line, written as events arrive so a
-// multi-hour run never buffers its trace. Doubles use the shortest
-// round-tripping representation (common/json), and non-finite values
-// serialize as "NaN"/"Infinity"/"-Infinity" string sentinels that
-// TraceReader maps back exactly — parse -> re-serialize is therefore
-// byte-identical, which `ddtrace --check` verifies.
+// multi-hour run never buffers its trace. Each line follows the event's
+// row in the wire table (src/obs/trace_wire.cpp): "ev" first, then the
+// row's fields in order. Doubles use the shortest round-tripping
+// representation (common/json), integers print exactly, and non-finite
+// values serialize as "NaN"/"Infinity"/"-Infinity" string sentinels
+// that TraceReader maps back exactly — parse -> re-serialize is
+// therefore byte-identical, which `ddtrace --check` verifies.
 #pragma once
 
 #include <fstream>

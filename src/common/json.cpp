@@ -171,6 +171,12 @@ JsonWriter& JsonWriter::null() {
   return *this;
 }
 
+JsonWriter& JsonWriter::numberLiteral(const std::string& literal) {
+  beforeValue();
+  out_ << literal;
+  return *this;
+}
+
 std::string JsonWriter::str() const {
   DDS_REQUIRE(stack_.empty(), "unterminated JSON container");
   if (options_.style == Style::Compact) return out_.str();

@@ -1,6 +1,7 @@
 #include "dds/common/json_value.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 
 #include "dds/common/error.hpp"
@@ -172,7 +173,7 @@ class Parser {
     }
   }
 
-  double parseNumber() {
+  JsonNumber parseNumber() {
     const std::size_t start = pos_;
     if (peek() == '-') ++pos_;
     while (pos_ < text_.size() &&
@@ -182,11 +183,11 @@ class Parser {
       ++pos_;
     }
     if (pos_ == start) fail("invalid number");
-    const std::string token = text_.substr(start, pos_ - start);
+    std::string token = text_.substr(start, pos_ - start);
     char* end = nullptr;
     const double v = std::strtod(token.c_str(), &end);
     if (end == nullptr || *end != '\0') fail("invalid number");
-    return v;
+    return {v, std::move(token)};
   }
 
   const std::string& text_;
@@ -201,6 +202,21 @@ const JsonValue* jsonFind(const JsonObject& obj, const std::string& key) {
   }
   return nullptr;
 }
+
+template <typename T>
+std::optional<T> jsonInteger(const JsonValue& v) {
+  const std::string* literal = v.numberLiteral();
+  if (literal == nullptr) return std::nullopt;
+  const char* end = literal->data() + literal->size();
+  T out{};
+  const auto [ptr, ec] = std::from_chars(literal->data(), end, out);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return out;
+}
+
+template std::optional<std::int64_t> jsonInteger(const JsonValue&);
+template std::optional<std::uint64_t> jsonInteger(const JsonValue&);
+template std::optional<std::uint32_t> jsonInteger(const JsonValue&);
 
 JsonValue parseJson(const std::string& text) { return Parser(text).parse(); }
 

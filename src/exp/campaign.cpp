@@ -234,6 +234,22 @@ CampaignResult runCampaign(const Campaign& campaign,
   return result;
 }
 
+namespace {
+
+/// The result keys a successful job reports, in both campaign documents.
+void writeResultKeys(JsonWriter& w, const ExperimentResult& r) {
+  w.key("omega").value(r.average_omega);
+  w.key("gamma").value(r.average_gamma);
+  w.key("cost").value(r.total_cost);
+  w.key("theta").value(r.theta);
+  w.key("constraint_met").value(r.constraint_met);
+  w.key("peak_vms").value(r.peak_vms);
+  w.key("peak_cores").value(r.peak_cores);
+  w.key("intervals").value(r.run.intervals().size());
+}
+
+}  // namespace
+
 std::string campaignJson(const CampaignResult& result,
                          const std::string& name,
                          const CampaignJsonOptions& options) {
@@ -261,14 +277,7 @@ std::string campaignJson(const CampaignResult& result,
       w.key("wall_s").value(o.wall_s);
     }
     if (o.ok) {
-      w.key("omega").value(o.result.average_omega);
-      w.key("gamma").value(o.result.average_gamma);
-      w.key("cost").value(o.result.total_cost);
-      w.key("theta").value(o.result.theta);
-      w.key("constraint_met").value(o.result.constraint_met);
-      w.key("peak_vms").value(o.result.peak_vms);
-      w.key("peak_cores").value(o.result.peak_cores);
-      w.key("intervals").value(o.result.run.intervals().size());
+      writeResultKeys(w, o.result);
       if (!o.result.metrics.empty()) {
         w.key("metrics").beginObject();
         for (const obs::MetricSample& m : o.result.metrics) {
@@ -331,14 +340,7 @@ std::string jobRecordJson(const JobOutcome& o, std::size_t index) {
   w.key("seed").value(o.seed);
   w.key("ok").value(o.ok);
   if (o.ok) {
-    w.key("omega").value(o.result.average_omega);
-    w.key("gamma").value(o.result.average_gamma);
-    w.key("cost").value(o.result.total_cost);
-    w.key("theta").value(o.result.theta);
-    w.key("constraint_met").value(o.result.constraint_met);
-    w.key("peak_vms").value(o.result.peak_vms);
-    w.key("peak_cores").value(o.result.peak_cores);
-    w.key("intervals").value(o.result.run.intervals().size());
+    writeResultKeys(w, o.result);
   } else {
     w.key("error").value(o.error);
   }

@@ -17,15 +17,6 @@ std::string expectString(const JsonValue& v, const std::string& field) {
   return *s;
 }
 
-std::int64_t expectIntegral(const JsonValue& v, const std::string& field) {
-  const double* n = v.asNumber();
-  if (n == nullptr || !std::isfinite(*n) || *n != std::floor(*n)) {
-    throw ConfigError("job-spec field '" + field +
-                      "' must be an integral number");
-  }
-  return static_cast<std::int64_t>(*n);
-}
-
 JobSpec::ConfigValue configValueFrom(const JsonValue& v,
                                      const std::string& key) {
   JobSpec::ConfigValue out;
@@ -35,6 +26,10 @@ JobSpec::ConfigValue configValueFrom(const JsonValue& v,
   } else if (const double* n = v.asNumber()) {
     out.kind = JobSpec::ConfigValue::Kind::Number;
     out.number = *n;
+    if (const std::string& literal = *v.numberLiteral();
+        literal.find_first_of(".eE") == std::string::npos) {
+      out.text = literal;
+    }
   } else if (const std::string* s = v.asString()) {
     out.kind = JobSpec::ConfigValue::Kind::String;
     out.text = *s;
@@ -52,6 +47,7 @@ std::string JobSpec::ConfigValue::asConfigString() const {
     case Kind::Bool:
       return boolean ? "true" : "false";
     case Kind::Number:
+      if (!text.empty()) return text;
       // A literal past double's range (1e999) parses as infinity; its
       // text form lets the number row reject it by key.
       if (!std::isfinite(number)) return number > 0 ? "inf" : "-inf";
@@ -82,7 +78,11 @@ std::string JobSpec::toJson() const {
         w.value(value.boolean);
         break;
       case ConfigValue::Kind::Number:
-        w.value(value.number);
+        if (value.text.empty()) {
+          w.value(value.number);
+        } else {
+          w.numberLiteral(value.text);
+        }
         break;
       case ConfigValue::Kind::String:
         w.value(value.text);
@@ -110,10 +110,13 @@ JobSpec parseJobSpec(const std::string& json_line) {
   bool saw_version = false;
   for (const auto& [field, value] : *obj) {
     if (field == "v") {
-      const std::int64_t v = expectIntegral(value, "v");
-      if (v != JobSpec::kVersion) {
-        throw ConfigError("unsupported job-spec version " +
-                          std::to_string(v) + " (this build speaks v" +
+      const std::string* literal = value.numberLiteral();
+      if (literal == nullptr) {
+        throw ConfigError("job-spec field 'v' must be a number");
+      }
+      if (jsonInteger<std::int64_t>(value) != JobSpec::kVersion) {
+        throw ConfigError("unsupported job-spec version " + *literal +
+                          " (this build speaks v" +
                           std::to_string(JobSpec::kVersion) + ")");
       }
       saw_version = true;
@@ -124,11 +127,13 @@ JobSpec parseJobSpec(const std::string& json_line) {
     } else if (field == "graph") {
       spec.graph = expectString(value, field);
     } else if (field == "chain_length") {
-      const std::int64_t n = expectIntegral(value, field);
-      if (n < 1) {
-        throw ConfigError("job-spec chain_length must be >= 1");
+      const std::optional<std::int64_t> n = jsonInteger<std::int64_t>(value);
+      if (!n.has_value() || *n < 1 || *n > kMaxChainLength) {
+        throw ConfigError(
+            "job-spec field 'chain_length' must be an integer in [1, " +
+            std::to_string(kMaxChainLength) + "]");
       }
-      spec.chain_length = static_cast<std::size_t>(n);
+      spec.chain_length = static_cast<std::size_t>(*n);
     } else if (field == "scheduler") {
       spec.scheduler = expectString(value, field);
     } else if (field == "config") {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "dds/common/error.hpp"
@@ -115,6 +117,30 @@ TEST(JsonValueTest, ExactDoubleRoundTrip) {
     ASSERT_NE(v.asNumber(), nullptr);
     EXPECT_EQ(*v.asNumber(), d) << jsonNumber(d);
   }
+}
+
+// Integers read from the literal, so values past 2^53 stay exact.
+TEST(JsonValueTest, IntegersReadExactlyFromTheLiteral) {
+  const JsonValue big = parseJson("9007199254740993");
+  EXPECT_EQ(*big.numberLiteral(), "9007199254740993");
+  EXPECT_EQ(*big.asNumber(), 9007199254740992.0);  // the double rounds
+  EXPECT_EQ(jsonInteger<std::int64_t>(big), 9007199254740993);
+  EXPECT_EQ(jsonInteger<std::uint64_t>(parseJson("18446744073709551615")),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(jsonInteger<std::int64_t>(parseJson("-9223372036854775808")),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(jsonInteger<std::uint32_t>(parseJson("4294967295")),
+            std::numeric_limits<std::uint32_t>::max());
+  // Fractions, exponent forms, out-of-range values and non-numbers fail.
+  for (const char* bad : {"2.7", "1.0", "1e3", "1e300", "9223372036854775808",
+                          "\"7\"", "null", "[7]"}) {
+    EXPECT_FALSE(jsonInteger<std::int64_t>(parseJson(bad)).has_value())
+        << bad;
+  }
+  EXPECT_FALSE(jsonInteger<std::uint32_t>(parseJson("-1")).has_value());
+  EXPECT_FALSE(
+      jsonInteger<std::uint32_t>(parseJson("4294967296")).has_value());
+  EXPECT_EQ(parseJson("\"7\"").numberLiteral(), nullptr);
 }
 
 }  // namespace

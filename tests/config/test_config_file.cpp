@@ -601,6 +601,19 @@ TEST(ExperimentFromConfig, ChainLengthIsRangeChecked) {
   }
 }
 
+TEST(ExperimentFromConfig, MessageSizeMustStayFiniteAfterScaling) {
+  // 1e306 kB is finite, but 1e309 B is not; it used to run as inf.
+  try {
+    (void)experimentFromConfig(
+        KeyValueConfig::parse("workload.msg_size_kb = 1e306\n"));
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_STREQ(e.what(), "message size must be finite");
+  }
+  EXPECT_NO_THROW((void)experimentFromConfig(
+      KeyValueConfig::parse("workload.msg_size_kb = 1e300\n")));
+}
+
 TEST(ExperimentFromConfig, HorizonMustBeFiniteAndBounded) {
   // An infinite horizon used to reach IntervalClock's double-to-integer
   // cast (undefined behaviour), and 1e6 h passed as 60,000,000 intervals.

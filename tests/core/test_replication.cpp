@@ -1,4 +1,4 @@
-#include "dds/core/replication.hpp"
+#include "dds/exp/replication.hpp"
 
 #include <gtest/gtest.h>
 

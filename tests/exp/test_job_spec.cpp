@@ -196,6 +196,49 @@ TEST(JobSpec, RejectsNonFiniteNumbersAndNegativeSeeds) {
             "'-1'");
 }
 
+TEST(JobSpec, IntegerLiteralsStayExactPast2To53) {
+  // 2^53 + 1 has no double; it used to run as seed 2^53.
+  const JobSpec spec =
+      parseJobSpec(R"({"v": 1, "config": {"seed": 9007199254740993}})");
+  EXPECT_EQ(experimentFromSpec(spec).config.seed, 9007199254740993u);
+  // The literal survives serialization, so the round trip stays exact.
+  EXPECT_NE(spec.toJson().find(R"("seed":9007199254740993)"),
+            std::string::npos)
+      << spec.toJson();
+  EXPECT_EQ(experimentFromSpec(parseJobSpec(spec.toJson())).config.seed,
+            9007199254740993u);
+  // Past the seed's range a spec fails exactly as a file does.
+  std::string file_error;
+  try {
+    (void)experimentFromConfig(
+        KeyValueConfig::parse("seed = 9223372036854775808\n"));
+  } catch (const ConfigError& e) {
+    file_error = e.what();
+  }
+  EXPECT_EQ(file_error, "config key 'seed' is not an integer: "
+                        "'9223372036854775808'");
+  EXPECT_EQ(resolutionError(
+                R"({"v": 1, "config": {"seed": 9223372036854775808}})"),
+            file_error);
+}
+
+TEST(JobSpec, ChainLengthIsReadExactlyAndRangeChecked) {
+  // 1e300 used to go through an out-of-range cast to an integer.
+  for (const std::string bad : {"1e300", "2.5", "0", "1025", "-1"}) {
+    try {
+      (void)parseJobSpec(R"({"v": 1, "graph": "chain", "chain_length": )" +
+                         bad + "}");
+      ADD_FAILURE() << "expected ConfigError for chain_length " << bad;
+    } catch (const ConfigError& e) {
+      EXPECT_STREQ(e.what(),
+                   "job-spec field 'chain_length' must be an integer in "
+                   "[1, 1024]");
+    }
+  }
+  EXPECT_EQ(parseJobSpec(R"({"v": 1, "chain_length": 1024})").chain_length,
+            1024u);
+}
+
 /// One key's value, spelled once for a config file and once as JSON.
 struct Setting {
   const char* key;
@@ -269,6 +312,7 @@ TEST(JobSpec, FileAndSpecGiveEqualExperimentsForEveryKey) {
   };
   const std::vector<Setting> event = {
       {"backend", "event", R"("event")"},
+      {"seed", "9223372036854775807", "9223372036854775807"},
       {"workload.mean_rate", "6", R"("6")"},
       {"workload.infra_variability", "yes", "1"},
       {"forecast.model", "ewma", R"("ewma")"},

@@ -139,6 +139,25 @@ TEST(Serve, HugeHorizonIsRejectedAndTheStreamContinues) {
   EXPECT_NE(lines[1].find("\"ok\":true"), std::string::npos);
 }
 
+TEST(Serve, OverflowingMessageSizeIsRejectedAndTheStreamContinues) {
+  const std::string input =
+      R"({"v":1,"config":{"workload.msg_size_kb":1e306}})"
+      "\n" +
+      specLine(1, "global") + "\n";
+  ServeStats stats;
+  const std::string out = serveAll(input, {.jobs = 1}, &stats);
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.ok, 1u);
+  std::istringstream in(out);
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_NE(line.find("\"rejected\":true"), std::string::npos) << line;
+  EXPECT_NE(line.find("message size must be finite"), std::string::npos)
+      << line;
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_NE(line.find("\"ok\":true"), std::string::npos) << line;
+}
+
 TEST(Serve, NonFiniteNumbersAndNegativeSeedsAreRejectedAndTheStreamContinues) {
   // Each of these used to run (or, for 1e999, stop the whole service):
   // now each is a rejection naming its key.
