@@ -24,10 +24,19 @@ enum class SimBackend {
 
 [[nodiscard]] std::string toString(SimBackend backend);
 
+/// Ceiling on WorkloadConfig::mean_rate, msgs/s: 20x the paper's highest
+/// rate (50 msgs/s, §8). Simulation cost grows about quadratically with
+/// the rate (the deployment's core count grows linearly, and so does each
+/// scale-out's iteration bound): a 0.05 h paper-graph run at the ceiling
+/// takes under 0.5 s per scheduler on one core of a 4-core Xeon, four
+/// schedulers at 1e4 msgs/s took ~29 s, and 1e300 used to fail inside
+/// the allocator.
+inline constexpr double kMaxMeanRate = 1000.0;
+
 /// What the dataflow ingests: rate profile shape and message geometry
 /// (§8.1-8.2), plus whether the cloud replays FutureGrid-like traces.
 struct WorkloadConfig {
-  double mean_rate = 5.0;  ///< msgs/s (2..50 in §8).
+  double mean_rate = 5.0;  ///< msgs/s (2..50 in §8); <= kMaxMeanRate.
   ProfileKind profile = ProfileKind::Constant;
   double msg_size_bytes = 100.0e3;
   bool infra_variability = false;  ///< replay FutureGrid-like traces?

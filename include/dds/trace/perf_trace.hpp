@@ -7,8 +7,10 @@
 // wrap around, matching the paper's replay of a 4-day window.
 #pragma once
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -17,6 +19,26 @@
 #include "dds/common/time.hpp"
 
 namespace dds {
+
+/// A coefficient plus the time at which it must be re-queried: the value
+/// is exact (zero-order hold) for every query in [query time, valid_until).
+struct CoeffSample {
+  double value = 1.0;
+  SimTime valid_until = 0.0;
+};
+
+/// The next double above finite `x`, equal to std::nextafter(x, +inf) but
+/// a step of the bit pattern instead of a libm call: ±0 steps to the
+/// smallest subnormal, positives step their magnitude up and negatives
+/// down (-denorm_min steps to -0).
+[[nodiscard]] inline double nextUp(double x) {
+  if (x == 0.0) return std::numeric_limits<double>::denorm_min();
+  const auto bits = std::bit_cast<std::uint64_t>(x);
+  return std::bit_cast<double>(x > 0.0 ? bits + 1 : bits - 1);
+}
+
+/// The next double below finite `x`, equal to std::nextafter(x, -inf).
+[[nodiscard]] inline double nextDown(double x) { return -nextUp(-x); }
 
 /// A uniformly sampled, cyclically replayed coefficient series.
 class PerfTrace {
@@ -52,21 +74,23 @@ class PerfTrace {
     return samples_[idx];
   }
 
-  /// Value at time `offset + t`, wrapping. Used by the replayer, which
-  /// assigns each VM a random window into a shared trace (§8.1).
-  [[nodiscard]] double atOffset(SimTime offset, SimTime t) const {
-    return at(offset + t);
-  }
-
-  /// Largest time `u` such that every query atOffset(offset, t') with
-  /// t <= t' < u lands on the same sample as atOffset(offset, t);
-  /// infinity for a single-sample (constant) trace. Lets callers cache a
-  /// coefficient and recompute only at zero-order-hold boundaries.
-  [[nodiscard]] SimTime validUntilAtOffset(SimTime offset, SimTime t) const {
+  /// Value at time `offset + t` (wrapping), plus the largest time
+  /// `valid_until` such that every query at `offset + t'` with
+  /// t <= t' < valid_until lands on the same sample; infinity for a
+  /// single-sample (constant) trace. Lets callers cache a coefficient and
+  /// recompute only at zero-order-hold boundaries. The replayer assigns
+  /// each VM a random window (`offset`) into a shared trace (§8.1). One
+  /// division serves both the value and the window.
+  [[nodiscard]] CoeffSample sampleAtOffset(SimTime offset, SimTime t) const {
+    const SimTime x = offset + t;
+    DDS_REQUIRE(x >= 0.0, "trace time must be non-negative");
+    const double q = x / period_;
+    const double value =
+        samples_[static_cast<std::size_t>(q) % samples_.size()];
     if (samples_.size() == 1) {
-      return std::numeric_limits<SimTime>::infinity();
+      return {value, std::numeric_limits<SimTime>::infinity()};
     }
-    const double k = std::floor((offset + t) / period_);
+    const double k = std::floor(q);
     SimTime until = (k + 1.0) * period_ - offset;
     // Floating-point guard: (offset + until) / period_ may round across
     // the bin edge either way, and the rounded sum offset + x advances in
@@ -76,17 +100,12 @@ class PerfTrace {
     // landing in the shaved sliver just recomputes), then verify once and
     // only walk in the rare case the band was not enough.
     const double boundary_sum = offset + until;
-    const double sum_step =
-        std::nextafter(boundary_sum,
-                       std::numeric_limits<double>::infinity()) -
-        boundary_sum;
-    until -= 4.0 * sum_step;
-    while (until > t &&
-           std::floor((offset + std::nextafter(until, t)) / period_) > k) {
-      until = std::nextafter(until, t);
+    until -= 4.0 * (nextUp(boundary_sum) - boundary_sum);
+    while (until > t && std::floor((offset + nextDown(until)) / period_) > k) {
+      until = nextDown(until);
     }
     // Degenerate rounding (until collapsed onto t): never cache.
-    return until > t ? until : t;
+    return {value, until > t ? until : t};
   }
 
   /// Descriptive statistics over all samples (Figs. 2-3 summaries).

@@ -26,13 +26,6 @@
 
 namespace dds {
 
-/// A coefficient plus the time at which it must be re-queried: the value
-/// is exact (zero-order hold) for every query in [query time, valid_until).
-struct CoeffSample {
-  double value = 1.0;
-  SimTime valid_until = 0.0;
-};
-
 /// An immutable set of coefficient traces, one pool per family.
 struct TraceCorpus {
   std::vector<PerfTrace> cpu;

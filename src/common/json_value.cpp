@@ -157,37 +157,96 @@ class Parser {
         case 'f':
           out += '\f';
           break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("short \\u escape");
-          const std::string hex = text_.substr(pos_, 4);
-          pos_ += 4;
-          const unsigned long code = std::strtoul(hex.c_str(), nullptr, 16);
-          // Documents this repo writes are ASCII; control characters
-          // round-trip, anything else is preserved as a raw byte.
-          out += static_cast<char>(code);
+        case 'u':
+          appendUtf8(out, parseCodePoint());
           break;
-        }
         default:
           fail("unknown escape");
       }
     }
   }
 
+  /// Four hex digits after a `\u`, as one UTF-16 code unit.
+  unsigned parseHex4() {
+    if (pos_ + 4 > text_.size()) fail("short \\u escape");
+    const char* first = text_.data() + pos_;
+    unsigned unit = 0;
+    const auto [ptr, ec] = std::from_chars(first, first + 4, unit, 16);
+    if (ec != std::errc{} || ptr != first + 4) {
+      fail("\\u escape needs four hex digits");
+    }
+    pos_ += 4;
+    return unit;
+  }
+
+  /// The code point of a `\u` escape whose `\u` is already consumed; a
+  /// high surrogate must be followed by an escaped low one.
+  char32_t parseCodePoint() {
+    const unsigned unit = parseHex4();
+    if (unit >= 0xDC00 && unit <= 0xDFFF) fail("lone low surrogate");
+    if (unit < 0xD800 || unit > 0xDBFF) return unit;
+    if (text_.compare(pos_, 2, "\\u") != 0) fail("lone high surrogate");
+    pos_ += 2;
+    const unsigned low = parseHex4();
+    if (low < 0xDC00 || low > 0xDFFF) fail("lone high surrogate");
+    return 0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00);
+  }
+
+  static void appendUtf8(std::string& out, char32_t cp) {
+    const auto byte = [&out](char32_t b) { out += static_cast<char>(b); };
+    if (cp < 0x80) {
+      byte(cp);
+    } else if (cp < 0x800) {
+      byte(0xC0 | (cp >> 6));
+      byte(0x80 | (cp & 0x3F));
+    } else if (cp < 0x10000) {
+      byte(0xE0 | (cp >> 12));
+      byte(0x80 | ((cp >> 6) & 0x3F));
+      byte(0x80 | (cp & 0x3F));
+    } else {
+      byte(0xF0 | (cp >> 18));
+      byte(0x80 | ((cp >> 12) & 0x3F));
+      byte(0x80 | ((cp >> 6) & 0x3F));
+      byte(0x80 | (cp & 0x3F));
+    }
+  }
+
+  bool atDigit() const {
+    return pos_ < text_.size() &&
+           std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0;
+  }
+
+  /// Consume `c` if it is next.
+  bool consume(char c) {
+    if (pos_ >= text_.size() || text_[pos_] != c) return false;
+    ++pos_;
+    return true;
+  }
+
+  /// One or more digits; `what` names the part of the number for errors.
+  void digits(const char* what) {
+    if (!atDigit()) fail(std::string("number needs digits in its ") + what);
+    while (atDigit()) ++pos_;
+  }
+
+  /// The JSON number grammar: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
   JsonNumber parseNumber() {
     const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
+    consume('-');
+    if (consume('0')) {
+      if (atDigit()) fail("leading zero in number");
+    } else if (atDigit()) {
+      digits("integer part");
+    } else {
+      fail("invalid number");
     }
-    if (pos_ == start) fail("invalid number");
+    if (consume('.')) digits("fraction");
+    if (consume('e') || consume('E')) {
+      if (!consume('+')) consume('-');
+      digits("exponent");
+    }
     std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') fail("invalid number");
-    return {v, std::move(token)};
+    return {std::strtod(token.c_str(), nullptr), std::move(token)};
   }
 
   const std::string& text_;

@@ -21,6 +21,11 @@ void require(std::vector<std::string>& errors, bool ok, const char* message) {
 
 void WorkloadConfig::appendErrors(std::vector<std::string>& errors) const {
   require(errors, mean_rate > 0.0, "mean rate must be positive");
+  if (mean_rate > kMaxMeanRate) {
+    errors.push_back("workload.mean_rate must be at most " +
+                     std::to_string(static_cast<int>(kMaxMeanRate)) +
+                     " msgs/s");
+  }
   require(errors, msg_size_bytes > 0.0, "message size must be positive");
   // A finite workload.msg_size_kb can still overflow the kB -> B scaling.
   require(errors, std::isfinite(msg_size_bytes), "message size must be finite");

@@ -82,7 +82,7 @@ CoeffSample TraceReplayer::sample(const std::vector<PerfTrace>& pool,
   // wraps to the trace start, like an offset of zero.
   const SimTime offset =
       hashToUnitInterval(splitmix64(h)) * trace.duration();
-  return {trace.atOffset(offset, t), trace.validUntilAtOffset(offset, t)};
+  return trace.sampleAtOffset(offset, t);
 }
 
 CoeffSample TraceReplayer::cpuCoeffSample(VmId vm, SimTime t) const {

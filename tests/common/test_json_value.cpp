@@ -67,6 +67,51 @@ TEST(JsonValueTest, RejectsMalformedInput) {
   EXPECT_THROW((void)parseJson("\"bad \\q escape\""), IoError);
 }
 
+TEST(JsonValueTest, UnicodeEscapesDecodeToUtf8) {
+  EXPECT_EQ(*parseJson(R"("\u0041\u001f")").asString(), "A\x1f");
+  EXPECT_EQ(*parseJson(R"("\u00e9")").asString(), "\xc3\xa9");      // é
+  EXPECT_EQ(*parseJson(R"("\u20AC")").asString(), "\xe2\x82\xac");  // €
+  EXPECT_EQ(*parseJson(R"("\uFFFF")").asString(), "\xef\xbf\xbf");
+  // A surrogate pair combines into one supplementary code point.
+  EXPECT_EQ(*parseJson(R"("\ud83d\ude00")").asString(),
+            "\xf0\x9f\x98\x80");  // U+1F600
+  EXPECT_EQ(*parseJson(R"("\uDBFF\uDFFF")").asString(),
+            "\xf4\x8f\xbf\xbf");  // U+10FFFF
+}
+
+TEST(JsonValueTest, RejectsMalformedUnicodeEscapes) {
+  for (const char* bad : {
+           R"("\uzzzz")",         // not hex
+           R"("\u12")",           // short, then end of string
+           R"("\u12g4")",         // a non-hex digit inside
+           R"("\u 123")",         // whitespace is not a digit
+           R"("\u+123")",         // nor is a sign
+           R"("\ud83d")",         // lone high surrogate
+           R"("\ud83dx")",        // high surrogate then a plain char
+           R"("\ud83d\u0041")",  // high surrogate then a non-surrogate
+           R"("\ud83d\ud83d")",  // two high surrogates
+           R"("\ude00")",         // lone low surrogate
+           R"("\ude00\ud83d")",  // pair in the wrong order
+       }) {
+    EXPECT_THROW((void)parseJson(bad), IoError) << bad;
+  }
+}
+
+TEST(JsonValueTest, EnforcesTheNumberGrammar) {
+  for (const char* good : {"0", "-0", "7", "-12", "0.5", "-0.5", "10.25",
+                           "1e3", "1E3", "1e+3", "1e-3", "0e0", "2.5E-7"}) {
+    EXPECT_NO_THROW((void)parseJson(good)) << good;
+  }
+  EXPECT_EQ(*parseJson("-0.5").asNumber(), -0.5);
+  EXPECT_EQ(*parseJson("2.5E-7").asNumber(), 2.5e-7);
+  for (const char* bad :
+       {"+1", "+0.5", "01", "-01", "00", "007", ".5", "-.5", "1.", "-1.",
+        "1.e3", "1e", "1e+", "-", "--1", "1-", "0x10", "inf", "NaN",
+        "[+1]", "{\"sigma\":+0.5}", "{\"a\":.5}", "[01]", "[1.]"}) {
+    EXPECT_THROW((void)parseJson(bad), IoError) << bad;
+  }
+}
+
 TEST(JsonValueTest, ErrorsCarryByteOffset) {
   try {
     (void)parseJson("[1, ?]");

@@ -614,6 +614,31 @@ TEST(ExperimentFromConfig, MessageSizeMustStayFiniteAfterScaling) {
       KeyValueConfig::parse("workload.msg_size_kb = 1e300\n")));
 }
 
+TEST(ExperimentFromConfig, MeanRateHasACeiling) {
+  // 1e300 used to pass validation and fail later inside the allocator
+  // (and reach an out-of-range double-to-size_t cast on the way).
+  const auto parse = [](const std::string& rate) {
+    return experimentFromConfig(
+        KeyValueConfig::parse("workload.mean_rate = " + rate + "\n"));
+  };
+  EXPECT_EQ(parse("1000").config.workload.mean_rate, kMaxMeanRate);
+  for (const std::string bad : {"1000.5", "1e4", "1e300", "inf"}) {
+    try {
+      (void)parse(bad);
+      FAIL() << "expected ConfigError for workload.mean_rate " << bad;
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("workload.mean_rate"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  try {
+    (void)parse("1e300");
+  } catch (const ConfigError& e) {
+    EXPECT_STREQ(e.what(), "workload.mean_rate must be at most 1000 msgs/s");
+  }
+}
+
 TEST(ExperimentFromConfig, HorizonMustBeFiniteAndBounded) {
   // An infinite horizon used to reach IntervalClock's double-to-integer
   // cast (undefined behaviour), and 1e6 h passed as 60,000,000 intervals.

@@ -139,6 +139,59 @@ TEST(Serve, HugeHorizonIsRejectedAndTheStreamContinues) {
   EXPECT_NE(lines[1].find("\"ok\":true"), std::string::npos);
 }
 
+TEST(Serve, HugeMeanRateIsRejectedAndTheStreamContinues) {
+  // 1e300 msgs/s used to pass validation and fail inside the allocator
+  // as an in-band ok:false record instead of a rejection naming the key.
+  const std::string input =
+      R"({"v":1,"config":{"workload.mean_rate":1e300}})"
+      "\n" +
+      specLine(1, "global") + "\n";
+  ServeStats stats;
+  const std::string out = serveAll(input, {.jobs = 1}, &stats);
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.ok, 1u);
+  std::istringstream in(out);
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_NE(line.find("\"rejected\":true"), std::string::npos) << line;
+  EXPECT_NE(line.find("workload.mean_rate must be at most 1000"),
+            std::string::npos)
+      << line;
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_NE(line.find("\"ok\":true"), std::string::npos) << line;
+}
+
+TEST(Serve, NonJsonSpecsAreRejectedAndTheStreamContinues) {
+  // The spec parser used to accept these: "\uzzzz" read as a NUL byte and
+  // +0.5 ran as 0.5.
+  const std::vector<std::string> cases = {
+      R"({"v":1,"tenant":"\uzzzz","scheduler":"global"})",
+      R"({"v":1,"config":{"sigma":+0.5}})",
+      R"({"v":1,"config":{"seed":01}})",
+      R"({"v":1,"config":{"sigma":.5}})",
+      R"({"v":1,"tenant":"\ud83d","scheduler":"global"})",
+  };
+  std::string input;
+  for (const std::string& line : cases) input += line + "\n";
+  input += specLine(1, "global") + "\n";
+  ServeStats stats;
+  const std::string out = serveAll(input, {.jobs = 2}, &stats);
+  EXPECT_EQ(stats.rejected, cases.size());
+  EXPECT_EQ(stats.ok, 1u);
+  std::vector<std::string> lines;
+  std::istringstream in(out);
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(line);
+  ASSERT_EQ(lines.size(), cases.size() + 1);
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_NE(lines[i].find("\"rejected\":true"), std::string::npos)
+        << lines[i];
+    EXPECT_NE(lines[i].find("JSON parse error"), std::string::npos)
+        << lines[i];
+  }
+  EXPECT_NE(lines.back().find("\"ok\":true"), std::string::npos);
+}
+
 TEST(Serve, OverflowingMessageSizeIsRejectedAndTheStreamContinues) {
   const std::string input =
       R"({"v":1,"config":{"workload.msg_size_kb":1e306}})"
