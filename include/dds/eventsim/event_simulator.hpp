@@ -14,9 +14,11 @@
 // The per-event hot paths are allocation-free and O(1) amortized: a
 // per-PE free-core index rebuilt only when the cloud's allocation ledger
 // generation moves, a (producer VM, successor PE) routing table whose
-// entries carry exact zero-order-hold validity windows, a memoized
-// core-power lookup, and one flat 4-ary heap of deliveries and
-// completions held by value, with the pending arrival kept beside it.
+// entries carry exact zero-order-hold validity windows, core power and
+// pair bandwidth read through the windowed CoeffCache the fluid kernel
+// shares (synced at each free-core index rebuild), and one flat 4-ary
+// heap of deliveries and completions held by value, with the pending
+// arrival kept beside it.
 // The simulator only reads the cloud: core ownership comes from the
 // ledger, and the busy flags it claims and frees are its own.
 //
@@ -44,7 +46,7 @@
 #include "dds/dataflow/dataflow.hpp"
 #include "dds/eventsim/event_heap.hpp"
 #include "dds/metrics/run_metrics.hpp"
-#include "dds/monitor/lookup_cache.hpp"
+#include "dds/monitor/coeff_cache.hpp"
 #include "dds/monitor/monitoring.hpp"
 #include "dds/sim/deployment.hpp"
 
@@ -139,6 +141,11 @@ class EventSimulator {
   /// Latency, counters, wall time and the interval series so far.
   [[nodiscard]] const EventSimResult& result() const { return result_; }
 
+  /// CoeffCache::pairSlotTableEntries of the simulator's cache.
+  [[nodiscard]] std::size_t pairSlotTableEntries() const {
+    return coeff_.pairSlotTableEntries();
+  }
+
  private:
   struct Message {
     SimTime created;
@@ -170,15 +177,6 @@ class EventSimulator {
     double delay = 0.0;
     SimTime valid_until = -1.0;
     std::uint64_t ledger_gen = ~std::uint64_t{0};
-  };
-
-  /// Memoized observedBandwidthSample for one (producer VM, candidate VM)
-  /// pair. Route refreshes fold hundreds of pair coefficients; caching
-  /// each pair inside its own zero-order-hold window turns those folds
-  /// into array reads.
-  struct PairSample {
-    double value = 0.0;
-    SimTime valid_until = -1.0;
   };
 
   /// Where a (vm, core) currently sits in the free-core index: which PE
@@ -236,8 +234,8 @@ class EventSimulator {
   std::uint64_t slots_gen_ = 0;
   bool slots_valid_ = false;
   std::vector<std::vector<RouteEntry>> routes_;  ///< [successor PE][VM].
-  std::vector<std::vector<PairSample>> bw_pairs_;  ///< [from VM][to VM].
-  CorePowerCache power_;
+  /// Core power and pair bandwidth, synced on every ledger-view rebuild.
+  CoeffCache coeff_;
 
   EventSimResult result_;
   Rng rng_{0};

@@ -54,12 +54,7 @@ class MonitoringService {
   /// the VM is still provisioning (startup delay); during a straggler
   /// episode the installed fault model degrades it below the trace value.
   [[nodiscard]] double observedCorePower(VmId vm, SimTime t) const {
-    const VmInstance& inst = cloud_->instance(vm);
-    if (!inst.isReady(t)) return 0.0;
-    const double fault = faults_ != nullptr
-                             ? faults_->cpuFactor(vm, inst.startTime(), t)
-                             : 1.0;
-    return ratedCorePower(vm) * replayer_->cpuCoeffSample(vm, t).value * fault;
+    return observedCorePowerSample(vm, t).value;
   }
 
   /// Whether the link between `a` and `b` is currently partitioned
@@ -82,28 +77,20 @@ class MonitoringService {
   [[nodiscard]] double observedBandwidthMbps(VmId a, VmId b,
                                              SimTime t) const {
     if (a == b) return std::numeric_limits<double>::infinity();
-    if (linkPartitioned(a, b, t)) return 0.0;
-    const double spatial =
-        placement_ != nullptr ? placement_->bandwidthFactor(a, b) : 1.0;
-    return ratedBandwidthMbps(a, b) *
-           replayer_->bandwidthCoeffSample(a, b, t).value * spatial;
+    return observedBandwidthSample(a, b, t).value;
   }
 
   /// Observed one-way latency in milliseconds (lambda_ij(t)); zero when
   /// colocated, the partition ceiling while the link is partitioned.
   [[nodiscard]] double observedLatencyMs(VmId a, VmId b, SimTime t) const {
     if (a == b) return 0.0;
-    if (linkPartitioned(a, b, t)) return kPartitionLatencyMs;
-    const double spatial =
-        placement_ != nullptr ? placement_->latencyFactor(a, b) : 1.0;
-    return kBaseLatencyMs * replayer_->latencyCoeffSample(a, b, t).value *
-           spatial;
+    return observedLatencySample(a, b, t).value;
   }
 
   /// Sample variants of the observed* queries: same value plus the time
   /// until which the value is guaranteed not to change — callers may
   /// cache it for any t' in [t, valid_until) and stay bit-identical to
-  /// per-query replay.
+  /// per-query replay. Each observed quantity's formula lives here once.
   /// With a fault model installed the windows collapse to the query time
   /// (valid_until == t): fault episodes have no boundary query, so the
   /// only exact window is the empty one and callers recompute per query.
@@ -111,29 +98,31 @@ class MonitoringService {
                                                     SimTime t) const {
     const VmInstance& inst = cloud_->instance(vm);
     if (!inst.isReady(t)) return {0.0, inst.readyTime()};
-    if (faults_ != nullptr) return {observedCorePower(vm, t), t};
+    const double fault = faults_ != nullptr
+                             ? faults_->cpuFactor(vm, inst.startTime(), t)
+                             : 1.0;
     const CoeffSample c = replayer_->cpuCoeffSample(vm, t);
-    return {ratedCorePower(vm) * c.value, c.valid_until};
+    return {ratedCorePower(vm) * c.value * fault, windowEnd(c, t)};
   }
 
   [[nodiscard]] CoeffSample observedBandwidthSample(VmId a, VmId b,
                                                     SimTime t) const {
     DDS_REQUIRE(a != b, "bandwidth between a VM and itself is infinite");
-    if (faults_ != nullptr) return {observedBandwidthMbps(a, b, t), t};
+    if (linkPartitioned(a, b, t)) return {0.0, t};
     const CoeffSample c = replayer_->bandwidthCoeffSample(a, b, t);
     const double spatial =
         placement_ != nullptr ? placement_->bandwidthFactor(a, b) : 1.0;
-    return {ratedBandwidthMbps(a, b) * c.value * spatial, c.valid_until};
+    return {ratedBandwidthMbps(a, b) * c.value * spatial, windowEnd(c, t)};
   }
 
   [[nodiscard]] CoeffSample observedLatencySample(VmId a, VmId b,
                                                   SimTime t) const {
     DDS_REQUIRE(a != b, "latency between a VM and itself is zero by model");
-    if (faults_ != nullptr) return {observedLatencyMs(a, b, t), t};
+    if (linkPartitioned(a, b, t)) return {kPartitionLatencyMs, t};
     const CoeffSample c = replayer_->latencyCoeffSample(a, b, t);
     const double spatial =
         placement_ != nullptr ? placement_->latencyFactor(a, b) : 1.0;
-    return {kBaseLatencyMs * c.value * spatial, c.valid_until};
+    return {kBaseLatencyMs * c.value * spatial, windowEnd(c, t)};
   }
 
   [[nodiscard]] const CloudProvider& cloud() const { return *cloud_; }
@@ -143,6 +132,12 @@ class MonitoringService {
   }
 
  private:
+  /// End of an exact window: the trace's, or the query time itself under
+  /// a fault model.
+  [[nodiscard]] SimTime windowEnd(const CoeffSample& c, SimTime t) const {
+    return faults_ != nullptr ? t : c.valid_until;
+  }
+
   const CloudProvider* cloud_;
   const TraceReplayer* replayer_;
   const PlacementModel* placement_ = nullptr;

@@ -19,16 +19,14 @@
 // interval kernel (src/sim/fluid_kernel.cpp) works on structure-of-arrays
 // images. The graph image is the shared immutable FluidGraphLayout; the
 // ledger image (per-PE capacity entries, per-edge bandwidth-cap entries)
-// is rebuilt only when CloudProvider::ledgerGeneration() changes; the
-// monitoring coefficient caches persist across rebuilds, each value tagged
-// with the validity window its Sample query reported. Both are plain
-// arrays: core power is indexed by VM id, and each directional VM pair's
-// bandwidth slot is found through a dense [producer VM][consumer VM]
-// table, so a rebuild pays no hashing. A cached sample equals a fresh query
-// anywhere inside its window (MonitoringService contract), and trace
-// assignment is a pure function of the VM (pair), so skipping a re-query
-// cannot change a value. Every reduction accumulates in one canonical
-// sequence (topological PE order, predecessor order, VM-id order).
+// is rebuilt only when CloudProvider::ledgerGeneration() changes. Core
+// power and pair bandwidth come through a CoeffCache (the windowed memo
+// the event simulator shares), which persists across rebuilds and is
+// synced at each; the ledger image stores each edge's pair slots, so the
+// hot walk reads plain arrays. Per-PE power and per-edge caps are tagged
+// with the min window of the samples they were reduced from. Every
+// reduction accumulates in one canonical sequence (topological PE order,
+// predecessor order, VM-id order).
 //
 // The test-only dds_oracle library holds the per-object walk this kernel
 // memoizes (oracle::ReferenceFluidSimulator); golden traces and seeded
@@ -36,7 +34,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -45,6 +42,7 @@
 #include "dds/common/time.hpp"
 #include "dds/dataflow/dataflow.hpp"
 #include "dds/metrics/run_metrics.hpp"
+#include "dds/monitor/coeff_cache.hpp"
 #include "dds/monitor/monitoring.hpp"
 #include "dds/sim/deployment.hpp"
 
@@ -112,35 +110,24 @@ class DataflowSimulator {
   /// Feeds the `fluid.kernel_rebuilds` metric.
   [[nodiscard]] std::uint64_t kernelRebuilds() const { return rebuilds_; }
 
-  /// Entries allocated to the pair-slot table's rows. Only running
-  /// producer VMs keep a row (rebuilds free the rest), and a row grows to
-  /// its largest consumer id, so this is O(running VMs x VMs ever
-  /// acquired).
-  [[nodiscard]] std::size_t pairSlotTableEntries() const;
+  /// CoeffCache::pairSlotTableEntries of the simulator's cache.
+  [[nodiscard]] std::size_t pairSlotTableEntries() const {
+    return coeff_.pairSlotTableEntries();
+  }
 
   /// Wall-clock seconds spent inside step() so far. Feeds the
   /// `fluid.intervals_per_s` gauge.
   [[nodiscard]] double wallSeconds() const { return wall_seconds_; }
 
  private:
-  /// One cached monitoring sample; the sentinel window makes a fresh slot
-  /// stale.
-  struct Slot {
-    double value = 0.0;
-    SimTime valid_until = -std::numeric_limits<SimTime>::infinity();
-  };
-
   void runInterval(SimTime t_start, double input_rate,
                    const Deployment& deployment, IntervalMetrics& m);
   void rebuild();
-  [[nodiscard]] std::uint32_t pairSlot(std::uint32_t a, std::uint32_t b);
-  void refreshPair(std::uint32_t slot, SimTime t_mid);
   void refreshPePower(std::uint32_t pe, SimTime t_mid);
   void refreshEdge(std::uint32_t e, std::uint32_t u, SimTime t_mid);
 
   const Dataflow* df_;
   const CloudProvider* cloud_;
-  const MonitoringService* mon_;
   SimConfig cfg_;
   std::shared_ptr<const FluidGraphLayout> layout_;
   double wall_seconds_ = 0.0;
@@ -156,16 +143,9 @@ class DataflowSimulator {
   std::uint64_t generation_ = 0;
   std::uint64_t rebuilds_ = 0;
 
-  // Coefficient caches: facts about the replayed traces, so they survive
-  // ledger rebuilds. Pair slots are append-only across the run.
-  std::vector<Slot> cpu_coeff_;  ///< by VM id.
-  std::vector<Slot> pair_coeff_;
-  std::vector<std::uint32_t> pair_a_;  ///< slot -> directional VM pair.
-  std::vector<std::uint32_t> pair_b_;
-  /// [producer VM id][consumer VM id] -> slot; unseen pairs hold a
-  /// no-slot sentinel. Only running producers keep a row.
-  std::vector<std::vector<std::uint32_t>> pair_slot_of_;
-  std::vector<std::uint32_t> pair_rows_;  ///< producers holding a row.
+  // Coefficient cache: facts about the replayed traces, so it survives
+  // ledger rebuilds; each rebuild syncs it with the ledger.
+  CoeffCache coeff_;
 
   // Ledger image (valid for one generation).
   std::vector<std::pair<PeId, int>> vm_pe_scratch_;

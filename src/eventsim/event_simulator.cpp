@@ -72,7 +72,7 @@ EventSimulator::EventSimulator(const Dataflow& df, const CloudProvider& cloud,
       cloud_(&cloud),
       mon_(&mon),
       cfg_(cfg),
-      power_(mon),
+      coeff_(mon),
       rng_(cfg.seed),
       reservoir_rng_(cfg.seed ^ 0x5ee5a11e5ull) {
   cfg_.validate();
@@ -226,6 +226,7 @@ void EventSimulator::refreshLedgerViews() {
       }
     }
   }
+  coeff_.sync(cloud);
   slots_gen_ = gen;
   slots_valid_ = true;
   ++result_.counters.core_index_rebuilds;
@@ -259,7 +260,7 @@ void EventSimulator::dispatchIdleCores(PeId pe, SimTime now,
     st.queue.pop_front();
     result_.pe_queue_wait[pe.value()].add(now - msg.enqueued);
     ++result_.counters.dispatches;
-    const double speed = power_.corePower(slot.vm, now);
+    const double speed = coeff_.corePower(slot.vm.value(), now).value;
     const double service =
         speed > 0.0 ? alt.cost_core_sec / speed
                     : std::numeric_limits<double>::infinity();
@@ -287,38 +288,25 @@ double EventSimulator::routeDelay(VmId from_vm, PeId succ, SimTime now) {
   double delay = 0.0;
   bool colocated = false;
   double best_mbps = 0.0;
-  const auto& vms = pe_vms_[succ.value()];
-  if (from_vm.value() >= bw_pairs_.size()) {
-    bw_pairs_.resize(from_vm.value() + 1);
-  }
-  auto& pair_row = bw_pairs_[from_vm.value()];
-  for (const VmId vm : vms) {
+  VmId best_vm{0};
+  for (const VmId vm : pe_vms_[succ.value()]) {
     if (vm == from_vm) {
       colocated = true;
       break;
     }
-    // Per-pair memo: query the monitor only when the pair's own
-    // zero-order-hold window has lapsed.
-    if (vm.value() >= pair_row.size()) pair_row.resize(vm.value() + 1);
-    PairSample& p = pair_row[vm.value()];
-    if (!(now < p.valid_until)) {
-      const CoeffSample s = mon_->observedBandwidthSample(from_vm, vm, now);
-      p.value = s.value;
-      p.valid_until = s.valid_until;
+    const CoeffSample& bw =
+        coeff_.bandwidth(coeff_.pairSlot(from_vm.value(), vm.value()), now);
+    // The first VM in scan order with the highest bandwidth.
+    if (bw.value > best_mbps) {
+      best_mbps = bw.value;
+      best_vm = vm;
     }
-    best_mbps = std::max(best_mbps, p.value);
-    until = std::min(until, p.valid_until);
+    until = std::min(until, bw.valid_until);
   }
   if (!colocated && best_mbps > 0.0) {
-    for (const VmId vm : vms) {
-      if (pair_row[vm.value()].value == best_mbps) {
-        const CoeffSample l = mon_->observedLatencySample(from_vm, vm, now);
-        delay = l.value / 1000.0 +
-                cfg_.msg_size_bytes * 8.0 / (best_mbps * 1.0e6);
-        until = std::min(until, l.valid_until);
-        break;
-      }
-    }
+    const CoeffSample l = mon_->observedLatencySample(from_vm, best_vm, now);
+    delay = l.value / 1000.0 + cfg_.msg_size_bytes * 8.0 / (best_mbps * 1.0e6);
+    until = std::min(until, l.valid_until);
   }
   if (colocated) until = inf;
   e.delay = delay;

@@ -2,7 +2,7 @@
 // windowed coefficient refreshes and the per-interval walk over the
 // structure-of-arrays images (see simulator.hpp).
 #include <algorithm>
-#include <cmath>
+#include <limits>
 
 #include "dds/sim/fluid_layout.hpp"
 #include "dds/sim/simulator.hpp"
@@ -11,31 +11,8 @@ namespace dds {
 namespace {
 
 constexpr SimTime kNeverValid = -std::numeric_limits<SimTime>::infinity();
-constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
 
 }  // namespace
-
-std::uint32_t DataflowSimulator::pairSlot(std::uint32_t a, std::uint32_t b) {
-  // rebuild() sized the outer table to the instance count, so `a` is in
-  // range; a row grows to its largest consumer id seen.
-  std::vector<std::uint32_t>& row = pair_slot_of_[a];
-  if (row.empty()) pair_rows_.push_back(a);
-  if (b >= row.size()) row.resize(b + 1, kNoSlot);
-  std::uint32_t& slot = row[b];
-  if (slot == kNoSlot) {
-    slot = static_cast<std::uint32_t>(pair_coeff_.size());
-    pair_coeff_.push_back({});
-    pair_a_.push_back(a);
-    pair_b_.push_back(b);
-  }
-  return slot;
-}
-
-std::size_t DataflowSimulator::pairSlotTableEntries() const {
-  std::size_t entries = 0;
-  for (const auto& row : pair_slot_of_) entries += row.capacity();
-  return entries;
-}
 
 void DataflowSimulator::rebuild() {
   built_ = true;
@@ -68,16 +45,7 @@ void DataflowSimulator::rebuild() {
       pe_cores_[pe.value()].push_back({vm.id(), count});
     }
   }
-  cpu_coeff_.resize(cloud_->instanceCount());
-  pair_slot_of_.resize(cloud_->instanceCount());
-  // A stopped VM never produces again, so its row is dead: free it. VM
-  // ids are never reused, so without this the rows of retired producers
-  // would add up to ~(VMs ever acquired)^2 / 2 entries under churn.
-  std::erase_if(pair_rows_, [&](std::uint32_t a) {
-    if (cloud_->instance(VmId(a)).isActive()) return false;
-    std::vector<std::uint32_t>().swap(pair_slot_of_[a]);
-    return true;
-  });
+  coeff_.sync(*cloud_);
 
   cap_offset_.assign(n + 1, 0);
   cap_vm_.clear();
@@ -122,7 +90,8 @@ void DataflowSimulator::rebuild() {
                           [&](const VmCores& vc) { return vc.vm == uc.vm; });
           if (!colocated) {
             for (const VmCores& vc : v_cores) {
-              pair_slots_.push_back(pairSlot(uc.vm.value(), vc.vm.value()));
+              pair_slots_.push_back(
+                  coeff_.pairSlot(uc.vm.value(), vc.vm.value()));
             }
           }
           pair_offset_.push_back(
@@ -137,23 +106,12 @@ void DataflowSimulator::rebuild() {
   edge_valid_.assign(ecount, kNeverValid);
 }
 
-void DataflowSimulator::refreshPair(std::uint32_t slot, SimTime t_mid) {
-  const CoeffSample c = mon_->observedBandwidthSample(
-      VmId(pair_a_[slot]), VmId(pair_b_[slot]), t_mid);
-  pair_coeff_[slot] = {c.value, c.valid_until};
-}
-
 void DataflowSimulator::refreshPePower(std::uint32_t pe, SimTime t_mid) {
   double power = 0.0;
   SimTime valid = std::numeric_limits<SimTime>::infinity();
   const std::uint32_t end = cap_offset_[pe + 1];
   for (std::uint32_t k = cap_offset_[pe]; k < end; ++k) {
-    Slot& s = cpu_coeff_[cap_vm_[k]];
-    if (!(t_mid < s.valid_until)) {
-      const CoeffSample c =
-          mon_->observedCorePowerSample(VmId(cap_vm_[k]), t_mid);
-      s = {c.value, c.valid_until};
-    }
+    const CoeffSample& s = coeff_.corePower(cap_vm_[k], t_mid);
     power += cap_cores_[k] * s.value;
     valid = std::min(valid, s.valid_until);
   }
@@ -175,16 +133,13 @@ void DataflowSimulator::refreshEdge(std::uint32_t e, std::uint32_t u,
     const std::uint32_t q_begin = pair_offset_[k];
     const std::uint32_t q_end = pair_offset_[k + 1];
     if (q_begin == q_end) {  // colocated: no pairs, in-memory transfer
-      coloc += entry_cores_[k] * cpu_coeff_[entry_vm_[k]].value;
+      coloc += entry_cores_[k] * coeff_.cachedCorePower(entry_vm_[k]);
     } else {
       double best_mbps = 0.0;
       for (std::uint32_t q = q_begin; q < q_end; ++q) {
-        const std::uint32_t slot = pair_slots_[q];
-        if (!(t_mid < pair_coeff_[slot].valid_until)) {
-          refreshPair(slot, t_mid);
-        }
-        best_mbps = std::max(best_mbps, pair_coeff_[slot].value);
-        valid = std::min(valid, pair_coeff_[slot].valid_until);
+        const CoeffSample& bw = coeff_.bandwidth(pair_slots_[q], t_mid);
+        best_mbps = std::max(best_mbps, bw.value);
+        valid = std::min(valid, bw.valid_until);
       }
       remote += cfg_.linkMsgsPerSec(best_mbps);
     }

@@ -12,13 +12,13 @@ DataflowSimulator::DataflowSimulator(
     std::shared_ptr<const FluidGraphLayout> layout)
     : df_(&df),
       cloud_(&cloud),
-      mon_(&mon),
       cfg_(cfg),
       layout_(layout != nullptr ? std::move(layout) : buildFluidLayout(df)),
       backlog_(df.peCount(), 0.0),
       in_transit_(df.peCount(), 0.0),
       pause_remaining_(df.peCount(), 0.0),
       output_rate_(df.peCount(), 0.0),
+      coeff_(mon),
       pe_cores_(df.peCount()) {
   DDS_REQUIRE(cfg_.msg_size_bytes > 0.0, "message size must be positive");
   DDS_REQUIRE(cfg_.interval_s > 0.0, "interval length must be positive");

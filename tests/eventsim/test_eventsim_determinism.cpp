@@ -275,6 +275,56 @@ TEST(EventSimIdentity, ArrivalTiesMatchReference) {
   }
 }
 
+TEST(EventSimIdentity, PairSlotTableStaysLinearUnderVmChurn) {
+  // Every interval moves both PEs of a pipeline onto fresh VMs and stops
+  // the old ones, so VM ids climb and are never reused. The coefficient
+  // cache must free the stopped producers' pair rows, or the table would
+  // hold ~(VMs ever acquired)^2 / 2 entries. A message still in service
+  // on a stopped source VM completes and routes from it, re-creating its
+  // freed row until the next ledger change frees it again. The oracle
+  // steps the same ledger alongside.
+  DataflowBuilder b("pipe");
+  const PeId src = b.addPe("src", {{"src", 1.0, 0.1, 1.0}});
+  const PeId sink = b.addPe("sink", {{"sink", 1.0, 0.1, 1.0}});
+  b.addEdge(src, sink);
+  const Dataflow df = std::move(b).build();
+  CloudProvider cloud(awsCatalog2013());
+  TraceReplayer replayer = TraceReplayer::futureGridLike(11);
+  MonitoringService mon(cloud, replayer);
+  EventSimConfig cfg;
+  cfg.seed = 5;
+  EventSimulator sim(df, cloud, mon, cfg);
+  oracle::ReferenceEventSimulator ref(df, cloud, mon, cfg);
+  const Deployment dep(df);
+  constexpr IntervalIndex kIntervals = 300;
+  int recreated_rows = 0;
+  for (IntervalIndex i = 0; i < kIntervals; ++i) {
+    const SimTime t = static_cast<SimTime>(i) * cfg.interval_s;
+    const std::vector<VmId> retiring = cloud.activeVms();
+    for (const PeId pe : {src, sink}) {
+      cloud.allocateCore(cloud.acquire(ResourceClassId(0), t), pe);
+    }
+    for (const VmId vm : retiring) {
+      for (const PeId pe : {src, sink}) {
+        (void)cloud.releaseAllCoresOf(vm, pe);
+      }
+      cloud.release(vm, t);
+    }
+    (void)sim.step(i, 8.0, dep);
+    (void)ref.step(i, 8.0, dep);
+    // The running source's row reaches the newest id; a re-created row of
+    // the stopped source does too.
+    ASSERT_LE(sim.pairSlotTableEntries(),
+              cloud.activeIds().size() * cloud.instanceCount())
+        << "interval " << i;
+    if (sim.pairSlotTableEntries() > cloud.instanceCount()) ++recreated_rows;
+  }
+  EXPECT_EQ(fingerprint(sim.result()), fingerprint(ref.result()));
+  EXPECT_GT(sim.result().messages_delivered, 0u);
+  EXPECT_EQ(cloud.instanceCount(), 2u * kIntervals);
+  EXPECT_GT(recreated_rows, 0);
+}
+
 // --- golden engine trace ---------------------------------------------------
 
 std::string runTracedEventBackend(bool reference_engine) {

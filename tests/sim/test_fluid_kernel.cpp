@@ -119,6 +119,22 @@ TEST(FluidIdentity, PaperGraphStaticAndAdaptive) {
   expectIdenticalRuns(df, cfg, parseScheduler("global"), "adaptive");
 }
 
+TEST(FluidIdentity, ReplayedPairBandwidthCapsRemoteFlow) {
+  // 20 MB messages: a link carries a few msgs/s, so the replayed pair
+  // bandwidths cap remote flow in every interval of this run, and each
+  // cached pair value reaches the trace. No crashes or preemptions: the
+  // same pairs' slots are re-read across an hour of trace windows.
+  const Dataflow df = makePaperDataflow();
+  ExperimentConfig cfg;
+  cfg.horizon_s = kSecondsPerHour;
+  cfg.seed = 4242;
+  cfg.workload.mean_rate = 12.0;
+  cfg.workload.profile = ProfileKind::RandomWalk;
+  cfg.workload.infra_variability = true;
+  cfg.workload.msg_size_bytes = 20.0e6;
+  expectIdenticalRuns(df, cfg, parseScheduler("global"), "link caps");
+}
+
 TEST(FluidIdentity, VmChurnPastOneHundredIdsMatchesReference) {
   // Crashes and spot reclamations retire VMs and acquire replacements
   // under fresh ids, so the pair-slot table indexed [producer VM][consumer
