@@ -1,9 +1,8 @@
-// Minimal CSV reading and writing.
+// Minimal CSV writing.
 //
-// Performance traces (Figs. 2-3) and experiment result series are persisted
-// as plain CSV so they can be inspected and re-plotted outside the library.
-// The dialect is deliberately simple: comma separator, no quoting, '#'
-// comment lines, one header row.
+// Experiment result series are persisted as plain CSV so they can be
+// inspected and re-plotted outside the library. The dialect is
+// deliberately simple: comma separator, no quoting, one header row.
 #pragma once
 
 #include <string>
@@ -15,22 +14,10 @@ namespace dds {
 struct CsvTable {
   std::vector<std::string> header;
   std::vector<std::vector<double>> rows;
-
-  /// Index of a header column; throws PreconditionError if absent.
-  [[nodiscard]] std::size_t columnIndex(const std::string& name) const;
-
-  /// All values of one column, by name.
-  [[nodiscard]] std::vector<double> column(const std::string& name) const;
 };
 
-/// Parse CSV text (see dialect above). Throws IoError on malformed input.
-[[nodiscard]] CsvTable parseCsv(const std::string& text);
-
-/// Serialize a table back to CSV text.
+/// Serialize a table as CSV text.
 [[nodiscard]] std::string formatCsv(const CsvTable& table);
-
-/// Load a CSV file from disk. Throws IoError if unreadable.
-[[nodiscard]] CsvTable loadCsv(const std::string& path);
 
 /// Write a CSV file to disk. Throws IoError on failure.
 void saveCsv(const std::string& path, const CsvTable& table);

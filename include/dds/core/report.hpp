@@ -15,10 +15,6 @@ namespace dds {
 /// interval, start_s, input_rate, omega, gamma, cost_usd, vms, cores.
 [[nodiscard]] CsvTable intervalSeriesCsv(const RunResult& run);
 
-/// One row per experiment: policy is encoded by row order (CSV cells are
-/// numeric); pair with summaryTable for the labelled view.
-[[nodiscard]] CsvTable summaryCsv(std::span<const ExperimentResult> results);
-
 /// Human-readable summary of several runs, §8.2-style: constraint mark
 /// first, then the Theta comparison.
 [[nodiscard]] TextTable summaryTable(

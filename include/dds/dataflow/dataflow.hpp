@@ -67,9 +67,6 @@ class Dataflow {
   /// PEs in forward BFS order from the input PEs (paper's GetNextPE seed).
   [[nodiscard]] std::vector<PeId> forwardBfsFromInputs() const;
 
-  /// PEs in reverse BFS order from the output PEs (global-cost DP order).
-  [[nodiscard]] std::vector<PeId> reverseBfsFromOutputs() const;
-
   /// Total number of alternates across all PEs.
   [[nodiscard]] std::size_t totalAlternateCount() const;
 

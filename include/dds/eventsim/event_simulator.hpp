@@ -97,12 +97,6 @@ struct EventSimResult {
   std::vector<RunningStats> pe_queue_wait;
   EventSimCounters counters;
   double wall_seconds = 0.0;  ///< wall-clock time spent inside step().
-
-  [[nodiscard]] double latencyPercentile(double p) const;
-
-  /// PE with the largest mean queue wait among PEs that actually queued
-  /// at least one message; PeId(0) when nothing queued anywhere.
-  [[nodiscard]] PeId worstQueueingPe() const;
 };
 
 /// Canonical byte string over every model-determined field of a result

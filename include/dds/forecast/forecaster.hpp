@@ -164,11 +164,6 @@ class ForecastErrorTracker {
 /// round-trip tests.
 [[nodiscard]] const std::vector<ForecastModel>& allForecastModels();
 
-/// Compat alias; prefer forecastModelName().
-[[nodiscard]] inline std::string toString(ForecastModel model) {
-  return forecastModelName(model);
-}
-
 /// Build a forecaster for `model`; throws PreconditionError for Off
 /// (callers gate on the model before constructing).
 [[nodiscard]] std::unique_ptr<Forecaster> makeForecaster(

@@ -58,14 +58,6 @@ class RunResult {
   /// Gamma-bar: mean normalized value over the period.
   [[nodiscard]] double averageGamma() const;
 
-  /// mu: total dollar cost at the end of the period.
-  [[nodiscard]] double totalCost() const;
-
-  /// Theta = Gamma-bar − sigma · mu.
-  [[nodiscard]] double theta(double sigma) const {
-    return averageGamma() - sigma * totalCost();
-  }
-
   /// Whether Omega-bar >= omega_hat − epsilon (§8.2's necessary check).
   [[nodiscard]] bool meetsThroughputConstraint(double omega_hat,
                                                double epsilon) const {

@@ -238,7 +238,4 @@ using TraceEvent =
 /// ...); used as the "ev" discriminator in JSONL records.
 [[nodiscard]] std::string_view traceEventName(const TraceEvent& e);
 
-/// Simulation time the event occurred at (the run header reports 0).
-[[nodiscard]] SimTime traceEventTime(const TraceEvent& e);
-
 }  // namespace dds::obs

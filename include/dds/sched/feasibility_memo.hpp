@@ -48,9 +48,6 @@ class FeasibilityMemo {
   [[nodiscard]] std::uint64_t lookups() const { return lookups_; }
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
 
-  /// Drop every entry (stats included); keeps the allocated capacity.
-  void clear();
-
  private:
   static constexpr std::size_t kProbeWindow = 8;
 

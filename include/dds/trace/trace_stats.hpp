@@ -1,18 +1,15 @@
 // Statistical characterization of performance traces.
 //
-// The Fig. 2-3 reproduction benches — and anyone replaying their own cloud
-// measurements — need more than mean/stddev to judge whether a trace shows
-// the paper's "performance variability over time and space":
+// The Fig. 2-3 reproduction benches need more than mean/stddev to judge
+// whether a trace shows the paper's "performance variability over time and
+// space":
 //  * autocorrelation tells whether deviations are sustained (noisy
 //    neighbours parking on a host) or white noise;
-//  * rolling relative deviation reproduces the paper's Fig. 2 lower panel
-//    ("relative deviation of CPU performance from its mean");
-//  * histograms summarize the marginal distribution for quick comparison
-//    between synthetic and real traces.
+//  * the fraction of samples below a threshold says how often a VM ran
+//    slower than rated.
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "dds/trace/perf_trace.hpp"
 
@@ -28,19 +25,6 @@ namespace dds {
 /// adaptation (white noise averages out within an interval).
 [[nodiscard]] std::size_t decorrelationLag(const PerfTrace& trace,
                                            double level = 0.5);
-
-/// Per-sample relative deviation from the trace mean, (x - mean) / mean.
-[[nodiscard]] std::vector<double> relativeDeviation(const PerfTrace& trace);
-
-/// Rolling mean over a centred window of `window` samples (clamped at the
-/// edges). window must be >= 1.
-[[nodiscard]] std::vector<double> rollingMean(const PerfTrace& trace,
-                                              std::size_t window);
-
-/// Equal-width histogram of the samples over [min, max] with `bins` bins;
-/// returns per-bin counts. bins must be >= 1.
-[[nodiscard]] std::vector<std::size_t> histogram(const PerfTrace& trace,
-                                                 std::size_t bins);
 
 /// Fraction of samples below `threshold` — e.g. the fraction of probe
 /// intervals in which a VM ran below 80 % of rated speed.

@@ -95,18 +95,6 @@ class SpikeRate final : public RateProfile {
   SimTime duration_;
 };
 
-/// The sum of several profiles — e.g. a diurnal wave with bursts on top.
-class CompositeRate final : public RateProfile {
- public:
-  explicit CompositeRate(std::vector<std::unique_ptr<RateProfile>> parts);
-  [[nodiscard]] double rate(SimTime t) const override;
-  [[nodiscard]] double meanRate() const override;
-  [[nodiscard]] std::string describe() const override;
-
- private:
-  std::vector<std::unique_ptr<RateProfile>> parts_;
-};
-
 /// The three §8.1 profile shapes plus a flash-crowd burst, parameterized
 /// only by mean rate.
 enum class ProfileKind { Constant, PeriodicWave, RandomWalk, Spike };
@@ -114,8 +102,8 @@ enum class ProfileKind { Constant, PeriodicWave, RandomWalk, Spike };
 // ---------------------------------------------------------------------------
 // Profile registry: the one place that knows every profile shape. Config
 // parsing, ddsim --help and the bench sweeps all go through it, so adding
-// a shape means extending the enum, profileName(), profileSummary() and
-// makeProfile() — all in the workload layer.
+// a shape means extending the enum, profileName() and makeProfile() — all
+// in the workload layer.
 // ---------------------------------------------------------------------------
 
 /// Canonical CLI/config name of a shape ("constant", "wave", ...).
@@ -127,15 +115,6 @@ enum class ProfileKind { Constant, PeriodicWave, RandomWalk, Spike };
 /// Every ProfileKind, in enum order — for sweeps, help text and
 /// round-trip tests.
 [[nodiscard]] const std::vector<ProfileKind>& allProfileKinds();
-
-/// One-line description of the shape's default parameters, for help and
-/// config documentation.
-[[nodiscard]] std::string profileSummary(ProfileKind kind);
-
-/// Compat alias; prefer profileName().
-[[nodiscard]] inline std::string toString(ProfileKind kind) {
-  return profileName(kind);
-}
 
 /// Build a profile of the given kind around `mean_rate`, with the
 /// evaluation's default shape parameters (wave amplitude 40% of mean with

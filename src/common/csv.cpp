@@ -1,6 +1,5 @@
 #include "dds/common/csv.hpp"
 
-#include <charconv>
 #include <fstream>
 #include <iomanip>
 #include <limits>
@@ -9,86 +8,10 @@
 #include "dds/common/error.hpp"
 
 namespace dds {
-namespace {
-
-std::vector<std::string> splitLine(const std::string& line) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t comma = line.find(',', start);
-    if (comma == std::string::npos) {
-      out.push_back(line.substr(start));
-      break;
-    }
-    out.push_back(line.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
-
-double parseNumber(const std::string& cell, std::size_t line_no) {
-  double value = 0.0;
-  const char* first = cell.data();
-  const char* last = cell.data() + cell.size();
-  while (first != last && (*first == ' ' || *first == '\t')) ++first;
-  const auto [ptr, ec] = std::from_chars(first, last, value);
-  if (ec != std::errc{} || ptr != last) {
-    std::ostringstream os;
-    os << "CSV line " << line_no << ": cannot parse number '" << cell << "'";
-    throw IoError(os.str());
-  }
-  return value;
-}
-
-}  // namespace
-
-std::size_t CsvTable::columnIndex(const std::string& name) const {
-  for (std::size_t i = 0; i < header.size(); ++i) {
-    if (header[i] == name) return i;
-  }
-  throw PreconditionError("CSV column not found: " + name);
-}
-
-std::vector<double> CsvTable::column(const std::string& name) const {
-  const std::size_t idx = columnIndex(name);
-  std::vector<double> out;
-  out.reserve(rows.size());
-  for (const auto& row : rows) out.push_back(row.at(idx));
-  return out;
-}
-
-CsvTable parseCsv(const std::string& text) {
-  CsvTable table;
-  std::istringstream in(text);
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty() || line.front() == '#') continue;
-    if (table.header.empty()) {
-      table.header = splitLine(line);
-      continue;
-    }
-    const auto cells = splitLine(line);
-    if (cells.size() != table.header.size()) {
-      std::ostringstream os;
-      os << "CSV line " << line_no << ": expected " << table.header.size()
-         << " cells, got " << cells.size();
-      throw IoError(os.str());
-    }
-    std::vector<double> row;
-    row.reserve(cells.size());
-    for (const auto& cell : cells) row.push_back(parseNumber(cell, line_no));
-    table.rows.push_back(std::move(row));
-  }
-  if (table.header.empty()) throw IoError("CSV has no header row");
-  return table;
-}
 
 std::string formatCsv(const CsvTable& table) {
   std::ostringstream os;
-  // Shortest representation that round-trips exactly through parseCsv.
+  // Enough digits that every double reads back exactly.
   os << std::setprecision(std::numeric_limits<double>::max_digits10);
   for (std::size_t i = 0; i < table.header.size(); ++i) {
     if (i > 0) os << ',';
@@ -103,14 +26,6 @@ std::string formatCsv(const CsvTable& table) {
     os << '\n';
   }
   return os.str();
-}
-
-CsvTable loadCsv(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw IoError("cannot open CSV file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parseCsv(buffer.str());
 }
 
 void saveCsv(const std::string& path, const CsvTable& table) {

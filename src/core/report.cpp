@@ -16,23 +16,6 @@ CsvTable intervalSeriesCsv(const RunResult& run) {
   return t;
 }
 
-CsvTable summaryCsv(std::span<const ExperimentResult> results) {
-  CsvTable t;
-  t.header = {"omega",     "gamma",    "cost_usd",  "theta",
-              "met",       "peak_vms", "peak_cores", "failures",
-              "lost_msgs", "sigma"};
-  t.rows.reserve(results.size());
-  for (const auto& r : results) {
-    t.rows.push_back({r.average_omega, r.average_gamma, r.total_cost,
-                      r.theta, r.constraint_met ? 1.0 : 0.0,
-                      static_cast<double>(r.peak_vms),
-                      static_cast<double>(r.peak_cores),
-                      static_cast<double>(r.vm_failures), r.messages_lost,
-                      r.sigma});
-  }
-  return t;
-}
-
 TextTable summaryTable(std::span<const ExperimentResult> results) {
   TextTable table({"scheduler", "omega", "met", "gamma", "cost$", "theta",
                    "peak-VMs", "failures"});

@@ -64,10 +64,6 @@ std::vector<PeId> Dataflow::forwardBfsFromInputs() const {
   return bfsOrder(inputs_, successors_, pes_.size());
 }
 
-std::vector<PeId> Dataflow::reverseBfsFromOutputs() const {
-  return bfsOrder(outputs_, predecessors_, pes_.size());
-}
-
 std::size_t Dataflow::totalAlternateCount() const {
   std::size_t n = 0;
   for (const auto& pe : pes_) n += pe.alternateCount();

@@ -18,24 +18,6 @@ void EventSimConfig::validate() const {
   DDS_REQUIRE(max_latency_samples > 0, "latency sample cap must be > 0");
 }
 
-double EventSimResult::latencyPercentile(double p) const {
-  DDS_REQUIRE(!latency_samples.empty(), "no latency samples recorded");
-  return percentile(latency_samples, p);
-}
-
-PeId EventSimResult::worstQueueingPe() const {
-  std::size_t worst = 0;
-  bool found = false;
-  for (std::size_t i = 0; i < pe_queue_wait.size(); ++i) {
-    if (pe_queue_wait[i].count() == 0) continue;
-    if (!found || pe_queue_wait[i].mean() > pe_queue_wait[worst].mean()) {
-      worst = i;
-      found = true;
-    }
-  }
-  return found ? PeId(static_cast<PeId::value_type>(worst)) : PeId(0);
-}
-
 std::string fingerprint(const EventSimResult& r) {
   std::ostringstream os;
   os << std::hexfloat;

@@ -20,10 +20,6 @@ double RunResult::averageGamma() const {
   return s / static_cast<double>(intervals_.size());
 }
 
-double RunResult::totalCost() const {
-  return intervals_.empty() ? 0.0 : intervals_.back().cost_cumulative;
-}
-
 RecoveryStats computeRecoveryStats(const RunResult& result,
                                    double omega_hat, SimTime interval_s) {
   DDS_REQUIRE(omega_hat > 0.0 && omega_hat <= 1.0,

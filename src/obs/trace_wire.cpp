@@ -317,19 +317,6 @@ std::string_view traceEventName(const TraceEvent& e) {
       e);
 }
 
-SimTime traceEventTime(const TraceEvent& e) {
-  return std::visit(
-      [](const auto& ev) -> SimTime {
-        if constexpr (std::is_same_v<std::decay_t<decltype(ev)>,
-                                     RunHeaderEvent>) {
-          return 0.0;
-        } else {
-          return ev.t;
-        }
-      },
-      e);
-}
-
 std::string traceEventJson(const TraceEvent& event) {
   JsonWriter w{{.style = JsonWriter::Style::Compact,
                 .non_finite = JsonWriter::NonFinitePolicy::StringSentinel}};

@@ -27,12 +27,6 @@ void FeasibilityMemo::init(std::size_t key_words, std::size_t capacity) {
   hits_ = 0;
 }
 
-void FeasibilityMemo::clear() {
-  std::fill(occupancy_.begin(), occupancy_.end(), kEmpty);
-  lookups_ = 0;
-  hits_ = 0;
-}
-
 bool FeasibilityMemo::keyEquals(std::size_t slot,
                                 const std::uint64_t* key) const {
   const std::uint64_t* stored = keys_.data() + slot * key_words_;

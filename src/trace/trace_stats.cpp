@@ -1,8 +1,5 @@
 #include "dds/trace/trace_stats.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "dds/common/error.hpp"
 
 namespace dds {
@@ -31,48 +28,6 @@ std::size_t decorrelationLag(const PerfTrace& trace, double level) {
     if (autocorrelation(trace, k) < level) return k;
   }
   return trace.sampleCount();
-}
-
-std::vector<double> relativeDeviation(const PerfTrace& trace) {
-  const double mean = trace.stats().mean();
-  DDS_REQUIRE(mean != 0.0, "relative deviation undefined for zero mean");
-  std::vector<double> out;
-  out.reserve(trace.sampleCount());
-  for (const double x : trace.samples()) {
-    out.push_back((x - mean) / mean);
-  }
-  return out;
-}
-
-std::vector<double> rollingMean(const PerfTrace& trace, std::size_t window) {
-  DDS_REQUIRE(window >= 1, "window must be at least one sample");
-  const auto& xs = trace.samples();
-  std::vector<double> out(xs.size());
-  const std::size_t half = window / 2;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const std::size_t lo = i >= half ? i - half : 0;
-    const std::size_t hi = std::min(xs.size(), lo + window);
-    double sum = 0.0;
-    for (std::size_t j = lo; j < hi; ++j) sum += xs[j];
-    out[i] = sum / static_cast<double>(hi - lo);
-  }
-  return out;
-}
-
-std::vector<std::size_t> histogram(const PerfTrace& trace,
-                                   std::size_t bins) {
-  DDS_REQUIRE(bins >= 1, "need at least one bin");
-  const auto s = trace.stats();
-  std::vector<std::size_t> counts(bins, 0);
-  const double lo = s.min();
-  const double width = (s.max() - lo) / static_cast<double>(bins);
-  for (const double x : trace.samples()) {
-    std::size_t bin =
-        width > 0.0 ? static_cast<std::size_t>((x - lo) / width) : 0;
-    bin = std::min(bin, bins - 1);  // max value lands in the last bin
-    ++counts[bin];
-  }
-  return counts;
 }
 
 double fractionBelow(const PerfTrace& trace, double threshold) {

@@ -103,37 +103,6 @@ std::string SpikeRate::describe() const {
   return os.str();
 }
 
-CompositeRate::CompositeRate(std::vector<std::unique_ptr<RateProfile>> parts)
-    : parts_(std::move(parts)) {
-  DDS_REQUIRE(!parts_.empty(), "composite needs at least one part");
-  for (const auto& p : parts_) {
-    DDS_REQUIRE(p != nullptr, "composite parts must not be null");
-  }
-}
-
-double CompositeRate::rate(SimTime t) const {
-  double sum = 0.0;
-  for (const auto& p : parts_) sum += p->rate(t);
-  return sum;
-}
-
-double CompositeRate::meanRate() const {
-  double sum = 0.0;
-  for (const auto& p : parts_) sum += p->meanRate();
-  return sum;
-}
-
-std::string CompositeRate::describe() const {
-  std::ostringstream os;
-  os << "composite(";
-  for (std::size_t i = 0; i < parts_.size(); ++i) {
-    if (i > 0) os << " + ";
-    os << parts_[i]->describe();
-  }
-  os << ")";
-  return os.str();
-}
-
 std::string profileName(ProfileKind kind) {
   switch (kind) {
     case ProfileKind::Constant:
@@ -160,20 +129,6 @@ ProfileKind parseProfileKind(const std::string& name) {
     if (profileName(kind) == name) return kind;
   }
   throw PreconditionError("unknown profile name: '" + name + "'");
-}
-
-std::string profileSummary(ProfileKind kind) {
-  switch (kind) {
-    case ProfileKind::Constant:
-      return "fixed rate at the mean";
-    case ProfileKind::PeriodicWave:
-      return "sine wave, amplitude 40% of mean, 30 min period";
-    case ProfileKind::RandomWalk:
-      return "mean-reverting walk clamped to [0.2x, 2x] mean";
-    case ProfileKind::Spike:
-      return "3x flash crowd for a tenth of the horizon, 40% in";
-  }
-  return "unknown";
 }
 
 std::unique_ptr<RateProfile> makeProfile(ProfileKind kind, double mean_rate,

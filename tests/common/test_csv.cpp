@@ -4,71 +4,21 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 
 #include "dds/common/error.hpp"
 
 namespace dds {
 namespace {
 
-TEST(Csv, ParsesHeaderAndRows) {
-  const auto t = parseCsv("a,b\n1,2\n3.5,-4\n");
-  ASSERT_EQ(t.header.size(), 2u);
-  EXPECT_EQ(t.header[0], "a");
-  EXPECT_EQ(t.header[1], "b");
-  ASSERT_EQ(t.rows.size(), 2u);
-  EXPECT_DOUBLE_EQ(t.rows[1][0], 3.5);
-  EXPECT_DOUBLE_EQ(t.rows[1][1], -4.0);
-}
-
-TEST(Csv, SkipsCommentsAndBlankLines) {
-  const auto t = parseCsv("# comment\n\na\n# another\n1\n\n2\n");
-  EXPECT_EQ(t.header.size(), 1u);
-  EXPECT_EQ(t.rows.size(), 2u);
-}
-
-TEST(Csv, HandlesCrLf) {
-  const auto t = parseCsv("x,y\r\n1,2\r\n");
-  ASSERT_EQ(t.rows.size(), 1u);
-  EXPECT_DOUBLE_EQ(t.rows[0][1], 2.0);
-}
-
-TEST(Csv, RejectsRaggedRows) {
-  EXPECT_THROW((void)parseCsv("a,b\n1\n"), IoError);
-  EXPECT_THROW((void)parseCsv("a\n1,2\n"), IoError);
-}
-
-TEST(Csv, RejectsNonNumericCells) {
-  EXPECT_THROW((void)parseCsv("a\nhello\n"), IoError);
-  EXPECT_THROW((void)parseCsv("a\n1.2.3\n"), IoError);
-}
-
-TEST(Csv, RejectsEmptyInput) {
-  EXPECT_THROW((void)parseCsv(""), IoError);
-  EXPECT_THROW((void)parseCsv("# only comments\n"), IoError);
-}
-
-TEST(Csv, RoundTripsThroughFormat) {
+// ddsim's output_csv writes through formatCsv: the header line, then one
+// line per row, each double at max_digits10 so it reads back exactly.
+TEST(Csv, FormatWritesHeaderThenExactRows) {
   CsvTable t;
   t.header = {"time", "value"};
-  t.rows = {{0.0, 1.5}, {60.0, 2.25}};
-  const auto parsed = parseCsv(formatCsv(t));
-  EXPECT_EQ(parsed.header, t.header);
-  ASSERT_EQ(parsed.rows.size(), 2u);
-  EXPECT_DOUBLE_EQ(parsed.rows[1][1], 2.25);
-}
-
-TEST(Csv, ColumnLookupByName) {
-  const auto t = parseCsv("a,b,c\n1,2,3\n4,5,6\n");
-  EXPECT_EQ(t.columnIndex("b"), 1u);
-  const auto col = t.column("c");
-  ASSERT_EQ(col.size(), 2u);
-  EXPECT_DOUBLE_EQ(col[0], 3.0);
-  EXPECT_DOUBLE_EQ(col[1], 6.0);
-}
-
-TEST(Csv, MissingColumnThrows) {
-  const auto t = parseCsv("a\n1\n");
-  EXPECT_THROW((void)t.column("nope"), PreconditionError);
+  t.rows = {{0.0, 0.1}, {60.0, 2.25}};
+  EXPECT_EQ(formatCsv(t), "time,value\n0,0.10000000000000001\n60,2.25\n");
 }
 
 TEST(Csv, FileRoundTrip) {
@@ -78,14 +28,11 @@ TEST(Csv, FileRoundTrip) {
   t.header = {"k"};
   t.rows = {{42.0}};
   saveCsv(path, t);
-  const auto loaded = loadCsv(path);
-  ASSERT_EQ(loaded.rows.size(), 1u);
-  EXPECT_DOUBLE_EQ(loaded.rows[0][0], 42.0);
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  EXPECT_EQ(text.str(), formatCsv(t));
   std::remove(path.c_str());
-}
-
-TEST(Csv, LoadMissingFileThrows) {
-  EXPECT_THROW((void)loadCsv("/nonexistent/dir/file.csv"), IoError);
 }
 
 TEST(Csv, SaveToUnwritablePathThrows) {

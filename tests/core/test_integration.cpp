@@ -132,7 +132,7 @@ TEST(Integration, AdaptiveMeetsConstraintAcrossProfiles) {
          {parseScheduler("local"), parseScheduler("global")}) {
       const auto r = SimulationEngine(df, cfg).run(kind);
       EXPECT_TRUE(r.constraint_met)
-          << schedulerName(kind) << " on " << toString(profile) << ": "
+          << schedulerName(kind) << " on " << profileName(profile) << ": "
           << r.average_omega;
     }
   }

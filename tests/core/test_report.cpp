@@ -22,22 +22,10 @@ TEST(Report, IntervalSeriesHasOneRowPerInterval) {
   EXPECT_EQ(csv.header.size(), 8u);
   EXPECT_EQ(csv.rows.size(), r.run.intervals().size());
   // Columns line up with the metric series.
-  const auto omega_col = csv.column("omega");
-  for (std::size_t i = 0; i < omega_col.size(); ++i) {
-    EXPECT_DOUBLE_EQ(omega_col[i], r.run.intervals()[i].omega);
+  ASSERT_EQ(csv.header[3], "omega");
+  for (std::size_t i = 0; i < csv.rows.size(); ++i) {
+    EXPECT_DOUBLE_EQ(csv.rows[i][3], r.run.intervals()[i].omega);
   }
-  // Round-trips through the CSV text layer.
-  const auto parsed = parseCsv(formatCsv(csv));
-  EXPECT_EQ(parsed.rows.size(), csv.rows.size());
-}
-
-TEST(Report, SummaryCsvOneRowPerResult) {
-  const auto a = sampleResult();
-  const std::vector<ExperimentResult> results = {a, a};
-  const auto csv = summaryCsv(results);
-  ASSERT_EQ(csv.rows.size(), 2u);
-  EXPECT_DOUBLE_EQ(csv.column("theta")[0], a.theta);
-  EXPECT_DOUBLE_EQ(csv.column("cost_usd")[1], a.total_cost);
 }
 
 TEST(Report, SummaryTableNamesSchedulers) {
@@ -51,7 +39,6 @@ TEST(Report, SummaryTableNamesSchedulers) {
 TEST(Report, EmptyInputsProduceEmptyTables) {
   const RunResult empty_run;
   EXPECT_TRUE(intervalSeriesCsv(empty_run).rows.empty());
-  EXPECT_TRUE(summaryCsv({}).rows.empty());
   EXPECT_EQ(summaryTable({}).rowCount(), 0u);
 }
 

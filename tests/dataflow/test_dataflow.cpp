@@ -144,21 +144,6 @@ TEST(Dataflow, ForwardBfsStartsAtInputs) {
   EXPECT_EQ(order[2], t);
 }
 
-TEST(Dataflow, ReverseBfsStartsAtOutputs) {
-  DataflowBuilder b("rbfs");
-  const PeId s = b.addPe("s", oneAlt("s"));
-  const PeId m = b.addPe("m", oneAlt("m"));
-  const PeId t = b.addPe("t", oneAlt("t"));
-  b.addEdge(s, m);
-  b.addEdge(m, t);
-  const Dataflow df = std::move(b).build();
-  const auto order = df.reverseBfsFromOutputs();
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], t);
-  EXPECT_EQ(order[1], m);
-  EXPECT_EQ(order[2], s);
-}
-
 TEST(Dataflow, TotalAlternateCountSums) {
   DataflowBuilder b("alts");
   b.addPe("a", {{"a1", 1.0, 0.1, 1.0}, {"a2", 0.5, 0.05, 1.0}});

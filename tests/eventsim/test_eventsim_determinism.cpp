@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "dds/common/rng.hpp"
+#include "dds/common/stats.hpp"
 #include "dds/core/engine.hpp"
 #include "dds/dataflow/standard_graphs.hpp"
 #include "dds/eventsim/event_heap.hpp"
@@ -391,34 +392,13 @@ TEST(EventSimReservoir, CappedRunKeepsPercentilesAndArrivals) {
   EXPECT_DOUBLE_EQ(capped.latency.mean(), uncapped.latency.mean());
   // A uniform 500-sample reservoir estimates the population percentiles;
   // tolerance scales with the spread of the distribution.
-  const double spread =
-      uncapped.latencyPercentile(95) - uncapped.latencyPercentile(5);
+  const double spread = percentile(uncapped.latency_samples, 95) -
+                        percentile(uncapped.latency_samples, 5);
   for (const double p : {50.0, 90.0, 95.0}) {
-    EXPECT_NEAR(capped.latencyPercentile(p), uncapped.latencyPercentile(p),
-                0.25 * spread)
+    EXPECT_NEAR(percentile(capped.latency_samples, p),
+                percentile(uncapped.latency_samples, p), 0.25 * spread)
         << "p" << p;
   }
-}
-
-// --- worstQueueingPe -------------------------------------------------------
-
-TEST(EventSimWorstQueue, AllIdleReturnsPeZero) {
-  EventSimResult r;
-  r.pe_queue_wait.assign(4, RunningStats{});
-  EXPECT_EQ(r.worstQueueingPe(), PeId(0));
-}
-
-TEST(EventSimWorstQueue, SkipsIdlePesWithEmptyStats) {
-  // PE 2 is the only one that ever queued; an empty RunningStats mean()
-  // must not decide the winner.
-  EventSimResult r;
-  r.pe_queue_wait.assign(4, RunningStats{});
-  r.pe_queue_wait[2].add(0.25);
-  EXPECT_EQ(r.worstQueueingPe(), PeId(2));
-
-  // A busier PE with a larger mean wait takes over.
-  r.pe_queue_wait[1].add(3.0);
-  EXPECT_EQ(r.worstQueueingPe(), PeId(1));
 }
 
 }  // namespace

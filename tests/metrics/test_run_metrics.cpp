@@ -20,7 +20,6 @@ TEST(RunResult, EmptyAggregates) {
   EXPECT_TRUE(r.empty());
   EXPECT_DOUBLE_EQ(r.averageOmega(), 0.0);
   EXPECT_DOUBLE_EQ(r.averageGamma(), 0.0);
-  EXPECT_DOUBLE_EQ(r.totalCost(), 0.0);
 }
 
 TEST(RunResult, AveragesOverIntervals) {
@@ -29,22 +28,6 @@ TEST(RunResult, AveragesOverIntervals) {
   r.add(interval(1, 0.5, 1.0, 0.2));
   EXPECT_DOUBLE_EQ(r.averageOmega(), 0.75);
   EXPECT_DOUBLE_EQ(r.averageGamma(), 0.9);
-}
-
-TEST(RunResult, TotalCostIsFinalCumulative) {
-  RunResult r;
-  r.add(interval(0, 1.0, 1.0, 0.5));
-  r.add(interval(1, 1.0, 1.0, 1.25));
-  EXPECT_DOUBLE_EQ(r.totalCost(), 1.25);
-}
-
-TEST(RunResult, ThetaIsGammaMinusSigmaCost) {
-  RunResult r;
-  r.add(interval(0, 1.0, 0.9, 2.0));
-  // Theta = 0.9 - 0.1 * 2.0 = 0.7.
-  EXPECT_DOUBLE_EQ(r.theta(0.1), 0.7);
-  // Sigma 0 ignores cost entirely.
-  EXPECT_DOUBLE_EQ(r.theta(0.0), 0.9);
 }
 
 TEST(RunResult, ConstraintCheckUsesTolerance) {
@@ -133,22 +116,6 @@ TEST(RecoveryStats, EmptyRunIsFullyAvailable) {
   EXPECT_EQ(s.violation_episodes, 0);
   EXPECT_DOUBLE_EQ(s.availability, 1.0);
 }
-
-class ThetaMonotonicityTest : public ::testing::TestWithParam<double> {};
-
-TEST_P(ThetaMonotonicityTest, ThetaDecreasesWithSigma) {
-  RunResult r;
-  r.add(interval(0, 1.0, 0.9, GetParam()));
-  double prev = r.theta(0.0);
-  for (double sigma = 0.01; sigma <= 0.1; sigma += 0.01) {
-    const double cur = r.theta(sigma);
-    EXPECT_LE(cur, prev);
-    prev = cur;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Costs, ThetaMonotonicityTest,
-                         ::testing::Values(0.0, 1.0, 5.0, 42.0));
 
 }  // namespace
 }  // namespace dds

@@ -261,7 +261,7 @@ TEST(FeasibilityMemo, ExactKeysNeverConfuseVerdicts) {
   EXPECT_LE(survivors, static_cast<int>(memo.capacity()));
 
   // Keys differing only in the second word are distinct entries.
-  memo.clear();
+  memo.init(memo.keyWords(), memo.capacity());
   const std::uint64_t a[2] = {7, 1};
   const std::uint64_t b[2] = {7, 2};
   memo.insert(a, true);

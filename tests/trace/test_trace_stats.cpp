@@ -60,65 +60,6 @@ TEST(Autocorrelation, RejectsExcessiveLag) {
   EXPECT_THROW((void)autocorrelation(t, 2), PreconditionError);
 }
 
-TEST(RelativeDeviation, CentersOnMean) {
-  const PerfTrace t({0.5, 1.0, 1.5}, 1.0);  // mean 1.0
-  const auto dev = relativeDeviation(t);
-  ASSERT_EQ(dev.size(), 3u);
-  EXPECT_NEAR(dev[0], -0.5, 1e-12);
-  EXPECT_NEAR(dev[1], 0.0, 1e-12);
-  EXPECT_NEAR(dev[2], 0.5, 1e-12);
-}
-
-TEST(RollingMean, WindowOneIsIdentity) {
-  const PerfTrace t({1.0, 3.0, 2.0}, 1.0);
-  const auto rm = rollingMean(t, 1);
-  EXPECT_EQ(rm, t.samples());
-}
-
-TEST(RollingMean, SmoothsSpikes) {
-  const PerfTrace t({1.0, 1.0, 10.0, 1.0, 1.0}, 1.0);
-  const auto rm = rollingMean(t, 3);
-  // The spike spreads into its neighbours and shrinks at its peak.
-  EXPECT_LT(rm[2], 10.0);
-  EXPECT_GT(rm[1], 1.0);
-  EXPECT_GT(rm[3], 1.0);
-}
-
-TEST(RollingMean, RejectsZeroWindow) {
-  const PerfTrace t({1.0}, 1.0);
-  EXPECT_THROW((void)rollingMean(t, 0), PreconditionError);
-}
-
-TEST(Histogram, CountsSumToSampleCount) {
-  Rng rng(5);
-  std::vector<double> xs;
-  for (int i = 0; i < 1000; ++i) xs.push_back(rng.uniform(0.0, 1.0));
-  const PerfTrace t(std::move(xs), 1.0);
-  const auto h = histogram(t, 10);
-  std::size_t total = 0;
-  for (const auto c : h) total += c;
-  EXPECT_EQ(total, 1000u);
-  // Uniform data: every bin sees roughly a tenth.
-  for (const auto c : h) {
-    EXPECT_GT(c, 50u);
-    EXPECT_LT(c, 200u);
-  }
-}
-
-TEST(Histogram, MaxValueLandsInLastBin) {
-  const PerfTrace t({0.0, 1.0}, 1.0);
-  const auto h = histogram(t, 4);
-  EXPECT_EQ(h.front(), 1u);
-  EXPECT_EQ(h.back(), 1u);
-}
-
-TEST(Histogram, SingleBinTakesEverything) {
-  const PerfTrace t({1.0, 2.0, 3.0}, 1.0);
-  const auto h = histogram(t, 1);
-  ASSERT_EQ(h.size(), 1u);
-  EXPECT_EQ(h[0], 3u);
-}
-
 TEST(FractionBelow, BasicCounting) {
   const PerfTrace t({0.5, 0.7, 0.9, 1.1}, 1.0);
   EXPECT_DOUBLE_EQ(fractionBelow(t, 0.8), 0.5);

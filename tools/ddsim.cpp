@@ -270,7 +270,7 @@ int main(int argc, char** argv) {
     std::cout << "dataflow '" << df.name() << "': " << df.peCount()
               << " PEs, " << df.totalAlternateCount() << " alternates; "
               << "rate " << ex.config.workload.mean_rate << " msg/s ("
-              << dds::toString(ex.config.workload.profile) << "), horizon "
+              << dds::profileName(ex.config.workload.profile) << "), horizon "
               << ex.config.horizon_s / dds::kSecondsPerHour << " h, sigma "
               << dds::SimulationEngine(df, ex.config).sigma() << "\n\n";
 
