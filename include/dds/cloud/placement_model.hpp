@@ -15,32 +15,23 @@
 
 #include <cstdint>
 
-#include "dds/common/error.hpp"
 #include "dds/common/ids.hpp"
 
 namespace dds {
 
-/// Rack-level network locality factors.
-struct PlacementConfig {
-  int racks = 4;                    ///< racks in the (virtual) data center.
-  double same_rack_bandwidth = 2.0; ///< bandwidth factor within a rack.
-  double same_rack_latency = 0.5;   ///< latency factor within a rack.
-  double cross_rack_bandwidth = 1.0;
-  double cross_rack_latency = 1.0;
-
-  void validate() const {
-    DDS_REQUIRE(racks >= 1, "need at least one rack");
-    DDS_REQUIRE(same_rack_bandwidth > 0.0 && cross_rack_bandwidth > 0.0,
-                "bandwidth factors must be positive");
-    DDS_REQUIRE(same_rack_latency > 0.0 && cross_rack_latency > 0.0,
-                "latency factors must be positive");
-  }
-};
+/// Rack-level network locality factors: a pair in one rack sees twice the
+/// rated bandwidth and half the rated latency; cross-rack pairs see the
+/// rated network.
+inline constexpr double kSameRackBandwidth = 2.0;
+inline constexpr double kSameRackLatency = 0.5;
+inline constexpr double kCrossRackBandwidth = 1.0;
+inline constexpr double kCrossRackLatency = 1.0;
 
 /// Deterministic rack assignment plus pairwise network factors.
 class PlacementModel {
  public:
-  PlacementModel(PlacementConfig config, std::uint64_t seed);
+  /// `racks` racks in the (virtual) data center, at least one.
+  PlacementModel(int racks, std::uint64_t seed);
 
   /// Rack of `vm`, in [0, racks). Pure function of (seed, vm id) — stable
   /// across queries and runs.
@@ -52,20 +43,16 @@ class PlacementModel {
 
   /// Multiplier applied to the observed bandwidth between two VMs.
   [[nodiscard]] double bandwidthFactor(VmId a, VmId b) const {
-    return sameRack(a, b) ? config_.same_rack_bandwidth
-                          : config_.cross_rack_bandwidth;
+    return sameRack(a, b) ? kSameRackBandwidth : kCrossRackBandwidth;
   }
 
   /// Multiplier applied to the observed latency between two VMs.
   [[nodiscard]] double latencyFactor(VmId a, VmId b) const {
-    return sameRack(a, b) ? config_.same_rack_latency
-                          : config_.cross_rack_latency;
+    return sameRack(a, b) ? kSameRackLatency : kCrossRackLatency;
   }
 
-  [[nodiscard]] const PlacementConfig& config() const { return config_; }
-
  private:
-  PlacementConfig config_;
+  int racks_;
   std::uint64_t seed_;
 };
 

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace dds {
 
@@ -49,6 +50,38 @@ namespace detail {
 }
 
 }  // namespace detail
+
+/// One rule of a config struct's appendErrors: records `message` when
+/// `ok` is false (never throws).
+inline void require(std::vector<std::string>& errors, bool ok,
+                    const char* message) {
+  if (!ok) errors.emplace_back(message);
+}
+
+/// Throws PreconditionError "invalid <what> (N errors): a; b" listing every
+/// message in `errors`; no-op when `errors` is empty.
+inline void throwIfAny(const std::vector<std::string>& errors,
+                       const char* what) {
+  if (errors.empty()) return;
+  std::ostringstream os;
+  os << "invalid " << what << " (" << errors.size() << " error"
+     << (errors.size() == 1 ? "" : "s") << "): ";
+  for (std::size_t i = 0; i < errors.size(); ++i) {
+    os << (i ? "; " : "") << errors[i];
+  }
+  throw PreconditionError(os.str());
+}
+
+/// The validating constructors' check: throws PreconditionError listing
+/// every error `config.appendErrors` reports — the same messages
+/// ExperimentConfig::validationErrors gives for the same values.
+template <class Config>
+void requireValid(const Config& config, const char* what) {
+  std::vector<std::string> errors;
+  config.appendErrors(errors);
+  throwIfAny(errors, what);
+}
+
 }  // namespace dds
 
 /// Validate a documented precondition; throws dds::PreconditionError.

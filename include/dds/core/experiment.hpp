@@ -7,9 +7,11 @@
 #include <vector>
 
 #include "dds/common/time.hpp"
+#include "dds/faults/fault_plan.hpp"
 #include "dds/forecast/forecaster.hpp"
 #include "dds/metrics/run_metrics.hpp"
 #include "dds/obs/metrics_registry.hpp"
+#include "dds/sched/resilience.hpp"
 #include "dds/sched/scheduler.hpp"
 #include "dds/sim/simulator.hpp"
 #include "dds/workload/rate_profile.hpp"
@@ -47,124 +49,11 @@ struct WorkloadConfig {
   bool operator==(const WorkloadConfig&) const = default;
 };
 
-/// Injected cloud turbulence (all families default off; fluid-only).
-struct FaultConfig {
-  /// Mean time between failures per VM, hours; 0 disables fault injection
-  /// (§9 future work: fault tolerance via re-allocation and alternates).
-  double vm_mtbf_hours = 0.0;
-  /// Degraded-VM (straggler) episodes: mean time between episodes per VM,
-  /// hours; 0 disables. During an episode the VM's observed core power
-  /// drops to `straggler_factor` of its trace-modulated value for
-  /// `straggler_duration_s` seconds.
-  double straggler_mtbf_hours = 0.0;
-  double straggler_factor = 0.3;
-  double straggler_duration_s = 600.0;
-  /// Probability the provider rejects one acquisition attempt; 0 disables.
-  /// (Provisioning lag lives in ElasticityConfig.)
-  double acquisition_failure_prob = 0.0;
-  /// Transient network partitions: mean time between partition episodes
-  /// per VM pair, hours; 0 disables. A partitioned pair sees zero
-  /// bandwidth and effectively infinite latency for
-  /// `partition_duration_s` seconds.
-  double partition_mtbf_hours = 0.0;
-  double partition_duration_s = 120.0;
-
-  /// Whether any fault family is switched on.
-  [[nodiscard]] bool anyEnabled() const;
-
-  void appendErrors(std::vector<std::string>& errors) const;
-
-  bool operator==(const FaultConfig&) const = default;
-};
-
-/// Rapid-elasticity realism knobs (all default off; delays and spot are
-/// fluid-only like the fault families, migration downtime works on both
-/// backends). Disabled, runs are bit-identical to the ideal cloud.
-struct ElasticityConfig {
-  /// Mean exponential provisioning lag between acquire and the VM coming
-  /// online, seconds; the per-core term adds class dependence
-  /// (mean = base + per_core * (cores - 1)). 0/0 = instant delivery.
-  /// Billing starts at acquisition either way — provisioning is paid for.
-  double provisioning_delay_s = 0.0;
-  double provisioning_delay_per_core_s = 0.0;
-  /// Spot market: discount in (0, 1) on the on-demand price (0 disables
-  /// the spot tier entirely), mean time between provider reclamations
-  /// per spot VM in hours, and the warning-notice lead time in seconds.
-  double spot_discount = 0.0;
-  double spot_preemption_mtbf_h = 0.0;
-  double spot_notice_s = 120.0;
-  /// Fraction of the heuristic allocator's acquisitions steered to the
-  /// spot tier when one exists (seed-deterministic per acquisition).
-  double spot_fraction = 1.0;
-  /// Per-PE buffered state, MB; on migration (scale-in, quarantine,
-  /// preemption drain) the moved share pauses service while it transfers
-  /// at `migration_bandwidth_mbps`. 0 = instant migration.
-  double pe_state_mb = 0.0;
-  double migration_bandwidth_mbps = 100.0;
-
-  [[nodiscard]] bool delaysEnabled() const {
-    return provisioning_delay_s > 0.0 || provisioning_delay_per_core_s > 0.0;
-  }
-  [[nodiscard]] bool spotEnabled() const { return spot_discount > 0.0; }
-  [[nodiscard]] bool migrationEnabled() const { return pe_state_mb > 0.0; }
-  [[nodiscard]] bool anyEnabled() const {
-    return delaysEnabled() || spotEnabled() || migrationEnabled();
-  }
-
-  void appendErrors(std::vector<std::string>& errors) const;
-
-  bool operator==(const ElasticityConfig&) const = default;
-};
-
-/// Scheduler-side responses to cloud turbulence (see
-/// dds/sched/resilience.hpp). Quarantine threshold 0 disables the
-/// straggler guard.
-struct ResilienceConfig {
-  double quarantine_threshold = 0.0;
-  int quarantine_probes = 3;
-  int acquisition_max_retries = 3;
-  double acquisition_backoff_s = 60.0;
-  bool graceful_degradation = false;
-
-  void appendErrors(std::vector<std::string>& errors) const;
-
-  bool operator==(const ResilienceConfig&) const = default;
-};
-
-/// Rate forecasting + predictive scheduling (default off; both backends).
-/// Off, runs are bit-identical to reactive: no forecaster is built,
-/// schedulers see a null forecast pointer.
-struct ForecastConfig {
-  /// Which model predicts future input rates (see dds/forecast):
-  /// Off disables the subsystem entirely.
-  ForecastModel model = ForecastModel::Off;
-  /// How many intervals ahead each forecast covers. The predictive
-  /// schedulers score alternates over this whole vector and scan it
-  /// (bounded by the pre-acquisition lead) for peaks.
-  int horizon_intervals = 5;
-  /// Model parameters (see ForecastOptions for semantics).
-  double ewma_alpha = 0.3;
-  double hw_alpha = 0.3;
-  double hw_beta = 0.05;
-  double hw_gamma = 0.3;
-  int hw_season_intervals = 30;
-  /// A predicted peak must exceed the current rate by this fraction
-  /// before the scheduler pre-acquires (and holds off scale-in).
-  double preacquire_margin = 0.1;
-  /// Score alternate switches against the whole forecast vector (mean
-  /// Theta) instead of the last observed interval only.
-  bool lookahead_alternates = true;
-
-  [[nodiscard]] bool enabled() const { return model != ForecastModel::Off; }
-
-  void appendErrors(std::vector<std::string>& errors) const;
-
-  bool operator==(const ForecastConfig&) const = default;
-};
-
-/// One experiment run's knobs (§8.1-8.2 defaults). Workload, fault and
-/// resilience knobs live in nested sub-structs; the remaining fields are
-/// the engine-level controls.
+/// One experiment run's knobs (§8.1-8.2 defaults). The sub-structs are
+/// declared by the modules that read them — FaultConfig and
+/// ElasticityConfig in dds/faults, ResilienceConfig in dds/sched,
+/// ForecastConfig in dds/forecast — and reach them as they are; the
+/// remaining fields are the engine-level controls.
 struct ExperimentConfig {
   SimTime horizon_s = 1.0 * kSecondsPerHour;  ///< optimization period T.
   SimTime interval_s = 60.0;                  ///< adaptation interval.

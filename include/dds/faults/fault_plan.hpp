@@ -28,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "dds/cloud/cloud_provider.hpp"
@@ -50,40 +51,27 @@ struct FailureEvent {
   std::vector<BacklogLoss> losses;
 };
 
-/// Knobs of all four fault families. A zero rate (or probability)
-/// disables a family; everything disabled reproduces the ideal cloud.
-struct FaultPlanConfig {
-  std::uint64_t seed = 42;
-
-  /// Crash family: mean time between failures per VM, hours; <= 0 off.
+/// Injected cloud turbulence (all families default off; fluid-only). A
+/// zero rate (or probability) disables a family; everything disabled
+/// reproduces the ideal cloud.
+struct FaultConfig {
+  /// Mean time between failures per VM, hours; 0 disables fault injection
+  /// (§9 future work: fault tolerance via re-allocation and alternates).
   double vm_mtbf_hours = 0.0;
-
-  /// Straggler family: mean gap between degradation episodes per VM,
-  /// hours (<= 0 off); during an episode the VM's observed core power is
-  /// `straggler_factor` of its healthy value for `straggler_duration_s`.
+  /// Degraded-VM (straggler) episodes: mean time between episodes per VM,
+  /// hours; 0 disables. During an episode the VM's observed core power
+  /// drops to `straggler_factor` of its trace-modulated value for
+  /// `straggler_duration_s` seconds.
   double straggler_mtbf_hours = 0.0;
   double straggler_factor = 0.3;
   double straggler_duration_s = 600.0;
-
-  /// Acquisition family: probability each acquisition attempt is
-  /// rejected, and the mean exponential startup lag of accepted VMs
-  /// (0 = instant). The per-core term makes the lag class-dependent:
-  /// mean = provisioning_delay_s + per_core * (cores - 1), so larger
-  /// instances take longer to materialize.
+  /// Probability the provider rejects one acquisition attempt; 0 disables.
+  /// (Provisioning lag lives in ElasticityConfig.)
   double acquisition_failure_prob = 0.0;
-  double provisioning_delay_s = 0.0;
-  double provisioning_delay_per_core_s = 0.0;
-
-  /// Spot-preemption family: mean time between provider reclamations per
-  /// preemptible VM, hours (<= 0 off), announced `spot_notice_s` seconds
-  /// in advance (the AWS-style warning notice). Only VMs of a
-  /// preemptible resource class are ever reclaimed.
-  double spot_preemption_mtbf_hours = 0.0;
-  double spot_notice_s = 120.0;
-
-  /// Partition family: mean gap between transient partitions per
-  /// unordered VM pair, hours (<= 0 off), each lasting
-  /// `partition_duration_s`.
+  /// Transient network partitions: mean time between partition episodes
+  /// per VM pair, hours; 0 disables. A partitioned pair sees zero
+  /// bandwidth and effectively infinite latency for
+  /// `partition_duration_s` seconds.
   double partition_mtbf_hours = 0.0;
   double partition_duration_s = 120.0;
 
@@ -91,23 +79,68 @@ struct FaultPlanConfig {
   [[nodiscard]] bool stragglersEnabled() const {
     return straggler_mtbf_hours > 0.0;
   }
-  [[nodiscard]] bool acquisitionFaultsEnabled() const {
-    return acquisition_failure_prob > 0.0 || provisioning_delay_s > 0.0 ||
-           provisioning_delay_per_core_s > 0.0;
+  [[nodiscard]] bool rejectionsEnabled() const {
+    return acquisition_failure_prob > 0.0;
   }
   [[nodiscard]] bool partitionsEnabled() const {
     return partition_mtbf_hours > 0.0;
   }
-  [[nodiscard]] bool preemptionsEnabled() const {
-    return spot_preemption_mtbf_hours > 0.0;
-  }
+  /// Whether any fault family is switched on.
   [[nodiscard]] bool anyEnabled() const {
-    return crashesEnabled() || stragglersEnabled() ||
-           acquisitionFaultsEnabled() || partitionsEnabled() ||
-           preemptionsEnabled();
+    return crashesEnabled() || stragglersEnabled() || rejectionsEnabled() ||
+           partitionsEnabled();
   }
 
-  void validate() const;
+  /// Append one message per invalid field to `errors` (never throws).
+  void appendErrors(std::vector<std::string>& errors) const;
+
+  bool operator==(const FaultConfig&) const = default;
+};
+
+/// Rapid-elasticity realism knobs (all default off; delays and spot are
+/// fluid-only like the fault families, migration downtime works on both
+/// backends). Disabled, runs are bit-identical to the ideal cloud.
+struct ElasticityConfig {
+  /// Mean exponential provisioning lag between acquire and the VM coming
+  /// online, seconds; the per-core term adds class dependence
+  /// (mean = base + per_core * (cores - 1)), so larger instances take
+  /// longer to materialize. 0/0 = instant delivery. Billing starts at
+  /// acquisition either way — provisioning is paid for.
+  double provisioning_delay_s = 0.0;
+  double provisioning_delay_per_core_s = 0.0;
+  /// Spot market: discount in (0, 1) on the on-demand price (0 disables
+  /// the spot tier entirely), mean time between provider reclamations
+  /// per spot VM in hours, and the warning-notice lead time in seconds
+  /// (the AWS-style notice). Only VMs of a preemptible resource class are
+  /// ever reclaimed.
+  double spot_discount = 0.0;
+  double spot_preemption_mtbf_h = 0.0;
+  double spot_notice_s = 120.0;
+  /// Fraction of the heuristic allocator's acquisitions steered to the
+  /// spot tier when one exists (seed-deterministic per acquisition).
+  double spot_fraction = 1.0;
+  /// Per-PE buffered state, MB; on migration (scale-in, quarantine,
+  /// preemption drain) the moved share pauses service while it transfers
+  /// at `migration_bandwidth_mbps`. 0 = instant migration.
+  double pe_state_mb = 0.0;
+  double migration_bandwidth_mbps = 100.0;
+
+  [[nodiscard]] bool delaysEnabled() const {
+    return provisioning_delay_s > 0.0 || provisioning_delay_per_core_s > 0.0;
+  }
+  [[nodiscard]] bool spotEnabled() const { return spot_discount > 0.0; }
+  [[nodiscard]] bool preemptionsEnabled() const {
+    return spot_preemption_mtbf_h > 0.0;
+  }
+  [[nodiscard]] bool migrationEnabled() const { return pe_state_mb > 0.0; }
+  [[nodiscard]] bool anyEnabled() const {
+    return delaysEnabled() || spotEnabled() || migrationEnabled();
+  }
+
+  /// Append one message per invalid field to `errors` (never throws).
+  void appendErrors(std::vector<std::string>& errors) const;
+
+  bool operator==(const ElasticityConfig&) const = default;
 };
 
 /// Seed-reproducible oracle for all fault families.
@@ -115,9 +148,10 @@ class FaultPlan final : public PerfFaultModel,
                         public AcquisitionFaultModel,
                         public PreemptionFaultModel {
  public:
-  explicit FaultPlan(FaultPlanConfig config);
-
-  [[nodiscard]] const FaultPlanConfig& config() const { return config_; }
+  /// Draws from `seed`; throws PreconditionError listing every invalid
+  /// field of `faults` and `elasticity`.
+  FaultPlan(std::uint64_t seed, const FaultConfig& faults,
+            const ElasticityConfig& elasticity);
 
   // -- crash family --
 
@@ -169,7 +203,7 @@ class FaultPlan final : public PerfFaultModel,
 
   /// PreemptionFaultModel: warning-notice lead time, seconds.
   [[nodiscard]] SimTime noticeWindow() const override {
-    return config_.spot_notice_s;
+    return elasticity_.spot_notice_s;
   }
 
   /// Preempt every active preemptible VM whose preemption time is at or
@@ -183,21 +217,23 @@ class FaultPlan final : public PerfFaultModel,
   /// Whether this plan perturbs what monitoring observes (stragglers or
   /// partitions) — callers skip installing the hook otherwise.
   [[nodiscard]] bool perturbsPerformance() const {
-    return config_.stragglersEnabled() || config_.partitionsEnabled();
+    return faults_.stragglersEnabled() || faults_.partitionsEnabled();
   }
 
   /// Whether this plan perturbs acquisitions.
   [[nodiscard]] bool perturbsAcquisition() const {
-    return config_.acquisitionFaultsEnabled();
+    return faults_.rejectionsEnabled() || elasticity_.delaysEnabled();
   }
 
   /// Whether this plan schedules spot preemptions.
   [[nodiscard]] bool perturbsSpot() const {
-    return config_.preemptionsEnabled();
+    return elasticity_.preemptionsEnabled();
   }
 
  private:
-  FaultPlanConfig config_;
+  std::uint64_t seed_;
+  FaultConfig faults_;
+  ElasticityConfig elasticity_;
 };
 
 }  // namespace dds

@@ -32,14 +32,37 @@ enum class ForecastModel {
   HoltWinters,  ///< additive Holt-Winters: level + trend + seasonality.
 };
 
-/// Model parameters (defaults tuned for the §8.1 workload shapes: 60 s
-/// intervals, 30 min wave period -> 30-interval season).
-struct ForecastOptions {
-  double ewma_alpha = 0.3;      ///< EWMA level weight on the newest rate.
-  double hw_alpha = 0.3;        ///< Holt-Winters level smoothing.
-  double hw_beta = 0.05;        ///< Holt-Winters trend smoothing.
-  double hw_gamma = 0.3;        ///< Holt-Winters seasonal smoothing.
-  int hw_season_intervals = 30; ///< season length, in intervals.
+/// Rate forecasting + predictive scheduling (default off; both backends).
+/// Off, runs are bit-identical to reactive: no forecaster is built,
+/// schedulers see a null forecast pointer. Model defaults are tuned for
+/// the §8.1 workload shapes: 60 s intervals, 30 min wave period ->
+/// 30-interval season.
+struct ForecastConfig {
+  /// Which model predicts future input rates; Off disables the subsystem
+  /// entirely.
+  ForecastModel model = ForecastModel::Off;
+  /// How many intervals ahead each forecast covers. The predictive
+  /// schedulers score alternates over this whole vector and scan it
+  /// (bounded by the pre-acquisition lead) for peaks.
+  int horizon_intervals = 5;
+  double ewma_alpha = 0.3;       ///< EWMA level weight on the newest rate.
+  double hw_alpha = 0.3;         ///< Holt-Winters level smoothing.
+  double hw_beta = 0.05;         ///< Holt-Winters trend smoothing.
+  double hw_gamma = 0.3;         ///< Holt-Winters seasonal smoothing.
+  int hw_season_intervals = 30;  ///< season length, in intervals.
+  /// A predicted peak must exceed the current rate by this fraction
+  /// before the scheduler pre-acquires (and holds off scale-in).
+  double preacquire_margin = 0.1;
+  /// Score alternate switches against the whole forecast vector (mean
+  /// Theta) instead of the last observed interval only.
+  bool lookahead_alternates = true;
+
+  [[nodiscard]] bool enabled() const { return model != ForecastModel::Off; }
+
+  /// Append one message per invalid field to `errors` (never throws).
+  void appendErrors(std::vector<std::string>& errors) const;
+
+  bool operator==(const ForecastConfig&) const = default;
 };
 
 /// Online rate predictor: observe one measured rate per interval, then
@@ -164,9 +187,10 @@ class ForecastErrorTracker {
 /// round-trip tests.
 [[nodiscard]] const std::vector<ForecastModel>& allForecastModels();
 
-/// Build a forecaster for `model`; throws PreconditionError for Off
-/// (callers gate on the model before constructing).
+/// Build a forecaster for `config.model` with its parameters; throws
+/// PreconditionError for Off (callers gate on the model before
+/// constructing).
 [[nodiscard]] std::unique_ptr<Forecaster> makeForecaster(
-    ForecastModel model, const ForecastOptions& options = {});
+    const ForecastConfig& config);
 
 }  // namespace dds

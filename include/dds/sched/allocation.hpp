@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "dds/cloud/cloud_provider.hpp"
+#include "dds/common/error.hpp"
 #include "dds/dataflow/dataflow.hpp"
 #include "dds/monitor/monitoring.hpp"
 #include "dds/sched/alternate_selection.hpp"
@@ -102,8 +103,8 @@ class ResourceAllocator {
 
   /// Install the resilience knobs governing acquisition retry, class
   /// fallback and backoff (defaults: 3 attempts, 60 s base backoff).
-  void setResilience(const ResilienceOptions& options) {
-    options.validate();
+  void setResilience(const ResilienceConfig& options) {
+    requireValid(options, "resilience config");
     resilience_ = options;
   }
 
@@ -220,7 +221,7 @@ class ResourceAllocator {
   CloudProvider* cloud_;
   double omega_target_;
   AcquisitionPolicy acquisition_;
-  ResilienceOptions resilience_;
+  ResilienceConfig resilience_;
   double spot_fraction_ = 0.0;
   std::uint64_t spot_seed_ = 0;
   std::uint64_t spot_ordinal_ = 0;  ///< acquisitions decided so far.

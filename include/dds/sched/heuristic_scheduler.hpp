@@ -44,7 +44,7 @@ struct HeuristicOptions {
   double max_queue_delay_s = 0.0;
   /// Resilience knobs: acquisition retry/backoff, straggler quarantine,
   /// graceful degradation (see dds/sched/resilience.hpp).
-  ResilienceOptions resilience;
+  ResilienceConfig resilience;
   /// Fraction of fresh acquisitions steered to the catalog's spot tier
   /// when one exists; the choice hashes (SchedulerEnv::seed, acquisition
   /// ordinal) so it is pure in the run seed. 0 keeps acquisitions

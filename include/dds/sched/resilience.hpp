@@ -15,6 +15,7 @@
 //    capacity it actually has (HeuristicScheduler consumes this flag).
 #pragma once
 
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -27,40 +28,35 @@
 
 namespace dds {
 
-/// Resilience knobs shared by the heuristic scheduler and its allocator.
-struct ResilienceOptions {
+/// Scheduler-side responses to cloud turbulence, shared by the heuristic
+/// scheduler and its allocator. Quarantine threshold 0 disables the
+/// straggler guard.
+struct ResilienceConfig {
+  /// Quarantine a VM when its smoothed observed/rated power ratio stays
+  /// below this for `quarantine_probes` consecutive probes; 0 disables.
+  double quarantine_threshold = 0.0;
+  int quarantine_probes = 3;
   /// Acquisition attempts per need (the first on the policy-preferred
   /// class, the rest falling back through cheaper classes).
   int acquisition_max_retries = 3;
   /// Base backoff after an acquisition need goes unmet; doubles per
   /// consecutive unmet need, capped at 8x. 0 disables backing off.
   double acquisition_backoff_s = 60.0;
-  /// Quarantine a VM when its smoothed observed/rated power ratio stays
-  /// below this for `straggler_probes` consecutive probes; 0 disables.
-  double straggler_threshold = 0.0;
-  int straggler_probes = 3;
-  /// EWMA weight of the newest probe in the guard's ratio estimate.
-  double straggler_alpha = 0.5;
   /// Downgrade alternates off-cadence while capacity is pending.
   bool graceful_degradation = false;
 
   [[nodiscard]] bool quarantineEnabled() const {
-    return straggler_threshold > 0.0;
+    return quarantine_threshold > 0.0;
   }
 
-  void validate() const {
-    DDS_REQUIRE(acquisition_max_retries >= 1,
-                "acquisition retries must be at least 1");
-    DDS_REQUIRE(acquisition_backoff_s >= 0.0,
-                "acquisition backoff must be non-negative");
-    DDS_REQUIRE(straggler_threshold >= 0.0 && straggler_threshold < 1.0,
-                "straggler threshold must be in [0, 1)");
-    DDS_REQUIRE(straggler_probes >= 1,
-                "straggler probe count must be at least 1");
-    DDS_REQUIRE(straggler_alpha > 0.0 && straggler_alpha <= 1.0,
-                "straggler alpha must be in (0, 1]");
-  }
+  /// Append one message per invalid field to `errors` (never throws).
+  void appendErrors(std::vector<std::string>& errors) const;
+
+  bool operator==(const ResilienceConfig&) const = default;
 };
+
+/// EWMA weight of the newest probe in StragglerGuard's ratio estimate.
+inline constexpr double kStragglerAlpha = 0.5;
 
 /// Detects persistent stragglers from periodic monitoring probes.
 ///
@@ -72,7 +68,7 @@ struct ResilienceOptions {
 class StragglerGuard {
  public:
   StragglerGuard(const CloudProvider& cloud, const MonitoringService& monitor,
-                 ResilienceOptions options);
+                 ResilienceConfig options);
 
   /// Attach the run's tracer; probe() then emits StragglerRecovery when a
   /// suspected VM's smoothed ratio climbs back above the threshold before
@@ -113,7 +109,7 @@ class StragglerGuard {
 
   const CloudProvider* cloud_;
   const MonitoringService* monitor_;
-  ResilienceOptions options_;
+  ResilienceConfig options_;
   obs::Tracer tracer_;
   std::unordered_map<VmId, Track> tracks_;
   std::unordered_set<VmId> blacklist_;

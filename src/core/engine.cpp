@@ -1,7 +1,6 @@
 #include "dds/core/engine.hpp"
 
 #include <cmath>
-#include <sstream>
 
 #include "interval_loop.hpp"
 
@@ -10,14 +9,6 @@ namespace dds {
 std::string toString(SimBackend backend) {
   return backend == SimBackend::Fluid ? "fluid" : "event";
 }
-
-namespace {
-
-void require(std::vector<std::string>& errors, bool ok, const char* message) {
-  if (!ok) errors.emplace_back(message);
-}
-
-}  // namespace
 
 void WorkloadConfig::appendErrors(std::vector<std::string>& errors) const {
   require(errors, mean_rate > 0.0, "mean rate must be positive");
@@ -29,77 +20,6 @@ void WorkloadConfig::appendErrors(std::vector<std::string>& errors) const {
   require(errors, msg_size_bytes > 0.0, "message size must be positive");
   // A finite workload.msg_size_kb can still overflow the kB -> B scaling.
   require(errors, std::isfinite(msg_size_bytes), "message size must be finite");
-}
-
-bool FaultConfig::anyEnabled() const {
-  return vm_mtbf_hours > 0.0 || straggler_mtbf_hours > 0.0 ||
-         acquisition_failure_prob > 0.0 || partition_mtbf_hours > 0.0;
-}
-
-void FaultConfig::appendErrors(std::vector<std::string>& errors) const {
-  require(errors, vm_mtbf_hours >= 0.0, "MTBF must be non-negative");
-  require(errors, straggler_mtbf_hours >= 0.0,
-          "straggler MTBF must be non-negative");
-  require(errors, straggler_factor >= 0.0 && straggler_factor < 1.0,
-          "straggler factor must be in [0, 1)");
-  require(errors, straggler_mtbf_hours <= 0.0 || straggler_duration_s > 0.0,
-          "straggler duration must be positive");
-  require(errors,
-          acquisition_failure_prob >= 0.0 && acquisition_failure_prob < 1.0,
-          "acquisition failure probability must be in [0, 1)");
-  require(errors, partition_mtbf_hours >= 0.0,
-          "partition MTBF must be non-negative");
-  require(errors, partition_mtbf_hours <= 0.0 || partition_duration_s > 0.0,
-          "partition duration must be positive");
-}
-
-void ElasticityConfig::appendErrors(std::vector<std::string>& errors) const {
-  require(errors, provisioning_delay_s >= 0.0,
-          "elasticity provisioning delay must be non-negative");
-  require(errors, provisioning_delay_per_core_s >= 0.0,
-          "per-core provisioning delay must be non-negative");
-  require(errors, spot_discount >= 0.0 && spot_discount < 1.0,
-          "spot discount must be in [0, 1)");
-  require(errors, spot_preemption_mtbf_h >= 0.0,
-          "spot preemption MTBF must be non-negative");
-  require(errors, spot_notice_s >= 0.0,
-          "spot notice window must be non-negative");
-  require(errors, spot_fraction >= 0.0 && spot_fraction <= 1.0,
-          "spot fraction must be in [0, 1]");
-  require(errors, spot_discount > 0.0 || spot_preemption_mtbf_h <= 0.0,
-          "spot preemption requires a spot tier (set the spot discount)");
-  require(errors, pe_state_mb >= 0.0,
-          "per-PE state size must be non-negative");
-  require(errors, migration_bandwidth_mbps > 0.0,
-          "migration bandwidth must be positive");
-}
-
-void ResilienceConfig::appendErrors(std::vector<std::string>& errors) const {
-  require(errors, acquisition_max_retries >= 1,
-          "acquisition retries must be at least 1");
-  require(errors, acquisition_backoff_s >= 0.0,
-          "acquisition backoff must be non-negative");
-  require(errors, quarantine_threshold >= 0.0 && quarantine_threshold < 1.0,
-          "straggler threshold must be in [0, 1)");
-  require(errors, quarantine_probes >= 1,
-          "straggler probe count must be at least 1");
-}
-
-void ForecastConfig::appendErrors(std::vector<std::string>& errors) const {
-  require(errors, horizon_intervals >= 1,
-          "forecast horizon must be at least 1 interval");
-  require(errors, ewma_alpha > 0.0 && ewma_alpha <= 1.0,
-          "EWMA alpha must be in (0, 1]");
-  require(errors, hw_alpha > 0.0 && hw_alpha <= 1.0,
-          "Holt-Winters alpha must be in (0, 1]");
-  require(errors, hw_beta >= 0.0 && hw_beta <= 1.0,
-          "Holt-Winters beta must be in [0, 1]");
-  require(errors, hw_gamma >= 0.0 && hw_gamma <= 1.0,
-          "Holt-Winters gamma must be in [0, 1]");
-  require(errors, hw_season_intervals >= 2,
-          "Holt-Winters season must be at least 2 intervals");
-  require(errors, preacquire_margin >= 0.0,
-          "pre-acquisition margin must be non-negative");
 }
 
 std::vector<std::string> ExperimentConfig::validationErrors() const {
@@ -144,15 +64,7 @@ std::vector<std::string> ExperimentConfig::validationErrors() const {
 }
 
 void ExperimentConfig::validate() const {
-  const std::vector<std::string> errors = validationErrors();
-  if (errors.empty()) return;
-  std::ostringstream os;
-  os << "invalid experiment config (" << errors.size() << " error"
-     << (errors.size() == 1 ? "" : "s") << "): ";
-  for (std::size_t i = 0; i < errors.size(); ++i) {
-    os << (i ? "; " : "") << errors[i];
-  }
-  throw PreconditionError(os.str());
+  throwIfAny(validationErrors(), "experiment config");
 }
 
 double deriveSigma(const Dataflow& df, double mean_rate, SimTime horizon_s) {

@@ -28,25 +28,6 @@
 namespace dds {
 namespace interval_loop {
 
-/// The fault-family knobs of `config`, as a FaultPlanConfig.
-inline FaultPlanConfig faultPlanConfigOf(const ExperimentConfig& config) {
-  FaultPlanConfig fc;
-  fc.seed = config.seed ^ 0xfa117ull;
-  fc.vm_mtbf_hours = config.faults.vm_mtbf_hours;
-  fc.straggler_mtbf_hours = config.faults.straggler_mtbf_hours;
-  fc.straggler_factor = config.faults.straggler_factor;
-  fc.straggler_duration_s = config.faults.straggler_duration_s;
-  fc.acquisition_failure_prob = config.faults.acquisition_failure_prob;
-  fc.provisioning_delay_s = config.elasticity.provisioning_delay_s;
-  fc.provisioning_delay_per_core_s =
-      config.elasticity.provisioning_delay_per_core_s;
-  fc.spot_preemption_mtbf_hours = config.elasticity.spot_preemption_mtbf_h;
-  fc.spot_notice_s = config.elasticity.spot_notice_s;
-  fc.partition_mtbf_hours = config.faults.partition_mtbf_hours;
-  fc.partition_duration_s = config.faults.partition_duration_s;
-  return fc;
-}
-
 /// Seconds a PE's service pauses while `fraction` of its buffered state
 /// (pe_state_mb megabytes total) migrates over the elasticity model's
 /// migration bandwidth. Zero when migration cost is disabled.
@@ -54,17 +35,6 @@ inline double migrationDowntime(const ElasticityConfig& ec, double fraction) {
   if (!ec.migrationEnabled() || fraction <= 0.0) return 0.0;
   // MB -> megabits over Mbps gives seconds.
   return ec.pe_state_mb * fraction * 8.0 / ec.migration_bandwidth_mbps;
-}
-
-/// The resilience knobs of `config`, as scheduler ResilienceOptions.
-inline ResilienceOptions resilienceOptionsOf(const ExperimentConfig& config) {
-  ResilienceOptions ro;
-  ro.acquisition_max_retries = config.resilience.acquisition_max_retries;
-  ro.acquisition_backoff_s = config.resilience.acquisition_backoff_s;
-  ro.straggler_threshold = config.resilience.quarantine_threshold;
-  ro.straggler_probes = config.resilience.quarantine_probes;
-  ro.graceful_degradation = config.resilience.graceful_degradation;
-  return ro;
 }
 
 }  // namespace interval_loop
@@ -92,15 +62,15 @@ ExperimentResult SimulationEngine::runWith(const SchedulerSpec& spec,
       config_.workload.infra_variability
           ? TraceReplayer::futureGridLike(config_.seed)
           : TraceReplayer::ideal();
-  PlacementConfig placement_cfg;
-  placement_cfg.racks = std::max(config_.placement_racks, 1);
-  const PlacementModel placement(placement_cfg, config_.seed ^ 0x9a7cull);
+  const PlacementModel placement(std::max(config_.placement_racks, 1),
+                                 config_.seed ^ 0x9a7cull);
 
   // The fault plan reaches the run through exactly two seams: monitoring
   // (stragglers and partitions perturb what everyone observes — scheduler
   // and simulator alike) and the provider's tryAcquire (rejections and
   // provisioning lag). Schedulers never see the plan itself.
-  const FaultPlan faults(faultPlanConfigOf(config_));
+  const FaultPlan faults(config_.seed ^ 0xfa117ull, config_.faults,
+                         config_.elasticity);
   cloud.setAcquisitionFaults(faults.perturbsAcquisition() ? &faults
                                                           : nullptr);
   cloud.setPreemptionModel(faults.perturbsSpot() ? &faults : nullptr);
@@ -139,7 +109,7 @@ ExperimentResult SimulationEngine::runWith(const SchedulerSpec& spec,
   heuristic.spot_fraction = config_.elasticity.spotEnabled()
                                 ? config_.elasticity.spot_fraction
                                 : 0.0;
-  heuristic.resilience = resilienceOptionsOf(config_);
+  heuristic.resilience = config_.resilience;
   heuristic.preacquire_margin = config_.forecast.preacquire_margin;
   heuristic.lookahead_alternates = config_.forecast.lookahead_alternates;
   // Pre-acquisition lead: the worst-case *mean* provisioning delay over
@@ -192,15 +162,7 @@ ExperimentResult SimulationEngine::runWith(const SchedulerSpec& spec,
   // Rate forecasting. Off, the forecaster stays null and schedulers see a
   // null forecast pointer — bit-identical to the reactive behaviour.
   std::unique_ptr<Forecaster> forecaster;
-  if (config_.forecast.enabled()) {
-    ForecastOptions fopts;
-    fopts.ewma_alpha = config_.forecast.ewma_alpha;
-    fopts.hw_alpha = config_.forecast.hw_alpha;
-    fopts.hw_beta = config_.forecast.hw_beta;
-    fopts.hw_gamma = config_.forecast.hw_gamma;
-    fopts.hw_season_intervals = config_.forecast.hw_season_intervals;
-    forecaster = makeForecaster(config_.forecast.model, fopts);
-  }
+  if (config_.forecast.enabled()) forecaster = makeForecaster(config_.forecast);
   ForecastErrorTracker forecast_errors;
   std::vector<double> forecast_rates;
 
@@ -215,15 +177,6 @@ ExperimentResult SimulationEngine::runWith(const SchedulerSpec& spec,
     // indexed by VmId, grown lazily as instances appear.
     std::vector<bool> provisioning_announced;
     std::vector<bool> notice_announced;
-    // Crashes and spot reclamations take the undrained backlog on the
-    // lost VM with them.
-    const auto dropLosses = [&simulator](const FailureEvent& ev) {
-      double lost = 0.0;
-      for (const BacklogLoss& loss : ev.losses) {
-        lost += simulator.dropBacklog(loss.pe, loss.fraction);
-      }
-      return lost;
-    };
     for (IntervalIndex i = 0; i < clock.intervalCount(); ++i) {
       const SimTime now = clock.startOf(i);
       if (tracer.enabled()) {
@@ -265,32 +218,32 @@ ExperimentResult SimulationEngine::runWith(const SchedulerSpec& spec,
           }
         }
       }
-      // Crashes land before the adaptation step observes the world, so the
-      // scheduler reacts to the reduced capacity this very interval.
-      for (const FailureEvent& ev : faults.injectUpTo(cloud, now)) {
-        ++result.vm_failures;
-        registry.counter("run.vm_failures").inc();
-        const double lost_here = dropLosses(ev);
-        result.messages_lost += lost_here;
-        if (tracer.enabled()) {
-          tracer.emit(obs::FaultInjectionEvent{.t = now,
-                                               .vm = ev.vm.value(),
-                                               .family = "crash",
-                                               .messages_lost = lost_here});
-        }
-      }
-      // Spot reclamations work exactly like crashes but bill under the
-      // preemption rule.
-      for (const FailureEvent& ev :
-           faults.injectPreemptionsUpTo(cloud, now)) {
-        ++result.preemptions;
-        registry.counter("run.preemptions").inc();
-        const double lost_here = dropLosses(ev);
-        result.messages_lost += lost_here;
-        if (tracer.enabled()) {
-          tracer.emit(obs::PreemptionEvent{.t = now,
-                                           .vm = ev.vm.value(),
-                                           .messages_lost = lost_here});
+      // Crashes, then spot reclamations (billed under the preemption
+      // rule), land before the adaptation step observes the world, so the
+      // scheduler reacts to the reduced capacity this very interval. Both
+      // take the undrained backlog on the lost VM with them.
+      for (const bool preempted : {false, true}) {
+        for (const FailureEvent& ev :
+             preempted ? faults.injectPreemptionsUpTo(cloud, now)
+                       : faults.injectUpTo(cloud, now)) {
+          ++(preempted ? result.preemptions : result.vm_failures);
+          registry.counter(preempted ? "run.preemptions" : "run.vm_failures")
+              .inc();
+          double lost = 0.0;
+          for (const BacklogLoss& loss : ev.losses) {
+            lost += simulator.dropBacklog(loss.pe, loss.fraction);
+          }
+          result.messages_lost += lost;
+          if (!tracer.enabled()) continue;
+          if (preempted) {
+            tracer.emit(obs::PreemptionEvent{
+                .t = now, .vm = ev.vm.value(), .messages_lost = lost});
+          } else {
+            tracer.emit(obs::FaultInjectionEvent{.t = now,
+                                                 .vm = ev.vm.value(),
+                                                 .family = "crash",
+                                                 .messages_lost = lost});
+          }
         }
       }
       if (env.probes != nullptr) probes.probe(now);

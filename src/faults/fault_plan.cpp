@@ -99,50 +99,66 @@ std::uint64_t pairKey(VmId a, VmId b) {
 
 }  // namespace
 
-void FaultPlanConfig::validate() const {
-  DDS_REQUIRE(vm_mtbf_hours >= 0.0, "crash MTBF must be non-negative");
-  DDS_REQUIRE(straggler_mtbf_hours >= 0.0,
-              "straggler MTBF must be non-negative");
-  DDS_REQUIRE(straggler_factor >= 0.0 && straggler_factor < 1.0,
-              "straggler factor must be in [0, 1)");
-  DDS_REQUIRE(!stragglersEnabled() || straggler_duration_s > 0.0,
-              "straggler duration must be positive when stragglers are on");
-  DDS_REQUIRE(
-      acquisition_failure_prob >= 0.0 && acquisition_failure_prob < 1.0,
-      "acquisition failure probability must be in [0, 1)");
-  DDS_REQUIRE(provisioning_delay_s >= 0.0,
-              "provisioning delay must be non-negative");
-  DDS_REQUIRE(provisioning_delay_per_core_s >= 0.0,
-              "per-core provisioning delay must be non-negative");
-  DDS_REQUIRE(spot_preemption_mtbf_hours >= 0.0,
-              "spot preemption MTBF must be non-negative");
-  DDS_REQUIRE(!preemptionsEnabled() || spot_notice_s >= 0.0,
-              "spot notice window must be non-negative");
-  DDS_REQUIRE(partition_mtbf_hours >= 0.0,
-              "partition MTBF must be non-negative");
-  DDS_REQUIRE(!partitionsEnabled() || partition_duration_s > 0.0,
-              "partition duration must be positive when partitions are on");
+void FaultConfig::appendErrors(std::vector<std::string>& errors) const {
+  require(errors, vm_mtbf_hours >= 0.0, "MTBF must be non-negative");
+  require(errors, straggler_mtbf_hours >= 0.0,
+          "straggler MTBF must be non-negative");
+  require(errors, straggler_factor >= 0.0 && straggler_factor < 1.0,
+          "straggler factor must be in [0, 1)");
+  require(errors, straggler_mtbf_hours <= 0.0 || straggler_duration_s > 0.0,
+          "straggler duration must be positive");
+  require(errors,
+          acquisition_failure_prob >= 0.0 && acquisition_failure_prob < 1.0,
+          "acquisition failure probability must be in [0, 1)");
+  require(errors, partition_mtbf_hours >= 0.0,
+          "partition MTBF must be non-negative");
+  require(errors, partition_mtbf_hours <= 0.0 || partition_duration_s > 0.0,
+          "partition duration must be positive");
 }
 
-FaultPlan::FaultPlan(FaultPlanConfig config) : config_(config) {
-  config_.validate();
+void ElasticityConfig::appendErrors(std::vector<std::string>& errors) const {
+  require(errors, provisioning_delay_s >= 0.0,
+          "elasticity provisioning delay must be non-negative");
+  require(errors, provisioning_delay_per_core_s >= 0.0,
+          "per-core provisioning delay must be non-negative");
+  require(errors, spot_discount >= 0.0 && spot_discount < 1.0,
+          "spot discount must be in [0, 1)");
+  require(errors, spot_preemption_mtbf_h >= 0.0,
+          "spot preemption MTBF must be non-negative");
+  require(errors, spot_notice_s >= 0.0,
+          "spot notice window must be non-negative");
+  require(errors, spot_fraction >= 0.0 && spot_fraction <= 1.0,
+          "spot fraction must be in [0, 1]");
+  require(errors, spot_discount > 0.0 || spot_preemption_mtbf_h <= 0.0,
+          "spot preemption requires a spot tier (set the spot discount)");
+  require(errors, pe_state_mb >= 0.0,
+          "per-PE state size must be non-negative");
+  require(errors, migration_bandwidth_mbps > 0.0,
+          "migration bandwidth must be positive");
+}
+
+FaultPlan::FaultPlan(std::uint64_t seed, const FaultConfig& faults,
+                     const ElasticityConfig& elasticity)
+    : seed_(seed), faults_(faults), elasticity_(elasticity) {
+  requireValid(faults_, "fault config");
+  requireValid(elasticity_, "elasticity config");
 }
 
 SimTime FaultPlan::deathTime(VmId vm, SimTime t_start) const {
-  if (!config_.crashesEnabled()) {
+  if (!faults_.crashesEnabled()) {
     return std::numeric_limits<SimTime>::infinity();
   }
   const std::uint64_t h =
-      splitmix64(config_.seed ^ (0x51ed2701ull + vm.value()) * 0x2545f491ull);
+      splitmix64(seed_ ^ (0x51ed2701ull + vm.value()) * 0x2545f491ull);
   const double u = hashToUnitInterval(h);
   const double lifetime_s =
-      -std::log(u) * config_.vm_mtbf_hours * kSecondsPerHour;
+      -std::log(u) * faults_.vm_mtbf_hours * kSecondsPerHour;
   return t_start + lifetime_s;
 }
 
 std::vector<FailureEvent> FaultPlan::injectUpTo(CloudProvider& cloud,
                                                 SimTime now) const {
-  if (!config_.crashesEnabled()) return {};
+  if (!faults_.crashesEnabled()) return {};
   // A crash is a tenant-side fault: billing stops at the failure time, but
   // the started hour is still paid.
   return takeDown(
@@ -154,56 +170,56 @@ std::vector<FailureEvent> FaultPlan::injectUpTo(CloudProvider& cloud,
 }
 
 bool FaultPlan::isStraggling(VmId vm, SimTime vm_start, SimTime t) const {
-  if (!config_.stragglersEnabled()) return false;
-  return inEpisode(config_.seed, kStragglerTag, vm.value(), t - vm_start,
-                   config_.straggler_mtbf_hours * kSecondsPerHour,
-                   config_.straggler_duration_s);
+  if (!faults_.stragglersEnabled()) return false;
+  return inEpisode(seed_, kStragglerTag, vm.value(), t - vm_start,
+                   faults_.straggler_mtbf_hours * kSecondsPerHour,
+                   faults_.straggler_duration_s);
 }
 
 double FaultPlan::cpuFactor(VmId vm, SimTime vm_start, SimTime t) const {
-  return isStraggling(vm, vm_start, t) ? config_.straggler_factor : 1.0;
+  return isStraggling(vm, vm_start, t) ? faults_.straggler_factor : 1.0;
 }
 
 bool FaultPlan::linkPartitioned(VmId a, VmId b, SimTime t) const {
-  if (!config_.partitionsEnabled() || a == b) return false;
+  if (!faults_.partitionsEnabled() || a == b) return false;
   // Partitions live on the absolute simulation timeline: the pair's hash
   // stream does not depend on either VM's start time, so the answer is a
   // pure function of (seed, pair, t).
-  return inEpisode(config_.seed, kPartitionTag, pairKey(a, b), t,
-                   config_.partition_mtbf_hours * kSecondsPerHour,
-                   config_.partition_duration_s);
+  return inEpisode(seed_, kPartitionTag, pairKey(a, b), t,
+                   faults_.partition_mtbf_hours * kSecondsPerHour,
+                   faults_.partition_duration_s);
 }
 
 bool FaultPlan::acquisitionRejected(std::uint64_t attempt) const {
-  if (config_.acquisition_failure_prob <= 0.0) return false;
+  if (!faults_.rejectionsEnabled()) return false;
   const std::uint64_t h =
-      splitmix64(config_.seed ^ kRejectTag ^ splitmix64(attempt));
-  return hashToUnitInterval(h) <= config_.acquisition_failure_prob;
+      splitmix64(seed_ ^ kRejectTag ^ splitmix64(attempt));
+  return hashToUnitInterval(h) <= faults_.acquisition_failure_prob;
 }
 
 SimTime FaultPlan::provisioningDelay(VmId vm,
                                      const ResourceClass& cls) const {
-  const double mean =
-      config_.provisioning_delay_s +
-      config_.provisioning_delay_per_core_s * static_cast<double>(cls.cores - 1);
+  const double mean = elasticity_.provisioning_delay_s +
+                      elasticity_.provisioning_delay_per_core_s *
+                          static_cast<double>(cls.cores - 1);
   if (mean <= 0.0) return 0.0;
   // Same tag/key/index as the class-independent model: with a zero
   // per-core term the draw is bit-identical to the pre-class behavior.
-  return expDraw(config_.seed, kDelayTag, vm.value(), 0, mean);
+  return expDraw(seed_, kDelayTag, vm.value(), 0, mean);
 }
 
 SimTime FaultPlan::preemptionTime(VmId vm, SimTime vm_start) const {
-  if (!config_.preemptionsEnabled()) {
+  if (!elasticity_.preemptionsEnabled()) {
     return std::numeric_limits<SimTime>::infinity();
   }
   return vm_start +
-         expDraw(config_.seed, kPreemptTag, vm.value(), 0,
-                 config_.spot_preemption_mtbf_hours * kSecondsPerHour);
+         expDraw(seed_, kPreemptTag, vm.value(), 0,
+                 elasticity_.spot_preemption_mtbf_h * kSecondsPerHour);
 }
 
 std::vector<FailureEvent> FaultPlan::injectPreemptionsUpTo(
     CloudProvider& cloud, SimTime now) const {
-  if (!config_.preemptionsEnabled()) return {};
+  if (!elasticity_.preemptionsEnabled()) return {};
   return takeDown(
       cloud, now,
       [&](const VmInstance& vm) {

@@ -1,6 +1,7 @@
-// The forecaster registry: names, parsing and construction for every
-// concrete model. Adding a ForecastModel is a change to this file (plus
-// the enum) — engine, tools and bench code go through the factory.
+// The forecaster registry: names, parsing, config checks and construction
+// for every concrete model. Adding a ForecastModel is a change to this
+// file (plus the enum) — engine, tools and bench code go through the
+// factory.
 #include <sstream>
 
 #include "dds/common/error.hpp"
@@ -36,23 +37,39 @@ ForecastModel parseForecastModel(const std::string& name) {
   throw PreconditionError("unknown forecast model: '" + name + "'");
 }
 
-std::unique_ptr<Forecaster> makeForecaster(ForecastModel model,
-                                           const ForecastOptions& options) {
-  switch (model) {
+void ForecastConfig::appendErrors(std::vector<std::string>& errors) const {
+  require(errors, horizon_intervals >= 1,
+          "forecast horizon must be at least 1 interval");
+  require(errors, ewma_alpha > 0.0 && ewma_alpha <= 1.0,
+          "EWMA alpha must be in (0, 1]");
+  require(errors, hw_alpha > 0.0 && hw_alpha <= 1.0,
+          "Holt-Winters alpha must be in (0, 1]");
+  require(errors, hw_beta >= 0.0 && hw_beta <= 1.0,
+          "Holt-Winters beta must be in [0, 1]");
+  require(errors, hw_gamma >= 0.0 && hw_gamma <= 1.0,
+          "Holt-Winters gamma must be in [0, 1]");
+  require(errors, hw_season_intervals >= 2,
+          "Holt-Winters season must be at least 2 intervals");
+  require(errors, preacquire_margin >= 0.0,
+          "pre-acquisition margin must be non-negative");
+}
+
+std::unique_ptr<Forecaster> makeForecaster(const ForecastConfig& config) {
+  switch (config.model) {
     case ForecastModel::Off:
       break;  // fall through to the error below.
     case ForecastModel::Naive:
       return std::make_unique<NaiveForecaster>();
     case ForecastModel::Ewma:
-      return std::make_unique<EwmaForecaster>(options.ewma_alpha);
+      return std::make_unique<EwmaForecaster>(config.ewma_alpha);
     case ForecastModel::HoltWinters:
       return std::make_unique<HoltWintersForecaster>(
-          options.hw_alpha, options.hw_beta, options.hw_gamma,
-          options.hw_season_intervals);
+          config.hw_alpha, config.hw_beta, config.hw_gamma,
+          config.hw_season_intervals);
   }
   std::ostringstream os;
   os << "makeForecaster: no forecaster for model '"
-     << forecastModelName(model) << "'";
+     << forecastModelName(config.model) << "'";
   throw PreconditionError(os.str());
 }
 

@@ -1,12 +1,25 @@
 #include "dds/sched/resilience.hpp"
 
+#include "dds/common/error.hpp"
+
 namespace dds {
+
+void ResilienceConfig::appendErrors(std::vector<std::string>& errors) const {
+  require(errors, acquisition_max_retries >= 1,
+          "acquisition retries must be at least 1");
+  require(errors, acquisition_backoff_s >= 0.0,
+          "acquisition backoff must be non-negative");
+  require(errors, quarantine_threshold >= 0.0 && quarantine_threshold < 1.0,
+          "straggler threshold must be in [0, 1)");
+  require(errors, quarantine_probes >= 1,
+          "straggler probe count must be at least 1");
+}
 
 StragglerGuard::StragglerGuard(const CloudProvider& cloud,
                                const MonitoringService& monitor,
-                               ResilienceOptions options)
+                               ResilienceConfig options)
     : cloud_(&cloud), monitor_(&monitor), options_(options) {
-  options_.validate();
+  requireValid(options_, "resilience config");
 }
 
 std::vector<VmId> StragglerGuard::probe(SimTime t) {
@@ -24,11 +37,10 @@ std::vector<VmId> StragglerGuard::probe(SimTime t) {
     auto [it, inserted] = tracks_.try_emplace(vm, Track{ratio, 0});
     Track& track = it->second;
     if (!inserted) {
-      track.smoothed_ratio = options_.straggler_alpha * ratio +
-                             (1.0 - options_.straggler_alpha) *
-                                 track.smoothed_ratio;
+      track.smoothed_ratio = kStragglerAlpha * ratio +
+                             (1.0 - kStragglerAlpha) * track.smoothed_ratio;
     }
-    if (track.smoothed_ratio < options_.straggler_threshold) {
+    if (track.smoothed_ratio < options_.quarantine_threshold) {
       ++track.consecutive_low;
     } else {
       if (track.consecutive_low > 0 && tracer_.enabled()) {
@@ -37,7 +49,7 @@ std::vector<VmId> StragglerGuard::probe(SimTime t) {
       }
       track.consecutive_low = 0;
     }
-    if (track.consecutive_low >= options_.straggler_probes) {
+    if (track.consecutive_low >= options_.quarantine_probes) {
       blacklist_.insert(vm);
       newly_quarantined.push_back(vm);
     }

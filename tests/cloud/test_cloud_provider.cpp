@@ -402,9 +402,9 @@ TEST(CloudLedger, EveryMutationMovesTheGeneration) {
   cloud.preempt(got.vm, 30.0);
   EXPECT_TRUE(moved());
 
-  FaultPlanConfig cfg;
+  FaultConfig cfg;
   cfg.vm_mtbf_hours = 1.0;
-  const FaultPlan plan(cfg);
+  const FaultPlan plan(42, cfg, {});
   const VmId doomed = cloud.acquire(ResourceClassId(0), 40.0);
   cloud.allocateCore(doomed, PeId(2));
   (void)moved();

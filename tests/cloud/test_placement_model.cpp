@@ -12,21 +12,11 @@ namespace dds {
 namespace {
 
 PlacementModel makeModel(int racks = 4, std::uint64_t seed = 7) {
-  PlacementConfig cfg;
-  cfg.racks = racks;
-  return PlacementModel(cfg, seed);
+  return PlacementModel(racks, seed);
 }
 
 TEST(PlacementModel, ConfigValidation) {
-  PlacementConfig bad;
-  bad.racks = 0;
-  EXPECT_THROW(PlacementModel(bad, 1), PreconditionError);
-  bad = {};
-  bad.same_rack_bandwidth = 0.0;
-  EXPECT_THROW(PlacementModel(bad, 1), PreconditionError);
-  bad = {};
-  bad.cross_rack_latency = -1.0;
-  EXPECT_THROW(PlacementModel(bad, 1), PreconditionError);
+  EXPECT_THROW(PlacementModel(0, 1), PreconditionError);
 }
 
 TEST(PlacementModel, RackAssignmentIsDeterministic) {
@@ -94,9 +84,7 @@ TEST(PlacementModel, SingleRackIsUniform) {
 TEST(PlacementModel, MonitoringComposesSpatialFactors) {
   CloudProvider cloud(awsCatalog2013());
   TraceReplayer ideal = TraceReplayer::ideal();
-  PlacementConfig cfg;
-  cfg.racks = 2;
-  const PlacementModel placement(cfg, 11);
+  const PlacementModel placement(2, 11);
   MonitoringService mon(cloud, ideal, &placement);
   const VmId a = cloud.acquire(ResourceClassId(0), 0.0);
   const VmId b = cloud.acquire(ResourceClassId(0), 0.0);

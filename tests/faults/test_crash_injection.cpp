@@ -13,8 +13,8 @@ namespace dds {
 namespace {
 
 TEST(FailureInjector, DisabledMeansImmortalVms) {
-  const FaultPlan inj(FaultPlanConfig{});
-  EXPECT_FALSE(inj.config().crashesEnabled());
+  const FaultPlan inj(42, {}, {});
+  EXPECT_FALSE(FaultConfig{}.crashesEnabled());
   EXPECT_TRUE(std::isinf(inj.deathTime(VmId(0), 0.0)));
   CloudProvider cloud(awsCatalog2013());
   (void)cloud.acquire(ResourceClassId(0), 0.0);
@@ -22,10 +22,9 @@ TEST(FailureInjector, DisabledMeansImmortalVms) {
 }
 
 TEST(FailureInjector, DeathTimesAreDeterministic) {
-  FaultPlanConfig cfg;
+  FaultConfig cfg;
   cfg.vm_mtbf_hours = 10.0;
-  cfg.seed = 7;
-  const FaultPlan a(cfg), b(cfg);
+  const FaultPlan a(7, cfg, {}), b(7, cfg, {});
   for (std::uint32_t v = 0; v < 10; ++v) {
     EXPECT_DOUBLE_EQ(a.deathTime(VmId(v), 100.0),
                      b.deathTime(VmId(v), 100.0));
@@ -33,17 +32,16 @@ TEST(FailureInjector, DeathTimesAreDeterministic) {
 }
 
 TEST(FailureInjector, DifferentVmsGetDifferentLifetimes) {
-  FaultPlanConfig cfg;
+  FaultConfig cfg;
   cfg.vm_mtbf_hours = 10.0;
-  const FaultPlan inj(cfg);
+  const FaultPlan inj(42, cfg, {});
   EXPECT_NE(inj.deathTime(VmId(0), 0.0), inj.deathTime(VmId(1), 0.0));
 }
 
 TEST(FailureInjector, LifetimesAreExponentialWithMtbfMean) {
-  FaultPlanConfig cfg;
+  FaultConfig cfg;
   cfg.vm_mtbf_hours = 5.0;
-  cfg.seed = 99;
-  const FaultPlan inj(cfg);
+  const FaultPlan inj(99, cfg, {});
   RunningStats lifetimes;
   for (std::uint32_t v = 0; v < 5000; ++v) {
     lifetimes.add((inj.deathTime(VmId(v), 0.0)) / kSecondsPerHour);
@@ -54,10 +52,9 @@ TEST(FailureInjector, LifetimesAreExponentialWithMtbfMean) {
 }
 
 TEST(FailureInjector, DeathTimeIsIndependentOfQueryOrder) {
-  FaultPlanConfig cfg;
+  FaultConfig cfg;
   cfg.vm_mtbf_hours = 7.0;
-  cfg.seed = 21;
-  const FaultPlan forward(cfg), backward(cfg);
+  const FaultPlan forward(21, cfg, {}), backward(21, cfg, {});
   std::vector<SimTime> expected;
   for (std::uint32_t v = 0; v < 20; ++v) {
     expected.push_back(forward.deathTime(VmId(v), 10.0 * v));
@@ -73,18 +70,17 @@ TEST(FailureInjector, DeathTimeIsIndependentOfQueryOrder) {
 }
 
 TEST(FailureInjector, DeathTimeShiftsWithStart) {
-  FaultPlanConfig cfg;
+  FaultConfig cfg;
   cfg.vm_mtbf_hours = 5.0;
-  const FaultPlan inj(cfg);
+  const FaultPlan inj(42, cfg, {});
   EXPECT_DOUBLE_EQ(inj.deathTime(VmId(3), 1000.0),
                    inj.deathTime(VmId(3), 0.0) + 1000.0);
 }
 
 TEST(FailureInjector, InjectCrashesDueVmsAndReportsLosses) {
-  FaultPlanConfig cfg;
+  FaultConfig cfg;
   cfg.vm_mtbf_hours = 1.0;
-  cfg.seed = 3;
-  const FaultPlan inj(cfg);
+  const FaultPlan inj(3, cfg, {});
   CloudProvider cloud(awsCatalog2013());
   const VmId vm = cloud.acquire(ResourceClassId(3), 0.0);  // 4 cores
   cloud.allocateCore(vm, PeId(0));
@@ -117,9 +113,9 @@ TEST(FailureInjector, InjectCrashesDueVmsAndReportsLosses) {
 }
 
 TEST(FailureInjector, NothingHappensBeforeDeathTime) {
-  FaultPlanConfig cfg;
+  FaultConfig cfg;
   cfg.vm_mtbf_hours = 100.0;
-  const FaultPlan inj(cfg);
+  const FaultPlan inj(42, cfg, {});
   CloudProvider cloud(awsCatalog2013());
   const VmId vm = cloud.acquire(ResourceClassId(0), 0.0);
   const SimTime death = inj.deathTime(vm, 0.0);

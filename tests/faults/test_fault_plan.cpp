@@ -5,73 +5,191 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "dds/common/rng.hpp"
 #include "dds/common/stats.hpp"
 #include "dds/core/engine.hpp"
 #include "dds/dataflow/standard_graphs.hpp"
+#include "dds/sched/allocation.hpp"
+#include "dds/sched/resilience.hpp"
 
 namespace dds {
 namespace {
 
-FaultPlanConfig allFamiliesConfig(std::uint64_t seed = 11) {
-  FaultPlanConfig cfg;
-  cfg.seed = seed;
+constexpr std::uint64_t kSeed = 11;
+
+FaultConfig allFamilies() {
+  FaultConfig cfg;
   cfg.vm_mtbf_hours = 4.0;
   cfg.straggler_mtbf_hours = 1.0;
   cfg.straggler_factor = 0.3;
   cfg.straggler_duration_s = 600.0;
   cfg.acquisition_failure_prob = 0.25;
-  cfg.provisioning_delay_s = 120.0;
   cfg.partition_mtbf_hours = 2.0;
   cfg.partition_duration_s = 120.0;
   return cfg;
 }
 
-TEST(FaultPlanConfig, EnablementPredicates) {
-  FaultPlanConfig off;
-  EXPECT_FALSE(off.anyEnabled());
-  EXPECT_TRUE(allFamiliesConfig().anyEnabled());
-  EXPECT_TRUE(allFamiliesConfig().crashesEnabled());
-  EXPECT_TRUE(allFamiliesConfig().stragglersEnabled());
-  EXPECT_TRUE(allFamiliesConfig().acquisitionFaultsEnabled());
-  EXPECT_TRUE(allFamiliesConfig().partitionsEnabled());
+/// The provisioning lag, the other half of the acquisition family.
+ElasticityConfig delayed() {
+  ElasticityConfig el;
+  el.provisioning_delay_s = 120.0;
+  return el;
 }
 
-TEST(FaultPlanConfig, ValidateRejectsBadKnobs) {
-  {
-    auto cfg = allFamiliesConfig();
-    cfg.straggler_factor = 1.0;  // a "straggler" at full speed is not one
-    EXPECT_THROW(cfg.validate(), PreconditionError);
+FaultPlan allFamiliesPlan(std::uint64_t seed = kSeed) {
+  return FaultPlan(seed, allFamilies(), delayed());
+}
+
+TEST(FaultConfig, EnablementPredicates) {
+  EXPECT_FALSE(FaultConfig{}.anyEnabled());
+  const FaultConfig on = allFamilies();
+  EXPECT_TRUE(on.anyEnabled());
+  EXPECT_TRUE(on.crashesEnabled());
+  EXPECT_TRUE(on.stragglersEnabled());
+  EXPECT_TRUE(on.rejectionsEnabled());
+  EXPECT_TRUE(on.partitionsEnabled());
+  EXPECT_FALSE(ElasticityConfig{}.delaysEnabled());
+  EXPECT_FALSE(ElasticityConfig{}.preemptionsEnabled());
+  EXPECT_TRUE(delayed().delaysEnabled());
+  // Rejections and provisioning lag both perturb acquisitions.
+  EXPECT_TRUE(FaultPlan(kSeed, {}, delayed()).perturbsAcquisition());
+  EXPECT_TRUE(FaultPlan(kSeed, on, {}).perturbsAcquisition());
+}
+
+/// One bad value of a fault, elasticity or resilience knob and the one
+/// message its struct's appendErrors gives for it.
+struct BadKnob {
+  const char* what;
+  void (*set)(ExperimentConfig&);
+  const char* message;
+};
+
+const BadKnob kBadKnobs[] = {
+    {"crash MTBF", [](ExperimentConfig& c) { c.faults.vm_mtbf_hours = -1.0; },
+     "MTBF must be non-negative"},
+    {"straggler MTBF",
+     [](ExperimentConfig& c) { c.faults.straggler_mtbf_hours = -1.0; },
+     "straggler MTBF must be non-negative"},
+    // A "straggler" at full speed is not one.
+    {"straggler factor",
+     [](ExperimentConfig& c) { c.faults.straggler_factor = 1.0; },
+     "straggler factor must be in [0, 1)"},
+    {"straggler duration",
+     [](ExperimentConfig& c) {
+       c.faults.straggler_mtbf_hours = 1.0;
+       c.faults.straggler_duration_s = 0.0;
+     },
+     "straggler duration must be positive"},
+    // Certain rejection would deadlock every scheduler.
+    {"acquisition failure probability",
+     [](ExperimentConfig& c) { c.faults.acquisition_failure_prob = 1.0; },
+     "acquisition failure probability must be in [0, 1)"},
+    {"partition MTBF",
+     [](ExperimentConfig& c) { c.faults.partition_mtbf_hours = -1.0; },
+     "partition MTBF must be non-negative"},
+    {"partition duration",
+     [](ExperimentConfig& c) {
+       c.faults.partition_mtbf_hours = 2.0;
+       c.faults.partition_duration_s = -1.0;
+     },
+     "partition duration must be positive"},
+    {"provisioning delay",
+     [](ExperimentConfig& c) { c.elasticity.provisioning_delay_s = -1.0; },
+     "elasticity provisioning delay must be non-negative"},
+    {"per-core provisioning delay",
+     [](ExperimentConfig& c) {
+       c.elasticity.provisioning_delay_per_core_s = -1.0;
+     },
+     "per-core provisioning delay must be non-negative"},
+    {"spot discount",
+     [](ExperimentConfig& c) { c.elasticity.spot_discount = 1.0; },
+     "spot discount must be in [0, 1)"},
+    {"spot preemption MTBF",
+     [](ExperimentConfig& c) { c.elasticity.spot_preemption_mtbf_h = -1.0; },
+     "spot preemption MTBF must be non-negative"},
+    {"spot notice",
+     [](ExperimentConfig& c) { c.elasticity.spot_notice_s = -1.0; },
+     "spot notice window must be non-negative"},
+    {"spot fraction",
+     [](ExperimentConfig& c) { c.elasticity.spot_fraction = 1.5; },
+     "spot fraction must be in [0, 1]"},
+    {"preemption without a spot tier",
+     [](ExperimentConfig& c) { c.elasticity.spot_preemption_mtbf_h = 2.0; },
+     "spot preemption requires a spot tier (set the spot discount)"},
+    {"PE state size",
+     [](ExperimentConfig& c) { c.elasticity.pe_state_mb = -1.0; },
+     "per-PE state size must be non-negative"},
+    {"migration bandwidth",
+     [](ExperimentConfig& c) { c.elasticity.migration_bandwidth_mbps = 0.0; },
+     "migration bandwidth must be positive"},
+    {"acquisition retries",
+     [](ExperimentConfig& c) { c.resilience.acquisition_max_retries = 0; },
+     "acquisition retries must be at least 1"},
+    {"acquisition backoff",
+     [](ExperimentConfig& c) { c.resilience.acquisition_backoff_s = -1.0; },
+     "acquisition backoff must be non-negative"},
+    {"quarantine threshold",
+     [](ExperimentConfig& c) { c.resilience.quarantine_threshold = 1.0; },
+     "straggler threshold must be in [0, 1)"},
+    {"quarantine probes",
+     [](ExperimentConfig& c) { c.resilience.quarantine_probes = 0; },
+     "straggler probe count must be at least 1"},
+};
+
+/// The message of the PreconditionError `construct` throws; empty when it
+/// throws none.
+template <class Construct>
+std::string preconditionMessage(Construct construct) {
+  try {
+    construct();
+  } catch (const PreconditionError& e) {
+    return e.what();
   }
-  {
-    auto cfg = allFamiliesConfig();
-    cfg.acquisition_failure_prob = 1.0;  // would deadlock every scheduler
-    EXPECT_THROW(cfg.validate(), PreconditionError);
-  }
-  {
-    auto cfg = allFamiliesConfig();
-    cfg.straggler_duration_s = 0.0;
-    EXPECT_THROW(cfg.validate(), PreconditionError);
-  }
-  {
-    auto cfg = allFamiliesConfig();
-    cfg.partition_duration_s = -1.0;
-    EXPECT_THROW(cfg.validate(), PreconditionError);
+  return "";
+}
+
+// Each knob struct has one rule set, its appendErrors: the config-wide
+// check and the constructors that take the struct reject a bad value with
+// the same message.
+TEST(KnobValidation, ConfigAndConstructorsRejectWithOneMessage) {
+  const Dataflow df = makeChainDataflow(2, 1);
+  CloudProvider cloud(awsCatalog2013());
+  const TraceReplayer replayer = TraceReplayer::ideal();
+  const MonitoringService monitor(cloud, replayer);
+  for (const BadKnob& bad : kBadKnobs) {
+    SCOPED_TRACE(bad.what);
+    ExperimentConfig cfg;
+    bad.set(cfg);
+    EXPECT_EQ(cfg.validationErrors(), std::vector<std::string>{bad.message});
+    std::vector<std::string> thrown;
+    if (cfg.resilience != ResilienceConfig{}) {
+      thrown.push_back(preconditionMessage(
+          [&] { (void)StragglerGuard(cloud, monitor, cfg.resilience); }));
+      thrown.push_back(preconditionMessage([&] {
+        ResourceAllocator(df, cloud, 0.7).setResilience(cfg.resilience);
+      }));
+    } else {
+      thrown.push_back(preconditionMessage(
+          [&] { (void)FaultPlan(kSeed, cfg.faults, cfg.elasticity); }));
+    }
+    for (const std::string& message : thrown) {
+      EXPECT_NE(message.find(bad.message), std::string::npos) << message;
+    }
   }
 }
 
 TEST(FaultPlan, DeathTimeMatchesGeneralizedInjector) {
   // FaultPlan absorbed the stand-alone crash injector; its lifetime draw
   // must stay that injector's exact formula, or every crash golden moves.
-  const auto cfg = allFamiliesConfig();
-  const FaultPlan plan(cfg);
+  const FaultPlan plan = allFamiliesPlan();
   for (std::uint32_t v = 0; v < 16; ++v) {
     const std::uint64_t h =
-        splitmix64(cfg.seed ^ (0x51ed2701ull + v) * 0x2545f491ull);
-    const double lifetime_s =
-        -std::log(hashToUnitInterval(h)) * cfg.vm_mtbf_hours * kSecondsPerHour;
+        splitmix64(kSeed ^ (0x51ed2701ull + v) * 0x2545f491ull);
+    const double lifetime_s = -std::log(hashToUnitInterval(h)) *
+                              allFamilies().vm_mtbf_hours * kSecondsPerHour;
     EXPECT_EQ(plan.deathTime(VmId(v), 50.0), 50.0 + lifetime_s);
   }
 }
@@ -79,8 +197,8 @@ TEST(FaultPlan, DeathTimeMatchesGeneralizedInjector) {
 // The property the whole design hangs on: every answer is a pure function
 // of (seed, entity, time) — the order and number of queries is irrelevant.
 TEST(FaultPlan, StragglerAnswersAreQueryOrderIndependent) {
-  const FaultPlan a(allFamiliesConfig());
-  const FaultPlan b(allFamiliesConfig());
+  const FaultPlan a = allFamiliesPlan();
+  const FaultPlan b = allFamiliesPlan();
 
   std::vector<SimTime> times;
   for (int i = 0; i < 200; ++i) times.push_back(37.0 * i);
@@ -103,7 +221,7 @@ TEST(FaultPlan, StragglerAnswersAreQueryOrderIndependent) {
 }
 
 TEST(FaultPlan, StragglerEpisodesAreRelativeToVmStart) {
-  const FaultPlan plan(allFamiliesConfig());
+  const FaultPlan plan = allFamiliesPlan();
   // A VM started at T sees the same episode timeline, shifted by T.
   for (int i = 0; i < 500; ++i) {
     const SimTime rel = 61.0 * i;
@@ -113,10 +231,10 @@ TEST(FaultPlan, StragglerEpisodesAreRelativeToVmStart) {
 }
 
 TEST(FaultPlan, StragglerDutyCycleTracksMtbfAndDuration) {
-  auto cfg = allFamiliesConfig();
+  auto cfg = allFamilies();
   cfg.straggler_mtbf_hours = 0.5;    // 1800 s mean gap
   cfg.straggler_duration_s = 600.0;  // expected duty ~ 600/2400 = 0.25
-  const FaultPlan plan(cfg);
+  const FaultPlan plan(kSeed, cfg, delayed());
   int straggling = 0;
   int samples = 0;
   for (std::uint32_t v = 0; v < 64; ++v) {
@@ -131,7 +249,7 @@ TEST(FaultPlan, StragglerDutyCycleTracksMtbfAndDuration) {
 }
 
 TEST(FaultPlan, PartitionsAreSymmetricAndIrreflexive) {
-  const FaultPlan plan(allFamiliesConfig());
+  const FaultPlan plan = allFamiliesPlan();
   for (int i = 0; i < 300; ++i) {
     const SimTime t = 97.0 * i;
     EXPECT_EQ(plan.linkPartitioned(VmId(1), VmId(7), t),
@@ -141,9 +259,9 @@ TEST(FaultPlan, PartitionsAreSymmetricAndIrreflexive) {
 }
 
 TEST(FaultPlan, PartitionsHitSomePairsWithinHorizon) {
-  auto cfg = allFamiliesConfig();
+  auto cfg = allFamilies();
   cfg.partition_mtbf_hours = 0.25;
-  const FaultPlan plan(cfg);
+  const FaultPlan plan(kSeed, cfg, delayed());
   int hits = 0;
   for (std::uint32_t a = 0; a < 6; ++a) {
     for (std::uint32_t b = a + 1; b < 6; ++b) {
@@ -159,7 +277,7 @@ TEST(FaultPlan, PartitionsHitSomePairsWithinHorizon) {
 }
 
 TEST(FaultPlan, AcquisitionRejectionRateMatchesProbability) {
-  const FaultPlan plan(allFamiliesConfig());
+  const FaultPlan plan = allFamiliesPlan();
   int rejected = 0;
   constexpr int kAttempts = 20000;
   for (std::uint64_t n = 0; n < kAttempts; ++n) {
@@ -173,7 +291,7 @@ TEST(FaultPlan, AcquisitionRejectionRateMatchesProbability) {
 }
 
 TEST(FaultPlan, ProvisioningDelayIsExponentialPerVm) {
-  const FaultPlan plan(allFamiliesConfig());
+  const FaultPlan plan = allFamiliesPlan();
   const ResourceClass one_core{"c1", 1, 1.0, 100.0, 0.0};
   RunningStats delays;
   for (std::uint32_t v = 0; v < 5000; ++v) {
@@ -187,8 +305,7 @@ TEST(FaultPlan, ProvisioningDelayIsExponentialPerVm) {
 }
 
 TEST(FaultPlan, DisabledFamiliesAreInert) {
-  FaultPlanConfig cfg;  // everything off
-  const FaultPlan plan(cfg);
+  const FaultPlan plan(42, {}, {});  // everything off
   EXPECT_FALSE(plan.perturbsPerformance());
   EXPECT_FALSE(plan.perturbsAcquisition());
   EXPECT_DOUBLE_EQ(plan.cpuFactor(VmId(0), 0.0, 1e6), 1.0);
@@ -203,17 +320,17 @@ TEST(FaultPlan, DisabledFamiliesAreInert) {
 
 // -- spot-preemption family --
 
-FaultPlanConfig preemptionConfig(std::uint64_t seed = 11) {
-  FaultPlanConfig cfg;
-  cfg.seed = seed;
-  cfg.spot_preemption_mtbf_hours = 2.0;
-  cfg.spot_notice_s = 120.0;
-  return cfg;
+FaultPlan preemptionPlan(std::uint64_t seed = kSeed) {
+  ElasticityConfig el;
+  el.spot_discount = 0.7;  // reclamation needs a spot tier
+  el.spot_preemption_mtbf_h = 2.0;
+  el.spot_notice_s = 120.0;
+  return FaultPlan(seed, {}, el);
 }
 
 TEST(FaultPlanPreemption, TimesArePureInSeedVmAndStart) {
-  const FaultPlan a(preemptionConfig());
-  const FaultPlan b(preemptionConfig());
+  const FaultPlan a = preemptionPlan();
+  const FaultPlan b = preemptionPlan();
   for (std::uint32_t v = 0; v < 64; ++v) {
     const SimTime t = a.preemptionTime(VmId(v), 100.0);
     EXPECT_GT(t, 100.0);
@@ -221,7 +338,7 @@ TEST(FaultPlanPreemption, TimesArePureInSeedVmAndStart) {
     EXPECT_DOUBLE_EQ(t, b.preemptionTime(VmId(v), 100.0));  // fresh plan
   }
   // A different seed reshuffles the schedule.
-  const FaultPlan c(preemptionConfig(12));
+  const FaultPlan c = preemptionPlan(12);
   int moved = 0;
   for (std::uint32_t v = 0; v < 64; ++v) {
     moved += a.preemptionTime(VmId(v), 0.0) != c.preemptionTime(VmId(v), 0.0)
@@ -232,7 +349,7 @@ TEST(FaultPlanPreemption, TimesArePureInSeedVmAndStart) {
 }
 
 TEST(FaultPlanPreemption, TimesShiftWithVmStart) {
-  const FaultPlan plan(preemptionConfig());
+  const FaultPlan plan = preemptionPlan();
   for (std::uint32_t v = 0; v < 32; ++v) {
     EXPECT_DOUBLE_EQ(plan.preemptionTime(VmId(v), 500.0),
                      plan.preemptionTime(VmId(v), 0.0) + 500.0);
@@ -240,7 +357,7 @@ TEST(FaultPlanPreemption, TimesShiftWithVmStart) {
 }
 
 TEST(FaultPlanPreemption, MeanLifetimeTracksMtbf) {
-  const FaultPlan plan(preemptionConfig());
+  const FaultPlan plan = preemptionPlan();
   RunningStats lifetimes;
   for (std::uint32_t v = 0; v < 5000; ++v) {
     lifetimes.add(plan.preemptionTime(VmId(v), 0.0));
@@ -249,12 +366,12 @@ TEST(FaultPlanPreemption, MeanLifetimeTracksMtbf) {
 }
 
 TEST(FaultPlanPreemption, NoticeWindowIsTheConfiguredLeadTime) {
-  EXPECT_DOUBLE_EQ(FaultPlan(preemptionConfig()).noticeWindow(), 120.0);
-  EXPECT_TRUE(FaultPlan(preemptionConfig()).perturbsSpot());
+  EXPECT_DOUBLE_EQ(preemptionPlan().noticeWindow(), 120.0);
+  EXPECT_TRUE(preemptionPlan().perturbsSpot());
 }
 
 TEST(FaultPlanPreemption, InjectOnlyReclaimsPreemptibleVms) {
-  const FaultPlan plan(preemptionConfig());
+  const FaultPlan plan = preemptionPlan();
   CloudProvider cloud(withSpotTier(awsCatalog2013(), 0.7));
   const VmId od = cloud.acquire(cloud.catalog().byName("m1.small"), 0.0);
   const VmId spot =
@@ -274,7 +391,7 @@ TEST(FaultPlanPreemption, InjectOnlyReclaimsPreemptibleVms) {
 }
 
 TEST(FaultPlanPreemption, InjectReportsBacklogLossAndFreesCores) {
-  const FaultPlan plan(preemptionConfig());
+  const FaultPlan plan = preemptionPlan();
   CloudProvider cloud(withSpotTier(awsCatalog2013(), 0.7));
   const VmId spot =
       cloud.acquire(cloud.catalog().byName("m1.large-spot"), 0.0);
@@ -290,9 +407,7 @@ TEST(FaultPlanPreemption, InjectReportsBacklogLossAndFreesCores) {
 }
 
 TEST(FaultPlanPreemption, DisabledFamilyNeverFires) {
-  FaultPlanConfig cfg;
-  cfg.seed = 11;
-  const FaultPlan plan(cfg);
+  const FaultPlan plan(kSeed, {}, {});
   CloudProvider cloud(withSpotTier(awsCatalog2013(), 0.7));
   (void)cloud.acquire(cloud.catalog().byName("m1.small-spot"), 0.0);
   EXPECT_TRUE(
@@ -300,7 +415,7 @@ TEST(FaultPlanPreemption, DisabledFamilyNeverFires) {
 }
 
 TEST(FaultPlan, InjectUpToIsIdempotentAtTheSameTime) {
-  const FaultPlan plan(allFamiliesConfig());
+  const FaultPlan plan = allFamiliesPlan();
   CloudProvider cloud(awsCatalog2013());
   for (int i = 0; i < 8; ++i) {
     (void)cloud.acquire(ResourceClassId(0), 0.0);

@@ -171,13 +171,14 @@ TEST(ForecastRegistry, RejectsUnknownNames) {
 }
 
 TEST(ForecastRegistry, FactoryBuildsEveryRealModel) {
-  ForecastOptions opts;
+  ForecastConfig cfg;
   for (const ForecastModel model : allForecastModels()) {
+    cfg.model = model;
     if (model == ForecastModel::Off) {
-      EXPECT_THROW((void)makeForecaster(model, opts), PreconditionError);
+      EXPECT_THROW((void)makeForecaster(cfg), PreconditionError);
       continue;
     }
-    const auto f = makeForecaster(model, opts);
+    const auto f = makeForecaster(cfg);
     ASSERT_NE(f, nullptr);
     EXPECT_EQ(f->name(), forecastModelName(model));
     EXPECT_EQ(f->observationCount(), 0);
@@ -185,9 +186,10 @@ TEST(ForecastRegistry, FactoryBuildsEveryRealModel) {
 }
 
 TEST(ForecastRegistry, FactoryAppliesOptions) {
-  ForecastOptions opts;
-  opts.ewma_alpha = 1.0;  // degenerate EWMA: tracks the last value
-  const auto f = makeForecaster(ForecastModel::Ewma, opts);
+  ForecastConfig cfg;
+  cfg.model = ForecastModel::Ewma;
+  cfg.ewma_alpha = 1.0;  // degenerate EWMA: tracks the last value
+  const auto f = makeForecaster(cfg);
   f->observe(4.0);
   f->observe(9.0);
   EXPECT_DOUBLE_EQ(f->forecast(1)[0], 9.0);

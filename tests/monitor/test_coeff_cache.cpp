@@ -53,7 +53,7 @@ struct Fixture {
   explicit Fixture(std::uint64_t seed,
                    const PerfFaultModel* faults = nullptr)
       : replayer(TraceReplayer::futureGridLike(seed)),
-        placement(PlacementConfig{}, seed),
+        placement(4, seed),
         mon(cloud, replayer, &placement, faults) {
     cloud.setAcquisitionFaults(&delays);
     Rng rng(seed);

@@ -318,7 +318,7 @@ class NaiveScaleAllocator {
                        catalog.at(b).price_per_hour;
               });
     candidates.insert(candidates.end(), fallbacks.begin(), fallbacks.end());
-    const ResilienceOptions resilience;
+    const ResilienceConfig resilience;
     for (int attempt = 0; attempt < resilience.acquisition_max_retries &&
                           attempt < static_cast<int>(candidates.size());
          ++attempt) {

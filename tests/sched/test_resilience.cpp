@@ -47,30 +47,14 @@ class RejectFirstN final : public AcquisitionFaultModel {
   std::uint64_t n_;
 };
 
-ResilienceOptions quarantineOptions() {
-  ResilienceOptions ro;
-  ro.straggler_threshold = 0.5;
-  ro.straggler_probes = 3;
-  ro.straggler_alpha = 1.0;  // no smoothing: deterministic probe counts
+// The guard smooths with kStragglerAlpha = 0.5 (a VM's first probe seeds
+// the EWMA): s_k = 0.5 * ratio_k + 0.5 * s_{k-1}. The expected probe
+// indices below carry the EWMA value each probe leaves.
+ResilienceConfig quarantineOptions() {
+  ResilienceConfig ro;
+  ro.quarantine_threshold = 0.5;
+  ro.quarantine_probes = 3;
   return ro;
-}
-
-TEST(ResilienceOptions, ValidateRejectsBadKnobs) {
-  {
-    ResilienceOptions ro;
-    ro.acquisition_max_retries = 0;
-    EXPECT_THROW(ro.validate(), PreconditionError);
-  }
-  {
-    ResilienceOptions ro;
-    ro.straggler_threshold = 1.0;
-    EXPECT_THROW(ro.validate(), PreconditionError);
-  }
-  {
-    ResilienceOptions ro;
-    ro.straggler_alpha = 0.0;
-    EXPECT_THROW(ro.validate(), PreconditionError);
-  }
 }
 
 TEST(StragglerGuard, QuarantinesAfterKConsecutiveLowProbes) {
@@ -82,16 +66,21 @@ TEST(StragglerGuard, QuarantinesAfterKConsecutiveLowProbes) {
   const MonitoringService mon(cloud, replayer, nullptr, &faults);
 
   StragglerGuard guard(cloud, mon, quarantineOptions());
-  EXPECT_TRUE(guard.probe(60.0).empty());   // 1st low probe
-  EXPECT_TRUE(guard.probe(120.0).empty());  // 2nd
-  const auto hit = guard.probe(180.0);      // 3rd crosses the bar
+  // The slow VM's ratio is 0.3 at every probe, so its EWMA stays 0.3; the
+  // healthy VM's stays 1.0.
+  EXPECT_TRUE(guard.probe(60.0).empty());   // s = 0.3: 1st low probe
+  EXPECT_TRUE(guard.probe(120.0).empty());  // s = 0.3: 2nd
+  const auto hit = guard.probe(180.0);      // s = 0.3: 3rd crosses the bar
   ASSERT_EQ(hit.size(), 1u);
   EXPECT_EQ(hit[0], slow);
   EXPECT_TRUE(guard.isQuarantined(slow));
   EXPECT_FALSE(guard.isQuarantined(healthy));
   EXPECT_EQ(guard.quarantineCount(), 1);
+  EXPECT_DOUBLE_EQ(guard.smoothedRatio(slow), 0.3);
+  EXPECT_DOUBLE_EQ(guard.smoothedRatio(healthy), 1.0);
   // Never reported twice.
   EXPECT_TRUE(guard.probe(240.0).empty());
+  EXPECT_EQ(guard.quarantineCount(), 1);
 }
 
 /// Perf model whose degradation can be toggled mid-test.
@@ -109,7 +98,7 @@ class ToggleSlow final : public PerfFaultModel {
 
 TEST(StragglerGuard, RecoveryBeforeKProbesResetsTheCounter) {
   CloudProvider cloud(awsCatalog2013());
-  (void)cloud.acquire(ResourceClassId(0), 0.0);
+  const VmId vm = cloud.acquire(ResourceClassId(0), 0.0);
   TraceReplayer replayer = TraceReplayer::ideal();
   ToggleSlow faults;
   const MonitoringService mon(cloud, replayer, nullptr, &faults);
@@ -118,15 +107,16 @@ TEST(StragglerGuard, RecoveryBeforeKProbesResetsTheCounter) {
   // Two low probes, one healthy probe, then low again: the consecutive-low
   // streak restarts, so quarantine needs three fresh low probes.
   faults.factor = 0.3;
-  EXPECT_TRUE(guard.probe(60.0).empty());
-  EXPECT_TRUE(guard.probe(120.0).empty());
+  EXPECT_TRUE(guard.probe(60.0).empty());   // s = 0.3: 1st low
+  EXPECT_TRUE(guard.probe(120.0).empty());  // s = 0.3: 2nd low
   faults.factor = 1.0;
-  EXPECT_TRUE(guard.probe(180.0).empty());  // streak resets here
+  EXPECT_TRUE(guard.probe(180.0).empty());  // s = 0.65: streak resets
   faults.factor = 0.3;
-  EXPECT_TRUE(guard.probe(240.0).empty());
-  EXPECT_TRUE(guard.probe(300.0).empty());
+  EXPECT_TRUE(guard.probe(240.0).empty());  // s = 0.475: 1st low again
+  EXPECT_TRUE(guard.probe(300.0).empty());  // s = 0.3875: 2nd
   EXPECT_EQ(guard.quarantineCount(), 0);
-  EXPECT_EQ(guard.probe(360.0).size(), 1u);  // third consecutive low
+  EXPECT_EQ(guard.probe(360.0).size(), 1u);  // s = 0.34375: 3rd in a row
+  EXPECT_DOUBLE_EQ(guard.smoothedRatio(vm), 0.34375);
 }
 
 TEST(StragglerGuard, SkipsProvisioningVms) {
@@ -187,7 +177,7 @@ TEST(ResourceAllocator, ExhaustedRetriesArmExponentialBackoff) {
   const RejectFirstN reject_all(~0ull);
   cloud.setAcquisitionFaults(&reject_all);
   ResourceAllocator alloc(df, cloud, 0.7);
-  ResilienceOptions ro;
+  ResilienceConfig ro;
   ro.acquisition_max_retries = 3;
   ro.acquisition_backoff_s = 60.0;
   alloc.setResilience(ro);
@@ -217,7 +207,7 @@ TEST(ResourceAllocator, SuccessResetsTheBackoffStreak) {
   const RejectFirstN reject_three(3);
   cloud.setAcquisitionFaults(&reject_three);
   ResourceAllocator alloc(df, cloud, 0.7);
-  ResilienceOptions ro;
+  ResilienceConfig ro;
   ro.acquisition_max_retries = 3;
   ro.acquisition_backoff_s = 60.0;
   alloc.setResilience(ro);
