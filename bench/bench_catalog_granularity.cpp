@@ -33,7 +33,10 @@ int main() {
       cfg.workload.infra_variability = true;
       cfg.seed = 2013;
       cfg.catalog = variant == 0 ? "m1" : variant == 1 ? "m3" : "mixed";
-      cfg.cheapest_class_acquisition = (variant == 3);
+      if (variant == 3) {
+        cfg.heuristic.acquisition =
+            ResourceAllocator::AcquisitionPolicy::CheapestPower;
+      }
       const auto r =
           SimulationEngine(df, cfg).run(parseScheduler("global"));
       costs.push_back(r.total_cost);
@@ -56,7 +59,7 @@ int main() {
                "weakness of Alg. 1's largest-class-first rule —\nit keeps "
                "buying the biggest (here: priciest per unit) class. The "
                "cheapest-power\nacquisition policy (our extension, "
-               "`cheapest_class_acquisition`) recovers the\nm1 price line "
+               "`heuristic.acquisition`) recovers the\nm1 price line "
                "exactly while keeping the same throughput.\n";
   return 0;
 }

@@ -43,7 +43,7 @@ ExperimentResult runPolicy(const Dataflow& df, const SchedulerSpec& kind,
   cfg.workload.profile = ProfileKind::PeriodicWave;
   cfg.workload.infra_variability = true;
   cfg.seed = 7;
-  cfg.max_queue_delay_s = queue_sla_s;
+  cfg.heuristic.max_queue_delay_s = queue_sla_s;
   cfg.backend = SimBackend::Event;
   return SimulationEngine(df, cfg).run(kind);
 }
@@ -99,9 +99,8 @@ SweepRun runStaticSweep(const ThroughputCase& c) {
   env.dataflow = &df;
   env.cloud = &cloud;
   env.monitor = &mon;
-  HeuristicOptions opts;
-  opts.mode = SchedulerSpec::Mode::Static;
-  HeuristicScheduler sched(env, Strategy::Global, opts);
+  HeuristicScheduler sched(env, Strategy::Global,
+                           SchedulerSpec::Mode::Static);
 
   EventSimConfig cfg;
   cfg.interval_s = kSweepIntervalS;

@@ -40,7 +40,7 @@ int main() {
                                 parseScheduler("global"), 30.0},
                         Variant{"global-static",
                                 parseScheduler("global-static"), 0.0}}) {
-    cfg.max_queue_delay_s = v.sla_s;
+    cfg.heuristic.max_queue_delay_s = v.sla_s;
     const auto r = SimulationEngine(df, cfg).run(v.kind);
     table.addRow({v.label, TextTable::num(r.average_omega),
                   r.constraint_met ? "yes" : "NO",

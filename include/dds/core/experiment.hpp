@@ -11,6 +11,7 @@
 #include "dds/forecast/forecaster.hpp"
 #include "dds/metrics/run_metrics.hpp"
 #include "dds/obs/metrics_registry.hpp"
+#include "dds/sched/heuristic_scheduler.hpp"
 #include "dds/sched/resilience.hpp"
 #include "dds/sched/scheduler.hpp"
 #include "dds/sim/simulator.hpp"
@@ -50,18 +51,16 @@ struct WorkloadConfig {
 };
 
 /// One experiment run's knobs (§8.1-8.2 defaults). The sub-structs are
-/// declared by the modules that read them — FaultConfig and
-/// ElasticityConfig in dds/faults, ResilienceConfig in dds/sched,
-/// ForecastConfig in dds/forecast — and reach them as they are; the
-/// remaining fields are the engine-level controls.
+/// declared by the modules that read them — HeuristicConfig and
+/// ResilienceConfig in dds/sched, FaultConfig and ElasticityConfig in
+/// dds/faults, ForecastConfig in dds/forecast — and reach them as they
+/// are; the remaining fields are the engine-level controls.
 struct ExperimentConfig {
   SimTime horizon_s = 1.0 * kSecondsPerHour;  ///< optimization period T.
   SimTime interval_s = 60.0;                  ///< adaptation interval.
   std::uint64_t seed = 42;
   double omega_target = 0.7;  ///< Omega-hat (§8.2).
   double epsilon = 0.05;      ///< tolerance (§8.2).
-  IntervalIndex alternate_period = 2;  ///< n_a for Alg. 2.
-  IntervalIndex resource_period = 1;   ///< n_r for Alg. 2.
   /// Negative means "derive sigma from the §8.2 pricing expectation".
   double sigma_override = -1.0;
   /// EWMA weight for the monitoring probes the schedulers plan against;
@@ -72,18 +71,12 @@ struct ExperimentConfig {
   int placement_racks = 0;
   /// Resource-class catalog: "m1" (the §8.1 default), "m3", or "mixed".
   std::string catalog = "m1";
-  /// Buy the cheapest-per-power class instead of Alg. 1's largest-first
-  /// (an improvement that matters on mixed-generation catalogs).
-  bool cheapest_class_acquisition = false;
   /// Simulator backend. The event backend additionally reports end-to-end
   /// latency percentiles; fault injection is fluid-only for now.
   SimBackend backend = SimBackend::Fluid;
-  /// Queue-delay SLA for the heuristic schedulers (seconds; 0 disables):
-  /// any PE whose backlog would take longer than this to drain triggers a
-  /// scale-out sized to drain it — bounds latency, costs capacity.
-  double max_queue_delay_s = 0.0;
 
   WorkloadConfig workload;
+  HeuristicConfig heuristic;
   FaultConfig faults;
   ElasticityConfig elasticity;
   ResilienceConfig resilience;

@@ -49,13 +49,13 @@
 #include "dds/monitor/coeff_cache.hpp"
 #include "dds/monitor/monitoring.hpp"
 #include "dds/sim/deployment.hpp"
+#include "dds/sim/simulator.hpp"
 
 namespace dds {
 
-/// Event-simulation knobs.
-struct EventSimConfig {
-  double msg_size_bytes = 100.0e3;  ///< ~100 KB/msg (§8.1).
-  SimTime interval_s = 60.0;        ///< adaptation/metrics interval.
+/// Event-simulation knobs: the shared SimConfig (message size, interval)
+/// plus the arrival process and the latency reservoir.
+struct EventSimConfig : SimConfig {
   std::uint64_t seed = 42;          ///< arrival-process seed.
   bool poisson_arrivals = true;     ///< false = deterministic spacing.
   /// Cap on stored end-to-end latency samples; past the cap the sample
@@ -64,6 +64,8 @@ struct EventSimConfig {
   /// as uncapped ones without perturbing the arrival process.
   std::size_t max_latency_samples = 200'000;
 
+  /// SimConfig's rules plus a positive sample cap; throws
+  /// PreconditionError.
   void validate() const;
 };
 

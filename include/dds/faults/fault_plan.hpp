@@ -128,6 +128,11 @@ struct ElasticityConfig {
   [[nodiscard]] bool delaysEnabled() const {
     return provisioning_delay_s > 0.0 || provisioning_delay_per_core_s > 0.0;
   }
+  /// Mean provisioning lag of a `cores`-core class, seconds.
+  [[nodiscard]] double meanProvisioningDelay(int cores) const {
+    return provisioning_delay_s +
+           provisioning_delay_per_core_s * static_cast<double>(cores - 1);
+  }
   [[nodiscard]] bool spotEnabled() const { return spot_discount > 0.0; }
   [[nodiscard]] bool preemptionsEnabled() const {
     return spot_preemption_mtbf_h > 0.0;

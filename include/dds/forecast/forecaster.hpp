@@ -32,11 +32,12 @@ enum class ForecastModel {
   HoltWinters,  ///< additive Holt-Winters: level + trend + seasonality.
 };
 
-/// Rate forecasting + predictive scheduling (default off; both backends).
-/// Off, runs are bit-identical to reactive: no forecaster is built,
-/// schedulers see a null forecast pointer. Model defaults are tuned for
-/// the §8.1 workload shapes: 60 s intervals, 30 min wave period ->
-/// 30-interval season.
+/// Rate forecasting (default off; both backends). Off, runs are
+/// bit-identical to reactive: no forecaster is built, schedulers see a
+/// null forecast pointer. How the predictive heuristic uses a forecast
+/// (pre-acquisition margin, lookahead scoring) is HeuristicConfig's.
+/// Model defaults are tuned for the §8.1 workload shapes: 60 s
+/// intervals, 30 min wave period -> 30-interval season.
 struct ForecastConfig {
   /// Which model predicts future input rates; Off disables the subsystem
   /// entirely.
@@ -50,12 +51,6 @@ struct ForecastConfig {
   double hw_beta = 0.05;         ///< Holt-Winters trend smoothing.
   double hw_gamma = 0.3;         ///< Holt-Winters seasonal smoothing.
   int hw_season_intervals = 30;  ///< season length, in intervals.
-  /// A predicted peak must exceed the current rate by this fraction
-  /// before the scheduler pre-acquires (and holds off scale-in).
-  double preacquire_margin = 0.1;
-  /// Score alternate switches against the whole forecast vector (mean
-  /// Theta) instead of the last observed interval only.
-  bool lookahead_alternates = true;
 
   [[nodiscard]] bool enabled() const { return model != ForecastModel::Off; }
 

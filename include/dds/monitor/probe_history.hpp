@@ -10,8 +10,9 @@
 //
 // alpha = 1 reproduces the raw instantaneous behaviour; smaller alphas
 // trade reactivity for stability (see bench_ablation_design_choices).
-// The engine calls probe() once per adaptation interval; schedulers opt in
-// via HeuristicOptions::power_smoothing_alpha.
+// The engine calls probe() once per adaptation interval and hands the
+// history to the schedulers when ExperimentConfig::power_smoothing_alpha
+// is below 1 (SchedulerEnv::probes).
 #pragma once
 
 #include <unordered_map>

@@ -10,6 +10,8 @@
 
 #include <memory>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "dds/sched/allocation.hpp"
 #include "dds/sched/alternate_selection.hpp"
@@ -18,57 +20,56 @@
 
 namespace dds {
 
-/// Tuning knobs for HeuristicScheduler.
-struct HeuristicOptions {
-  /// Which §8 variant runs; makeScheduler() copies the spec's mode here.
-  SchedulerSpec::Mode mode = SchedulerSpec::Mode::Adaptive;
-  /// Alternate-selection stage period, in intervals (§7.2 runs the two
-  /// stages at different cadences to balance value against cost).
+/// The heuristic's tuning knobs. ExperimentConfig composes this struct as
+/// `heuristic`, and the scheduler reads it as it is.
+struct HeuristicConfig {
+  /// n_a: alternate-selection stage period, in intervals (§7.2 runs the
+  /// two stages at different cadences to balance value against cost).
   IntervalIndex alternate_period = 2;
-  /// Resource-allocation stage period, in intervals.
+  /// n_r: resource-allocation stage period, in intervals.
   IntervalIndex resource_period = 1;
-  /// Ablation: disable the global strategy's deployment-time repacking
-  /// (RepackPE + iterative repacking, Table 1).
-  bool enable_repacking = true;
-  /// Ablation: force a VM release policy instead of the strategy default
-  /// (local = immediate, global = at the paid hour boundary).
-  std::optional<ResourceAllocator::ReleasePolicy> release_policy_override;
-  /// Acquisition policy for fresh VMs; the paper's Alg. 1 always buys the
-  /// largest class, which backfires on menus mixing price-per-power tiers.
+  /// Latency SLA, seconds: when > 0, a PE whose backlog would take longer
+  /// than this to drain triggers a scale-out sized to drain it in time —
+  /// the latency QoS of the paper's intro. 0 = throughput only (Alg. 2).
+  double max_queue_delay_s = 0.0;
+  /// Alg. 1 buys the largest class, which backfires on menus mixing
+  /// price-per-power tiers; CheapestPower is the fix. C++ only.
   ResourceAllocator::AcquisitionPolicy acquisition =
       ResourceAllocator::AcquisitionPolicy::LargestFirst;
-  /// Latency SLA: when > 0, any PE whose queued backlog would take longer
-  /// than this to drain triggers a scale-out sized to drain it within the
-  /// SLA — the processing-latency QoS dimension of the paper's intro.
-  /// 0 disables the check (throughput-only adaptation, the paper's Alg. 2).
-  double max_queue_delay_s = 0.0;
-  /// Resilience knobs: acquisition retry/backoff, straggler quarantine,
-  /// graceful degradation (see dds/sched/resilience.hpp).
-  ResilienceConfig resilience;
-  /// Fraction of fresh acquisitions steered to the catalog's spot tier
-  /// when one exists; the choice hashes (SchedulerEnv::seed, acquisition
-  /// ordinal) so it is pure in the run seed. 0 keeps acquisitions
-  /// on-demand.
-  double spot_fraction = 0.0;
-  /// A predicted peak must exceed the current rate by this fraction to
-  /// trigger pre-acquisition (and to hold off scale-in meanwhile).
+  /// Ablation: the global strategy's deployment-time repacking (RepackPE
+  /// + iterative repacking, Table 1). C++ only.
+  bool enable_repacking = true;
+  /// Ablation: force a VM release policy instead of the strategy default
+  /// (local = immediate, global = at the paid hour boundary). C++ only.
+  std::optional<ResourceAllocator::ReleasePolicy> release_policy_override =
+      std::nullopt;
+  /// Predictive mode: a forecast peak must exceed the current rate by this
+  /// fraction to trigger pre-acquisition (and to hold off scale-in).
   double preacquire_margin = 0.1;
-  /// Pre-acquisition lead, seconds: how far ahead the resource phase
-  /// scans the forecast for peaks, normally the worst-case mean
-  /// provisioning delay so VMs ordered now are ready when the peak lands.
-  double preacquire_lead_s = 0.0;
-  /// Score alternates against the whole forecast vector via the
-  /// incremental PlanEvaluator (mean Theta over the horizon) instead of
-  /// the last interval only (Predictive mode; scored with the env's sigma
-  /// and horizon).
+  /// Predictive mode: score alternates by mean Theta over the whole
+  /// forecast vector (LookaheadPlanner), not the last interval only.
   bool lookahead_alternates = true;
+
+  /// Append one message per invalid field to `errors` (never throws).
+  void appendErrors(std::vector<std::string>& errors) const;
+
+  bool operator==(const HeuristicConfig&) const = default;
 };
 
 /// Local/global deployment + adaptation heuristic (Alg. 1 + Alg. 2).
 class HeuristicScheduler final : public Scheduler {
  public:
+  /// The engine derives the last two from the elasticity model: the share
+  /// of fresh acquisitions steered to the spot tier (0 without one; each
+  /// choice hashes SchedulerEnv::seed), and how far ahead the predictive
+  /// resource phase scans the forecast for peaks (the worst-case mean
+  /// provisioning delay, so VMs ordered now are ready when a peak lands).
   HeuristicScheduler(SchedulerEnv env, Strategy strategy,
-                     HeuristicOptions options = {});
+                     SchedulerSpec::Mode mode = SchedulerSpec::Mode::Adaptive,
+                     HeuristicConfig config = {},
+                     ResilienceConfig resilience = {},
+                     double spot_fraction = 0.0,
+                     double preacquire_lead_s = 0.0);
 
   [[nodiscard]] Deployment deploy(double estimated_input_rate) override;
 
@@ -138,7 +139,10 @@ class HeuristicScheduler final : public Scheduler {
 
   SchedulerEnv env_;
   Strategy strategy_;
-  HeuristicOptions options_;
+  SchedulerSpec::Mode mode_;
+  HeuristicConfig config_;
+  ResilienceConfig resilience_;
+  double preacquire_lead_s_;
   ResourceAllocator allocator_;
   std::unique_ptr<StragglerGuard> guard_;
   std::unique_ptr<LookaheadPlanner> lookahead_;  ///< built on first use.

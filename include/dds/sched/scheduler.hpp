@@ -33,7 +33,7 @@
 
 namespace dds {
 
-struct HeuristicOptions;
+struct HeuristicConfig;
 struct PlanStructure;
 
 /// Which §8 policy an experiment runs, composed the way the paper builds
@@ -167,11 +167,12 @@ class Scheduler {
 /// Every valid spec, in a fixed order — for sweeps and --help.
 [[nodiscard]] const std::vector<SchedulerSpec>& allSchedulers();
 
-/// Build the scheduler `spec` names against `env`. `heuristic` tunes the
-/// heuristic family (its mode comes from the spec); the planners read
-/// sigma, T and the seed from `env`.
+/// Build the scheduler `spec` names against `env`. The rest goes to the
+/// heuristic family (see HeuristicScheduler's constructor); the planners
+/// read sigma, T and the seed from `env`.
 [[nodiscard]] std::unique_ptr<Scheduler> makeScheduler(
     const SchedulerSpec& spec, const SchedulerEnv& env,
-    const HeuristicOptions& heuristic);
+    const HeuristicConfig& heuristic, const ResilienceConfig& resilience,
+    double spot_fraction, double preacquire_lead_s);
 
 }  // namespace dds

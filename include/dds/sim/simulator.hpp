@@ -50,10 +50,17 @@ namespace dds {
 
 struct FluidGraphLayout;
 
-/// Simulation constants for one run.
+/// Simulation constants for one run, shared by both simulators
+/// (EventSimConfig extends it).
 struct SimConfig {
   double msg_size_bytes = 100.0e3;  ///< ~100 KB/msg (§8.1).
   SimTime interval_s = 60.0;        ///< adaptation interval length.
+
+  /// Throws PreconditionError unless both fields are positive.
+  void validate() const {
+    DDS_REQUIRE(msg_size_bytes > 0.0, "message size must be positive");
+    DDS_REQUIRE(interval_s > 0.0, "interval length must be positive");
+  }
 
   /// Messages/s a link of `mbps` megabits/s can carry at this msg size.
   [[nodiscard]] double linkMsgsPerSec(double mbps) const {

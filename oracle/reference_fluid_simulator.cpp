@@ -32,8 +32,7 @@ ReferenceFluidSimulator::ReferenceFluidSimulator(
       pause_remaining_(df.peCount(), 0.0),
       pe_cores_(df.peCount()),
       output_rate_(df.peCount(), 0.0) {
-  DDS_REQUIRE(cfg_.msg_size_bytes > 0.0, "message size must be positive");
-  DDS_REQUIRE(cfg_.interval_s > 0.0, "interval length must be positive");
+  cfg_.validate();
 }
 
 double ReferenceFluidSimulator::totalBacklog() const {

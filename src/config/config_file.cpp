@@ -165,13 +165,13 @@ const Row kRows[] = {
     {"seed", DDS_CONFIG(seed)},
     {"omega_target", DDS_CONFIG(omega_target)},
     {"epsilon", DDS_CONFIG(epsilon)},
-    {"alternate_period", DDS_CONFIG(alternate_period)},
-    {"resource_period", DDS_CONFIG(resource_period)},
+    {"alternate_period", DDS_CONFIG(heuristic.alternate_period)},
+    {"resource_period", DDS_CONFIG(heuristic.resource_period)},
     {"sigma", DDS_CONFIG(sigma_override)},
     {"catalog", DDS_CONFIG(catalog)},
     {"placement_racks", DDS_CONFIG(placement_racks)},
     {"power_smoothing_alpha", DDS_CONFIG(power_smoothing_alpha)},
-    {"max_queue_delay_s", DDS_CONFIG(max_queue_delay_s)},
+    {"max_queue_delay_s", DDS_CONFIG(heuristic.max_queue_delay_s)},
     {"workload.mean_rate", DDS_CONFIG(workload.mean_rate)},
     {"workload.infra_variability", DDS_CONFIG(workload.infra_variability)},
     {"workload.msg_size_kb", Number{[](CliExperiment& ex, double kb) {
@@ -211,9 +211,9 @@ const Row kRows[] = {
     {"forecast.hw_beta", DDS_CONFIG(forecast.hw_beta)},
     {"forecast.hw_gamma", DDS_CONFIG(forecast.hw_gamma)},
     {"forecast.hw_season_intervals", DDS_CONFIG(forecast.hw_season_intervals)},
-    {"forecast.preacquire_margin", DDS_CONFIG(forecast.preacquire_margin)},
+    {"forecast.preacquire_margin", DDS_CONFIG(heuristic.preacquire_margin)},
     {"forecast.lookahead_alternates",
-     DDS_CONFIG(forecast.lookahead_alternates)},
+     DDS_CONFIG(heuristic.lookahead_alternates)},
     {"workload.profile", Name{setProfile}},
     {"backend", Name{setBackend}},
     {"scheduler", Name{setSchedulers}, ConfigScope::SpecTopLevel},

@@ -37,14 +37,11 @@ std::vector<std::string> ExperimentConfig::validationErrors() const {
   require(errors, omega_target > 0.0 && omega_target <= 1.0,
           "omega target out of range");
   require(errors, epsilon >= 0.0 && epsilon < 1.0, "epsilon out of range");
-  require(errors, alternate_period >= 1, "alternate period must be >= 1");
-  require(errors, resource_period >= 1, "resource period must be >= 1");
+  heuristic.appendErrors(errors);
   require(errors,
           power_smoothing_alpha > 0.0 && power_smoothing_alpha <= 1.0,
           "smoothing alpha must be in (0, 1]");
   require(errors, placement_racks >= 0, "rack count must be non-negative");
-  require(errors, max_queue_delay_s >= 0.0,
-          "queue-delay SLA must be non-negative");
   if (std::string e = unknownCatalogError(catalog); !e.empty()) {
     errors.push_back(std::move(e));
   }

@@ -37,6 +37,19 @@ inline double migrationDowntime(const ElasticityConfig& ec, double fraction) {
   return ec.pe_state_mb * fraction * 8.0 / ec.migration_bandwidth_mbps;
 }
 
+/// Pre-acquisition lead, seconds: the worst-case *mean* provisioning
+/// delay over the catalog, so VMs ordered now are (in expectation) ready
+/// when the forecast peak lands. Zero when delivery is instant —
+/// pre-acquisition then fires only one resource period ahead.
+inline double preacquireLead(const ResourceCatalog& catalog,
+                             const ElasticityConfig& ec) {
+  double lead = 0.0;
+  for (const ResourceClass& cls : catalog.classes()) {
+    lead = std::max(lead, ec.meanProvisioningDelay(cls.cores));
+  }
+  return lead;
+}
+
 }  // namespace interval_loop
 
 template <class FluidSim, class EventSim>
@@ -79,55 +92,23 @@ ExperimentResult SimulationEngine::runWith(const SchedulerSpec& spec,
       config_.placement_racks > 0 ? &placement : nullptr,
       faults.perturbsPerformance() ? &faults : nullptr);
 
-  SimConfig sim_cfg;
-  sim_cfg.msg_size_bytes = config_.workload.msg_size_bytes;
-  sim_cfg.interval_s = config_.interval_s;
+  const SimConfig sim_cfg{.msg_size_bytes = config_.workload.msg_size_bytes,
+                         .interval_s = config_.interval_s};
 
   ProbeHistory probes(monitor, config_.power_smoothing_alpha);
-  SchedulerEnv env;
-  env.dataflow = &df;
-  env.cloud = &cloud;
-  env.monitor = &monitor;
-  if (config_.power_smoothing_alpha < 1.0) env.probes = &probes;
-  env.sim_config = sim_cfg;
-  env.omega_target = config_.omega_target;
-  env.epsilon = config_.epsilon;
-  env.sigma = sigma_;
-  env.horizon_s = config_.horizon_s;
-  env.seed = config_.seed;
-  env.tracer = tracer;
-  env.metrics = &registry;
-  env.plan_structure = arenas_.plan_structure;
+  const SchedulerEnv env{
+      .dataflow = &df, .cloud = &cloud, .monitor = &monitor,
+      .probes = config_.power_smoothing_alpha < 1.0 ? &probes : nullptr,
+      .sim_config = sim_cfg, .omega_target = config_.omega_target,
+      .epsilon = config_.epsilon, .sigma = sigma_,
+      .horizon_s = config_.horizon_s, .seed = config_.seed, .tracer = tracer,
+      .metrics = &registry, .plan_structure = arenas_.plan_structure};
 
-  HeuristicOptions heuristic;
-  heuristic.alternate_period = config_.alternate_period;
-  heuristic.resource_period = config_.resource_period;
-  if (config_.cheapest_class_acquisition) {
-    heuristic.acquisition = ResourceAllocator::AcquisitionPolicy::CheapestPower;
-  }
-  heuristic.max_queue_delay_s = config_.max_queue_delay_s;
-  heuristic.spot_fraction = config_.elasticity.spotEnabled()
-                                ? config_.elasticity.spot_fraction
-                                : 0.0;
-  heuristic.resilience = config_.resilience;
-  heuristic.preacquire_margin = config_.forecast.preacquire_margin;
-  heuristic.lookahead_alternates = config_.forecast.lookahead_alternates;
-  // Pre-acquisition lead: the worst-case *mean* provisioning delay over
-  // the catalog, so VMs ordered now are (in expectation) ready when the
-  // forecast peak lands. Zero when delivery is instant — pre-acquisition
-  // then fires only one resource period ahead.
-  {
-    int max_cores = 1;
-    for (const auto& cls : cloud.catalog().classes()) {
-      max_cores = std::max(max_cores, cls.cores);
-    }
-    heuristic.preacquire_lead_s =
-        config_.elasticity.provisioning_delay_s +
-        config_.elasticity.provisioning_delay_per_core_s *
-            static_cast<double>(max_cores - 1);
-  }
-
-  std::unique_ptr<Scheduler> scheduler = makeScheduler(spec, env, heuristic);
+  std::unique_ptr<Scheduler> scheduler = makeScheduler(
+      spec, env, config_.heuristic, config_.resilience,
+      config_.elasticity.spotEnabled() ? config_.elasticity.spot_fraction
+                                       : 0.0,
+      preacquireLead(cloud.catalog(), config_.elasticity));
   const std::string scheduler_name = schedulerName(spec);
 
   // The header is the first line of every trace: it carries everything the
@@ -341,9 +322,7 @@ ExperimentResult SimulationEngine::runWith(const SchedulerSpec& spec,
   };
 
   if (config_.backend == SimBackend::Event) {
-    EventSimConfig ev_cfg;
-    ev_cfg.msg_size_bytes = config_.workload.msg_size_bytes;
-    ev_cfg.interval_s = config_.interval_s;
+    EventSimConfig ev_cfg{sim_cfg};
     ev_cfg.seed = config_.seed ^ 0xe7e9ull;
     EventSim simulator(df, cloud, monitor, ev_cfg);
     runIntervals(simulator);

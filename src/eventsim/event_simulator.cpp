@@ -13,8 +13,7 @@
 namespace dds {
 
 void EventSimConfig::validate() const {
-  DDS_REQUIRE(msg_size_bytes > 0.0, "message size must be positive");
-  DDS_REQUIRE(interval_s > 0.0, "interval must be positive");
+  SimConfig::validate();
   DDS_REQUIRE(max_latency_samples > 0, "latency sample cap must be > 0");
 }
 

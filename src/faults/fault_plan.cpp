@@ -199,9 +199,7 @@ bool FaultPlan::acquisitionRejected(std::uint64_t attempt) const {
 
 SimTime FaultPlan::provisioningDelay(VmId vm,
                                      const ResourceClass& cls) const {
-  const double mean = elasticity_.provisioning_delay_s +
-                      elasticity_.provisioning_delay_per_core_s *
-                          static_cast<double>(cls.cores - 1);
+  const double mean = elasticity_.meanProvisioningDelay(cls.cores);
   if (mean <= 0.0) return 0.0;
   // Same tag/key/index as the class-independent model: with a zero
   // per-core term the draw is bit-identical to the pre-class behavior.

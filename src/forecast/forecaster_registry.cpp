@@ -50,8 +50,6 @@ void ForecastConfig::appendErrors(std::vector<std::string>& errors) const {
           "Holt-Winters gamma must be in [0, 1]");
   require(errors, hw_season_intervals >= 2,
           "Holt-Winters season must be at least 2 intervals");
-  require(errors, preacquire_margin >= 0.0,
-          "pre-acquisition margin must be non-negative");
 }
 
 std::unique_ptr<Forecaster> makeForecaster(const ForecastConfig& config) {

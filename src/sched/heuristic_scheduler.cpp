@@ -28,23 +28,36 @@ double freeCorePower(const CloudProvider& cloud, const CorePowerFn& power) {
 
 }  // namespace
 
+void HeuristicConfig::appendErrors(std::vector<std::string>& errors) const {
+  require(errors, alternate_period >= 1, "alternate period must be >= 1");
+  require(errors, resource_period >= 1, "resource period must be >= 1");
+  require(errors, max_queue_delay_s >= 0.0,
+          "queue-delay SLA must be non-negative");
+  require(errors, preacquire_margin >= 0.0,
+          "pre-acquisition margin must be non-negative");
+}
+
 HeuristicScheduler::HeuristicScheduler(SchedulerEnv env, Strategy strategy,
-                                       HeuristicOptions options)
+                                       SchedulerSpec::Mode mode,
+                                       HeuristicConfig config,
+                                       ResilienceConfig resilience,
+                                       double spot_fraction,
+                                       double preacquire_lead_s)
     : env_(env.validated()),
       strategy_(strategy),
-      options_(options),
+      mode_(mode),
+      config_(config),
+      resilience_(resilience),
+      preacquire_lead_s_(preacquire_lead_s),
       allocator_(*env_.dataflow, *env_.cloud, env_.omega_target,
-                 options.acquisition) {
-  DDS_REQUIRE(options_.alternate_period >= 1,
-              "alternate period must be at least one interval");
-  DDS_REQUIRE(options_.resource_period >= 1,
-              "resource period must be at least one interval");
-  allocator_.setResilience(options_.resilience);
-  allocator_.setSpotPreference(options_.spot_fraction, env_.seed);
+                 config.acquisition) {
+  requireValid(config_, "heuristic config");
+  allocator_.setResilience(resilience_);
+  allocator_.setSpotPreference(spot_fraction, env_.seed);
   allocator_.setObservability(env_.tracer, env_.metrics);
-  if (options_.resilience.quarantineEnabled()) {
+  if (resilience_.quarantineEnabled()) {
     guard_ = std::make_unique<StragglerGuard>(*env_.cloud, *env_.monitor,
-                                              options_.resilience);
+                                              resilience_);
     guard_->setTracer(env_.tracer);
   }
 }
@@ -56,7 +69,7 @@ Deployment HeuristicScheduler::deploy(double estimated_input_rate) {
   Deployment deployment(df);
 
   // Alternate-selection stage (Alg. 1 lines 2-11).
-  if (options_.mode != Mode::NoDyn) {
+  if (mode_ != Mode::NoDyn) {
     selectInitialAlternates(strategy_, df, deployment);
   } else {
     selectBestValueAlternates(df, deployment);
@@ -71,7 +84,7 @@ Deployment HeuristicScheduler::deploy(double estimated_input_rate) {
   allocator_.ensureMinimumCores(0.0);
   allocator_.scaleOut(deployment, estimated_input_rate, rated, 0.0,
                       strategy_, /*target=*/1.0);
-  if (strategy_ == Strategy::Global && options_.enable_repacking) {
+  if (strategy_ == Strategy::Global && config_.enable_repacking) {
     allocator_.repackPes(deployment, estimated_input_rate, rated, 0.0);
     allocator_.repackFreeVms();
   }
@@ -84,15 +97,15 @@ Deployment HeuristicScheduler::deploy(double estimated_input_rate) {
 
 std::vector<MigrationEvent> HeuristicScheduler::adapt(
     const ObservedState& state, Deployment& deployment) {
-  if (options_.mode == Mode::Static || state.interval == 0) return {};
+  if (mode_ == Mode::Static || state.interval == 0) return {};
   const bool alternate_ran =
-      options_.mode != Mode::NoDyn &&
-      state.interval % options_.alternate_period == 0;
+      mode_ != Mode::NoDyn &&
+      state.interval % config_.alternate_period == 0;
   if (alternate_ran) {
     // Predictive runs score alternates against the whole forecast vector
     // when one is available; without a forecast (or with lookahead
     // disabled) they fall back to the reactive Alg. 2 phase.
-    if (options_.mode == Mode::Predictive && options_.lookahead_alternates &&
+    if (mode_ == Mode::Predictive && config_.lookahead_alternates &&
         state.forecast != nullptr && !state.forecast->empty()) {
       lookaheadPhase(state, deployment);
     } else {
@@ -107,8 +120,8 @@ std::vector<MigrationEvent> HeuristicScheduler::adapt(
   // with the capacity actually on hand.
   const double omega_t =
       state.last_interval != nullptr ? state.last_interval->omega : 1.0;
-  if (!alternate_ran && options_.resilience.graceful_degradation &&
-      options_.mode != Mode::NoDyn && omega_t < env_.omega_target &&
+  if (!alternate_ran && resilience_.graceful_degradation &&
+      mode_ != Mode::NoDyn && omega_t < env_.omega_target &&
       capacityPending(state.now)) {
     alternatePhase(state, deployment);
     ++graceful_degradations_;
@@ -127,7 +140,7 @@ std::vector<MigrationEvent> HeuristicScheduler::adapt(
       env_.metrics->counter("sched.graceful_degradations").inc();
     }
   }
-  if (state.interval % options_.resource_period == 0) {
+  if (state.interval % config_.resource_period == 0) {
     return resourcePhase(state, deployment);
   }
   return {};
@@ -347,11 +360,11 @@ int HeuristicScheduler::preacquireForForecast(const ObservedState& state,
   // Scan as far ahead as a VM ordered *now* needs to come online, plus
   // the cadence gap until the next resource phase gets its own chance.
   const auto lead_intervals = static_cast<std::size_t>(
-      interval_s > 0.0 ? std::ceil(options_.preacquire_lead_s / interval_s)
+      interval_s > 0.0 ? std::ceil(preacquire_lead_s_ / interval_s)
                        : 0.0);
   const std::size_t window = std::min(
       fc.size(),
-      lead_intervals + static_cast<std::size_t>(options_.resource_period));
+      lead_intervals + static_cast<std::size_t>(config_.resource_period));
   std::size_t peak_k = 0;
   double peak = fc[0];
   for (std::size_t k = 1; k < window; ++k) {
@@ -360,7 +373,7 @@ int HeuristicScheduler::preacquireForForecast(const ObservedState& state,
       peak_k = k;
     }
   }
-  if (peak <= state.input_rate * (1.0 + options_.preacquire_margin)) {
+  if (peak <= state.input_rate * (1.0 + config_.preacquire_margin)) {
     return 0;
   }
   peak_pending = true;
@@ -536,7 +549,7 @@ std::vector<MigrationEvent> HeuristicScheduler::resourcePhase(
   // forecast says will be needed again would pay the delay twice.
   bool forecast_peak_pending = false;
   int preacquired = 0;
-  if (options_.mode == Mode::Predictive) {
+  if (mode_ == Mode::Predictive) {
     preacquired = preacquireForForecast(state, deployment, power,
                                         forecast_peak_pending);
   }
@@ -554,20 +567,20 @@ std::vector<MigrationEvent> HeuristicScheduler::resourcePhase(
   // to drain is a breach even while Omega looks healthy (draining clamps
   // the throughput ratio at 1). Size capacity to drain within the SLA.
   bool latency_breach = false;
-  if (options_.max_queue_delay_s > 0.0 && state.last_interval != nullptr &&
+  if (config_.max_queue_delay_s > 0.0 && state.last_interval != nullptr &&
       state.last_interval->pe_stats.size() == env_.dataflow->peCount()) {
     bool breach = false;
     std::vector<double> drain_demand(env_.dataflow->peCount(), 0.0);
     for (std::size_t i = 0; i < drain_demand.size(); ++i) {
       const auto& st = state.last_interval->pe_stats[i];
       drain_demand[i] =
-          st.arrival_rate + st.backlog_msgs / options_.max_queue_delay_s;
+          st.arrival_rate + st.backlog_msgs / config_.max_queue_delay_s;
       const double wait = st.capacity_rate > 0.0
                               ? st.backlog_msgs / st.capacity_rate
                               : (st.backlog_msgs > 0.0
                                      ? std::numeric_limits<double>::infinity()
                                      : 0.0);
-      if (wait > options_.max_queue_delay_s) breach = true;
+      if (wait > config_.max_queue_delay_s) breach = true;
     }
     if (breach) {
       latency_breach = true;
@@ -626,7 +639,7 @@ std::vector<MigrationEvent> HeuristicScheduler::resourcePhase(
   // The local strategy acts on local knowledge and releases an empty VM as
   // soon as it sees one; the global strategy knows the hour is already
   // paid for and keeps the VM around for reuse until the hour lapses.
-  const auto policy = options_.release_policy_override.value_or(
+  const auto policy = config_.release_policy_override.value_or(
       strategy_ == Strategy::Local
           ? ResourceAllocator::ReleasePolicy::Immediate
           : ResourceAllocator::ReleasePolicy::AtHourBoundary);

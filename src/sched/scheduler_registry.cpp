@@ -81,13 +81,15 @@ SchedulerSpec parseScheduler(const std::string& name) {
 
 std::unique_ptr<Scheduler> makeScheduler(const SchedulerSpec& spec,
                                          const SchedulerEnv& env,
-                                         const HeuristicOptions& heuristic) {
+                                         const HeuristicConfig& heuristic,
+                                         const ResilienceConfig& resilience,
+                                         double spot_fraction,
+                                         double preacquire_lead_s) {
   switch (spec.family) {
-    case Family::Heuristic: {
-      HeuristicOptions opts = heuristic;
-      opts.mode = spec.mode;
-      return std::make_unique<HeuristicScheduler>(env, spec.strategy, opts);
-    }
+    case Family::Heuristic:
+      return std::make_unique<HeuristicScheduler>(
+          env, spec.strategy, spec.mode, heuristic, resilience,
+          spot_fraction, preacquire_lead_s);
     case Family::BruteForce:
       return std::make_unique<BruteForceScheduler>(env);
     case Family::Annealing:

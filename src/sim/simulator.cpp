@@ -20,8 +20,7 @@ DataflowSimulator::DataflowSimulator(
       output_rate_(df.peCount(), 0.0),
       coeff_(mon),
       pe_cores_(df.peCount()) {
-  DDS_REQUIRE(cfg_.msg_size_bytes > 0.0, "message size must be positive");
-  DDS_REQUIRE(cfg_.interval_s > 0.0, "interval length must be positive");
+  cfg_.validate();
   DDS_REQUIRE(layout_->pe_count == df.peCount(),
               "fluid layout does not match dataflow");
 }

@@ -83,7 +83,8 @@ TEST(Catalogs, CheapestPowerAcquisitionFixesMixedMenu) {
   cfg.catalog = "mixed";
   const auto largest_first =
       SimulationEngine(df, cfg).run(parseScheduler("global"));
-  cfg.cheapest_class_acquisition = true;
+  cfg.heuristic.acquisition =
+      ResourceAllocator::AcquisitionPolicy::CheapestPower;
   const auto cheapest =
       SimulationEngine(df, cfg).run(parseScheduler("global"));
   // The paper's largest-first rule buys the pricier m3 classes on the
@@ -100,7 +101,8 @@ TEST(Catalogs, CheapestPowerIsNoOpOnUniformPricing) {
   cfg.horizon_s = kSecondsPerHour;
   cfg.workload.mean_rate = 10.0;
   const auto a = SimulationEngine(df, cfg).run(parseScheduler("global"));
-  cfg.cheapest_class_acquisition = true;
+  cfg.heuristic.acquisition =
+      ResourceAllocator::AcquisitionPolicy::CheapestPower;
   const auto b = SimulationEngine(df, cfg).run(parseScheduler("global"));
   EXPECT_DOUBLE_EQ(a.total_cost, b.total_cost);
   EXPECT_DOUBLE_EQ(a.average_omega, b.average_omega);

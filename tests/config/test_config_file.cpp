@@ -88,7 +88,7 @@ TEST(ExperimentFromConfig, BoolSynonyms) {
   for (const char* no : {"false", "no", "Off", "0", "False"}) {
     EXPECT_FALSE(fromText(std::string("forecast.lookahead_alternates = ") +
                           no + "\n")
-                     .config.forecast.lookahead_alternates)
+                     .config.heuristic.lookahead_alternates)
         << no;
   }
 }
@@ -475,9 +475,11 @@ TEST(ExperimentFromConfig, ParsesForecastKeys) {
   EXPECT_DOUBLE_EQ(fo.hw_beta, 0.1);
   EXPECT_DOUBLE_EQ(fo.hw_gamma, 0.2);
   EXPECT_EQ(fo.hw_season_intervals, 20);
-  EXPECT_DOUBLE_EQ(fo.preacquire_margin, 0.25);
-  EXPECT_FALSE(fo.lookahead_alternates);
   EXPECT_TRUE(fo.enabled());
+  // The two predictive-scheduling keys keep their forecast.* spelling but
+  // set the heuristic's knobs.
+  EXPECT_DOUBLE_EQ(ex.config.heuristic.preacquire_margin, 0.25);
+  EXPECT_FALSE(ex.config.heuristic.lookahead_alternates);
 }
 
 TEST(ExperimentFromConfig, ForecastDefaultsOff) {

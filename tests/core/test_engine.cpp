@@ -27,7 +27,7 @@ TEST(ExperimentConfig, ValidatesFields) {
   cfg.omega_target = 1.5;
   EXPECT_THROW(cfg.validate(), PreconditionError);
   cfg = quickConfig();
-  cfg.resource_period = 0;
+  cfg.heuristic.resource_period = 0;
   EXPECT_THROW(cfg.validate(), PreconditionError);
 }
 
@@ -71,6 +71,39 @@ TEST(Engine, SigmaOverrideWins) {
   const auto r = engine.run(parseScheduler("local-static"));
   EXPECT_DOUBLE_EQ(r.sigma, 0.123);
   EXPECT_NEAR(r.theta, r.average_gamma - 0.123 * r.total_cost, 1e-12);
+}
+
+// The two C++-only ablation knobs travel in ExperimentConfig::heuristic,
+// so SimulationEngine runs them like any other knob (global, seed 2013,
+// 4 h; the costs are bench_ablation_design_choices' rows).
+TEST(Engine, AblationKnobsReachTheScheduler) {
+  const auto globalRun = [](const Dataflow& df, const ExperimentConfig& cfg) {
+    return SimulationEngine(df, cfg).run(parseScheduler("global"));
+  };
+  ExperimentConfig cfg;
+  cfg.horizon_s = 4.0 * kSecondsPerHour;
+  cfg.seed = 2013;
+  cfg.workload.mean_rate = 20.0;
+
+  // Repacking: a six-stage chain at a steady 20 msg/s on rated m1 VMs.
+  const Dataflow chain = makeChainDataflow(6, 3);
+  EXPECT_NEAR(globalRun(chain, cfg).total_cost, 4.32, 1e-9);
+  ExperimentConfig no_repack = cfg;
+  no_repack.heuristic.enable_repacking = false;
+  EXPECT_NEAR(globalRun(chain, no_repack).total_cost, 5.76, 1e-9);
+
+  // Release policy: the paper graph under a wave and FutureGrid
+  // variability. The global strategy's default is the hour boundary.
+  const Dataflow paper = makePaperDataflow();
+  cfg.workload.profile = ProfileKind::PeriodicWave;
+  cfg.workload.infra_variability = true;
+  EXPECT_NEAR(globalRun(paper, cfg).total_cost, 82.56, 1e-9);
+  cfg.heuristic.release_policy_override =
+      ResourceAllocator::ReleasePolicy::AtHourBoundary;
+  EXPECT_NEAR(globalRun(paper, cfg).total_cost, 82.56, 1e-9);
+  cfg.heuristic.release_policy_override =
+      ResourceAllocator::ReleasePolicy::Immediate;
+  EXPECT_NEAR(globalRun(paper, cfg).total_cost, 96.00, 1e-9);
 }
 
 TEST(Engine, DeterministicForSameSeed) {

@@ -87,10 +87,9 @@ TEST(Integration, ElasticityHarvestsOverestimatedRates) {
     env.dataflow = &df;
     env.cloud = &cloud;
     env.monitor = &mon;
-    HeuristicOptions opts;
-    opts.mode = adaptive ? SchedulerSpec::Mode::Adaptive
-                         : SchedulerSpec::Mode::Static;
-    HeuristicScheduler sched(env, Strategy::Global, opts);
+    HeuristicScheduler sched(env, Strategy::Global,
+                             adaptive ? SchedulerSpec::Mode::Adaptive
+                                      : SchedulerSpec::Mode::Static);
     Deployment dep = sched.deploy(estimated_rate);
     DataflowSimulator sim(df, cloud, mon, {});
     IntervalMetrics last{};

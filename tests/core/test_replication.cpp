@@ -75,9 +75,9 @@ TEST(LatencySla, DrainsBacklogThatOmegaCannotSee) {
     env.dataflow = &df;
     env.cloud = &cloud;
     env.monitor = &mon;
-    HeuristicOptions opts;
-    opts.max_queue_delay_s = sla;
-    HeuristicScheduler sched(env, Strategy::Global, opts);
+    HeuristicScheduler sched(env, Strategy::Global,
+                             SchedulerSpec::Mode::Adaptive,
+                             {.max_queue_delay_s = sla});
     Deployment dep = sched.deploy(10.0);  // capacity for 10 msg/s
     DataflowSimulator sim(df, cloud, mon, {});
     // One overload interval builds the queue, then feed at capacity.

@@ -141,10 +141,9 @@ EventSimResult runHeuristic(const Dataflow& df, double rate, bool adaptive) {
   env.dataflow = &df;
   env.cloud = &cloud;
   env.monitor = &mon;
-  HeuristicOptions opts;
-  opts.mode = adaptive ? SchedulerSpec::Mode::Adaptive
-                       : SchedulerSpec::Mode::Static;
-  HeuristicScheduler sched(env, Strategy::Global, opts);
+  HeuristicScheduler sched(env, Strategy::Global,
+                           adaptive ? SchedulerSpec::Mode::Adaptive
+                                    : SchedulerSpec::Mode::Static);
 
   EventSimConfig cfg;
   cfg.seed = 7;
@@ -372,7 +371,7 @@ TEST(EventSimReservoir, CappedRunKeepsPercentilesAndArrivals) {
     env.dataflow = &df;
     env.cloud = &cloud;
     env.monitor = &mon;
-    HeuristicScheduler sched(env, Strategy::Global, HeuristicOptions{});
+    HeuristicScheduler sched(env, Strategy::Global);
     EventSimConfig cfg;
     cfg.seed = 11;
     cfg.max_latency_samples = cap;

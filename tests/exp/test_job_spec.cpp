@@ -160,7 +160,7 @@ TEST(JobSpec, CoercesValuesLikeAConfigFile) {
       R"( "seed": 1, "seed": "2", "resilience.quarantine_probes": "5"}})"));
   EXPECT_TRUE(ex.config.workload.infra_variability);
   EXPECT_TRUE(ex.config.resilience.graceful_degradation);
-  EXPECT_FALSE(ex.config.forecast.lookahead_alternates);
+  EXPECT_FALSE(ex.config.heuristic.lookahead_alternates);
   EXPECT_EQ(ex.config.workload.mean_rate, 12.5);
   EXPECT_EQ(ex.config.seed, 2u);
   EXPECT_EQ(ex.config.resilience.quarantine_probes, 5);

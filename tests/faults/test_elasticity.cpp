@@ -27,7 +27,7 @@ ExperimentConfig preemptionHeavyConfig() {
   cfg.workload.mean_rate = 8.0;
   cfg.workload.profile = ProfileKind::PeriodicWave;
   cfg.seed = 2013;
-  cfg.max_queue_delay_s = 30.0;
+  cfg.heuristic.max_queue_delay_s = 30.0;
   cfg.elasticity.spot_discount = 0.7;
   cfg.elasticity.spot_fraction = 1.0;
   cfg.elasticity.spot_preemption_mtbf_h = 0.25;

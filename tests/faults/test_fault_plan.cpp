@@ -13,6 +13,7 @@
 #include "dds/core/engine.hpp"
 #include "dds/dataflow/standard_graphs.hpp"
 #include "dds/sched/allocation.hpp"
+#include "dds/sched/heuristic_scheduler.hpp"
 #include "dds/sched/resilience.hpp"
 
 namespace dds {
@@ -59,8 +60,8 @@ TEST(FaultConfig, EnablementPredicates) {
   EXPECT_TRUE(FaultPlan(kSeed, on, {}).perturbsAcquisition());
 }
 
-/// One bad value of a fault, elasticity or resilience knob and the one
-/// message its struct's appendErrors gives for it.
+/// One bad value of a fault, elasticity, resilience or heuristic knob and
+/// the one message its struct's appendErrors gives for it.
 struct BadKnob {
   const char* what;
   void (*set)(ExperimentConfig&);
@@ -137,6 +138,18 @@ const BadKnob kBadKnobs[] = {
     {"quarantine probes",
      [](ExperimentConfig& c) { c.resilience.quarantine_probes = 0; },
      "straggler probe count must be at least 1"},
+    {"alternate period",
+     [](ExperimentConfig& c) { c.heuristic.alternate_period = 0; },
+     "alternate period must be >= 1"},
+    {"resource period",
+     [](ExperimentConfig& c) { c.heuristic.resource_period = 0; },
+     "resource period must be >= 1"},
+    {"queue-delay SLA",
+     [](ExperimentConfig& c) { c.heuristic.max_queue_delay_s = -1.0; },
+     "queue-delay SLA must be non-negative"},
+    {"pre-acquisition margin",
+     [](ExperimentConfig& c) { c.heuristic.preacquire_margin = -1.0; },
+     "pre-acquisition margin must be non-negative"},
 };
 
 /// The message of the PreconditionError `construct` throws; empty when it
@@ -159,13 +172,22 @@ TEST(KnobValidation, ConfigAndConstructorsRejectWithOneMessage) {
   CloudProvider cloud(awsCatalog2013());
   const TraceReplayer replayer = TraceReplayer::ideal();
   const MonitoringService monitor(cloud, replayer);
+  SchedulerEnv env;
+  env.dataflow = &df;
+  env.cloud = &cloud;
+  env.monitor = &monitor;
   for (const BadKnob& bad : kBadKnobs) {
     SCOPED_TRACE(bad.what);
     ExperimentConfig cfg;
     bad.set(cfg);
     EXPECT_EQ(cfg.validationErrors(), std::vector<std::string>{bad.message});
     std::vector<std::string> thrown;
-    if (cfg.resilience != ResilienceConfig{}) {
+    if (cfg.heuristic != HeuristicConfig{}) {
+      thrown.push_back(preconditionMessage([&] {
+        (void)HeuristicScheduler(env, Strategy::Global,
+                                 SchedulerSpec::Mode::Adaptive, cfg.heuristic);
+      }));
+    } else if (cfg.resilience != ResilienceConfig{}) {
       thrown.push_back(preconditionMessage(
           [&] { (void)StragglerGuard(cloud, monitor, cfg.resilience); }));
       thrown.push_back(preconditionMessage([&] {
@@ -177,6 +199,7 @@ TEST(KnobValidation, ConfigAndConstructorsRejectWithOneMessage) {
     }
     for (const std::string& message : thrown) {
       EXPECT_NE(message.find(bad.message), std::string::npos) << message;
+      EXPECT_NE(message.find("(1 error)"), std::string::npos) << message;
     }
   }
 }

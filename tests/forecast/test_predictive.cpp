@@ -71,7 +71,7 @@ TEST(ForecastOff, TraceBytesUnchangedByTheSubsystem) {
   ExperimentConfig decorated = base;
   decorated.forecast.horizon_intervals = 12;
   decorated.forecast.hw_alpha = 0.9;
-  decorated.forecast.preacquire_margin = 0.5;
+  decorated.heuristic.preacquire_margin = 0.5;
   EXPECT_EQ(traceOf(base, parseScheduler("global")),
             traceOf(decorated, parseScheduler("global")));
 }

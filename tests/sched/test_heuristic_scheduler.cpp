@@ -71,9 +71,8 @@ TEST(HeuristicScheduler, DynamismSelectsValueCostAlternates) {
 
 TEST(HeuristicScheduler, NoDynVariantFixesBestValue) {
   Fixture f(makePaperDataflow());
-  HeuristicOptions nodyn;
-  nodyn.mode = SchedulerSpec::Mode::NoDyn;
-  HeuristicScheduler sched(f.env(), Strategy::Local, nodyn);
+  HeuristicScheduler sched(f.env(), Strategy::Local,
+                           SchedulerSpec::Mode::NoDyn);
   const Deployment dep = sched.deploy(5.0);
   EXPECT_EQ(dep.activeAlternate(PeId(1)), AlternateId(0));
   EXPECT_EQ(dep.activeAlternate(PeId(2)), AlternateId(0));
@@ -98,9 +97,8 @@ TEST(HeuristicScheduler, GlobalDeploymentCostsNoMoreThanLocal) {
 
 TEST(HeuristicScheduler, StaticVariantNeverAdapts) {
   Fixture f(makePaperDataflow());
-  HeuristicOptions opts;
-  opts.mode = SchedulerSpec::Mode::Static;
-  HeuristicScheduler sched(f.env(), Strategy::Global, opts);
+  HeuristicScheduler sched(f.env(), Strategy::Global,
+                           SchedulerSpec::Mode::Static);
   Deployment dep = sched.deploy(5.0);
   const int cores_before = totalAllocatedCores(f.cloud);
 
@@ -202,9 +200,8 @@ TEST(HeuristicScheduler, AlternatePhaseUpgradesValueWhenAhead) {
 
 TEST(HeuristicScheduler, AlternatePhaseDowngradesWhenBehind) {
   Fixture f(makePaperDataflow());
-  HeuristicOptions opts;
-  opts.mode = SchedulerSpec::Mode::Adaptive;
-  HeuristicScheduler sched(f.env(), Strategy::Local, opts);
+  HeuristicScheduler sched(f.env(), Strategy::Local,
+                           SchedulerSpec::Mode::Adaptive);
   Deployment dep = sched.deploy(5.0);
   // Force the expensive alternates on, as if the workload had been light.
   dep.setActiveAlternate(PeId(1), AlternateId(0));
@@ -226,9 +223,8 @@ TEST(HeuristicScheduler, AlternatePhaseDowngradesWhenBehind) {
 
 TEST(HeuristicScheduler, NoDynNeverSwitchesAlternates) {
   Fixture f(makePaperDataflow());
-  HeuristicOptions nodyn;
-  nodyn.mode = SchedulerSpec::Mode::NoDyn;
-  HeuristicScheduler sched(f.env(), Strategy::Global, nodyn);
+  HeuristicScheduler sched(f.env(), Strategy::Global,
+                           SchedulerSpec::Mode::NoDyn);
   Deployment dep = sched.deploy(5.0);
 
   IntervalMetrics last;
@@ -246,9 +242,9 @@ TEST(HeuristicScheduler, NoDynNeverSwitchesAlternates) {
 
 TEST(HeuristicScheduler, AlternatePeriodGatesSwitching) {
   Fixture f(makePaperDataflow());
-  HeuristicOptions opts;
-  opts.alternate_period = 4;
-  HeuristicScheduler sched(f.env(), Strategy::Local, opts);
+  HeuristicScheduler sched(f.env(), Strategy::Local,
+                           SchedulerSpec::Mode::Adaptive,
+                           {.alternate_period = 4});
   Deployment dep = sched.deploy(5.0);
   dep.setActiveAlternate(PeId(1), AlternateId(0));
 
@@ -271,9 +267,9 @@ TEST(HeuristicScheduler, AlternatePeriodGatesSwitching) {
 
 TEST(HeuristicScheduler, RejectsInvalidOptionsAndEnv) {
   Fixture f(makePaperDataflow());
-  HeuristicOptions bad;
-  bad.alternate_period = 0;
-  EXPECT_THROW(HeuristicScheduler(f.env(), Strategy::Local, bad),
+  EXPECT_THROW(HeuristicScheduler(f.env(), Strategy::Local,
+                                  SchedulerSpec::Mode::Adaptive,
+                                  {.alternate_period = 0}),
                PreconditionError);
   SchedulerEnv env = f.env();
   env.dataflow = nullptr;

@@ -14,12 +14,13 @@ namespace {
 class Loop {
  public:
   Loop(Dataflow graph, Strategy strategy, TraceReplayer replayer,
-       HeuristicOptions opts = {})
+       HeuristicConfig config = {})
       : df_(std::move(graph)),
         cloud_(awsCatalog2013()),
         replayer_(std::move(replayer)),
         mon_(cloud_, replayer_),
-        scheduler_(makeEnv(), strategy, opts),
+        scheduler_(makeEnv(), strategy, SchedulerSpec::Mode::Adaptive,
+                   config),
         deployment_(df_),
         simulator_(df_, cloud_, mon_, SimConfig{}) {}
 
@@ -150,10 +151,9 @@ TEST(RuntimeAdaptation, DegradedInfrastructureTriggersScaleOut) {
 }
 
 TEST(RuntimeAdaptation, SurgeSwitchesToCheaperAlternates) {
-  HeuristicOptions opts;
-  opts.alternate_period = 1;  // react every interval for this scenario
+  // React every interval for this scenario.
   Loop loop(makePaperDataflow(), Strategy::Local, TraceReplayer::ideal(),
-            opts);
+            {.alternate_period = 1});
   loop.deploy(5.0);
   // Pin the expensive alternates, then surge so hard that the cheap ones
   // are the only way back to the constraint.

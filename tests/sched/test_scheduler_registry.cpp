@@ -48,7 +48,9 @@ TEST(SchedulerRegistry, FactoryBuildsEveryKind) {
   env.monitor = &mon;
 
   for (const SchedulerSpec& kind : allSchedulers()) {
-    EXPECT_NE(makeScheduler(kind, env, HeuristicOptions{}), nullptr)
+    EXPECT_NE(makeScheduler(kind, env, HeuristicConfig{}, ResilienceConfig{},
+                            0.0, 0.0),
+              nullptr)
         << schedulerName(kind);
   }
 }
